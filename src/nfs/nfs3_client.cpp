@@ -30,7 +30,11 @@ void throw_if_error(Status status) {
 }  // namespace
 
 MountPoint::MountPoint(net::Host& host, Nfs3ClientConfig config)
-    : host_(host), config_(config) {
+    : host_(host),
+      config_(config),
+      cache_(config.block_size, config.cache_bytes),
+      ledger_(host.engine().metrics(), "nfs.client.recovery",
+              /*track_bytes=*/true) {
   auto& m = host_.engine().metrics();
   m_rpc_calls_ = {m, "nfs.client.rpc.calls"};
   m_ac_hits_ = {m, "nfs.client.attr_cache.hits"};
@@ -40,6 +44,7 @@ MountPoint::MountPoint(net::Host& host, Nfs3ClientConfig config)
   m_readahead_ = {m, "nfs.client.readahead"};
   m_cto_revalidations_ = {m, "nfs.client.cto.revalidations"};
   m_cto_flushes_ = {m, "nfs.client.cto.flushes"};
+  m_dirty_blocks_ = {m, "nfs.client.writeback.dirty_blocks"};
 }
 
 obs::Counter& MountPoint::proc_counter(Proc3 proc) {
@@ -132,7 +137,7 @@ sim::Task<vfs::Attributes> MountPoint::getattr(const Fh& fh, bool force) {
 
   // Close-to-open: if the file changed under us and we hold no dirty data,
   // drop its cached blocks.
-  if (before && dirty_.find(fh.fileid) == dirty_.end() &&
+  if (before && !cache_.has_dirty(fh.fileid) &&
       (before->mtime != res.attrs.mtime || before->size != res.attrs.size)) {
     invalidate_file(fh.fileid);
   }
@@ -140,20 +145,8 @@ sim::Task<vfs::Attributes> MountPoint::getattr(const Fh& fh, bool force) {
 }
 
 void MountPoint::invalidate_file(uint64_t fileid) {
-  auto it = blocks_.lower_bound(BlockKey{fileid, 0});
-  while (it != blocks_.end() && it->first.fileid == fileid) {
-    cache_bytes_used_ -= config_.block_size;
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
-  }
-  auto ds = dirty_.find(fileid);
-  if (ds != dirty_.end()) {
-    host_.engine()
-        .metrics()
-        .gauge("nfs.client.writeback.dirty_blocks")
-        .add(-static_cast<int64_t>(ds->second.size()));
-    dirty_.erase(ds);
-  }
+  const size_t dirty = cache_.erase_file(fileid).dirty_blocks;
+  if (dirty) m_dirty_blocks_.add(-static_cast<int64_t>(dirty));
 }
 
 // --- path walking ----------------------------------------------------------------
@@ -206,37 +199,17 @@ sim::Task<std::pair<Fh, std::string>> MountPoint::walk_parent(
 
 // --- page cache -------------------------------------------------------------------
 
-MountPoint::CachedBlock& MountPoint::insert_block(uint64_t fileid,
-                                                  uint64_t block) {
-  BlockKey key{fileid, block};
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) {
-    CachedBlock cb;
-    cb.data.assign(config_.block_size, 0);
-    cb.lru = ++lru_clock_;
-    it = blocks_.emplace(key, std::move(cb)).first;
-    lru_[it->second.lru] = key;
-    cache_bytes_used_ += config_.block_size;
-  } else {
-    lru_.erase(it->second.lru);
-    it->second.lru = ++lru_clock_;
-    lru_[it->second.lru] = key;
-  }
-  return it->second;
-}
-
 sim::Task<void> MountPoint::writeback_block(uint64_t fileid, uint64_t block) {
   BlockKey key{fileid, block};
-  auto it = blocks_.find(key);
-  if (it == blocks_.end() || !it->second.dirty) co_return;
+  const CachedBlock* cb = cache_.find(key);
+  if (!cb || !cache_.is_dirty(key)) co_return;
   const Fh fh(root_.fsid, fileid);
   // Snapshot the dirty bytes: the application may keep writing into this
   // block while the WRITE RPC is outstanding.  This is one of the two
   // copies the client page cache fundamentally needs (the other is the
   // fill in fetch_block).
-  const size_t snap_len = it->second.valid;
-  BufChain data =
-      BufChain::copy_of(ByteView(it->second.data.data(), snap_len));
+  const size_t snap_len = cb->valid;
+  BufChain data = BufChain::copy_of(ByteView(cb->data.data(), snap_len));
   // Refcounted alias of the snapshot, shadowed until COMMIT so a server
   // restart can be answered by resending exactly these bytes.
   BufChain shadow = data;
@@ -249,20 +222,9 @@ sim::Task<void> MountPoint::writeback_block(uint64_t fileid, uint64_t block) {
   throw_if_error(res.status);
   maybe_remember(fh, res.post_attrs);
   // The block may have been evicted while the RPC was outstanding.
-  auto again = blocks_.find(key);
-  if (again != blocks_.end()) again->second.dirty = false;
-  auto ds = dirty_.find(fileid);
-  if (ds != dirty_.end()) {
-    if (ds->second.erase(block)) {
-      host_.engine()
-          .metrics()
-          .gauge("nfs.client.writeback.dirty_blocks")
-          .add(-1);
-    }
-    if (ds->second.empty()) dirty_.erase(ds);
-  }
+  if (cache_.clear_dirty(key)) m_dirty_blocks_.add(-1);
   if (config_.write_behind) {
-    remember_uncommitted(key, shadow);
+    ledger_.put(key, shadow);
     needs_commit_.insert(fileid);
   }
   co_await note_verf(res.verf);
@@ -270,119 +232,30 @@ sim::Task<void> MountPoint::writeback_block(uint64_t fileid, uint64_t block) {
 
 // --- write-verifier recovery (RFC 1813 §3.3.21) --------------------------------
 
-void MountPoint::remember_uncommitted(const BlockKey& key,
-                                      const BufChain& data) {
-  auto& gauge =
-      host_.engine().metrics().gauge("nfs.client.recovery.uncommitted_bytes");
-  auto it = uncommitted_.find(key);
-  if (it != uncommitted_.end()) {
-    gauge.add(-static_cast<int64_t>(it->second.size()));
-  }
-  gauge.add(static_cast<int64_t>(data.size()));
-  uncommitted_[key] = data;
-}
-
-void MountPoint::drop_uncommitted(uint64_t fileid) {
-  auto& gauge =
-      host_.engine().metrics().gauge("nfs.client.recovery.uncommitted_bytes");
-  auto it = uncommitted_.lower_bound(BlockKey{fileid, 0});
-  while (it != uncommitted_.end() && it->first.fileid == fileid) {
-    gauge.add(-static_cast<int64_t>(it->second.size()));
-    it = uncommitted_.erase(it);
-  }
-}
-
 sim::Task<bool> MountPoint::note_verf(uint64_t verf) {
-  if (server_verf_ && *server_verf_ == verf) co_return false;
-  if (!server_verf_) {
-    server_verf_ = verf;
-    co_return false;
-  }
-  // The server rebooted: every byte acknowledged UNSTABLE since the last
-  // COMMIT may be gone.  Record the new instance cookie FIRST (a later
-  // COMMIT on any file would match it and silently lose data), then replay
-  // the shadows mount-wide.
-  server_verf_ = verf;
-  host_.engine().metrics().counter("nfs.client.recovery.verf_mismatches").inc();
-  if (config_.verifier_replay && !uncommitted_.empty()) {
-    co_await replay_uncommitted();
-  }
-  co_return true;
+  co_return co_await ledger_.note_verf(
+      verf, config_.verifier_replay,
+      [this](const BlockKey& key, BufChain data) {
+        return replay_write(key, std::move(data));
+      });
 }
 
-sim::Task<void> MountPoint::replay_uncommitted() {
-  auto& metrics = host_.engine().metrics();
-  metrics.counter("nfs.client.recovery.replays").inc();
-  // The verifier may roll again mid-replay (another crash): restart until a
-  // full pass completes under one instance cookie.
-  for (bool complete = false; !complete;) {
-    complete = true;
-    const uint64_t cookie = *server_verf_;
-    std::vector<BlockKey> keys;
-    keys.reserve(uncommitted_.size());
-    for (const auto& [key, chain] : uncommitted_) keys.push_back(key);
-    for (const BlockKey& key : keys) {
-      auto it = uncommitted_.find(key);
-      if (it == uncommitted_.end()) continue;  // dropped while we slept
-      const Fh fh(root_.fsid, key.fileid);
-      const size_t nbytes = it->second.size();
-      BufChain data = it->second;
-      co_await charge(Proc3::kWrite);
-      WriteRes res = co_await ops_->write(fh, key.block * config_.block_size,
-                                          StableHow::kUnstable,
-                                          std::move(data));
-      throw_if_error(res.status);
-      maybe_remember(fh, res.post_attrs);
-      metrics.counter("nfs.client.recovery.replayed_bytes").inc(nbytes);
-      needs_commit_.insert(key.fileid);
-      if (res.verf != cookie) {
-        // Crashed again mid-replay; adopt the newest cookie and start over.
-        server_verf_ = res.verf;
-        metrics.counter("nfs.client.recovery.verf_mismatches").inc();
-        complete = false;
-        break;
-      }
-    }
-  }
-}
-
-bool MountPoint::make_room_clean(size_t incoming) {
-  auto it = lru_.begin();
-  while (cache_bytes_used_ + incoming > config_.cache_bytes &&
-         it != lru_.end()) {
-    auto bit = blocks_.find(it->second);
-    if (bit != blocks_.end() && !bit->second.dirty) {
-      blocks_.erase(bit);
-      it = lru_.erase(it);
-      cache_bytes_used_ -= config_.block_size;
-    } else {
-      ++it;
-    }
-  }
-  return cache_bytes_used_ + incoming <= config_.cache_bytes;
+sim::Task<std::optional<uint64_t>> MountPoint::replay_write(BlockKey key,
+                                                            BufChain data) {
+  const Fh fh(root_.fsid, key.fileid);
+  co_await charge(Proc3::kWrite);
+  WriteRes res = co_await ops_->write(fh, key.block * config_.block_size,
+                                      StableHow::kUnstable, std::move(data));
+  throw_if_error(res.status);
+  maybe_remember(fh, res.post_attrs);
+  needs_commit_.insert(key.fileid);
+  co_return res.verf;
 }
 
 sim::Task<void> MountPoint::ensure_space(size_t incoming) {
-  while (cache_bytes_used_ + incoming > config_.cache_bytes &&
-         !lru_.empty()) {
-    const uint64_t victim_lru = lru_.begin()->first;
-    const BlockKey victim = lru_.begin()->second;
-    auto it = blocks_.find(victim);
-    if (it == blocks_.end()) {
-      // Orphaned LRU entry: erase by key, never by begin() — the write-back
-      // suspensions below let concurrent evictions reshape lru_.
-      lru_.erase(victim_lru);
-      continue;
-    }
-    if (it->second.dirty) {
-      co_await writeback_block(victim.fileid, victim.block);
-      it = blocks_.find(victim);
-      if (it == blocks_.end() || it->second.dirty) continue;
-    }
-    lru_.erase(it->second.lru);
-    blocks_.erase(it);
-    cache_bytes_used_ -= config_.block_size;
-  }
+  co_await cache_.evict(incoming, [this](const BlockKey& key) {
+    return writeback_block(key.fileid, key.block);
+  });
 }
 
 sim::Task<void> MountPoint::fetch_block(const Fh& fh, uint64_t block) {
@@ -404,7 +277,7 @@ sim::Task<void> MountPoint::fetch_block(const Fh& fh, uint64_t block) {
   throw_if_error(res.status);
   maybe_remember(fh, res.post_attrs);
   co_await ensure_space(config_.block_size);
-  CachedBlock& cb = insert_block(fh.fileid, block);
+  CachedBlock& cb = cache_.insert(key);
   res.data.copy_to(MutByteView(cb.data.data(), cb.data.size()));
   cb.valid = std::max(cb.valid, res.count);
   overlay_uncommitted(fh.fileid, block, cb);
@@ -424,9 +297,9 @@ sim::Task<void> MountPoint::fetch_block(const Fh& fh, uint64_t block) {
 // reverted the data.
 void MountPoint::overlay_uncommitted(uint64_t fileid, uint64_t block,
                                      CachedBlock& cb) {
-  auto it = uncommitted_.find(BlockKey{fileid, block});
-  if (it == uncommitted_.end()) return;
-  const BufChain& shadow = it->second;
+  const BufChain* found = ledger_.find(BlockKey{fileid, block});
+  if (!found) return;
+  const BufChain& shadow = *found;
   const size_t n = std::min(shadow.size(), cb.data.size());
   size_t pos = 0;
   bool same = true;
@@ -455,7 +328,7 @@ void MountPoint::start_readahead(const Fh& fh, uint64_t from_block) {
     const uint64_t b = from_block + i;
     if (b > max_block) break;
     BlockKey key{fh.fileid, b};
-    if (blocks_.count(key) || inflight_.count(key)) continue;
+    if (cache_.contains(key) || inflight_.count(key)) continue;
     auto ev = std::make_shared<sim::SimEvent>(host_.engine());
     inflight_[key] = ev;
     ++rpc_calls_;
@@ -486,8 +359,8 @@ void MountPoint::start_readahead(const Fh& fh, uint64_t from_block) {
       mp->maybe_remember(fh, res.post_attrs);
       // Make room by evicting *clean* LRU blocks (no write-back from a
       // prefetch path); only drop the data if everything is dirty.
-      if (!mp->make_room_clean(mp->config_.block_size)) co_return;
-      CachedBlock& cb = mp->insert_block(fh.fileid, block);
+      if (!mp->cache_.make_room_clean(block_size)) co_return;
+      CachedBlock& cb = mp->cache_.insert(BlockKey{fh.fileid, block});
       res.data.copy_to(MutByteView(cb.data.data(), cb.data.size()));
       cb.valid = std::max(cb.valid, res.count);
       mp->overlay_uncommitted(fh.fileid, block, cb);
@@ -503,15 +376,11 @@ sim::Task<MountPoint::CachedBlock*> MountPoint::get_block_for_read(
     const Fh& fh, uint64_t block, bool readahead) {
   BlockKey key{fh.fileid, block};
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto it = blocks_.find(key);
-    if (it != blocks_.end()) {
+    if (CachedBlock* cb = cache_.touch(key)) {
       ++cache_hits_;
       m_pc_hits_.inc();
-      lru_.erase(it->second.lru);
-      it->second.lru = ++lru_clock_;
-      lru_[it->second.lru] = key;
       if (readahead) start_readahead(fh, block);
-      co_return &it->second;
+      co_return cb;
     }
     auto inflight = inflight_.find(key);
     if (inflight != inflight_.end()) {
@@ -525,30 +394,22 @@ sim::Task<MountPoint::CachedBlock*> MountPoint::get_block_for_read(
   m_pc_misses_.inc();
   co_await fetch_block(fh, block);
   if (readahead) start_readahead(fh, block);
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) throw FsError(Status::kStale);
-  co_return &it->second;
+  CachedBlock* cb = cache_.find(key);
+  if (!cb) throw FsError(Status::kStale);
+  co_return cb;
 }
 
 sim::Task<void> MountPoint::flush_file(const Fh& fh, bool commit) {
   // Drain the LIVE dirty set (not a snapshot): if writeback_block throws
   // mid-flush, a retry of flush_file sends exactly the blocks that are
   // still dirty — no block is skipped and none is sent twice.
-  for (;;) {
-    auto ds = dirty_.find(fh.fileid);
-    if (ds == dirty_.end() || ds->second.empty()) break;
-    const uint64_t block = *ds->second.begin();
-    co_await writeback_block(fh.fileid, block);
+  while (const auto block = cache_.first_dirty(fh.fileid)) {
+    co_await writeback_block(fh.fileid, *block);
     // If the cached block vanished while the RPC was outstanding the
     // writeback was a no-op and did not clear the dirty entry; erase it
     // here or this loop would spin forever.
-    ds = dirty_.find(fh.fileid);
-    if (ds != dirty_.end() && ds->second.erase(block)) {
-      host_.engine()
-          .metrics()
-          .gauge("nfs.client.writeback.dirty_blocks")
-          .add(-1);
-      if (ds->second.empty()) dirty_.erase(ds);
+    if (cache_.clear_dirty(BlockKey{fh.fileid, *block})) {
+      m_dirty_blocks_.add(-1);
     }
   }
   if (commit && needs_commit_.count(fh.fileid)) {
@@ -563,7 +424,7 @@ sim::Task<void> MountPoint::flush_file(const Fh& fh, bool commit) {
       if (!rolled) break;
     }
     needs_commit_.erase(fh.fileid);
-    drop_uncommitted(fh.fileid);
+    ledger_.drop_file(fh.fileid);
   }
 }
 
@@ -620,7 +481,7 @@ sim::Task<int> MountPoint::open(const std::string& path, uint32_t flags,
     WccRes res = co_await ops_->setattr(fh, trunc);
     throw_if_error(res.status);
     invalidate_file(fh.fileid);
-    drop_uncommitted(fh.fileid);
+    ledger_.drop_file(fh.fileid);
     maybe_remember(fh, res.post_attrs);
     attrs.size = 0;
   }
@@ -639,9 +500,7 @@ sim::Task<void> MountPoint::close(int fd) {
   if (it == open_files_.end()) throw FsError(Status::kInval);
   Fh fh = it->second.fh;
   open_files_.erase(it);
-  if (dirty_.count(fh.fileid)) {
-    m_cto_flushes_.inc();
-  }
+  if (cache_.has_dirty(fh.fileid)) m_cto_flushes_.inc();
   co_await flush_file(fh, /*commit=*/true);
 }
 
@@ -717,8 +576,8 @@ sim::Task<size_t> MountPoint::pwrite(int fd, uint64_t offset, ByteView data) {
         std::min(data.size() - done, config_.block_size - in_block);
 
     BlockKey key{fh.fileid, block};
-    auto bit = blocks_.find(key);
-    if (bit == blocks_.end()) {
+    CachedBlock* cb = cache_.touch(key);
+    if (!cb) {
       // Partial write into a block that has existing server data: fetch it
       // first (read-modify-write), unless the write covers the whole block
       // or lies entirely beyond EOF.
@@ -730,26 +589,15 @@ sim::Task<size_t> MountPoint::pwrite(int fd, uint64_t offset, ByteView data) {
         co_await get_block_for_read(fh, block, false);
       } else {
         co_await ensure_space(config_.block_size);
-        insert_block(fh.fileid, block);
+        cache_.insert(key);
       }
-      bit = blocks_.find(key);
-      if (bit == blocks_.end()) throw FsError(Status::kStale);
-    } else {
-      lru_.erase(bit->second.lru);
-      bit->second.lru = ++lru_clock_;
-      lru_[bit->second.lru] = key;
+      cb = cache_.find(key);
+      if (!cb) throw FsError(Status::kStale);
     }
-    CachedBlock& cb = bit->second;
-    std::copy_n(data.begin() + done, take, cb.data.begin() + in_block);
-    cb.valid =
-        std::max<uint32_t>(cb.valid, static_cast<uint32_t>(in_block + take));
-    cb.dirty = true;
-    if (dirty_[fh.fileid].insert(block).second) {
-      host_.engine()
-          .metrics()
-          .gauge("nfs.client.writeback.dirty_blocks")
-          .add(1);
-    }
+    std::copy_n(data.begin() + done, take, cb->data.begin() + in_block);
+    cb->valid =
+        std::max<uint32_t>(cb->valid, static_cast<uint32_t>(in_block + take));
+    if (cache_.mark_dirty(key)) m_dirty_blocks_.add(1);
     done += take;
 
     if (!config_.write_behind) {
@@ -809,7 +657,7 @@ sim::Task<void> MountPoint::truncate(const std::string& path,
   WccRes res = co_await ops_->setattr(fh, sattr);
   throw_if_error(res.status);
   invalidate_file(fh.fileid);
-  drop_uncommitted(fh.fileid);
+  ledger_.drop_file(fh.fileid);
   maybe_remember(fh, res.post_attrs);
 }
 
@@ -867,7 +715,7 @@ sim::Task<void> MountPoint::unlink(const std::string& path) {
     invalidate_file(victim->fileid);
     attr_cache_.erase(victim->fileid);
     needs_commit_.erase(victim->fileid);
-    drop_uncommitted(victim->fileid);
+    ledger_.drop_file(victim->fileid);
   }
 }
 
@@ -946,9 +794,7 @@ sim::Task<std::vector<MountPoint::Dirent>> MountPoint::readdir(
 }
 
 sim::Task<void> MountPoint::flush_all() {
-  std::vector<uint64_t> files;
-  for (const auto& [fileid, set] : dirty_) files.push_back(fileid);
-  for (uint64_t fileid : files) {
+  for (uint64_t fileid : cache_.dirty_files()) {
     co_await flush_file(Fh(root_.fsid, fileid), /*commit=*/true);
   }
   // Commit any files with unstable data but no remaining dirty blocks.
@@ -959,31 +805,13 @@ sim::Task<void> MountPoint::flush_all() {
 }
 
 void MountPoint::drop_caches() {
-  blocks_.clear();
-  lru_.clear();
-  cache_bytes_used_ = 0;
+  m_dirty_blocks_.add(-static_cast<int64_t>(cache_.clear().dirty_blocks));
   attr_cache_.clear();
   dnlc_.clear();
-  int64_t dirty_total = 0;
-  for (const auto& [fileid, set] : dirty_) {
-    dirty_total += static_cast<int64_t>(set.size());
-  }
-  host_.engine()
-      .metrics()
-      .gauge("nfs.client.writeback.dirty_blocks")
-      .add(-dirty_total);
-  dirty_.clear();
   needs_commit_.clear();
-  int64_t shadow_total = 0;
-  for (const auto& [key, chain] : uncommitted_) {
-    shadow_total += static_cast<int64_t>(chain.size());
-  }
-  host_.engine()
-      .metrics()
-      .gauge("nfs.client.recovery.uncommitted_bytes")
-      .add(-shadow_total);
-  uncommitted_.clear();
-  // server_verf_ survives: it identifies the server instance, not a cache.
+  // The ledger's verifier survives: it identifies the server instance, not
+  // a cache.
+  ledger_.clear();
 }
 
 }  // namespace sgfs::nfs

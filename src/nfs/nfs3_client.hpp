@@ -23,6 +23,7 @@
 #include <memory>
 #include <set>
 
+#include "nfs/block_cache.hpp"
 #include "nfs/nfs3.hpp"
 #include "nfs/wire_ops.hpp"
 #include "obs/metrics.hpp"
@@ -122,29 +123,19 @@ class MountPoint {
   uint64_t rpc_calls_for(Proc3 p) const;
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
-  uint64_t bytes_cached() const { return cache_bytes_used_; }
+  uint64_t bytes_cached() const { return cache_.bytes_used(); }
   const Nfs3ClientConfig& config() const { return config_; }
   /// Shadow copies held for verifier replay (blocks written UNSTABLE and
   /// not yet COMMIT-acknowledged).
-  size_t uncommitted_blocks() const { return uncommitted_.size(); }
+  size_t uncommitted_blocks() const { return ledger_.size(); }
   /// Last write verifier observed from the server (unset before the first
   /// WRITE/COMMIT reply).
-  std::optional<uint64_t> server_verf() const { return server_verf_; }
+  std::optional<uint64_t> server_verf() const { return ledger_.verf(); }
 
  private:
   MountPoint(net::Host& host, Nfs3ClientConfig config);
 
-  struct BlockKey {
-    uint64_t fileid;
-    uint64_t block;
-    auto operator<=>(const BlockKey&) const = default;
-  };
-  struct CachedBlock {
-    Buffer data;         // always block_size long (zero-padded)
-    uint32_t valid = 0;  // bytes valid from start
-    bool dirty = false;
-    uint64_t lru = 0;
-  };
+  using CachedBlock = BlockCache::Block;
   struct AttrEntry {
     vfs::Attributes attrs;
     sim::SimTime fetched = 0;
@@ -176,9 +167,8 @@ class MountPoint {
   // Page cache.
   sim::Task<CachedBlock*> get_block_for_read(const Fh& fh, uint64_t block,
                                              bool readahead);
-  CachedBlock& insert_block(uint64_t fileid, uint64_t block);
+  /// Evicts (writing dirty victims back) until `incoming` bytes fit.
   sim::Task<void> ensure_space(size_t incoming);
-  bool make_room_clean(size_t incoming);
   sim::Task<void> writeback_block(uint64_t fileid, uint64_t block);
   sim::Task<void> flush_file(const Fh& fh, bool commit);
   sim::Task<void> fetch_block(const Fh& fh, uint64_t block);
@@ -189,9 +179,8 @@ class MountPoint {
   // verifier rolled (server restart) — after replaying the shadows, the
   // caller must retry its COMMIT.
   sim::Task<bool> note_verf(uint64_t verf);
-  sim::Task<void> replay_uncommitted();
-  void remember_uncommitted(const BlockKey& key, const BufChain& data);
-  void drop_uncommitted(uint64_t fileid);
+  /// Resends one shadow UNSTABLE during a replay; returns its verifier.
+  sim::Task<std::optional<uint64_t>> replay_write(BlockKey key, BufChain data);
 
   net::Host& host_;
   Nfs3ClientConfig config_;
@@ -200,11 +189,9 @@ class MountPoint {
 
   std::map<uint64_t, AttrEntry> attr_cache_;  // fileid -> attrs
   std::map<std::pair<uint64_t, std::string>, Fh> dnlc_;
-  std::map<BlockKey, CachedBlock> blocks_;
-  std::map<uint64_t, BlockKey> lru_;
-  uint64_t lru_clock_ = 0;
-  uint64_t cache_bytes_used_ = 0;
-  std::map<uint64_t, std::set<uint64_t>> dirty_;  // fileid -> dirty blocks
+  BlockCache cache_;
+  // Files owed a COMMIT.  Not the same set as the files with shadows:
+  // open(O_TRUNC) drops a file's shadows but it still owes the COMMIT.
   std::set<uint64_t> needs_commit_;
   std::map<BlockKey, std::shared_ptr<sim::SimEvent>> inflight_;
 
@@ -213,8 +200,7 @@ class MountPoint {
   // (refcounted — retaining them costs no copies and, crucially, does not
   // change page-cache eviction behaviour, so fault-free timing stays
   // bit-identical).  On a verifier mismatch they are resent verbatim.
-  std::map<BlockKey, BufChain> uncommitted_;
-  std::optional<uint64_t> server_verf_;
+  UnstableLedger ledger_;
 
   std::map<int, OpenFile> open_files_;
   int next_fd_ = 3;
@@ -232,6 +218,7 @@ class MountPoint {
   obs::CounterHandle m_ac_hits_, m_ac_misses_;
   obs::CounterHandle m_pc_hits_, m_pc_misses_, m_readahead_;
   obs::CounterHandle m_cto_revalidations_, m_cto_flushes_;
+  obs::GaugeHandle m_dirty_blocks_;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
 

@@ -1,7 +1,6 @@
 #include "sgfs/client_proxy.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/bufchain.hpp"
 
@@ -17,6 +16,18 @@ using nfs::Fh;
 using nfs::Proc3;
 using nfs::Status;
 
+namespace {
+
+/// XDR-encodes an NFS argument or result struct into a fresh chain.
+template <typename T>
+BufChain encoded(const T& value) {
+  xdr::Encoder enc;
+  value.encode(enc);
+  return enc.take();
+}
+
+}  // namespace
+
 ClientProxy::~ClientProxy() = default;
 
 ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
@@ -24,7 +35,10 @@ ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
       config_(std::move(config)),
       rng_(rng),
       session_mgr_(host, config_, rng_),
-      forward_mutex_(host.engine()) {
+      forward_mutex_(host.engine()),
+      cache_(config_.cache.block_size, config_.cache.capacity_bytes),
+      ledger_(host.engine().metrics(), "sgfs.recovery",
+              /*track_bytes=*/false) {
   auto& m = host.engine().metrics();
   m_sessions_ = {m, "sgfs.client_proxy.sessions"};
   m_forwarded_ = {m, "sgfs.client_proxy.forwarded"};
@@ -90,11 +104,7 @@ void ClientProxy::stop() {
 }
 
 uint64_t ClientProxy::dirty_bytes() const {
-  uint64_t total = 0;
-  for (const auto& [fileid, set] : dirty_) {
-    total += set.size() * config_.cache.block_size;
-  }
-  return total;
+  return cache_.dirty_count() * config_.cache.block_size;
 }
 
 uint32_t ClientProxy::key_generation() const { return handshakes_; }
@@ -180,7 +190,7 @@ std::optional<Buffer> ClientProxy::unseal(const Block& b,
                                           const BlockKey& key) {
   if (b.generation == 0) return std::nullopt;  // never sealed
   host_.cpu().charge(seal_cost(b.data.size()), "crypto");
-  return crypto::unseal_block(seal_keys(key.first), key.first, key.second,
+  return crypto::unseal_block(seal_keys(key.fileid), key.fileid, key.block,
                               b.generation,
                               ByteView(b.data.data(), b.data.size()));
 }
@@ -188,7 +198,7 @@ std::optional<Buffer> ClientProxy::unseal(const Block& b,
 void ClientProxy::seal_into(Block& b, const BlockKey& key,
                             ByteView plaintext) {
   b.generation = ++seal_clock_;
-  b.data = crypto::seal_block(seal_keys(key.first), key.first, key.second,
+  b.data = crypto::seal_block(seal_keys(key.fileid), key.fileid, key.block,
                               b.generation, plaintext);
   host_.cpu().charge(seal_cost(plaintext.size()), "crypto");
   m_sealed_blocks_.inc();
@@ -215,60 +225,24 @@ void ClientProxy::note_verify_failure() {
       // only copy of absorbed writes and stay until flush.  A failed
       // half-open probe goes straight back to bypass without a re-purge
       // (the probe fill is the only clean block to have landed since).
-      purge_clean_blocks();
+      cache_.erase_clean();
       SGFS_WARN("sgfs-proxy", "poisoned cache: entering bypass for ",
                 config_.cache.bypass_duration / sim::kMillisecond, " ms");
     }
   }
 }
 
-void ClientProxy::erase_block(std::map<BlockKey, Block>::iterator it) {
-  lru_.erase(it->second.lru);
-  blocks_.erase(it);
-  cache_bytes_used_ -= config_.cache.block_size;
-  assert(cache_accounting_consistent());
-}
-
 void ClientProxy::poison_evict(const BlockKey& key) {
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) return;
-  if (it->second.dirty) {
-    // A tampered dirty block is unrecoverable — the cache held the only
-    // copy.  Surface nothing corrupt; account the loss like a cancelled
-    // write-back.
-    cancelled_writeback_bytes_ += it->second.valid;
-    auto ds = dirty_.find(key.first);
-    if (ds != dirty_.end()) {
-      ds->second.erase(key.second);
-      if (ds->second.empty()) dirty_.erase(ds);
-    }
-  }
-  erase_block(it);
+  if (!cache_.contains(key)) return;
+  // A tampered dirty block is unrecoverable — the cache held the only copy.
+  // Surface nothing corrupt; account the loss like a cancelled write-back.
+  cancelled_writeback_bytes_ += cache_.erase(key).dirty_bytes;
   m_poison_evictions_.inc();
 }
 
-void ClientProxy::purge_clean_blocks() {
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    if (it->second.dirty) {
-      ++it;
-      continue;
-    }
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
-    cache_bytes_used_ -= config_.cache.block_size;
-  }
-  assert(cache_accounting_consistent());
-}
-
 void ClientProxy::purge_cached_plaintext() {
-  for (const auto& [key, b] : blocks_) {
-    if (b.dirty) cancelled_writeback_bytes_ += b.valid;
-  }
-  blocks_.clear();
-  lru_.clear();
-  cache_bytes_used_ = 0;
-  dirty_.clear();
-  uncommitted_.clear();
+  cancelled_writeback_bytes_ += cache_.clear().dirty_bytes;
+  ledger_.clear();
   attrs_.clear();
   names_.clear();
   access_cache_.clear();
@@ -292,9 +266,9 @@ void ClientProxy::rekey_cache() {
     Buffer plaintext;
   };
   std::vector<Pending> dirty_plain;
-  for (auto& [key, b] : blocks_) {
-    if (!b.dirty) continue;
-    auto plain = unseal(b, key);
+  for (const BlockKey& key : cache_.keys()) {
+    if (!cache_.is_dirty(key)) continue;
+    auto plain = unseal(*cache_.find(key), key);
     if (!plain) {
       note_verify_failure();
       continue;  // poisoned while dirty: dropped below with the clean set
@@ -311,33 +285,19 @@ void ClientProxy::rekey_cache() {
   name_master_.clear();
   // Everything not re-sealed below goes: clean blocks and any dirty block
   // whose blob failed verification.
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    const bool keep = std::any_of(
-        dirty_plain.begin(), dirty_plain.end(),
-        [&](const Pending& p) { return p.key == it->first; });
-    if (keep) {
-      ++it;
-      continue;
-    }
-    if (it->second.dirty) {
-      cancelled_writeback_bytes_ += it->second.valid;
-      auto ds = dirty_.find(it->first.first);
-      if (ds != dirty_.end()) {
-        ds->second.erase(it->first.second);
-        if (ds->second.empty()) dirty_.erase(ds);
-      }
-    }
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
-    cache_bytes_used_ -= config_.cache.block_size;
-  }
+  cancelled_writeback_bytes_ +=
+      cache_
+          .erase_if([&](const BlockKey& key, const Block&) {
+            return std::none_of(
+                dirty_plain.begin(), dirty_plain.end(),
+                [&](const Pending& p) { return p.key == key; });
+          })
+          .dirty_bytes;
   for (Pending& p : dirty_plain) {
-    auto it = blocks_.find(p.key);
-    if (it == blocks_.end()) continue;
-    seal_into(it->second, p.key,
-              ByteView(p.plaintext.data(), p.plaintext.size()));
+    Block* b = cache_.find(p.key);
+    if (!b) continue;
+    seal_into(*b, p.key, ByteView(p.plaintext.data(), p.plaintext.size()));
   }
-  assert(cache_accounting_consistent());
 }
 
 bool ClientProxy::data_cache_admitting() {
@@ -469,9 +429,7 @@ sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
     res.count = 0;
     res.eof = true;
     m_replica_reads_.inc();
-    xdr::Encoder enc;
-    res.encode(enc);
-    co_return enc.take();
+    co_return encoded(res);
   }
   const uint64_t index = a.offset / bs;
   auto plain = co_await replica_->fetch_block(a.fh.fileid, index);
@@ -492,33 +450,20 @@ sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
   // Fill the local cache so repeat reads stay local (same admission rules
   // as an origin fill; never overwrite resident blocks or replay shadows).
   const BlockKey rkey{a.fh.fileid, index};
-  const bool fillable = config_.cache.cache_data &&
-                        blocks_.find(rkey) == blocks_.end() &&
-                        uncommitted_.find(rkey) == uncommitted_.end();
-  if (fillable && !config_.cache.encryption) {
-    Block& b = put_block(a.fh.fileid, index);
+  const bool fillable = config_.cache.cache_data && !cache_.contains(rkey) &&
+                        !ledger_.contains(rkey);
+  if (fillable && (!config_.cache.encryption || data_cache_admitting())) {
     const size_t n = std::min<size_t>(plain->size(), bs);
-    std::copy(plain->begin(), plain->begin() + static_cast<long>(n),
-              b.data.begin());
-    b.valid = static_cast<uint32_t>(n);
-    spawn_cache_store(a.fh.fileid, index, n);
-    co_await evict_if_needed();
-  } else if (fillable && data_cache_admitting()) {
-    Buffer stage(bs, 0);
-    const size_t n = std::min<size_t>(plain->size(), bs);
-    std::copy(plain->begin(), plain->begin() + static_cast<long>(n),
-              stage.begin());
-    Block& b = put_block(a.fh.fileid, index);
-    b.valid = static_cast<uint32_t>(n);
-    seal_into(b, rkey, ByteView(stage.data(), stage.size()));
+    overlay_block(rkey, static_cast<uint32_t>(n), /*absorb=*/false,
+                  [&](MutByteView dst) {
+                    std::copy_n(plain->begin(), n, dst.begin());
+                  });
     spawn_cache_store(a.fh.fileid, index, n);
     co_await evict_if_needed();
   }
   if (host_.memcpy_charged()) co_await host_.memcpy_cost(have);
   co_await host_.cpu().use(config_.cost.msg_cost(have), "proxy");
-  xdr::Encoder enc;
-  res.encode(enc);
-  co_return enc.take();
+  co_return encoded(res);
 }
 
 
@@ -664,35 +609,27 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
         cache_master_ = rng_.bytes(crypto::KeyRegression::kSecretSize);
       }
       file_keys_.clear();
-      purge_clean_blocks();
-      for (auto& [key, b] : blocks_) {
-        if (!b.dirty || b.generation != 0) continue;
+      cache_.erase_clean();
+      for (const BlockKey& key : cache_.keys()) {
+        Block& b = *cache_.find(key);
+        if (b.generation != 0) continue;
         Buffer plain = std::move(b.data);
         plain.resize(config_.cache.block_size, 0);
         seal_into(b, key, ByteView(plain.data(), plain.size()));
       }
     } else {
-      purge_clean_blocks();
-      for (auto it = blocks_.begin(); it != blocks_.end();) {
-        auto plain = unseal(it->second, it->first);
-        if (plain) {
-          it->second.data = std::move(*plain);
-          it->second.data.resize(config_.cache.block_size, 0);
-          it->second.generation = 0;
-          ++it;
+      cache_.erase_clean();
+      for (const BlockKey& key : cache_.keys()) {
+        Block& b = *cache_.find(key);
+        if (auto plain = unseal(b, key)) {
+          b.data = std::move(*plain);
+          b.data.resize(config_.cache.block_size, 0);
+          b.generation = 0;
           continue;
         }
         // Poisoned while dirty: unrecoverable, never surface it.
         m_verify_failures_.inc();
-        cancelled_writeback_bytes_ += it->second.valid;
-        auto ds = dirty_.find(it->first.first);
-        if (ds != dirty_.end()) {
-          ds->second.erase(it->first.second);
-          if (ds->second.empty()) dirty_.erase(ds);
-        }
-        lru_.erase(it->second.lru);
-        it = blocks_.erase(it);
-        cache_bytes_used_ -= config_.cache.block_size;
+        cancelled_writeback_bytes_ += cache_.erase(key).dirty_bytes;
       }
     }
     cache_breaker_ = TrustBreaker(cache_breaker_policy());
@@ -701,24 +638,12 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
     names_.clear();
     name_keys_.clear();
     name_master_.clear();
-    assert(cache_accounting_consistent());
   }
   // A shrunk capacity must not leave over-capacity blocks resident: drop
   // clean victims in LRU order now (reload is synchronous, so dirty blocks
   // wait for the next cache operation's writeback-eviction).
-  for (auto it = lru_.begin();
-       cache_bytes_used_ > config_.cache.capacity_bytes &&
-       it != lru_.end();) {
-    auto bit = blocks_.find(it->second);
-    if (bit == blocks_.end() || bit->second.dirty) {
-      ++it;
-      continue;
-    }
-    it = lru_.erase(it);
-    blocks_.erase(bit);
-    cache_bytes_used_ -= config_.cache.block_size;
-  }
-  assert(cache_accounting_consistent());
+  cache_.set_capacity(config_.cache.capacity_bytes);
+  cache_.make_room_clean(0);
   if (security_changed) {
     // Tear down the secured connections; the next request re-handshakes
     // under the new configuration (certificates are re-read then too).  The
@@ -730,19 +655,17 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
 
 std::vector<ClientProxy::BlockKey> ClientProxy::tamperable_blocks() const {
   std::vector<BlockKey> keys;
-  keys.reserve(blocks_.size());
-  for (const auto& [key, b] : blocks_) {
-    if (b.dirty || uncommitted_.count(key)) continue;
-    keys.push_back(key);
+  for (const BlockKey& key : cache_.keys()) {
+    if (!cache_.is_dirty(key) && !ledger_.contains(key)) keys.push_back(key);
   }
   return keys;
 }
 
 bool ClientProxy::tamper_block(const BlockKey& key,
                                const std::function<void(Buffer&)>& fn) {
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) return false;
-  fn(it->second.data);
+  Block* b = cache_.find(key);
+  if (!b) return false;
+  fn(b->data);
   return true;
 }
 
@@ -750,10 +673,10 @@ bool ClientProxy::tamper_block(const BlockKey& key,
 
 sim::Task<void> ClientProxy::cache_disk_io(uint64_t fileid, uint64_t block,
                                            size_t bytes, bool write) {
-  const bool sequential = last_disk_block_.first == fileid &&
-                          (block == last_disk_block_.second + 1 ||
-                           block == last_disk_block_.second);
-  last_disk_block_ = {fileid, block};
+  const bool sequential = last_disk_block_.fileid == fileid &&
+                          (block == last_disk_block_.block + 1 ||
+                           block == last_disk_block_.block);
+  last_disk_block_ = BlockKey{fileid, block};
   if (write) {
     co_await host_.disk().write(bytes, sequential, "proxy.cache");
   } else {
@@ -787,23 +710,13 @@ void ClientProxy::remember(const Fh& fh,
 }
 
 void ClientProxy::drop_file(uint64_t fileid) {
-  auto it = blocks_.lower_bound({fileid, 0});
-  while (it != blocks_.end() && it->first.first == fileid) {
-    if (it->second.dirty) {
-      cancelled_writeback_bytes_ += it->second.valid;
-    }
-    cache_bytes_used_ -= config_.cache.block_size;
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
-  }
-  assert(cache_accounting_consistent());
-  dirty_.erase(fileid);
+  cancelled_writeback_bytes_ += cache_.erase_file(fileid).dirty_bytes;
   attrs_.erase(fileid);
   access_cache_.erase(fileid);
   dir_cache_.erase(fileid);
   // Removed files need no verifier replay ("only the final results are
   // written back", §6.3.2 — and the server unlinked the data anyway).
-  drop_shadows(fileid);
+  ledger_.drop_file(fileid);
 }
 
 void ClientProxy::invalidate_dir(uint64_t dir_fileid) {
@@ -814,170 +727,135 @@ void ClientProxy::invalidate_dir(uint64_t dir_fileid) {
   }
 }
 
-ClientProxy::Block& ClientProxy::put_block(uint64_t fileid, uint64_t block) {
-  BlockKey key{fileid, block};
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) {
-    Block b;
-    b.data.assign(config_.cache.block_size, 0);
-    b.lru = ++lru_clock_;
-    it = blocks_.emplace(key, std::move(b)).first;
-    lru_[it->second.lru] = key;
-    cache_bytes_used_ += config_.cache.block_size;
-  } else {
-    // A hostile scratch disk may have truncated the at-rest buffer (the
-    // plaintext negative control serves wrong bytes, never out-of-bounds
-    // ones); restore capacity before any overlay.  No-op on honest storage
-    // and on sealed blobs (ciphertext + MAC is never shorter than a block).
-    if (it->second.data.size() < config_.cache.block_size) {
-      it->second.data.resize(config_.cache.block_size, 0);
-    }
-    lru_.erase(it->second.lru);
-    it->second.lru = ++lru_clock_;
-    lru_[it->second.lru] = key;
+ClientProxy::Block* ClientProxy::overlay_block(
+    const BlockKey& key, uint32_t valid, bool absorb,
+    const std::function<void(MutByteView)>& copy_in) {
+  if (!config_.cache.encryption) {
+    Block& b = cache_.insert(key);
+    copy_in(MutByteView(b.data.data(), b.data.size()));
+    b.valid = std::max(b.valid, valid);
+    return &b;
   }
-  return it->second;
+  // Stage the full plaintext block (old verified contents overlaid with the
+  // new bytes), then seal it at a new generation.  A failed verification
+  // forfeits the old contents: the server still holds them, so nothing
+  // corrupt is ever served or written back.
+  const size_t bs = config_.cache.block_size;
+  Buffer stage(bs, 0);
+  uint32_t old_valid = 0;
+  if (const Block* old = cache_.find(key); old && old->generation != 0) {
+    if (auto plain = unseal(*old, key)) {
+      old_valid = old->valid;
+      stage = std::move(*plain);
+      stage.resize(bs, 0);
+    } else {
+      note_verify_failure();
+      poison_evict(key);
+      if (!absorb && cache_bypassed()) return nullptr;
+    }
+  }
+  copy_in(MutByteView(stage.data(), stage.size()));
+  Block& b = cache_.insert(key);
+  b.valid = std::max(old_valid, valid);
+  seal_into(b, key, ByteView(stage.data(), stage.size()));
+  return &b;
+}
+
+sim::Task<BufChain> ClientProxy::forward_own(Proc3 proc, BufChain args) {
+  rpc::CallContext ctx;
+  ctx.prog = nfs::kNfsProgram;
+  ctx.vers = nfs::kNfsVersion3;
+  ctx.proc = static_cast<uint32_t>(proc);
+  ctx.auth_sys = last_client_auth_;
+  co_return co_await forward(ctx, std::move(args));
+}
+
+sim::Task<nfs::WriteRes> ClientProxy::upstream_write(BlockKey key,
+                                                     BufChain data,
+                                                     nfs::StableHow stable) {
+  nfs::WriteArgs wargs;
+  wargs.fh = Fh(seen_fsid_, key.fileid);
+  wargs.offset = key.block * config_.cache.block_size;
+  wargs.stable = stable;
+  wargs.data = std::move(data);
+  BufChain reply = co_await forward_own(Proc3::kWrite, encoded(wargs));
+  xdr::Decoder dec(reply);
+  co_return nfs::WriteRes::decode(dec);
+}
+
+sim::Task<std::optional<BufChain>> ClientProxy::dirty_snapshot(BlockKey key) {
+  const Block* b = cache_.find(key);
+  if (!b || !cache_.is_dirty(key)) co_return std::nullopt;
+  co_await cache_disk_io(key.fileid, key.block, b->valid, /*write=*/false);
+  // The disk read suspended: a concurrent op (poison eviction, truncate,
+  // another flush) may have erased the block meanwhile.
+  b = cache_.find(key);
+  if (!b || !cache_.is_dirty(key)) co_return std::nullopt;
+  // Snapshot the block: the kernel client may keep writing into the cached
+  // block while the WRITE is in flight, so the upstream payload cannot
+  // alias it.  This is the one copy a write-back cache fundamentally needs.
+  const size_t len = b->valid;
+  std::optional<BufChain> snap;
+  if (!config_.cache.encryption) {
+    snap = BufChain::copy_of(ByteView(b->data.data(), len));
+  } else if (auto plain = unseal(*b, key)) {
+    snap = BufChain::copy_of(ByteView(plain->data(), len));
+  } else {
+    // A dirty block failed verification: the scratch disk destroyed the
+    // only copy.  Never push (or serve) the corrupt bytes.
+    note_verify_failure();
+    SGFS_WARN("sgfs-proxy",
+              "dirty cache block failed verification; dropping write-back");
+    poison_evict(key);
+    co_return std::nullopt;
+  }
+  if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
+  co_return std::move(snap);
 }
 
 sim::Task<void> ClientProxy::writeback_block(uint64_t fileid, uint64_t block,
                                              bool file_sync) {
-  BlockKey key{fileid, block};
-  auto it = blocks_.find(key);
-  if (it == blocks_.end() || !it->second.dirty) co_return;
-  // Read the block back from the cache disk, then push it upstream.
-  co_await cache_disk_io(fileid, block, it->second.valid, /*write=*/false);
-  // The disk read suspended: a concurrent op (poison eviction, truncate,
-  // another flush) may have erased the block meanwhile.
-  it = blocks_.find(key);
-  if (it == blocks_.end() || !it->second.dirty) co_return;
-  nfs::WriteArgs wargs;
-  wargs.fh = Fh(seen_fsid_, fileid);
-  wargs.offset = block * config_.cache.block_size;
-  wargs.stable = file_sync ? nfs::StableHow::kFileSync
-                           : nfs::StableHow::kUnstable;
-  // Snapshot the block: the kernel client may keep writing into the cached
-  // block while this WRITE is in flight, so the upstream payload cannot
-  // alias it.  This is the one copy a write-back cache fundamentally needs.
-  const size_t snap_len = it->second.valid;
-  Buffer opened;  // sealed mode: verified plaintext backing the snapshot
-  if (config_.cache.encryption) {
-    auto plain = unseal(it->second, key);
-    if (!plain) {
-      // A dirty block failed verification: the scratch disk destroyed the
-      // only copy.  Never push (or serve) the corrupt bytes.
-      note_verify_failure();
-      SGFS_WARN("sgfs-proxy",
-                "dirty cache block failed verification; dropping write-back");
-      poison_evict(key);
-      co_return;
-    }
-    opened = std::move(*plain);
-    wargs.data = BufChain::copy_of(ByteView(opened.data(), snap_len));
-  } else {
-    wargs.data =
-        BufChain::copy_of(ByteView(it->second.data.data(), snap_len));
-  }
-  if (host_.memcpy_charged()) co_await host_.memcpy_cost(snap_len);
-  xdr::Encoder enc;
-  wargs.encode(enc);
-  rpc::CallContext fake;
-  fake.prog = nfs::kNfsProgram;
-  fake.vers = nfs::kNfsVersion3;
-  fake.proc = static_cast<uint32_t>(Proc3::kWrite);
-  fake.auth_sys = last_client_auth_;
+  const BlockKey key{fileid, block};
+  std::optional<BufChain> snap = co_await dirty_snapshot(key);
+  if (!snap) co_return;
+  const size_t snap_len = snap->size();
   // Refcounted alias of the snapshot: if this goes out UNSTABLE and the
   // file server restarts before COMMIT, exactly these bytes are resent.
-  BufChain shadow = wargs.data;
-  BufChain reply = co_await forward(fake, enc.take());
-  xdr::Decoder dec(reply);
-  auto res = nfs::WriteRes::decode(dec);
+  BufChain shadow = *snap;
+  nfs::WriteRes res = co_await upstream_write(
+      key, std::move(*snap),
+      file_sync ? nfs::StableHow::kFileSync : nfs::StableHow::kUnstable);
   if (res.status != Status::kOk) {
     SGFS_WARN("sgfs-proxy", "write-back failed: ",
               vfs::to_string(res.status));
   }
   flushed_bytes_ += snap_len;
   m_flushed_bytes_.inc(snap_len);
-  auto again = blocks_.find(key);
-  if (again != blocks_.end()) again->second.dirty = false;
-  auto ds = dirty_.find(fileid);
-  if (ds != dirty_.end()) {
-    ds->second.erase(block);
-    if (ds->second.empty()) dirty_.erase(ds);
-  }
+  cache_.clear_dirty(key);
   if (res.status == Status::kOk) {
-    if (!file_sync) uncommitted_[key] = std::move(shadow);
+    if (!file_sync) ledger_.put(key, std::move(shadow));
     co_await note_upstream_verf(res.verf);
   }
 }
 
-void ClientProxy::drop_shadows(uint64_t fileid) {
-  auto it = uncommitted_.lower_bound({fileid, 0});
-  while (it != uncommitted_.end() && it->first.first == fileid) {
-    it = uncommitted_.erase(it);
-  }
-}
-
 sim::Task<bool> ClientProxy::note_upstream_verf(uint64_t verf) {
-  if (upstream_verf_ && *upstream_verf_ == verf) co_return false;
-  if (!upstream_verf_) {
-    upstream_verf_ = verf;
-    co_return false;
-  }
-  // The file server rebooted: UNSTABLE data pushed since the last COMMIT
-  // may be gone.  Adopt the new instance cookie first, then resend the
-  // shadows (RFC 1813 §3.3.21 — the proxy is "the client" on this hop).
-  upstream_verf_ = verf;
-  host_.engine().metrics().counter("sgfs.recovery.verf_mismatches").inc();
-  if (config_.verifier_replay && !uncommitted_.empty()) {
-    co_await replay_uncommitted();
-  }
-  co_return true;
+  // The proxy is "the client" on this hop (RFC 1813 §3.3.21).
+  co_return co_await ledger_.note_verf(
+      verf, config_.verifier_replay,
+      [this](const BlockKey& key, BufChain data) {
+        return replay_write(key, std::move(data));
+      });
 }
 
-sim::Task<void> ClientProxy::replay_uncommitted() {
-  auto& metrics = host_.engine().metrics();
-  metrics.counter("sgfs.recovery.replays").inc();
-  // Another crash may roll the verifier mid-replay: restart until one full
-  // pass completes under a single instance cookie.
-  for (bool complete = false; !complete;) {
-    complete = true;
-    const uint64_t cookie = *upstream_verf_;
-    std::vector<BlockKey> keys;
-    keys.reserve(uncommitted_.size());
-    for (const auto& [key, chain] : uncommitted_) keys.push_back(key);
-    for (const BlockKey& key : keys) {
-      auto it = uncommitted_.find(key);
-      if (it == uncommitted_.end()) continue;  // dropped while we slept
-      nfs::WriteArgs wargs;
-      wargs.fh = Fh(seen_fsid_, key.first);
-      wargs.offset = key.second * config_.cache.block_size;
-      wargs.stable = nfs::StableHow::kUnstable;
-      wargs.data = it->second;
-      const size_t nbytes = wargs.data.size();
-      xdr::Encoder enc;
-      wargs.encode(enc);
-      rpc::CallContext fake;
-      fake.prog = nfs::kNfsProgram;
-      fake.vers = nfs::kNfsVersion3;
-      fake.proc = static_cast<uint32_t>(Proc3::kWrite);
-      fake.auth_sys = last_client_auth_;
-      BufChain reply = co_await forward(fake, enc.take());
-      xdr::Decoder dec(reply);
-      auto res = nfs::WriteRes::decode(dec);
-      if (res.status != Status::kOk) {
-        SGFS_WARN("sgfs-proxy", "replay failed: ",
-                  vfs::to_string(res.status));
-        continue;
-      }
-      metrics.counter("sgfs.recovery.replayed_bytes").inc(nbytes);
-      if (res.verf != cookie) {
-        upstream_verf_ = res.verf;
-        metrics.counter("sgfs.recovery.verf_mismatches").inc();
-        complete = false;
-        break;
-      }
-    }
+sim::Task<std::optional<uint64_t>> ClientProxy::replay_write(BlockKey key,
+                                                             BufChain data) {
+  nfs::WriteRes res =
+      co_await upstream_write(key, std::move(data), nfs::StableHow::kUnstable);
+  if (res.status != Status::kOk) {
+    SGFS_WARN("sgfs-proxy", "replay failed: ", vfs::to_string(res.status));
+    co_return std::nullopt;
   }
+  co_return res.verf;
 }
 
 sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
@@ -991,7 +869,7 @@ sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
   }
   // Re-check under the mutex: a concurrent miss may have filled the block
   // while this coroutine waited.
-  if (blocks_.count({a.fh.fileid, a.offset / bs})) co_return;
+  if (cache_.contains(BlockKey{a.fh.fileid, a.offset / bs})) co_return;
   try {
     co_await ensure_upstream();
     co_await pool_->ensure_streams(*upstream_nfs_, retry_budget_);
@@ -1006,16 +884,10 @@ sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
       const size_t len = std::min(bs, got - off);
       // Local state wins over server bytes: never overwrite a cached block
       // (it may be dirty) or one with an uncommitted replay shadow.
-      if (blocks_.count(key) || uncommitted_.count(key)) continue;
-      Block& b = put_block(a.fh.fileid, block);
-      b.valid = static_cast<uint32_t>(len);
-      if (!config_.cache.encryption) {
-        res.data.slice(off, len).copy_to(MutByteView(b.data.data(), len));
-      } else {
-        Buffer stage(bs, 0);
-        res.data.slice(off, len).copy_to(MutByteView(stage.data(), len));
-        seal_into(b, key, ByteView(stage.data(), stage.size()));
-      }
+      if (cache_.contains(key) || ledger_.contains(key)) continue;
+      const BufChain chunk = res.data.slice(off, len);
+      overlay_block(key, static_cast<uint32_t>(len), /*absorb=*/false,
+                    [&](MutByteView dst) { chunk.copy_to(dst); });
       if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
       spawn_cache_store(a.fh.fileid, block, len);
     }
@@ -1028,15 +900,13 @@ sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
 
 sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
   const size_t bs = config_.cache.block_size;
-  auto ds = dirty_.find(fileid);
-  if (ds == dirty_.end() || ds->second.empty()) co_return;
-  const std::vector<uint64_t> pending(ds->second.begin(), ds->second.end());
+  const std::vector<uint64_t> pending = cache_.dirty_blocks(fileid);
+  if (pending.empty()) co_return;
 
   // Per-block snapshot kept for verifier replay (same shadow discipline as
   // writeback_block, just batched).
   struct Shadow {
     uint64_t block = 0;
-    size_t len = 0;
     BufChain data;
     Shadow() = default;
   };
@@ -1049,32 +919,11 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
   uint64_t prev_block = 0;
   bool prev_full = false;
   for (uint64_t block : pending) {
-    auto it = blocks_.find({fileid, block});
-    if (it == blocks_.end() || !it->second.dirty) continue;
-    // Read back from the cache disk and snapshot, exactly like the
-    // single-stream write-back (the kernel client may keep writing into
-    // the cached block while the WRITE is in flight).
-    co_await cache_disk_io(fileid, block, it->second.valid, /*write=*/false);
-    // The disk read suspended: a concurrent op may have erased the block.
-    it = blocks_.find({fileid, block});
-    if (it == blocks_.end() || !it->second.dirty) continue;
-    const size_t len = it->second.valid;
-    BufChain snap;
-    if (config_.cache.encryption) {
-      auto plain = unseal(it->second, {fileid, block});
-      if (!plain) {
-        note_verify_failure();
-        SGFS_WARN("sgfs-proxy",
-                  "dirty cache block failed verification; dropping ",
-                  "write-back");
-        poison_evict({fileid, block});
-        continue;
-      }
-      snap = BufChain::copy_of(ByteView(plain->data(), len));
-    } else {
-      snap = BufChain::copy_of(ByteView(it->second.data.data(), len));
-    }
-    if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
+    // Read back and snapshot exactly like the single-stream write-back.
+    const BlockKey key{fileid, block};
+    std::optional<BufChain> snap = co_await dirty_snapshot(key);
+    if (!snap) continue;
+    const size_t len = snap->size();
     // Coalesce adjacent full blocks into one compound UNSTABLE WRITE; a
     // short (partially-valid) block may only end a run.
     const bool extend =
@@ -1086,11 +935,10 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
       b.wire.offset = block * bs;
       batches.push_back(std::move(b));
     }
-    batches.back().wire.data.append(snap);
+    batches.back().wire.data.append(*snap);
     Shadow sh;
     sh.block = block;
-    sh.len = len;
-    sh.data = std::move(snap);
+    sh.data = std::move(*snap);
     batches.back().shadows.push_back(std::move(sh));
     prev_block = block;
     prev_full = len == bs;
@@ -1129,16 +977,10 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
     }
     for (const Shadow& sh : batches[i].shadows) {
       const BlockKey key{fileid, sh.block};
-      auto again = blocks_.find(key);
-      if (again != blocks_.end()) again->second.dirty = false;
-      auto d = dirty_.find(fileid);
-      if (d != dirty_.end()) {
-        d->second.erase(sh.block);
-        if (d->second.empty()) dirty_.erase(d);
-      }
-      flushed_bytes_ += sh.len;
-      m_flushed_bytes_.inc(sh.len);
-      if (res.status == Status::kOk) uncommitted_[key] = sh.data;
+      cache_.clear_dirty(key);
+      flushed_bytes_ += sh.data.size();
+      m_flushed_bytes_.inc(sh.data.size());
+      if (res.status == Status::kOk) ledger_.put(key, sh.data);
     }
     if (res.status == Status::kOk) verfs.push_back(res.verf);
   }
@@ -1147,53 +989,25 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
   // Undelivered batches (pool exhausted mid-flush) are still dirty: push
   // them through the reconnecting single-stream path so the flush epoch
   // always completes.
-  auto rest = dirty_.find(fileid);
-  if (rest != dirty_.end()) {
-    const std::vector<uint64_t> leftover(rest->second.begin(),
-                                         rest->second.end());
-    for (uint64_t block : leftover) {
-      co_await writeback_block(fileid, block, /*file_sync=*/false);
-    }
+  for (uint64_t block : cache_.dirty_blocks(fileid)) {
+    co_await writeback_block(fileid, block, /*file_sync=*/false);
   }
 }
 
 sim::Task<void> ClientProxy::evict_if_needed() {
-  while (cache_bytes_used_ > config_.cache.capacity_bytes && !lru_.empty()) {
-    const uint64_t victim_lru = lru_.begin()->first;
-    const BlockKey victim = lru_.begin()->second;
-    auto it = blocks_.find(victim);
-    if (it == blocks_.end()) {
-      // Orphaned LRU entry (the block went away by another path): erase by
-      // key, never by begin() — concurrent evictions may have reshaped lru_.
-      lru_.erase(victim_lru);
-      continue;
-    }
-    if (it->second.dirty) {
-      co_await writeback_block(victim.first, victim.second,
-                               /*file_sync=*/true);
-      // The write-back suspended: the victim may be gone, re-dirtied, or
-      // merely touched.  Re-validate before erasing anything.
-      it = blocks_.find(victim);
-      if (it == blocks_.end() || it->second.dirty) continue;
-    }
-    erase_block(it);
-  }
-  assert(cache_accounting_consistent());
+  co_await cache_.evict(0, [this](const BlockKey& key) {
+    return writeback_block(key.fileid, key.block, /*file_sync=*/true);
+  });
 }
 
 sim::Task<void> ClientProxy::flush() {
   // Push dirty blocks per file, then COMMIT each file.  Files whose blocks
   // already went upstream UNSTABLE (eviction pressure) but were never
   // committed need the COMMIT too, even with nothing left dirty.
-  std::set<uint64_t> files;
-  for (const auto& [fileid, set] : dirty_) files.insert(fileid);
-  for (const auto& [key, chain] : uncommitted_) files.insert(key.first);
+  std::set<uint64_t> files = ledger_.files();
+  for (uint64_t fileid : cache_.dirty_files()) files.insert(fileid);
   for (uint64_t fileid : files) {
-    std::vector<uint64_t> pending;
-    auto ds = dirty_.find(fileid);
-    if (ds != dirty_.end()) {
-      pending.assign(ds->second.begin(), ds->second.end());
-    }
+    const std::vector<uint64_t> pending = cache_.dirty_blocks(fileid);
     if (pool_ && !pending.empty()) {
       // Pipelined write-back over the stream pool; the COMMIT barrier
       // below is unchanged — one barrier per flush epoch.
@@ -1207,15 +1021,8 @@ sim::Task<void> ClientProxy::flush() {
     // holds the data; a mismatch means a mid-flush restart, which
     // note_upstream_verf answers by replaying the uncommitted shadows.
     for (;;) {
-      nfs::CommitArgs cargs(Fh(seen_fsid_, fileid), 0, 0);
-      xdr::Encoder enc;
-      cargs.encode(enc);
-      rpc::CallContext fake;
-      fake.prog = nfs::kNfsProgram;
-      fake.vers = nfs::kNfsVersion3;
-      fake.proc = static_cast<uint32_t>(Proc3::kCommit);
-      fake.auth_sys = last_client_auth_;
-      BufChain reply = co_await forward(fake, enc.take());
+      const nfs::CommitArgs cargs(Fh(seen_fsid_, fileid), 0, 0);
+      BufChain reply = co_await forward_own(Proc3::kCommit, encoded(cargs));
       xdr::Decoder dec(reply);
       auto res = nfs::CommitRes::decode(dec);
       if (res.status != Status::kOk) {
@@ -1226,7 +1033,7 @@ sim::Task<void> ClientProxy::flush() {
       const bool rolled = co_await note_upstream_verf(res.verf);
       if (!rolled) break;
     }
-    drop_shadows(fileid);
+    ledger_.drop_file(fileid);
   }
 }
 
@@ -1260,9 +1067,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         m_absorbed_getattrs_.inc();
         nfs::GetattrRes res;
         res.attrs = hit->second.attrs;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return encoded(res);
       }
       BufChain reply = co_await forward(ctx, args);
       xdr::Decoder rdec(reply);
@@ -1285,9 +1090,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
           // Refresh attrs from the attribute cache (local writes move them).
           auto at = attrs_.find(res.fh.fileid);
           if (at != attrs_.end()) res.attrs = at->second.attrs;
-          xdr::Encoder enc;
-          res.encode(enc);
-          co_return enc.take();
+          co_return encoded(res);
         }
       }
       BufChain reply = co_await forward(ctx, args);
@@ -1311,9 +1114,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         res.access = hit->second.second & a.access;
         auto at = attrs_.find(a.fh.fileid);
         if (at != attrs_.end()) res.post_attrs = at->second.attrs;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return encoded(res);
       }
       BufChain reply = co_await forward(ctx, args);
       xdr::Decoder rdec(reply);
@@ -1340,20 +1141,18 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       const BlockKey rkey{a.fh.fileid, a.offset / bs};
       for (int pass = 0;; ++pass) {
         if (aligned) {
-          auto bit = blocks_.find(rkey);
+          const Block* hit = cache_.find(rkey);
           auto at = attrs_.find(a.fh.fileid);
-          if (bit != blocks_.end() && at != attrs_.end() &&
-              attrs_fresh(at->second)) {
+          if (hit && at != attrs_.end() && attrs_fresh(at->second)) {
             // Sealed cache: verify before serving.  During bypass only
             // dirty blocks (the sole copy of absorbed writes) are served
             // from cache; everything else reads through.
             std::optional<Buffer> plain;
             bool serve = true;
             if (config_.cache.encryption) {
-              serve = cache_breaker_.state() != TrustBreaker::State::kOpen ||
-                      bit->second.dirty;
+              serve = !cache_bypassed() || cache_.is_dirty(rkey);
               if (serve) {
-                plain = unseal(bit->second, rkey);
+                plain = unseal(*hit, rkey);
                 if (!plain) {
                   // The scratch disk lied.  Never surface the corrupt
                   // bytes: count, evict, and re-fetch from the server.
@@ -1375,7 +1174,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
               ++absorbed_reads_;
               m_absorbed_reads_.inc();
               const uint64_t size = at->second.attrs.size;
-              const Block& b = bit->second;
+              const Block& b = *hit;
               size_t have =
                   a.offset >= size
                       ? 0
@@ -1400,9 +1199,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
                                      have ? have : 1,
                                      /*write=*/false);
               if (host_.memcpy_charged()) co_await host_.memcpy_cost(have);
-              xdr::Encoder enc;
-              res.encode(enc);
-              co_return enc.take();
+              co_return encoded(res);
             }
           }
         }
@@ -1417,8 +1214,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       // read-only file is served from the verified replica set instead of
       // the origin's secure channel.  Files with local dirty state keep the
       // origin path (session-exclusive semantics trump the published copy).
-      if (replica_ && block_aligned &&
-          dirty_.find(a.fh.fileid) == dirty_.end()) {
+      if (replica_ && block_aligned && !cache_.has_dirty(a.fh.fileid)) {
         auto served = co_await replica_read(a);
         if (served) co_return std::move(*served);
       }
@@ -1427,44 +1223,14 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       auto res = nfs::ReadRes::decode(rdec);
       if (res.status == Status::kOk && aligned) {
         remember(a.fh, res.post_attrs);
-        if (!config_.cache.encryption) {
-          Block& b = put_block(a.fh.fileid, a.offset / bs);
-          res.data.copy_to(MutByteView(b.data.data(), res.data.size()));
-          b.valid = std::max(b.valid, res.count);
+        if ((!config_.cache.encryption || data_cache_admitting()) &&
+            overlay_block(rkey, res.count, /*absorb=*/false,
+                          [&](MutByteView dst) { res.data.copy_to(dst); })) {
           if (host_.memcpy_charged()) {
             co_await host_.memcpy_cost(res.data.size());
           }
           spawn_cache_store(a.fh.fileid, a.offset / bs, res.count);
           co_await evict_if_needed();
-        } else if (data_cache_admitting()) {
-          // Stage the full plaintext block (old verified contents overlaid
-          // with the fresh server bytes), then seal at a new generation.
-          // References are taken only after any breaker purge could run.
-          Buffer stage(bs, 0);
-          uint32_t old_valid = 0;
-          auto bit = blocks_.find(rkey);
-          if (bit != blocks_.end() && bit->second.generation != 0) {
-            auto old = unseal(bit->second, rkey);
-            if (old) {
-              old_valid = bit->second.valid;
-              stage = std::move(*old);
-              stage.resize(bs, 0);
-            } else {
-              note_verify_failure();
-              poison_evict(rkey);
-            }
-          }
-          if (cache_breaker_.state() != TrustBreaker::State::kOpen) {
-            res.data.copy_to(MutByteView(stage.data(), res.data.size()));
-            Block& b = put_block(a.fh.fileid, a.offset / bs);
-            b.valid = std::max(old_valid, res.count);
-            seal_into(b, rkey, ByteView(stage.data(), stage.size()));
-            if (host_.memcpy_charged()) {
-              co_await host_.memcpy_cost(res.data.size());
-            }
-            spawn_cache_store(a.fh.fileid, a.offset / bs, res.count);
-            co_await evict_if_needed();
-          }
         }
       }
       co_return reply;
@@ -1477,58 +1243,22 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       const bool aligned =
           config_.cache.cache_data && a.offset % bs == 0 &&
           a.data.size() <= bs;
+      const BlockKey wkey{a.fh.fileid, a.offset / bs};
       bool absorb = config_.cache.write_back && aligned;
       if (absorb && config_.cache.encryption) {
         // During bypass, a block that is already dirty stays cache-owned
         // (ordering: its eventual flush must not overwrite later
         // write-throughs); everything else writes through.
-        auto bit = blocks_.find({a.fh.fileid, a.offset / bs});
-        const bool dirty_resident =
-            bit != blocks_.end() && bit->second.dirty;
-        absorb = data_cache_admitting() || dirty_resident;
+        absorb = data_cache_admitting() || cache_.is_dirty(wkey);
       }
       if (absorb) {
         ++absorbed_writes_;
         m_absorbed_writes_.inc();
-        const BlockKey wkey{a.fh.fileid, a.offset / bs};
-        if (!config_.cache.encryption) {
-          Block& b = put_block(a.fh.fileid, a.offset / bs);
-          a.data.copy_to(MutByteView(b.data.data(), a.data.size()));
-          if (host_.memcpy_charged()) {
-            co_await host_.memcpy_cost(a.data.size());
-          }
-          b.valid = std::max<uint32_t>(b.valid,
-                                       static_cast<uint32_t>(a.data.size()));
-          b.dirty = true;
-        } else {
-          // Overlay onto the verified old plaintext; a failed verification
-          // forfeits the (clean) tail beyond this write — the server still
-          // holds it, so nothing corrupt is ever written back.
-          Buffer stage(bs, 0);
-          uint32_t old_valid = 0;
-          auto bit = blocks_.find(wkey);
-          if (bit != blocks_.end() && bit->second.generation != 0) {
-            auto old = unseal(bit->second, wkey);
-            if (old) {
-              old_valid = bit->second.valid;
-              stage = std::move(*old);
-              stage.resize(bs, 0);
-            } else {
-              note_verify_failure();
-              poison_evict(wkey);
-            }
-          }
-          a.data.copy_to(MutByteView(stage.data(), a.data.size()));
-          if (host_.memcpy_charged()) {
-            co_await host_.memcpy_cost(a.data.size());
-          }
-          Block& b = put_block(a.fh.fileid, a.offset / bs);
-          b.valid = std::max<uint32_t>(old_valid,
-                                       static_cast<uint32_t>(a.data.size()));
-          b.dirty = true;
-          seal_into(b, wkey, ByteView(stage.data(), stage.size()));
-        }
-        dirty_[a.fh.fileid].insert(a.offset / bs);
+        overlay_block(wkey, static_cast<uint32_t>(a.data.size()),
+                      /*absorb=*/true,
+                      [&](MutByteView dst) { a.data.copy_to(dst); });
+        cache_.mark_dirty(wkey);
+        if (host_.memcpy_charged()) co_await host_.memcpy_cost(a.data.size());
         spawn_cache_store(a.fh.fileid, a.offset / bs, a.data.size());
         // Update the locally-known attributes.
         auto at = attrs_.find(a.fh.fileid);
@@ -1544,10 +1274,9 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         res.committed = nfs::StableHow::kFileSync;  // durable in disk cache
         res.verf = 0x53474653;
         if (at != attrs_.end()) res.post_attrs = at->second.attrs;
-        xdr::Encoder enc;
-        res.encode(enc);
+        BufChain reply = encoded(res);
         co_await evict_if_needed();
-        co_return enc.take();
+        co_return reply;
       }
       BufChain reply = co_await forward(ctx, args);
       xdr::Decoder rdec(reply);
@@ -1566,9 +1295,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         // happens at flush() (end of session) or under eviction pressure.
         nfs::CommitRes res;
         res.verf = 0x53474653;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return encoded(res);
       }
       co_return co_await forward(ctx, args);
     }
@@ -1663,27 +1390,9 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         if (a.sattr.size) {
           // Truncate: drop cached blocks beyond the new size.
           const uint64_t keep_blocks = (*a.sattr.size + bs - 1) / bs;
-          auto it = blocks_.lower_bound({a.fh.fileid, keep_blocks});
-          while (it != blocks_.end() && it->first.first == a.fh.fileid) {
-            if (it->second.dirty) {
-              cancelled_writeback_bytes_ += it->second.valid;
-              auto ds = dirty_.find(a.fh.fileid);
-              if (ds != dirty_.end()) ds->second.erase(it->first.second);
-            }
-            cache_bytes_used_ -= bs;
-            lru_.erase(it->second.lru);
-            it = blocks_.erase(it);
-          }
-          auto sh = uncommitted_.lower_bound({a.fh.fileid, keep_blocks});
-          while (sh != uncommitted_.end() &&
-                 sh->first.first == a.fh.fileid) {
-            sh = uncommitted_.erase(sh);
-          }
-          auto ds = dirty_.find(a.fh.fileid);
-          if (ds != dirty_.end() && ds->second.empty()) {
-            dirty_.erase(ds);
-          }
-          assert(cache_accounting_consistent());
+          cancelled_writeback_bytes_ +=
+              cache_.erase_file(a.fh.fileid, keep_blocks).dirty_bytes;
+          ledger_.drop_file(a.fh.fileid, keep_blocks);
         }
         remember(a.fh, res.post_attrs);
       }
@@ -1696,11 +1405,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       auto a = nfs::ReaddirArgs::decode(dec);
       if (config_.cache.cache_dirs && a.cookie == 0) {
         auto hit = dir_cache_.find(a.dir.fileid);
-        if (hit != dir_cache_.end()) {
-          xdr::Encoder enc;
-          hit->second.encode(enc);
-          co_return enc.take();
-        }
+        if (hit != dir_cache_.end()) co_return encoded(hit->second);
       }
       BufChain reply = co_await forward(ctx, args);
       if (config_.cache.cache_dirs && a.cookie == 0) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "crypto/seal.hpp"
+#include "nfs/block_cache.hpp"
 #include "nfs/nfs3.hpp"
 #include "rpc/rpc_client.hpp"
 #include "rpc/rpc_server.hpp"
@@ -101,10 +102,10 @@ class ClientProxy : public rpc::RpcProgram,
   uint64_t reconnects() const { return reconnects_; }
   /// Shadow copies held for write-verifier replay (blocks pushed UNSTABLE
   /// to the file server and not yet COMMIT-acknowledged).
-  size_t uncommitted_blocks() const { return uncommitted_.size(); }
+  size_t uncommitted_blocks() const { return ledger_.size(); }
   /// Last write verifier observed from the file server (unset before the
   /// first forwarded WRITE/COMMIT reply).
-  std::optional<uint64_t> upstream_verf() const { return upstream_verf_; }
+  std::optional<uint64_t> upstream_verf() const { return ledger_.verf(); }
   /// The WAN stream pool, or nullptr when config.pool.streams <= 1 (the
   /// pool is then never constructed — K=1 stays bit-identical).  Exposed
   /// for the chaos tests' fault-injection seams.
@@ -127,7 +128,7 @@ class ClientProxy : public rpc::RpcProgram,
   uint32_t provisioned_epoch() const { return epoch_secret_epoch_; }
 
   // --- encrypted-at-rest cache (hostile storage, DESIGN.md §15) ----------
-  using BlockKey = std::pair<uint64_t, uint64_t>;  // (fileid, block)
+  using BlockKey = nfs::BlockKey;
   /// Resident blocks eligible for tamper injection: clean (the injector
   /// models hostile scratch storage, not lost writes — dirty blocks are
   /// the only copy) and without an uncommitted replay shadow.
@@ -137,15 +138,11 @@ class ClientProxy : public rpc::RpcProgram,
   /// the block is not resident.
   bool tamper_block(const BlockKey& key,
                     const std::function<void(Buffer&)>& fn);
-  size_t resident_blocks() const { return blocks_.size(); }
-  uint64_t cache_bytes_used() const { return cache_bytes_used_; }
-  /// Accounting invariant: accounted bytes equal the sum over resident
-  /// blocks (one block_size charge each) — poison-evictions must not leak
-  /// capacity.
-  bool cache_accounting_consistent() const {
-    return cache_bytes_used_ ==
-           blocks_.size() * static_cast<uint64_t>(config_.cache.block_size);
-  }
+  size_t resident_blocks() const { return cache_.size(); }
+  uint64_t cache_bytes_used() const { return cache_.bytes_used(); }
+  /// Cache bookkeeping invariant (LRU order and dirty index agree with the
+  /// resident blocks) — poison-evictions must not leak capacity.
+  bool cache_accounting_consistent() const { return cache_.consistent(); }
   /// True only while reads actually bypass the cache: half-open (kProbe)
   /// admits fills and serves verified hits, so it does not count.
   bool cache_bypassed() const {
@@ -163,18 +160,12 @@ class ClientProxy : public rpc::RpcProgram,
   const ClientProxyConfig& config() const { return config_; }
 
  private:
-  struct Block {
-    /// At-rest bytes: plaintext in the legacy cache, the sealed blob
-    /// (ciphertext + binding MAC) with cache.encryption on.
-    Buffer data;
-    uint32_t valid = 0;
-    bool dirty = false;
-    uint64_t lru = 0;
-    /// Seal generation (trusted memory, an input to the MAC — never stored
-    /// on disk).  0 = never sealed; drawn from a proxy-wide clock so a
-    /// stale blob from ANY earlier life of the block fails verification.
-    uint64_t generation = 0;
-  };
+  /// At-rest bytes are plaintext in the legacy cache and the sealed blob
+  /// (ciphertext + binding MAC) with cache.encryption on.  The generation
+  /// is trusted memory, an input to the MAC that is never stored on disk:
+  /// 0 = never sealed, otherwise drawn from a proxy-wide clock so a stale
+  /// blob from ANY earlier life of the block fails verification.
+  using Block = nfs::BlockCache::Block;
   struct AttrEntry {
     vfs::Attributes attrs;
     sim::SimTime fetched = 0;
@@ -194,6 +185,13 @@ class ClientProxy : public rpc::RpcProgram,
   /// counters into the proxy totals first.
   void drop_upstream();
   sim::Task<BufChain> forward(const rpc::CallContext& ctx, BufChain args);
+  /// Forwards a call the proxy makes on its own behalf (write-back, replay,
+  /// COMMIT) under the job account's credentials.
+  sim::Task<BufChain> forward_own(nfs::Proc3 proc, BufChain args);
+  /// One write-back WRITE of `data` at block `key`; the caller keeps its
+  /// own alias of `data` as the replay shadow.
+  sim::Task<nfs::WriteRes> upstream_write(BlockKey key, BufChain data,
+                                          nfs::StableHow stable);
   sim::Task<void> cache_disk_io(uint64_t fileid, uint64_t block,
                                 size_t bytes, bool write);
   void spawn_cache_store(uint64_t fileid, uint64_t block, size_t bytes);
@@ -202,8 +200,19 @@ class ClientProxy : public rpc::RpcProgram,
                 const std::optional<vfs::Attributes>& attrs);
   void drop_file(uint64_t fileid);
   void invalidate_dir(uint64_t dir_fileid);
-  Block& put_block(uint64_t fileid, uint64_t block);
+  /// Lays the bytes `copy_in` writes over the block's current plaintext
+  /// and stores the result (sealed at a fresh generation with encryption
+  /// on), raising its valid prefix to `valid`.  A sealed block that fails
+  /// verification is poison-evicted first; if that trips the bypass, a fill
+  /// stores nothing (nullptr) while an absorbed write still lands, being
+  /// the only copy of its bytes.
+  Block* overlay_block(const BlockKey& key, uint32_t valid, bool absorb,
+                       const std::function<void(MutByteView)>& copy_in);
   sim::Task<void> evict_if_needed();
+  /// Reads a dirty block back from the cache disk and snapshots (unseals)
+  /// its valid bytes for a write-back.  nullopt when the block went away
+  /// or stopped being dirty during the disk read, or failed verification.
+  sim::Task<std::optional<BufChain>> dirty_snapshot(BlockKey key);
   sim::Task<void> writeback_block(uint64_t fileid, uint64_t block,
                                   bool file_sync);
   /// Striped readahead on an aligned READ miss: fetches
@@ -224,8 +233,9 @@ class ClientProxy : public rpc::RpcProgram,
   // UNSTABLE write-backs).  Returns true if the verifier rolled (the file
   // server restarted mid-flush) — the caller must retry its COMMIT.
   sim::Task<bool> note_upstream_verf(uint64_t verf);
-  sim::Task<void> replay_uncommitted();
-  void drop_shadows(uint64_t fileid);
+  /// Resends one shadow UNSTABLE during a replay; nullopt when it failed.
+  sim::Task<std::optional<uint64_t>> replay_write(BlockKey key,
+                                                  BufChain data);
 
   // --- sealed-cache helpers (encryption on; DESIGN.md §15) ---------------
   /// Per-file sealing keys under the current cache master (memoized).
@@ -241,13 +251,8 @@ class ClientProxy : public rpc::RpcProgram,
   /// Records a verify failure in the degradation window; may trip the
   /// breaker into bypass.
   void note_verify_failure();
-  /// Erases one block with full accounting (LRU, bytes, dirty set).
+  /// Erases a block that failed verification, cancelling its write-back.
   void poison_evict(const BlockKey& key);
-  /// Unlinks a block from blocks_/lru_ and returns its capacity charge.
-  void erase_block(std::map<BlockKey, Block>::iterator it);
-  /// Drops every clean resident block (stale-keyed or poison-suspect data
-  /// must not be served); dirty blocks are left in place.
-  void purge_clean_blocks();
   /// Revocation hygiene (satellite): forgets every cached byte, attribute,
   /// name and access verdict this session could still read after its DN
   /// was revoked upstream.
@@ -307,20 +312,15 @@ class ClientProxy : public rpc::RpcProgram,
   bool stopped_ = false;
 
   // Disk cache state.
-  std::map<BlockKey, Block> blocks_;
-  std::map<uint64_t, BlockKey> lru_;
-  uint64_t lru_clock_ = 0;
-  uint64_t cache_bytes_used_ = 0;
+  nfs::BlockCache cache_;
   std::map<uint64_t, AttrEntry> attrs_;
   std::map<std::pair<uint64_t, std::string>, NameEntry> names_;
   std::map<uint64_t, std::pair<uint32_t, uint32_t>> access_cache_;
   std::map<uint64_t, nfs::ReaddirRes> dir_cache_;
-  std::map<uint64_t, std::set<uint64_t>> dirty_;
   // Shadow copies of blocks pushed upstream UNSTABLE, kept until the COMMIT
   // that makes them durable on the file server (refcounted aliases of the
   // write-back snapshots — no extra copies, no cache-behaviour change).
-  std::map<BlockKey, BufChain> uncommitted_;
-  std::optional<uint64_t> upstream_verf_;
+  nfs::UnstableLedger ledger_;
   // Sequential-pattern tracking for disk cost (seek vs streaming).
   BlockKey last_disk_block_{UINT64_MAX, UINT64_MAX};
   // Session bookkeeping: the job account's credentials (re-used for flush)

@@ -309,7 +309,7 @@ TEST(CacheBypassAndProbe, SustainedTamperingTripsBypassCleanProbeRestores) {
         ASSERT_FALSE(data.empty());
         data[vandal.next_below(data.size())] ^= 0x40;
       });
-      co_await check_block(victim.second);  // detected, refetched, correct
+      co_await check_block(victim.block);  // detected, refetched, correct
     }
     EXPECT_TRUE(proxy->cache_bypassed());
     EXPECT_EQ(m.counter_value("sgfs.cache.bypass_entries"), 1u);
