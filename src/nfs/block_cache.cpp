@@ -2,34 +2,21 @@
 
 namespace sgfs::nfs {
 
-// --- BlockCache ---------------------------------------------------------------
-
 void BlockCache::bump(Slot& slot, const BlockKey& key) {
   lru_.erase(slot.lru);
   slot.lru = ++lru_clock_;
   lru_[slot.lru] = key;
 }
 
+std::vector<BlockKey> BlockCache::keys() const {
+  std::vector<BlockKey> out;
+  for (const auto& [key, slot] : blocks_) out.push_back(key);
+  return out;
+}
+
 BlockCache::Block* BlockCache::find(const BlockKey& key) {
   auto it = blocks_.find(key);
   return it == blocks_.end() ? nullptr : &it->second.block;
-}
-
-BlockCache::Block& BlockCache::insert(const BlockKey& key) {
-  auto [it, fresh] = blocks_.try_emplace(key);
-  Slot& slot = it->second;
-  if (fresh) {
-    slot.lru = ++lru_clock_;
-    lru_[slot.lru] = key;
-  } else {
-    bump(slot, key);
-  }
-  // A hostile scratch disk may have truncated a resident buffer; restore
-  // its capacity so an overlay never writes out of bounds.
-  if (slot.block.data.size() < block_size_) {
-    slot.block.data.resize(block_size_, 0);
-  }
-  return slot.block;
 }
 
 BlockCache::Block* BlockCache::touch(const BlockKey& key) {
@@ -39,22 +26,17 @@ BlockCache::Block* BlockCache::touch(const BlockKey& key) {
   return &it->second.block;
 }
 
-std::vector<BlockKey> BlockCache::keys() const {
-  std::vector<BlockKey> out;
-  out.reserve(blocks_.size());
-  for (const auto& [key, slot] : blocks_) out.push_back(key);
-  return out;
+BlockCache::Block& BlockCache::insert(const BlockKey& key) {
+  auto it = blocks_.try_emplace(key).first;
+  bump(it->second, key);  // a fresh slot's clock 0 is in no LRU position
+  Buffer& data = it->second.block.data;
+  if (data.size() < block_size_) data.resize(block_size_, 0);
+  return it->second.block;
 }
 
 bool BlockCache::is_dirty(const BlockKey& key) const {
   auto ds = dirty_.find(key.fileid);
   return ds != dirty_.end() && ds->second.count(key.block) != 0;
-}
-
-std::optional<uint64_t> BlockCache::first_dirty(uint64_t fileid) const {
-  auto ds = dirty_.find(fileid);
-  if (ds == dirty_.end()) return std::nullopt;
-  return *ds->second.begin();
 }
 
 std::vector<uint64_t> BlockCache::dirty_blocks(uint64_t fileid) const {
@@ -86,55 +68,37 @@ bool BlockCache::clear_dirty(const BlockKey& key) {
   return true;
 }
 
-BlockCache::Dropped BlockCache::erase(const BlockKey& key) {
-  Dropped dropped;
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) return dropped;
-  if (clear_dirty(key)) {
-    dropped.dirty_blocks = 1;
-    dropped.dirty_bytes = it->second.block.valid;
-  }
+BlockCache::Slots::iterator BlockCache::drop(Slots::iterator it,
+                                             uint64_t& dirty_bytes) {
+  if (clear_dirty(it->first)) dirty_bytes += it->second.block.valid;
   lru_.erase(it->second.lru);
-  blocks_.erase(it);
-  return dropped;
+  return blocks_.erase(it);
 }
 
-BlockCache::Dropped BlockCache::erase_file(uint64_t fileid,
-                                           uint64_t from_block) {
-  Dropped dropped;
+uint64_t BlockCache::erase(const BlockKey& key) {
+  uint64_t dirty_bytes = 0;
+  auto it = blocks_.find(key);
+  if (it != blocks_.end()) drop(it, dirty_bytes);
+  return dirty_bytes;
+}
+
+uint64_t BlockCache::erase_file(uint64_t fileid, uint64_t from_block) {
+  uint64_t dirty_bytes = 0;
   auto it = blocks_.lower_bound(BlockKey{fileid, from_block});
   while (it != blocks_.end() && it->first.fileid == fileid) {
-    if (is_dirty(it->first)) dropped.dirty_bytes += it->second.block.valid;
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
+    it = drop(it, dirty_bytes);
   }
-  auto ds = dirty_.find(fileid);
-  if (ds != dirty_.end()) {
-    auto from = ds->second.lower_bound(from_block);
-    dropped.dirty_blocks =
-        static_cast<size_t>(std::distance(from, ds->second.end()));
-    ds->second.erase(from, ds->second.end());
-    if (ds->second.empty()) dirty_.erase(ds);
-  }
-  return dropped;
+  return dirty_bytes;
 }
 
-BlockCache::Dropped BlockCache::erase_if(
+uint64_t BlockCache::erase_if(
     const std::function<bool(const BlockKey&, const Block&)>& pred) {
-  Dropped dropped;
+  uint64_t dirty_bytes = 0;
   for (auto it = blocks_.begin(); it != blocks_.end();) {
-    if (!pred(it->first, it->second.block)) {
-      ++it;
-      continue;
-    }
-    if (clear_dirty(it->first)) {
-      ++dropped.dirty_blocks;
-      dropped.dirty_bytes += it->second.block.valid;
-    }
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
+    it = pred(it->first, it->second.block) ? drop(it, dirty_bytes)
+                                           : std::next(it);
   }
-  return dropped;
+  return dirty_bytes;
 }
 
 bool BlockCache::make_room_clean(uint64_t incoming) {
@@ -151,8 +115,6 @@ sim::Task<void> BlockCache::evict(uint64_t incoming, WriteBack write_back) {
     const BlockKey victim = lru_.begin()->second;
     if (is_dirty(victim)) {
       co_await write_back(victim);
-      // The write-back suspended: the victim may be gone, re-dirtied or
-      // merely touched.  Only its key is trusted from here on.
       if (!contains(victim) || is_dirty(victim)) continue;
     }
     erase(victim);
@@ -166,7 +128,6 @@ bool BlockCache::consistent() const {
     if (it == blocks_.end() || it->second.lru != clock) return false;
   }
   for (const auto& [fileid, set] : dirty_) {
-    if (set.empty()) return false;
     for (uint64_t block : set) {
       if (!contains(BlockKey{fileid, block})) return false;
     }
@@ -174,28 +135,19 @@ bool BlockCache::consistent() const {
   return true;
 }
 
-// --- UnstableLedger -----------------------------------------------------------
-
 UnstableLedger::UnstableLedger(obs::MetricsRegistry& metrics,
                                const std::string& prefix, bool track_bytes)
-    : metrics_(metrics),
-      track_bytes_(track_bytes),
-      bytes_name_(prefix + ".uncommitted_bytes"),
+    : track_bytes_(track_bytes),
+      m_bytes_(metrics, prefix + ".uncommitted_bytes"),
       m_mismatches_(metrics, prefix + ".verf_mismatches"),
       m_replays_(metrics, prefix + ".replays"),
       m_replayed_bytes_(metrics, prefix + ".replayed_bytes") {}
 
-obs::Gauge* UnstableLedger::bytes_gauge() {
-  if (track_bytes_ && !bytes_) bytes_ = &metrics_.gauge(bytes_name_);
-  return bytes_;
-}
-
 void UnstableLedger::put(const BlockKey& key, BufChain data) {
-  obs::Gauge* gauge = bytes_gauge();
   auto [it, fresh] = shadows_.try_emplace(key);
-  if (gauge) {
-    if (!fresh) gauge->add(-static_cast<int64_t>(it->second.size()));
-    gauge->add(static_cast<int64_t>(data.size()));
+  if (track_bytes_) {
+    if (!fresh) m_bytes_.add(-static_cast<int64_t>(it->second.size()));
+    m_bytes_.add(static_cast<int64_t>(data.size()));
   }
   it->second = std::move(data);
 }
@@ -212,64 +164,55 @@ std::set<uint64_t> UnstableLedger::files() const {
 }
 
 void UnstableLedger::drop_file(uint64_t fileid, uint64_t from_block) {
-  obs::Gauge* gauge = bytes_gauge();
+  int64_t dropped = 0;
   auto it = shadows_.lower_bound(BlockKey{fileid, from_block});
   while (it != shadows_.end() && it->first.fileid == fileid) {
-    if (gauge) gauge->add(-static_cast<int64_t>(it->second.size()));
+    dropped += static_cast<int64_t>(it->second.size());
     it = shadows_.erase(it);
   }
+  if (track_bytes_) m_bytes_.add(-dropped);
 }
 
 void UnstableLedger::clear() {
-  if (obs::Gauge* gauge = bytes_gauge()) {
-    int64_t total = 0;
-    for (const auto& [key, chain] : shadows_) {
-      total += static_cast<int64_t>(chain.size());
-    }
-    gauge->add(-total);
+  int64_t dropped = 0;
+  for (const auto& [key, chain] : shadows_) {
+    dropped += static_cast<int64_t>(chain.size());
   }
+  if (track_bytes_) m_bytes_.add(-dropped);
   shadows_.clear();
 }
 
 sim::Task<bool> UnstableLedger::note_verf(uint64_t verf, bool replay,
                                           Send send) {
-  if (verf_ && *verf_ == verf) co_return false;
-  if (!verf_) {
-    verf_ = verf;
-    co_return false;
-  }
+  const bool first = !verf_;
+  if (verf_ == verf) co_return false;
   verf_ = verf;
+  if (first) co_return false;
   m_mismatches_.inc();
-  if (replay && !shadows_.empty()) co_await replay_all(send);
-  co_return true;
-}
-
-sim::Task<void> UnstableLedger::replay_all(const Send& send) {
+  if (!replay || shadows_.empty()) co_return true;
   m_replays_.inc();
-  // The verifier may roll again mid-replay (another crash): restart until a
-  // full pass completes under one instance cookie.
   for (bool complete = false; !complete;) {
     complete = true;
     const uint64_t cookie = *verf_;
     std::vector<BlockKey> keys;
-    keys.reserve(shadows_.size());
     for (const auto& [key, chain] : shadows_) keys.push_back(key);
     for (const BlockKey& key : keys) {
       auto it = shadows_.find(key);
       if (it == shadows_.end()) continue;  // dropped while we slept
       const size_t nbytes = it->second.size();
-      const std::optional<uint64_t> verf = co_await send(key, it->second);
-      if (!verf) continue;
+      const std::optional<uint64_t> got = co_await send(key, it->second);
+      if (!got) continue;
       m_replayed_bytes_.inc(nbytes);
-      if (*verf != cookie) {
+      if (*got != cookie) {
         // Crashed again mid-replay; adopt the newest cookie and start over.
-        verf_ = *verf;
+        verf_ = *got;
         m_mismatches_.inc();
         complete = false;
         break;
       }
     }
   }
+  co_return true;
 }
 
 }  // namespace sgfs::nfs

@@ -1,23 +1,8 @@
-// One block cache and one unstable-write ledger for both client-side caches:
-// the kernel client's page cache (nfs::MountPoint) and the SGFS client
-// proxy's write-back disk cache (core::ClientProxy).
-//
-// BlockCache owns the (fileid, block) map, its LRU order and the dirty
-// index, which is the only record of which blocks hold unwritten data.  Byte
-// use is derived (resident blocks x block size), never counted by hand.  Its
-// evictor suspends only inside the caller's write-back callback, and it names
-// the victim by key and looks it up again afterwards: a concurrent coroutine
-// may have erased, re-dirtied or merely touched the victim meanwhile, so no
-// map iterator ever lives across a co_await.
-//
-// UnstableLedger is the RFC 1813 §3.3.21 recovery state of a writer that
-// sends UNSTABLE WRITEs: a refcounted shadow of every block acknowledged
-// UNSTABLE and not yet committed, plus the last write verifier seen.  A
-// verifier change means the server restarted and may have lost those bytes;
-// the ledger then resends every shadow through the caller's WRITE callback.
-//
-// Neither class seals, charges time or sends RPCs itself: every suspension
-// happens inside a caller's callback.
+// The block cache and the unstable-write ledger shared by both client-side
+// caches: the kernel client's page cache (nfs::MountPoint) and the SGFS
+// client proxy's write-back disk cache (core::ClientProxy).  Neither class
+// seals, charges time or sends RPCs: every suspension happens inside a
+// caller's callback.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +28,9 @@ struct BlockKey {
   auto operator<=>(const BlockKey&) const = default;
 };
 
+/// (fileid, block) -> block map with an LRU order and a dirty index, the
+/// only record of which blocks hold unwritten data.  Byte use is derived:
+/// resident blocks x block size.
 class BlockCache {
  public:
   struct Block {
@@ -51,66 +39,58 @@ class BlockCache {
     /// Seal generation for callers that store sealed blobs (0 = plaintext).
     uint64_t generation = 0;
   };
-  /// What an erase dropped from the dirty index: the block count, and the
-  /// valid bytes of the resident dirty blocks (cancelled write-backs).
-  struct Dropped {
-    size_t dirty_blocks = 0;
-    uint64_t dirty_bytes = 0;
-  };
   using WriteBack = std::function<sim::Task<void>(const BlockKey&)>;
 
   BlockCache(size_t block_size, uint64_t capacity)
       : block_size_(block_size), capacity_(capacity) {}
 
-  size_t block_size() const { return block_size_; }
   void set_capacity(uint64_t capacity) { capacity_ = capacity; }
   size_t size() const { return blocks_.size(); }
   uint64_t bytes_used() const { return blocks_.size() * block_size_; }
+  std::vector<BlockKey> keys() const;  // in key order
 
   Block* find(const BlockKey& key);
   bool contains(const BlockKey& key) const { return blocks_.count(key) != 0; }
-  /// The block at `key`, created zero-filled if absent, now most recently
-  /// used.  A resident buffer shorter than a block is zero-extended.
-  Block& insert(const BlockKey& key);
   /// Marks a resident block most recently used; nullptr when absent.
   Block* touch(const BlockKey& key);
-  /// Resident keys in key order.
-  std::vector<BlockKey> keys() const;
+  /// touch(), creating a zero-filled block when absent.  A resident buffer
+  /// shorter than a block (a hostile disk truncated it) is zero-extended.
+  Block& insert(const BlockKey& key);
 
   bool is_dirty(const BlockKey& key) const;
   bool has_dirty(uint64_t fileid) const { return dirty_.count(fileid) != 0; }
-  /// Lowest dirty block of the file, if any.
-  std::optional<uint64_t> first_dirty(uint64_t fileid) const;
-  /// Dirty blocks of the file in ascending order.
-  std::vector<uint64_t> dirty_blocks(uint64_t fileid) const;
-  /// Files with dirty blocks in ascending order.
-  std::vector<uint64_t> dirty_files() const;
+  std::vector<uint64_t> dirty_blocks(uint64_t fileid) const;  // ascending
+  std::vector<uint64_t> dirty_files() const;                  // ascending
   size_t dirty_count() const;
-  /// Records a resident block as dirty; true when it was clean before.
+  /// Marks a resident block dirty; true when it was clean.
   bool mark_dirty(const BlockKey& key);
   /// True when the block was dirty.
   bool clear_dirty(const BlockKey& key);
 
-  Dropped erase(const BlockKey& key);
+  // Erasers drop the blocks' dirty entries too and return the valid bytes
+  // of the dirty blocks they dropped (cancelled write-backs).
+  uint64_t erase(const BlockKey& key);
   /// Erases the file's blocks numbered `from_block` and up.
-  Dropped erase_file(uint64_t fileid, uint64_t from_block = 0);
-  /// Erases every resident block `pred` selects.
-  Dropped erase_if(const std::function<bool(const BlockKey&, const Block&)>& pred);
-  Dropped erase_clean() {
+  uint64_t erase_file(uint64_t fileid, uint64_t from_block = 0);
+  uint64_t erase_if(
+      const std::function<bool(const BlockKey&, const Block&)>& pred);
+  uint64_t erase_clean() {
     return erase_if([this](const BlockKey& k, const Block&) {
       return !is_dirty(k);
     });
   }
-  Dropped clear() {
+  uint64_t clear() {
     return erase_if([](const BlockKey&, const Block&) { return true; });
   }
 
   /// Evicts clean blocks in LRU order until `incoming` more bytes fit;
   /// false when only dirty blocks are left in the way.
   bool make_room_clean(uint64_t incoming);
-  /// Evicts in LRU order until `incoming` more bytes fit.  A dirty victim is
-  /// handed to `write_back` first and evicted only if it is still resident
-  /// and clean once the write-back returns.
+  /// Evicts in LRU order until `incoming` more bytes fit.  A dirty victim
+  /// goes to `write_back` first and is evicted only if it is still resident
+  /// and clean afterwards: while the callback was suspended a concurrent
+  /// coroutine may have erased, re-dirtied or touched it, so the victim is
+  /// named by key and looked up again (no iterator lives across co_await).
   sim::Task<void> evict(uint64_t incoming, WriteBack write_back);
 
   /// Invariant check for tests: one LRU position per resident block, and
@@ -122,16 +102,21 @@ class BlockCache {
     Block block;
     uint64_t lru = 0;
   };
+  using Slots = std::map<BlockKey, Slot>;
   void bump(Slot& slot, const BlockKey& key);
+  Slots::iterator drop(Slots::iterator it, uint64_t& dirty_bytes);
 
   size_t block_size_;
   uint64_t capacity_;
-  std::map<BlockKey, Slot> blocks_;
+  Slots blocks_;
   std::map<uint64_t, BlockKey> lru_;  // clock -> key, oldest first
   uint64_t lru_clock_ = 0;
   std::map<uint64_t, std::set<uint64_t>> dirty_;  // fileid -> blocks
 };
 
+/// RFC 1813 §3.3.21 recovery state of a writer that sends UNSTABLE WRITEs:
+/// a refcounted shadow of every block acknowledged UNSTABLE and not yet
+/// committed, plus the last write verifier seen.
 class UnstableLedger {
  public:
   /// Sends one shadow as an UNSTABLE WRITE and returns the reply's verifier,
@@ -144,35 +129,26 @@ class UnstableLedger {
   UnstableLedger(obs::MetricsRegistry& metrics, const std::string& prefix,
                  bool track_bytes);
 
-  /// Shadows `data` as the uncommitted content of `key`.
   void put(const BlockKey& key, BufChain data);
   const BufChain* find(const BlockKey& key) const;
-  bool contains(const BlockKey& key) const { return shadows_.count(key) != 0; }
+  bool contains(const BlockKey& key) const { return shadows_.count(key); }
   size_t size() const { return shadows_.size(); }
-  /// Files with shadows in ascending order.
   std::set<uint64_t> files() const;
   /// Drops the file's shadows for blocks numbered `from_block` and up.
   void drop_file(uint64_t fileid, uint64_t from_block = 0);
   void clear();
 
   std::optional<uint64_t> verf() const { return verf_; }
-  /// Compares a WRITE/COMMIT reply's verifier with the last one seen.
-  /// Returns true when it rolled (the server restarted); with `replay` on,
-  /// every shadow has then been resent through `send`, restarting until one
-  /// full pass completes under a single verifier.  The new verifier is
-  /// adopted before any resend, so a later COMMIT cannot match it by luck.
+  /// Compares a WRITE/COMMIT reply's verifier with the last one seen and
+  /// returns true when it rolled (the server restarted and may have lost
+  /// the shadowed bytes).  The new verifier is adopted first; then, with
+  /// `replay`, every shadow is resent through `send`, restarting until one
+  /// full pass completes under a single verifier.
   sim::Task<bool> note_verf(uint64_t verf, bool replay, Send send);
 
  private:
-  sim::Task<void> replay_all(const Send& send);
-  /// The byte gauge, registered by the first put, drop or clear; nullptr
-  /// without `track_bytes`.
-  obs::Gauge* bytes_gauge();
-
-  obs::MetricsRegistry& metrics_;
   const bool track_bytes_;
-  const std::string bytes_name_;
-  obs::Gauge* bytes_ = nullptr;
+  obs::GaugeHandle m_bytes_;
   obs::CounterHandle m_mismatches_, m_replays_, m_replayed_bytes_;
   std::map<BlockKey, BufChain> shadows_;
   std::optional<uint64_t> verf_;

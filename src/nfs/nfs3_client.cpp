@@ -145,7 +145,8 @@ sim::Task<vfs::Attributes> MountPoint::getattr(const Fh& fh, bool force) {
 }
 
 void MountPoint::invalidate_file(uint64_t fileid) {
-  const size_t dirty = cache_.erase_file(fileid).dirty_blocks;
+  const size_t dirty = cache_.dirty_blocks(fileid).size();
+  cache_.erase_file(fileid);
   if (dirty) m_dirty_blocks_.add(-static_cast<int64_t>(dirty));
 }
 
@@ -235,21 +236,18 @@ sim::Task<void> MountPoint::writeback_block(uint64_t fileid, uint64_t block) {
 sim::Task<bool> MountPoint::note_verf(uint64_t verf) {
   co_return co_await ledger_.note_verf(
       verf, config_.verifier_replay,
-      [this](const BlockKey& key, BufChain data) {
-        return replay_write(key, std::move(data));
+      [this](BlockKey key,
+             BufChain data) -> sim::Task<std::optional<uint64_t>> {
+        const Fh fh(root_.fsid, key.fileid);
+        co_await charge(Proc3::kWrite);
+        WriteRes res = co_await ops_->write(
+            fh, key.block * config_.block_size, StableHow::kUnstable,
+            std::move(data));
+        throw_if_error(res.status);
+        maybe_remember(fh, res.post_attrs);
+        needs_commit_.insert(key.fileid);
+        co_return res.verf;
       });
-}
-
-sim::Task<std::optional<uint64_t>> MountPoint::replay_write(BlockKey key,
-                                                            BufChain data) {
-  const Fh fh(root_.fsid, key.fileid);
-  co_await charge(Proc3::kWrite);
-  WriteRes res = co_await ops_->write(fh, key.block * config_.block_size,
-                                      StableHow::kUnstable, std::move(data));
-  throw_if_error(res.status);
-  maybe_remember(fh, res.post_attrs);
-  needs_commit_.insert(key.fileid);
-  co_return res.verf;
 }
 
 sim::Task<void> MountPoint::ensure_space(size_t incoming) {
@@ -403,12 +401,14 @@ sim::Task<void> MountPoint::flush_file(const Fh& fh, bool commit) {
   // Drain the LIVE dirty set (not a snapshot): if writeback_block throws
   // mid-flush, a retry of flush_file sends exactly the blocks that are
   // still dirty — no block is skipped and none is sent twice.
-  while (const auto block = cache_.first_dirty(fh.fileid)) {
-    co_await writeback_block(fh.fileid, *block);
+  for (;;) {
+    const std::vector<uint64_t> dirty = cache_.dirty_blocks(fh.fileid);
+    if (dirty.empty()) break;
+    co_await writeback_block(fh.fileid, dirty.front());
     // If the cached block vanished while the RPC was outstanding the
     // writeback was a no-op and did not clear the dirty entry; erase it
     // here or this loop would spin forever.
-    if (cache_.clear_dirty(BlockKey{fh.fileid, *block})) {
+    if (cache_.clear_dirty(BlockKey{fh.fileid, dirty.front()})) {
       m_dirty_blocks_.add(-1);
     }
   }
@@ -805,7 +805,8 @@ sim::Task<void> MountPoint::flush_all() {
 }
 
 void MountPoint::drop_caches() {
-  m_dirty_blocks_.add(-static_cast<int64_t>(cache_.clear().dirty_blocks));
+  m_dirty_blocks_.add(-static_cast<int64_t>(cache_.dirty_count()));
+  cache_.clear();
   attr_cache_.clear();
   dnlc_.clear();
   needs_commit_.clear();

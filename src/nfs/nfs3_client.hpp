@@ -179,8 +179,6 @@ class MountPoint {
   // verifier rolled (server restart) — after replaying the shadows, the
   // caller must retry its COMMIT.
   sim::Task<bool> note_verf(uint64_t verf);
-  /// Resends one shadow UNSTABLE during a replay; returns its verifier.
-  sim::Task<std::optional<uint64_t>> replay_write(BlockKey key, BufChain data);
 
   net::Host& host_;
   Nfs3ClientConfig config_;

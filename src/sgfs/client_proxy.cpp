@@ -169,12 +169,8 @@ void ClientProxy::note_epoch_secret(Buffer secret, uint32_t epoch) {
 // --- encrypted-at-rest cache (hostile storage, DESIGN.md §15) ---------------
 
 const crypto::SealKeys& ClientProxy::seal_keys(uint64_t fileid) {
-  auto it = file_keys_.find(fileid);
-  if (it == file_keys_.end()) {
-    it = file_keys_
-             .emplace(fileid, crypto::derive_seal_keys(cache_master_, fileid))
-             .first;
-  }
+  auto [it, fresh] = file_keys_.try_emplace(fileid);
+  if (fresh) it->second = crypto::derive_seal_keys(cache_master_, fileid);
   return it->second;
 }
 
@@ -236,12 +232,12 @@ void ClientProxy::poison_evict(const BlockKey& key) {
   if (!cache_.contains(key)) return;
   // A tampered dirty block is unrecoverable — the cache held the only copy.
   // Surface nothing corrupt; account the loss like a cancelled write-back.
-  cancelled_writeback_bytes_ += cache_.erase(key).dirty_bytes;
+  cancelled_writeback_bytes_ += cache_.erase(key);
   m_poison_evictions_.inc();
 }
 
 void ClientProxy::purge_cached_plaintext() {
-  cancelled_writeback_bytes_ += cache_.clear().dirty_bytes;
+  cancelled_writeback_bytes_ += cache_.clear();
   ledger_.clear();
   attrs_.clear();
   names_.clear();
@@ -261,11 +257,7 @@ void ClientProxy::rekey_cache() {
   // the outgoing keys and re-seal under the new master.  Clean blocks are
   // simply dropped (a re-fetch is cheaper than a re-seal pass and stale
   // keys must never serve).
-  struct Pending {
-    BlockKey key;
-    Buffer plaintext;
-  };
-  std::vector<Pending> dirty_plain;
+  std::map<BlockKey, Buffer> dirty_plain;
   for (const BlockKey& key : cache_.keys()) {
     if (!cache_.is_dirty(key)) continue;
     auto plain = unseal(*cache_.find(key), key);
@@ -273,7 +265,7 @@ void ClientProxy::rekey_cache() {
       note_verify_failure();
       continue;  // poisoned while dirty: dropped below with the clean set
     }
-    dirty_plain.push_back({key, std::move(*plain)});
+    dirty_plain.emplace(key, std::move(*plain));
   }
   cache_master_ = std::move(new_master);
   file_keys_.clear();
@@ -286,17 +278,11 @@ void ClientProxy::rekey_cache() {
   // Everything not re-sealed below goes: clean blocks and any dirty block
   // whose blob failed verification.
   cancelled_writeback_bytes_ +=
-      cache_
-          .erase_if([&](const BlockKey& key, const Block&) {
-            return std::none_of(
-                dirty_plain.begin(), dirty_plain.end(),
-                [&](const Pending& p) { return p.key == key; });
-          })
-          .dirty_bytes;
-  for (Pending& p : dirty_plain) {
-    Block* b = cache_.find(p.key);
-    if (!b) continue;
-    seal_into(*b, p.key, ByteView(p.plaintext.data(), p.plaintext.size()));
+      cache_.erase_if([&](const BlockKey& key, const Block&) {
+        return dirty_plain.count(key) == 0;
+      });
+  for (const auto& [key, plaintext] : dirty_plain) {
+    if (Block* b = cache_.find(key)) seal_into(*b, key, ByteView(plaintext));
   }
 }
 
@@ -330,12 +316,8 @@ const crypto::SealKeys& ClientProxy::name_keys(uint64_t dir) {
     name_master_ = crypto::derive(ByteView(cache_master_), "sgfs name table",
                                   ByteView(), cache_master_.size());
   }
-  auto it = name_keys_.find(dir);
-  if (it == name_keys_.end()) {
-    it = name_keys_
-             .emplace(dir, crypto::derive_seal_keys(name_master_, dir))
-             .first;
-  }
+  auto [it, fresh] = name_keys_.try_emplace(dir);
+  if (fresh) it->second = crypto::derive_seal_keys(name_master_, dir);
   return it->second;
 }
 
@@ -598,6 +580,7 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
     // sealed read path, and a sealed blob is garbage to the plaintext one.
     // Clean blocks are droppable; dirty blocks carry the only copy of
     // absorbed writes and convert in place.
+    cache_.erase_clean();
     if (config_.cache.encryption) {
       // Resident blocks are plaintext right now, so there is nothing to
       // re-seal from the old key: just (re)bind the master and convert the
@@ -609,7 +592,6 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
         cache_master_ = rng_.bytes(crypto::KeyRegression::kSecretSize);
       }
       file_keys_.clear();
-      cache_.erase_clean();
       for (const BlockKey& key : cache_.keys()) {
         Block& b = *cache_.find(key);
         if (b.generation != 0) continue;
@@ -618,7 +600,6 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
         seal_into(b, key, ByteView(plain.data(), plain.size()));
       }
     } else {
-      cache_.erase_clean();
       for (const BlockKey& key : cache_.keys()) {
         Block& b = *cache_.find(key);
         if (auto plain = unseal(b, key)) {
@@ -629,7 +610,7 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
         }
         // Poisoned while dirty: unrecoverable, never surface it.
         m_verify_failures_.inc();
-        cancelled_writeback_bytes_ += cache_.erase(key).dirty_bytes;
+        cancelled_writeback_bytes_ += cache_.erase(key);
       }
     }
     cache_breaker_ = TrustBreaker(cache_breaker_policy());
@@ -710,7 +691,7 @@ void ClientProxy::remember(const Fh& fh,
 }
 
 void ClientProxy::drop_file(uint64_t fileid) {
-  cancelled_writeback_bytes_ += cache_.erase_file(fileid).dirty_bytes;
+  cancelled_writeback_bytes_ += cache_.erase_file(fileid);
   attrs_.erase(fileid);
   access_cache_.erase(fileid);
   dir_cache_.erase(fileid);
@@ -842,20 +823,14 @@ sim::Task<bool> ClientProxy::note_upstream_verf(uint64_t verf) {
   // The proxy is "the client" on this hop (RFC 1813 §3.3.21).
   co_return co_await ledger_.note_verf(
       verf, config_.verifier_replay,
-      [this](const BlockKey& key, BufChain data) {
-        return replay_write(key, std::move(data));
+      [this](BlockKey key,
+             BufChain data) -> sim::Task<std::optional<uint64_t>> {
+        nfs::WriteRes res = co_await upstream_write(
+            key, std::move(data), nfs::StableHow::kUnstable);
+        if (res.status == Status::kOk) co_return res.verf;
+        SGFS_WARN("sgfs-proxy", "replay failed: ", vfs::to_string(res.status));
+        co_return std::nullopt;
       });
-}
-
-sim::Task<std::optional<uint64_t>> ClientProxy::replay_write(BlockKey key,
-                                                             BufChain data) {
-  nfs::WriteRes res =
-      co_await upstream_write(key, std::move(data), nfs::StableHow::kUnstable);
-  if (res.status != Status::kOk) {
-    SGFS_WARN("sgfs-proxy", "replay failed: ", vfs::to_string(res.status));
-    co_return std::nullopt;
-  }
-  co_return res.verf;
 }
 
 sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
@@ -903,16 +878,11 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
   const std::vector<uint64_t> pending = cache_.dirty_blocks(fileid);
   if (pending.empty()) co_return;
 
-  // Per-block snapshot kept for verifier replay (same shadow discipline as
-  // writeback_block, just batched).
-  struct Shadow {
-    uint64_t block = 0;
-    BufChain data;
-    Shadow() = default;
-  };
+  // Per-block snapshots kept for verifier replay (same shadow discipline
+  // as writeback_block, just batched).
   struct Batch {
     StreamPool::WriteBatch wire;
-    std::vector<Shadow> shadows;
+    std::vector<std::pair<uint64_t, BufChain>> shadows;  // block, snapshot
     Batch() = default;
   };
   std::vector<Batch> batches;
@@ -936,10 +906,7 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
       batches.push_back(std::move(b));
     }
     batches.back().wire.data.append(*snap);
-    Shadow sh;
-    sh.block = block;
-    sh.data = std::move(*snap);
-    batches.back().shadows.push_back(std::move(sh));
+    batches.back().shadows.emplace_back(block, std::move(*snap));
     prev_block = block;
     prev_full = len == bs;
   }
@@ -975,12 +942,12 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
       SGFS_WARN("sgfs-proxy", "striped write-back failed: ",
                 vfs::to_string(res.status));
     }
-    for (const Shadow& sh : batches[i].shadows) {
-      const BlockKey key{fileid, sh.block};
+    for (const auto& [block, snap] : batches[i].shadows) {
+      const BlockKey key{fileid, block};
       cache_.clear_dirty(key);
-      flushed_bytes_ += sh.data.size();
-      m_flushed_bytes_.inc(sh.data.size());
-      if (res.status == Status::kOk) ledger_.put(key, sh.data);
+      flushed_bytes_ += snap.size();
+      m_flushed_bytes_.inc(snap.size());
+      if (res.status == Status::kOk) ledger_.put(key, snap);
     }
     if (res.status == Status::kOk) verfs.push_back(res.verf);
   }
@@ -1391,7 +1358,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
           // Truncate: drop cached blocks beyond the new size.
           const uint64_t keep_blocks = (*a.sattr.size + bs - 1) / bs;
           cancelled_writeback_bytes_ +=
-              cache_.erase_file(a.fh.fileid, keep_blocks).dirty_bytes;
+              cache_.erase_file(a.fh.fileid, keep_blocks);
           ledger_.drop_file(a.fh.fileid, keep_blocks);
         }
         remember(a.fh, res.post_attrs);

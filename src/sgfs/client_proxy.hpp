@@ -233,9 +233,6 @@ class ClientProxy : public rpc::RpcProgram,
   // UNSTABLE write-backs).  Returns true if the verifier rolled (the file
   // server restarted mid-flush) — the caller must retry its COMMIT.
   sim::Task<bool> note_upstream_verf(uint64_t verf);
-  /// Resends one shadow UNSTABLE during a replay; nullopt when it failed.
-  sim::Task<std::optional<uint64_t>> replay_write(BlockKey key,
-                                                  BufChain data);
 
   // --- sealed-cache helpers (encryption on; DESIGN.md §15) ---------------
   /// Per-file sealing keys under the current cache master (memoized).

@@ -120,21 +120,14 @@ TEST(BlockCache, RandomOpsMatchReferenceModel) {
         case 4:
           ASSERT_EQ(cache.clear_dirty(k), model.dirty.erase(k) == 1);
           break;
-        case 5: {
-          const bool was_dirty = model.dirty.count(k) == 1;
-          ASSERT_EQ(cache.erase(k).dirty_blocks, was_dirty ? 1u : 0u);
+        case 5:
+          cache.erase(k);
           model.erase(k);
           break;
-        }
         case 6: {
           const uint64_t from = rng.next_below(5);
-          size_t dirty = 0;
-          for (uint64_t b = from; b < 5; ++b) {
-            const BlockKey victim(k.fileid, b);
-            dirty += model.dirty.count(victim);
-            model.erase(victim);
-          }
-          ASSERT_EQ(cache.erase_file(k.fileid, from).dirty_blocks, dirty);
+          for (uint64_t b = from; b < 5; ++b) model.erase(BlockKey(k.fileid, b));
+          cache.erase_file(k.fileid, from);
           break;
         }
         case 7: {
@@ -153,7 +146,7 @@ TEST(BlockCache, RandomOpsMatchReferenceModel) {
         }
         default:
           if (rng.next_below(20) == 0) {
-            ASSERT_EQ(cache.clear().dirty_blocks, model.dirty.size());
+            cache.clear();
             model.lru.clear();
             model.dirty.clear();
           } else {
@@ -183,12 +176,11 @@ TEST(BlockCache, EraseReportsCancelledDirtyBytes) {
   }
   cache.mark_dirty(BlockKey(7, 1));
   cache.mark_dirty(BlockKey(7, 3));
-  const BlockCache::Dropped tail = cache.erase_file(7, 2);
-  EXPECT_EQ(tail.dirty_blocks, 1u);
-  EXPECT_EQ(tail.dirty_bytes, 103u);
+  EXPECT_EQ(cache.erase_file(7, 2), 103u);  // only block 3 was dirty
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.first_dirty(7), std::optional<uint64_t>(1));
-  EXPECT_EQ(cache.clear().dirty_bytes, 101u);
+  EXPECT_EQ(cache.dirty_blocks(7), std::vector<uint64_t>{1});
+  EXPECT_EQ(cache.erase(BlockKey(7, 0)), 0u);  // clean
+  EXPECT_EQ(cache.clear(), 101u);
   EXPECT_FALSE(cache.has_dirty(7));
   EXPECT_TRUE(cache.consistent());
 }
