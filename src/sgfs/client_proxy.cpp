@@ -685,9 +685,58 @@ bool ClientProxy::attrs_fresh(const AttrEntry& entry) const {
 }
 
 void ClientProxy::remember(const Fh& fh,
-                           const std::optional<vfs::Attributes>& attrs) {
+                           const std::optional<vfs::Attributes>& attrs,
+                           bool server_size) {
   if (!attrs || !config_.cache.cache_attrs) return;
-  attrs_[fh.fileid] = AttrEntry{*attrs, host_.engine().now()};
+  AttrEntry entry{*attrs, host_.engine().now()};
+  if (!server_size) overlay_dirty(entry.attrs);
+  attrs_[fh.fileid] = entry;
+}
+
+bool ClientProxy::overlay_dirty(vfs::Attributes& attrs) const {
+  auto at = attrs_.find(attrs.fileid);
+  if (at == attrs_.end() || !cache_.has_dirty(attrs.fileid)) return false;
+  const vfs::Attributes& mine = at->second.attrs;
+  if (mine.size <= attrs.size && mine.mtime <= attrs.mtime) return false;
+  attrs.size = std::max(attrs.size, mine.size);
+  attrs.mtime = std::max(attrs.mtime, mine.mtime);
+  return true;
+}
+
+bool ClientProxy::overlay_dirty(std::optional<vfs::Attributes>& attrs) const {
+  return attrs && overlay_dirty(*attrs);
+}
+
+BufChain ClientProxy::with_local_attrs(Proc3 proc, BufChain reply) const {
+  if (!cache_.any_dirty()) return reply;
+  xdr::Decoder dec(reply);
+  auto patch = [&](auto res, auto member) {
+    return overlay_dirty(res.*member) ? encoded(res) : reply;
+  };
+  switch (proc) {
+    case Proc3::kGetattr:
+      return patch(nfs::GetattrRes::decode(dec), &nfs::GetattrRes::attrs);
+    case Proc3::kLookup:
+      return patch(nfs::LookupRes::decode(dec), &nfs::LookupRes::attrs);
+    case Proc3::kCreate:
+      return patch(nfs::CreateRes::decode(dec), &nfs::CreateRes::attrs);
+    case Proc3::kAccess:
+      return patch(nfs::AccessRes::decode(dec), &nfs::AccessRes::post_attrs);
+    case Proc3::kRead:
+      return patch(nfs::ReadRes::decode(dec), &nfs::ReadRes::post_attrs);
+    case Proc3::kWrite:
+      return patch(nfs::WriteRes::decode(dec), &nfs::WriteRes::post_attrs);
+    case Proc3::kSetattr:
+      return patch(nfs::WccRes::decode(dec), &nfs::WccRes::post_attrs);
+    case Proc3::kReaddirplus: {
+      auto res = nfs::ReaddirRes::decode(dec);
+      bool changed = false;
+      for (auto& entry : res.entries) changed |= overlay_dirty(entry.attrs);
+      return changed ? encoded(res) : reply;
+    }
+    default:
+      return reply;
+  }
 }
 
 void ClientProxy::drop_file(uint64_t fileid) {
@@ -1008,6 +1057,13 @@ sim::Task<void> ClientProxy::flush() {
 
 sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
                                         BufChain args) {
+  BufChain reply = co_await serve(ctx, std::move(args));
+  if (ctx.prog != nfs::kNfsProgram) co_return reply;
+  co_return with_local_attrs(static_cast<Proc3>(ctx.proc), std::move(reply));
+}
+
+sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
+                                       BufChain args) {
   co_await host_.cpu().use(config_.cost.msg_cost(args.size()), "proxy");
   if (config_.cost.overlapped_bytes_per_sec > 0) {
     host_.cpu().charge(sim::from_seconds(args.size() /
@@ -1361,7 +1417,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
               cache_.erase_file(a.fh.fileid, keep_blocks);
           ledger_.drop_file(a.fh.fileid, keep_blocks);
         }
-        remember(a.fh, res.post_attrs);
+        remember(a.fh, res.post_attrs, /*server_size=*/a.sattr.size.has_value());
       }
       co_return reply;
     }

@@ -196,8 +196,23 @@ class ClientProxy : public rpc::RpcProgram,
                                 size_t bytes, bool write);
   void spawn_cache_store(uint64_t fileid, uint64_t block, size_t bytes);
   bool attrs_fresh(const AttrEntry& entry) const;
+  /// Records server attributes, keeping the local size and mtime of a file
+  /// with dirty blocks unless `server_size`: a SETATTR that sets the size
+  /// is the server's call.
   void remember(const nfs::Fh& fh,
-                const std::optional<vfs::Attributes>& attrs);
+                const std::optional<vfs::Attributes>& attrs,
+                bool server_size = false);
+  /// A file with dirty blocks is newer here than on the file server: merges
+  /// its locally known size and mtime into `attrs` (the larger of each
+  /// wins).  Returns true when `attrs` changed.
+  bool overlay_dirty(vfs::Attributes& attrs) const;
+  bool overlay_dirty(std::optional<vfs::Attributes>& attrs) const;
+  /// Applies overlay_dirty to the file attributes an NFS reply carries and
+  /// re-encodes the reply if any changed, so the kernel client never takes
+  /// the server's stale size for a file whose newest bytes are only here.
+  BufChain with_local_attrs(nfs::Proc3 proc, BufChain reply) const;
+  /// The request handler behind handle(): cache hits, absorbs, forwards.
+  sim::Task<BufChain> serve(const rpc::CallContext& ctx, BufChain args);
   void drop_file(uint64_t fileid);
   void invalidate_dir(uint64_t dir_fileid);
   /// Lays the bytes `copy_in` writes over the block's current plaintext

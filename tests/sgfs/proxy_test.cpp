@@ -344,6 +344,96 @@ TEST(Sgfs, RemoveCancelsPendingWriteback) {
   }(grid));
 }
 
+// A write-back file reopened after the kernel's attribute timeout must show
+// the size of its absorbed writes, not the server's stale one.  The reopen
+// forwards ACCESS (and, once the proxy's own attributes expire in revalidate
+// mode, GETATTR): both replies carry the server's view of a file whose
+// newest bytes exist only in the proxy's cache.
+enum class Shape { kNewFile, kAppend, kTruncateThenWrite };
+
+struct StaleSizeCase {
+  Consistency consistency;
+  Shape shape;
+  StaleSizeCase(Consistency c, Shape s) : consistency(c), shape(s) {}
+};
+
+void PrintTo(const StaleSizeCase& c, std::ostream* os) {
+  *os << (c.consistency == Consistency::kSessionExclusive ? "session"
+                                                          : "revalidate")
+      << "/shape" << static_cast<int>(c.shape);
+}
+
+class WriteBackStaleSize : public ::testing::TestWithParam<StaleSizeCase> {};
+
+TEST_P(WriteBackStaleSize, ReopenAfterAttrTimeoutSeesAbsorbedSize) {
+  CacheConfig cache;
+  cache.consistency = GetParam().consistency;
+  cache.attr_ttl = 2 * sim::kSecond;  // revalidate: proxy attrs expire too
+  Grid grid(pki().alice, cache);
+  grid.eng.run_task([](Grid& grid, Shape shape) -> Task<void> {
+    auto mp = co_await grid.mount_session();
+    Rng rng(31);
+    Buffer expected;
+    if (shape != Shape::kNewFile) {
+      // An older version, already written back: clean in the proxy.
+      expected = rng.bytes(shape == Shape::kAppend ? 3000 : 8000);
+      int fd = co_await mp->open("out.dat", nfs::kWrOnly | nfs::kCreate);
+      co_await mp->write(fd, expected);
+      co_await mp->close(fd);
+      co_await grid.client_proxy->flush();
+      co_await grid.eng.sleep(5 * sim::kSecond);
+    }
+    uint32_t flags = nfs::kWrOnly | nfs::kCreate;
+    if (shape == Shape::kAppend) flags = nfs::kWrOnly | nfs::kAppend;
+    if (shape == Shape::kTruncateThenWrite) flags = nfs::kWrOnly | nfs::kTrunc;
+    const Buffer update = rng.bytes(shape == Shape::kAppend ? 2000 : 5000);
+    int fd = co_await mp->open("out.dat", flags);
+    co_await mp->write(fd, update);
+    co_await mp->close(fd);
+    if (shape != Shape::kAppend) expected.clear();
+    expected.insert(expected.end(), update.begin(), update.end());
+    EXPECT_GT(grid.client_proxy->dirty_bytes(), 0u);  // not written back
+
+    co_await grid.eng.sleep(5 * sim::kSecond);  // past the kernel's ac_min
+    fd = co_await mp->open("out.dat", nfs::kRdOnly);
+    Buffer back(expected.size() + 100);
+    const size_t n = co_await mp->read(fd, back);
+    co_await mp->close(fd);
+    back.resize(n);
+    EXPECT_EQ(back, expected);
+    const vfs::Attributes attrs = co_await mp->stat("out.dat");
+    EXPECT_EQ(attrs.size, expected.size());
+
+    // Write-back then lands the same bytes on the server.
+    co_await grid.client_proxy->flush();
+    auto stored = grid.fs->read_file(vfs::Cred(0, 0), "/GFS/alice/out.dat");
+    EXPECT_EQ(stored.value, expected);
+  }(grid, GetParam().shape));
+  EXPECT_TRUE(grid.eng.errors().empty());
+}
+
+std::string stale_size_name(
+    const ::testing::TestParamInfo<StaleSizeCase>& info) {
+  static const char* const kShapes[] = {"new_file", "append",
+                                        "truncate_then_write"};
+  const char* mode = info.param.consistency == Consistency::kSessionExclusive
+                         ? "session_exclusive_"
+                         : "revalidate_";
+  return mode + std::string(kShapes[static_cast<int>(info.param.shape)]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ConsistencyTimesShape, WriteBackStaleSize,
+    ::testing::Values(
+        StaleSizeCase(Consistency::kSessionExclusive, Shape::kNewFile),
+        StaleSizeCase(Consistency::kSessionExclusive, Shape::kAppend),
+        StaleSizeCase(Consistency::kSessionExclusive,
+                      Shape::kTruncateThenWrite),
+        StaleSizeCase(Consistency::kRevalidate, Shape::kNewFile),
+        StaleSizeCase(Consistency::kRevalidate, Shape::kAppend),
+        StaleSizeCase(Consistency::kRevalidate, Shape::kTruncateThenWrite)),
+    stale_size_name);
+
 TEST(Sgfs, ProxyCacheServesAfterKernelCacheDrop) {
   Grid grid(pki().alice);
   grid.fs->write_file(vfs::Cred(0, 0), "/GFS/alice/data.bin",
