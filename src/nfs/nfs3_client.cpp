@@ -275,10 +275,7 @@ sim::Task<void> MountPoint::fetch_block(const Fh& fh, uint64_t block) {
   throw_if_error(res.status);
   maybe_remember(fh, res.post_attrs);
   co_await ensure_space(config_.block_size);
-  CachedBlock& cb = cache_.insert(key);
-  res.data.copy_to(MutByteView(cb.data.data(), cb.data.size()));
-  cb.valid = std::max(cb.valid, res.count);
-  overlay_uncommitted(fh.fileid, block, cb);
+  fill_block(key, res);
   if (host_.memcpy_charged()) co_await host_.memcpy_cost(res.data.size());
 }
 
@@ -293,9 +290,11 @@ sim::Task<void> MountPoint::fetch_block(const Fh& fh, uint64_t block) {
 // fetches return bytes identical to the shadow, so the compare below keeps
 // copy accounting (and therefore timing) unchanged unless a crash actually
 // reverted the data.
-void MountPoint::overlay_uncommitted(uint64_t fileid, uint64_t block,
-                                     CachedBlock& cb) {
-  const BufChain* found = ledger_.find(BlockKey{fileid, block});
+void MountPoint::fill_block(const BlockKey& key, const ReadRes& res) {
+  CachedBlock& cb = cache_.insert(key);
+  res.data.copy_to(MutByteView(cb.data.data(), cb.data.size()));
+  cb.valid = std::max(cb.valid, res.count);
+  const BufChain* found = ledger_.find(key);
   if (!found) return;
   const BufChain& shadow = *found;
   const size_t n = std::min(shadow.size(), cb.data.size());
@@ -358,10 +357,7 @@ void MountPoint::start_readahead(const Fh& fh, uint64_t from_block) {
       // Make room by evicting *clean* LRU blocks (no write-back from a
       // prefetch path); only drop the data if everything is dirty.
       if (!mp->cache_.make_room_clean(block_size)) co_return;
-      CachedBlock& cb = mp->cache_.insert(BlockKey{fh.fileid, block});
-      res.data.copy_to(MutByteView(cb.data.data(), cb.data.size()));
-      cb.valid = std::max(cb.valid, res.count);
-      mp->overlay_uncommitted(fh.fileid, block, cb);
+      mp->fill_block(BlockKey{fh.fileid, block}, res);
       if (host->memcpy_charged()) co_await host->memcpy_cost(res.data.size());
     };
     host_.engine().spawn(task(this, alive_, ops_.get(), &host_,

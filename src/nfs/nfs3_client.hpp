@@ -173,7 +173,9 @@ class MountPoint {
   sim::Task<void> flush_file(const Fh& fh, bool commit);
   sim::Task<void> fetch_block(const Fh& fh, uint64_t block);
   void start_readahead(const Fh& fh, uint64_t from_block);
-  void overlay_uncommitted(uint64_t fileid, uint64_t block, CachedBlock& cb);
+  /// Stores a READ reply as block `key`, laying any uncommitted shadow of
+  /// the block back over the fetched bytes.
+  void fill_block(const BlockKey& key, const ReadRes& res);
 
   // Write-verifier recovery (RFC 1813 §3.3.21).  Returns true if the
   // verifier rolled (server restart) — after replaying the shadows, the
