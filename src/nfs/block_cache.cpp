@@ -39,6 +39,12 @@ bool BlockCache::is_dirty(const BlockKey& key) const {
   return ds != dirty_.end() && ds->second.count(key.block) != 0;
 }
 
+std::optional<uint64_t> BlockCache::first_dirty(uint64_t fileid) const {
+  auto ds = dirty_.find(fileid);
+  if (ds == dirty_.end()) return std::nullopt;
+  return *ds->second.begin();
+}
+
 std::vector<uint64_t> BlockCache::dirty_blocks(uint64_t fileid) const {
   auto ds = dirty_.find(fileid);
   if (ds == dirty_.end()) return {};

@@ -60,6 +60,7 @@ class BlockCache {
   bool is_dirty(const BlockKey& key) const;
   bool has_dirty(uint64_t fileid) const { return dirty_.count(fileid) != 0; }
   bool any_dirty() const { return !dirty_.empty(); }
+  std::optional<uint64_t> first_dirty(uint64_t fileid) const;
   std::vector<uint64_t> dirty_blocks(uint64_t fileid) const;  // ascending
   std::vector<uint64_t> dirty_files() const;                  // ascending
   size_t dirty_count() const;

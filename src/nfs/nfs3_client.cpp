@@ -398,13 +398,13 @@ sim::Task<void> MountPoint::flush_file(const Fh& fh, bool commit) {
   // mid-flush, a retry of flush_file sends exactly the blocks that are
   // still dirty — no block is skipped and none is sent twice.
   for (;;) {
-    const std::vector<uint64_t> dirty = cache_.dirty_blocks(fh.fileid);
-    if (dirty.empty()) break;
-    co_await writeback_block(fh.fileid, dirty.front());
+    const std::optional<uint64_t> block = cache_.first_dirty(fh.fileid);
+    if (!block) break;
+    co_await writeback_block(fh.fileid, *block);
     // If the cached block vanished while the RPC was outstanding the
     // writeback was a no-op and did not clear the dirty entry; erase it
     // here or this loop would spin forever.
-    if (cache_.clear_dirty(BlockKey{fh.fileid, dirty.front()})) {
+    if (cache_.clear_dirty(BlockKey{fh.fileid, *block})) {
       m_dirty_blocks_.add(-1);
     }
   }

@@ -466,12 +466,12 @@ TEST(CacheRevocationPurge, RevokedSessionDropsEveryCachedByte) {
   }(tb));
 }
 
-// --- cache_bytes_used_ invariant under mixed eviction pressure ---------------
+// --- cache accounting invariant under mixed eviction pressure ---------------
 
 // Poison evictions, LRU capacity evictions, unlink and truncate all
-// manipulate the same accounting; one seeded run drives all of them at once
-// and the one-charge-per-resident-block invariant must hold at the end (and
-// continuously, via the debug asserts on every eviction path).
+// manipulate the same cache bookkeeping; one seeded run drives all of them
+// at once and the LRU order and dirty index must still agree with the
+// resident blocks at the end.
 TEST(CacheAccountingInvariant, HoldsAcrossPoisonLruUnlinkAndTruncate) {
   TestbedOptions opt;
   opt.kind = SetupKind::kSgfs;

@@ -179,6 +179,7 @@ TEST(BlockCache, EraseReportsCancelledDirtyBytes) {
   EXPECT_EQ(cache.erase_file(7, 2), 103u);  // only block 3 was dirty
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.dirty_blocks(7), std::vector<uint64_t>{1});
+  EXPECT_EQ(cache.first_dirty(7), std::optional<uint64_t>(1));
   EXPECT_EQ(cache.erase(BlockKey(7, 0)), 0u);  // clean
   EXPECT_EQ(cache.clear(), 101u);
   EXPECT_FALSE(cache.has_dirty(7));
