@@ -90,15 +90,7 @@ class JsonReport {
   /// the simulation that owns the registry is torn down.
   static std::map<std::string, double> snapshot(
       const obs::MetricsRegistry& reg) {
-    std::map<std::string, double> out;
-    for (const auto& [name, c] : reg.counters()) {
-      out[name] = static_cast<double>(c.value());
-    }
-    for (const auto& [name, g] : reg.gauges()) {
-      out[name] = static_cast<double>(g.value());
-      out[name + ".max"] = static_cast<double>(g.max());
-    }
-    return out;
+    return reg.flat_snapshot();
   }
 
   void add_row(const std::string& name, double seconds, double stddev = 0,
@@ -232,6 +224,33 @@ inline void print_check(const std::string& what, double measured,
     json->add_check(what, measured, paper);
   }
 }
+
+/// A bench's pass/fail gates.  Each gate is a print_check() line; a failing
+/// one also prints "FAIL: <what>".  finish() prints the verdict and returns
+/// the exit code.
+class Gate {
+ public:
+  explicit Gate(std::string bench) : bench_(std::move(bench)) {}
+
+  void operator()(const std::string& what, double measured, bool pass,
+                  const std::string& expect) {
+    print_check(what, measured, expect);
+    if (!pass) {
+      std::printf("  FAIL: %s\n", what.c_str());
+      ok_ = false;
+    }
+  }
+
+  int finish() const {
+    std::printf("%s: %s\n", bench_.c_str(),
+                ok_ ? "all gates passed" : "FAILED gates");
+    return ok_ ? 0 : 1;
+  }
+
+ private:
+  std::string bench_;
+  bool ok_ = true;
+};
 
 /// Publishes the buffer-pipeline copy-accounting deltas accumulated since
 /// construction into an engine's registry as buf.* counters.  BufStats is

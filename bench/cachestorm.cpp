@@ -224,15 +224,7 @@ int main(int argc, char** argv) {
   }
   std::printf("}/s\n\n");
 
-  bool ok = true;
-  auto gate = [&](const std::string& what, double measured, bool pass,
-                  const std::string& expect) {
-    print_check(what, measured, expect);
-    if (!pass) {
-      std::printf("  FAIL: %s\n", what.c_str());
-      ok = false;
-    }
-  };
+  Gate gate("cachestorm");
 
   // The floor: no proxy data cache, every read pays the WAN.  Tampering is
   // irrelevant to it (there are no at-rest blobs), so one run suffices.
@@ -304,10 +296,5 @@ int main(int argc, char** argv) {
          "== 1");
   }
 
-  if (!ok) {
-    std::printf("cachestorm: FAILED gates\n");
-    return 1;
-  }
-  std::printf("cachestorm: all gates passed\n");
-  return 0;
+  return gate.finish();
 }

@@ -96,15 +96,7 @@ int main(int argc, char** argv) {
               base.clients, base.users, base.crash_at_s, base.downtime_s,
               base.window_s);
 
-  bool ok = true;
-  auto gate = [&](const std::string& what, double measured, bool pass,
-                  const std::string& expect) {
-    print_check(what, measured, expect);
-    if (!pass) {
-      std::printf("  FAIL: %s\n", what.c_str());
-      ok = false;
-    }
-  };
+  Gate gate("connstorm");
 
   const std::vector<Sweep> sweeps = {
       {"naive", false, false},
@@ -179,10 +171,5 @@ int main(int argc, char** argv) {
          identical, "== 1");
   }
 
-  if (!ok) {
-    std::printf("connstorm: FAILED gates\n");
-    return 1;
-  }
-  std::printf("connstorm: all gates passed\n");
-  return 0;
+  return gate.finish();
 }

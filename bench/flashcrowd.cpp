@@ -100,15 +100,7 @@ int main(int argc, char** argv) {
     return o;
   };
 
-  bool ok = true;
-  auto gate = [&](const std::string& what, double measured, bool pass,
-                  const std::string& expect) {
-    print_check(what, measured, expect);
-    if (!pass) {
-      std::printf("  FAIL: %s\n", what.c_str());
-      ok = false;
-    }
-  };
+  Gate gate("flashcrowd");
   const uint64_t want_reads = static_cast<uint64_t>(clients) * blocks;
   auto common_gates = [&](const std::string& tag, const FlashcrowdResult& r) {
     gate(tag + " sim errors", static_cast<double>(r.sim_errors),
@@ -205,10 +197,5 @@ int main(int argc, char** argv) {
          "== 1");
   }
 
-  if (!ok) {
-    std::printf("flashcrowd: FAILED gates\n");
-    return 1;
-  }
-  std::printf("flashcrowd: all gates passed\n");
-  return 0;
+  return gate.finish();
 }

@@ -87,15 +87,7 @@ int main(int argc, char** argv) {
   std::printf("sweep: closed-loop sessions (5 ops/s each), %.0fs window\n\n",
               window);
 
-  bool ok = true;
-  auto gate = [&](const std::string& what, double measured, bool pass,
-                  const std::string& expect) {
-    print_check(what, measured, expect);
-    if (!pass) {
-      std::printf("  FAIL: %s\n", what.c_str());
-      ok = false;
-    }
-  };
+  Gate gate("fleet");
 
   // --- session-count sweep (no faults) -------------------------------------
   for (int sessions : sweep) {
@@ -187,10 +179,5 @@ int main(int argc, char** argv) {
          ">= " + std::to_string(min_evps));
   }
 
-  if (!ok) {
-    std::printf("fleet: FAILED gates\n");
-    return 1;
-  }
-  std::printf("fleet: all gates passed\n");
-  return 0;
+  return gate.finish();
 }

@@ -328,15 +328,7 @@ int main(int argc, char** argv) {
   const RunOut& naive_peak = naive_runs[peak];
   const RunOut& robust_peak = robust_runs[peak];
 
-  bool ok = true;
-  auto gate = [&](const std::string& what, double measured, bool pass,
-                  const std::string& expect) {
-    print_check(what, measured, expect);
-    if (!pass) {
-      std::printf("  FAIL: %s\n", what.c_str());
-      ok = false;
-    }
-  };
+  Gate gate("overload");
 
   const double naive_low_frac = naive_low.goodput / loads[low];
   gate("naive goodput/offered underloaded", naive_low_frac,
@@ -377,10 +369,5 @@ int main(int argc, char** argv) {
   const bool identical = replay.same(robust_peak);
   gate("robust peak replay identical", identical ? 1 : 0, identical, "== 1");
 
-  if (!ok) {
-    std::printf("overload: FAILED gates\n");
-    return 1;
-  }
-  std::printf("overload: all gates passed\n");
-  return 0;
+  return gate.finish();
 }

@@ -24,11 +24,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "fleet/kit.hpp"
 
 namespace sgfs::fleet {
 
@@ -55,20 +53,10 @@ struct ConnstormOptions {
   ConnstormOptions() = default;
 };
 
-struct ConnstormResult {
-  // Op outcomes: ok/busy/giveups/errors count ops arriving inside the
-  // measurement window; bucket_ok is the full per-second recovery timeline.
-  uint64_t ok = 0;
-  uint64_t busy = 0;
-  uint64_t giveups = 0;
-  uint64_t errors = 0;
-  std::vector<uint64_t> bucket_ok;
+struct ConnstormResult : WindowResult {
   /// 250 ms-resolution ok series; recovery_s is computed on this so a herd
   /// that clears in well under a second is not rounded up to one.
   std::vector<uint64_t> sub_ok;
-  size_t win_start_bucket = 0;
-  size_t win_end_bucket = 0;
-  size_t crash_bucket = 0;
   size_t restart_bucket = 0;  // crash + downtime (server accepting again)
 
   // Session-lifecycle accounting.
@@ -85,23 +73,9 @@ struct ConnstormResult {
   double plateau = 0;            // mean goodput before the crash
   double recovery_s = 0;         // restart -> goodput back to 90% plateau
 
-  double sim_seconds = 0;
-  double wall_seconds = 0;
-  uint64_t events = 0;
-  uint64_t actors = 0;
-  uint64_t sim_errors = 0;
-
-  std::map<std::string, double> metrics;
-
-  ConnstormResult() = default;
-
   /// Digest of every observable count; two runs with identical options
-  /// must match bit-for-bit (wall_seconds and the derived metrics snapshot
-  /// are excluded).
+  /// must match bit-for-bit.
   uint64_t fingerprint() const;
-
-  /// Mean bucket_ok over [from, to).
-  double mean_goodput(size_t from, size_t to) const;
 };
 
 /// Builds the topology, runs the storm, returns the measurements.

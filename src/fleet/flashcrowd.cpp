@@ -1,16 +1,10 @@
 #include "fleet/flashcrowd.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "net/network.hpp"
-#include "nfs/nfs3_server.hpp"
 #include "nfs/wire_ops.hpp"
-#include "rpc/retry.hpp"
-#include "rpc/rpc_client.hpp"
-#include "rpc/rpc_server.hpp"
-#include "services/services.hpp"
 #include "sgfs/client_proxy.hpp"
 #include "sgfs/replica.hpp"
 #include "sgfs/server_proxy.hpp"
@@ -22,12 +16,7 @@ namespace {
 
 constexpr const char* kRoot = "/GFS/grid";
 constexpr const char* kFileName = "dataset";
-constexpr uint32_t kUid = 1000;
-constexpr uint16_t kKernelPort = 2049;
-constexpr uint16_t kOriginPort = 3049;
-constexpr uint16_t kFssPort = 6000;
 constexpr uint16_t kReplicaPort = 5049;
-constexpr uint16_t kClientProxyPort = 2049;  // loopback on each client host
 // Replica leaves are cache blocks; this must equal CacheConfig.block_size.
 constexpr uint32_t kBlockBytes = 32 * 1024;
 
@@ -46,12 +35,13 @@ struct Crowd {
 
 /// One crowd member: mount through its own client proxy, pull the whole
 /// published file block by block, compare every byte against the oracle.
-sim::Task<void> client_actor(Crowd& c, net::Host& host, sim::SimDur phase) {
+sim::Task<void> client_actor(Crowd& c, const kit::ProxiedClient& client,
+                             sim::SimDur phase) {
   co_await c.eng.sleep(phase);
-  const rpc::AuthSys auth(kUid, kUid, host.name());
+  const rpc::AuthSys auth(kit::kUid, kit::kUid, client.host.name());
   try {
-    auto ops = co_await nfs::V3WireOps::connect(
-        host, net::Address(host.name(), kClientProxyPort), auth);
+    auto ops = co_await nfs::V3WireOps::connect(client.host,
+                                                client.loopback(), auth);
     nfs::Fh root = co_await ops->mount(kRoot);
     nfs::LookupRes file = co_await ops->lookup(root, kFileName);
     if (file.status != nfs::Status::kOk) {
@@ -66,16 +56,11 @@ sim::Task<void> client_actor(Crowd& c, net::Host& host, sim::SimDur phase) {
       }
       Buffer scratch;
       ByteView got = linearize(r.data, scratch);
-      uint64_t bad = 0;
+      // A short read is the wrong shape: it counts as corruption too.
+      uint64_t bad =
+          got.size() != std::min<uint64_t>(kBlockBytes, c.oracle.size() - off);
       for (size_t i = 0; i < got.size(); ++i) {
-        if (off + i >= c.oracle.size() ||
-            got[i] != c.oracle[static_cast<size_t>(off + i)]) {
-          ++bad;
-        }
-      }
-      if (got.size() != std::min<uint64_t>(kBlockBytes,
-                                           c.oracle.size() - off)) {
-        ++bad;  // short read: wrong shape counts as corruption too
+        bad += off + i >= c.oracle.size() || got[i] != c.oracle[off + i];
       }
       c.res.corrupt_bytes += bad;
       c.res.bytes_read += got.size();
@@ -92,79 +77,31 @@ sim::Task<void> client_actor(Crowd& c, net::Host& host, sim::SimDur phase) {
 /// The controller publishes the owner-signed catalog through the FSS; the
 /// FSS checks the controller's envelope AND the owner's signature before
 /// storing (it never re-signs — clients verify the embedded signature).
-sim::Task<void> publish_catalog(net::Host& ctrl, const net::Address& fss,
-                                const crypto::Credential& controller,
-                                const std::string& signed_hex) {
-  services::Envelope env = services::sign_envelope(
-      "PutReplicaCatalog", {{"catalog", signed_hex}}, controller,
-      static_cast<int64_t>(ctrl.engine().now() / sim::kSecond));
-  auto client = co_await rpc::clnt_create(
-      ctrl, fss, services::kFssProgram, services::kFssVersion);
-  BufChain reply = co_await client->call(
-      static_cast<uint32_t>(services::ServiceProc::kPutReplicaCatalog),
-      env.serialize());
-  client->close();
-  Buffer scratch;
-  services::Envelope back =
-      services::Envelope::deserialize(linearize(reply, scratch));
-  if (back.action != "PutReplicaCatalogResponse") {
-    throw std::runtime_error("replica catalog publication rejected: " +
-                             back.action);
-  }
-}
-
-sim::Task<void> drive(Crowd& c, std::vector<net::Host*>& client_hosts,
-                      net::Host& ctrl, const net::Address& fss_addr,
+sim::Task<void> drive(Crowd& c, std::vector<kit::ProxiedClient>& clients,
+                      net::Host& ctrl,
                       const crypto::Credential& controller_cred,
                       const std::string& catalog_hex) {
   if (c.opt.use_replicas) {
-    co_await publish_catalog(ctrl, fss_addr, controller_cred, catalog_hex);
+    co_await kit::fss_publish(
+        ctrl, controller_cred, services::ServiceProc::kPutReplicaCatalog,
+        "PutReplicaCatalog", "catalog", catalog_hex);
   }
-  const size_t n = client_hosts.size();
-  const sim::SimDur ramp = sim::from_seconds(c.opt.ramp_s);
-  for (size_t i = 0; i < n; ++i) {
-    const sim::SimDur phase = static_cast<sim::SimDur>(
-        ramp * static_cast<sim::SimDur>(i) / static_cast<sim::SimDur>(n));
-    c.eng.spawn(client_actor(c, *client_hosts[i], phase));
-  }
-  while (c.done < n) {
-    co_await c.eng.sleep(50 * sim::kMillisecond);
-  }
+  const size_t n = clients.size();
+  kit::ramp(c.eng, n, sim::from_seconds(c.opt.ramp_s),
+            [&](size_t i, sim::SimDur phase) {
+              return client_actor(c, clients[i], phase);
+            });
+  co_await kit::wait_done(c.eng, c.done, n);
 }
 
 }  // namespace
 
 uint64_t FlashcrowdResult::fingerprint() const {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(reads_ok);
-  mix(read_errors);
-  mix(bytes_read);
-  mix(corrupt_bytes);
-  mix(clients_done);
-  mix(replica_blocks);
-  mix(origin_reads);
-  mix(verify_failures);
-  mix(timeouts);
-  mix(fetch_errors);
-  mix(blacklists);
-  mix(probes);
-  mix(hedged);
-  mix(hedge_wins);
-  mix(degraded);
-  mix(catalog_fetches);
-  mix(stale_catalogs);
-  mix(byzantine_armed);
-  mix(static_cast<uint64_t>(sim_seconds * 1e9));
-  mix(events);
-  mix(actors);
-  mix(sim_errors);
-  return h;
+  return digest({reads_ok, read_errors, bytes_read, corrupt_bytes,
+                 clients_done, replica_blocks, origin_reads, verify_failures,
+                 timeouts, fetch_errors, blacklists, probes, hedged,
+                 hedge_wins, degraded, catalog_fetches, stale_catalogs,
+                 byzantine_armed});
 }
 
 FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
@@ -185,22 +122,14 @@ FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
   // PKI: CA, origin's host credential (also the publication OWNER — the
   // fileserver signs the catalog), the crowd's shared user identity, the
   // FSS host credential and the controller identity the FSS obeys.
-  Rng pki_rng(opt.seed ^ 0x9e3779b97f4a7c15ull);
-  crypto::CertificateAuthority ca(
-      pki_rng, crypto::DistinguishedName("Grid", "CrowdCA"), 0, 1ll << 40);
+  kit::Pki pki(opt.seed, "CrowdCA");
   crypto::Credential origin_cred =
-      ca.issue(pki_rng, crypto::DistinguishedName("Grid", "fileserver"),
-               crypto::CertType::kHost, 0, 1ll << 40);
+      pki.issue("fileserver", crypto::CertType::kHost);
   crypto::Credential user_cred =
-      ca.issue(pki_rng, crypto::DistinguishedName("Grid", "griduser"),
-               crypto::CertType::kIdentity, 0, 1ll << 40);
-  crypto::Credential fss_cred =
-      ca.issue(pki_rng, crypto::DistinguishedName("Grid", "fss"),
-               crypto::CertType::kHost, 0, 1ll << 40);
+      pki.issue("griduser", crypto::CertType::kIdentity);
+  crypto::Credential fss_cred = pki.issue("fss", crypto::CertType::kHost);
   crypto::Credential controller_cred =
-      ca.issue(pki_rng, crypto::DistinguishedName("Grid", "controller"),
-               crypto::CertType::kIdentity, 0, 1ll << 40);
-  const std::vector<crypto::Certificate> trusted = {ca.root()};
+      pki.issue("controller", crypto::CertType::kIdentity);
   Rng rng(opt.seed);
 
   // Published content: deterministic, regenerable — the oracle every
@@ -212,45 +141,21 @@ FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
   // Origin: vfs + kernel NFS + the secure server proxy (the only party
   // with an identity; replicas are untrusted).
   auto fs = std::make_shared<vfs::FileSystem>();
-  const vfs::Cred root_cred(0, 0);
-  fs->mkdir_p(root_cred, kRoot, 0755);
-  vfs::SetAttrs chown;
-  chown.uid = kUid;
-  chown.gid = kUid;
-  fs->setattr(root_cred, fs->resolve(root_cred, kRoot).value, chown);
-  auto file = fs->write_file(root_cred, std::string(kRoot) + "/" + kFileName,
-                             ByteView(body.data(), body.size()));
-  fs->setattr(root_cred, file.value, chown);
-
-  net::Host& origin = net.add_host("origin");
-  auto kernel = std::make_shared<nfs::Nfs3Server>(origin, fs, 1,
-                                                  nfs::ServerCostModel());
-  kernel->add_export(
-      nfs::ExportEntry("/GFS", std::set<std::string>{"origin"}));
-  auto kernel_rpc = std::make_unique<rpc::RpcServer>(origin, kKernelPort);
-  kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3, kernel);
-  kernel_rpc->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                               kernel->mount_program());
-  kernel_rpc->start();
+  const uint64_t fileid = kit::add_owned_file(
+      *fs, kRoot, kFileName, ByteView(body.data(), body.size()));
 
   core::ServerProxyConfig scfg;
-  scfg.kernel_nfs = net::Address("origin", kKernelPort);
   scfg.gridmap.add("/O=Grid/CN=griduser", "grid");
-  scfg.accounts.add(core::Account("grid", kUid, kUid));
   scfg.security.credential = origin_cred;
-  scfg.security.trusted = trusted;
+  scfg.security.trusted = pki.trusted;
   scfg.security.cipher = crypto::Cipher::kAes128Cbc;
-  scfg.security.mac = crypto::MacAlgo::kHmacSha1;
   scfg.cost.per_msg_cpu = 150 * sim::kMicrosecond;
-  auto origin_proxy = std::make_shared<core::ServerProxy>(
-      origin, scfg, fs, rng.fork());
-  origin_proxy->start(kOriginPort);
+  kit::FileServer origin(net.add_host("origin"), fs, scfg, rng.fork());
 
   // Replica fleet: dumb block servers, SAN-backed, no identity.
   std::vector<std::shared_ptr<ReplicaServer>> replicas;
   core::ReplicaCatalog catalog;
   catalog.epoch = 2;
-  uint64_t fileid = file.value;
   if (opt.use_replicas) {
     for (int i = 0; i < opt.replicas; ++i) {
       net::DiskParams san;
@@ -293,13 +198,8 @@ FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
   }
 
   // FSS (catalog distribution) + controller.
-  net::Host& fss_host = net.add_host("fss");
-  auto fss = std::make_shared<services::FileSystemService>(
-      fss_host, fss_cred, trusted,
-      std::vector<std::string>{"/O=Grid/CN=controller"}, nullptr,
-      net::Address(), rng.fork());
-  fss->start(kFssPort);
-  const net::Address fss_addr("fss", kFssPort);
+  auto fss = kit::start_fss(net, fss_cred, pki, {"/O=Grid/CN=controller"},
+                            rng.fork());
   net::Host& ctrl = net.add_host("ctrl");
 
   // Byzantine plan.
@@ -318,43 +218,37 @@ FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
 
   // Crowd: one host + one client proxy each; a single shared user identity
   // (the flash crowd is many machines, one community account).
-  std::vector<net::Host*> client_hosts;
-  std::vector<std::shared_ptr<core::ClientProxy>> client_proxies;
-  client_hosts.reserve(static_cast<size_t>(opt.clients));
+  std::vector<kit::ProxiedClient> clients;
+  clients.reserve(static_cast<size_t>(opt.clients));
   for (int i = 0; i < opt.clients; ++i) {
     net::Host& h = net.add_host("c" + std::to_string(i));
     if (opt.origin_rtt > 0) {
       net.set_link(h.name(), "origin", net::LinkParams::wan(opt.origin_rtt));
     }
     core::ClientProxyConfig ccfg;
-    ccfg.server_proxy = net::Address("origin", kOriginPort);
+    ccfg.server_proxy = net::Address("origin", kit::kProxyPort);
     ccfg.security.credential = user_cred;
-    ccfg.security.trusted = trusted;
+    ccfg.security.trusted = pki.trusted;
     ccfg.security.cipher = crypto::Cipher::kAes128Cbc;
-    ccfg.security.mac = crypto::MacAlgo::kHmacSha1;
     ccfg.cache.enabled = true;
     ccfg.cache.cache_data = false;  // one pass, nothing to re-hit
     ccfg.cache.write_back = false;
     if (opt.use_replicas) {
       ccfg.replica.enabled = true;
-      ccfg.replica.catalog_service = fss_addr;
+      ccfg.replica.catalog_service = kit::kFss;
       ccfg.replica.catalog_refresh = opt.catalog_refresh;
       ccfg.replica.blacklist_duration = opt.blacklist_duration;
       ccfg.replica.fetch_timeout = opt.fetch_timeout;
       ccfg.replica.hedge_delay = opt.hedge_delay;
     }
-    auto proxy = std::make_shared<core::ClientProxy>(h, ccfg, rng.fork());
-    proxy->start(kClientProxyPort);
-    client_hosts.push_back(&h);
-    client_proxies.push_back(std::move(proxy));
+    clients.emplace_back(h, ccfg, rng.fork());
   }
 
   Crowd crowd(eng, opt, res, body);
-  eng.run_task(drive(crowd, client_hosts, ctrl, fss_addr, controller_cred,
-                     catalog_hex));
+  eng.run_task(drive(crowd, clients, ctrl, controller_cred, catalog_hex));
 
-  for (auto& proxy : client_proxies) {
-    if (core::ReplicaSet* rs = proxy->replica_set()) {
+  for (kit::ProxiedClient& client : clients) {
+    if (core::ReplicaSet* rs = client.proxy->replica_set()) {
       res.replica_blocks += rs->verified_blocks();
       res.verify_failures += rs->verify_failures();
       res.timeouts += rs->timeouts();
@@ -367,34 +261,20 @@ FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
       res.catalog_fetches += rs->catalog_fetches();
       res.stale_catalogs += rs->stale_catalogs();
     }
-    proxy->stop();
+    client.proxy->stop();
   }
-  origin_proxy->stop();
+  origin.proxy->stop();
   for (auto& srv : replicas) srv->stop();
   fss->stop();
 
   res.origin_reads =
       res.reads_ok >= res.replica_blocks ? res.reads_ok - res.replica_blocks
                                          : 0;
-  res.sim_seconds = sim::to_seconds(eng.now());
+  res.finish(eng, wall_start);
   res.goodput_bytes_per_s =
       res.sim_seconds > 0
           ? static_cast<double>(res.bytes_read) / res.sim_seconds
           : 0;
-  res.events = eng.events_processed();
-  res.actors = eng.actors_spawned();
-  res.sim_errors = eng.errors().size();
-  for (const auto& [name, c] : eng.metrics().counters()) {
-    res.metrics[name] = static_cast<double>(c.value());
-  }
-  for (const auto& [name, g] : eng.metrics().gauges()) {
-    res.metrics[name] = static_cast<double>(g.value());
-    res.metrics[name + ".max"] = static_cast<double>(g.max());
-  }
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return res;
 }
 

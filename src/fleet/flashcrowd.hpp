@@ -22,9 +22,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 
+#include "fleet/kit.hpp"
 #include "fleet/replica_server.hpp"
 
 namespace sgfs::fleet {
@@ -55,7 +54,7 @@ struct FlashcrowdOptions {
   FlashcrowdOptions() = default;
 };
 
-struct FlashcrowdResult {
+struct FlashcrowdResult : RunResult {
   // Workload outcomes.
   uint64_t reads_ok = 0;
   uint64_t read_errors = 0;
@@ -80,19 +79,9 @@ struct FlashcrowdResult {
   uint64_t stale_catalogs = 0;    // rollback attempts rejected
   uint64_t byzantine_armed = 0;   // replicas the injector actually turned
 
-  double sim_seconds = 0;       // virtual time from first start to last done
-  double wall_seconds = 0;
   double goodput_bytes_per_s = 0;  // bytes_read / sim_seconds
-  uint64_t events = 0;
-  uint64_t actors = 0;
-  uint64_t sim_errors = 0;
 
-  std::map<std::string, double> metrics;
-
-  FlashcrowdResult() = default;
-
-  /// Bit-identical across runs with identical options (wall_seconds and the
-  /// derived metrics snapshot excluded).
+  /// Bit-identical across runs with identical options.
   uint64_t fingerprint() const;
 };
 

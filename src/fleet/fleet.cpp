@@ -1,17 +1,12 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <stdexcept>
 
 #include "net/network.hpp"
-#include "nfs/nfs3_server.hpp"
 #include "nfs/wire_ops.hpp"
 #include "rpc/retry.hpp"
-#include "rpc/rpc_client.hpp"
-#include "rpc/rpc_server.hpp"
-#include "services/services.hpp"
 #include "sgfs/server_proxy.hpp"
 #include "sgfs/shard_map.hpp"
 #include "vfs/vfs.hpp"
@@ -21,23 +16,6 @@ namespace sgfs::fleet {
 namespace {
 
 constexpr const char* kFleetRoot = "/GFS/fleet";
-constexpr uint32_t kFleetUid = 1000;
-constexpr uint16_t kKernelPort = 2049;
-constexpr uint16_t kProxyPort = 3049;
-constexpr uint16_t kFssPort = 6000;
-constexpr uint32_t kIoBytes = 4096;
-constexpr uint64_t kFileBlocks = 16;  // f0 is 16 x 4 KiB
-
-/// One server-proxy shard: its host, the kernel NFS server bound to the
-/// shared FileSystem, and the plain-transport proxy in front of it.
-struct Shard {
-  net::Host* host = nullptr;
-  std::shared_ptr<nfs::Nfs3Server> kernel;
-  std::unique_ptr<rpc::RpcServer> kernel_rpc;
-  std::shared_ptr<core::ServerProxy> proxy;
-
-  Shard() = default;
-};
 
 /// Client-side shard-map cache with single-flight fetch.  One instance is
 /// shared by every session, standing in for the per-client-host FSS cache
@@ -48,53 +26,42 @@ struct Shard {
 struct Discovery {
   sim::Engine& eng;
   net::Host& host;  // resolver host the discovery RPCs are issued from
-  net::Address fss;
   std::vector<crypto::Certificate> trusted;
+  FleetResult& res;  // counts discovery_fetches and discovery_failures
 
   std::optional<core::ShardMap> map;
   sim::SimTime fetched_at = -1;
   bool inflight = false;
-  uint64_t fetches = 0;
-  uint64_t failures = 0;
 
   // Failure-triggered refreshes from hundreds of sessions collapse into one
   // wire fetch per window.
   static constexpr sim::SimDur kMinRefetch = 250 * sim::kMillisecond;
 
-  Discovery(sim::Engine& e, net::Host& h, net::Address a,
-            std::vector<crypto::Certificate> t)
-      : eng(e), host(h), fss(std::move(a)), trusted(std::move(t)) {}
+  Discovery(net::Host& h, std::vector<crypto::Certificate> t, FleetResult& r)
+      : eng(h.engine()), host(h), trusted(std::move(t)), res(r) {}
 
   sim::Task<void> refresh(bool force) {
     if (map && !force) co_return;
     while (inflight) co_await eng.sleep(10 * sim::kMillisecond);
-    if (map && !force) co_return;
-    if (map && fetched_at >= 0 && eng.now() - fetched_at < kMinRefetch) {
-      co_return;  // someone just fetched; reuse their answer
-    }
+    // Someone may have fetched meanwhile, or just now: reuse their answer.
+    if (map && (!force || eng.now() - fetched_at < kMinRefetch)) co_return;
     inflight = true;
     try {
-      auto client = co_await rpc::clnt_create(
-          host, fss, services::kFssProgram, services::kFssVersion);
-      BufChain reply = co_await client->call(
-          static_cast<uint32_t>(services::ServiceProc::kGetShardMap),
-          BufChain());
-      client->close();
-      Buffer scratch;
-      services::Envelope env =
-          services::Envelope::deserialize(linearize(reply, scratch));
+      std::vector<kit::FssRequest> get{
+          {services::ServiceProc::kGetShardMap, BufChain()}};
+      services::Envelope env = co_await kit::fss_call(host, std::move(get));
       const int64_t now_s = static_cast<int64_t>(eng.now() / sim::kSecond);
       auto verdict = services::verify_envelope(env, trusted, now_s);
       if (verdict.ok && env.action == "GetShardMapResponse") {
         core::ShardMap fresh = core::ShardMap::parse(env.fields.at("map"));
         if (!map || fresh.epoch() > map->epoch()) map = std::move(fresh);
         fetched_at = eng.now();
-        ++fetches;
+        ++res.discovery_fetches;
       } else {
-        ++failures;
+        ++res.discovery_failures;
       }
     } catch (const std::exception&) {
-      ++failures;
+      ++res.discovery_failures;
     }
     inflight = false;
   }
@@ -107,42 +74,12 @@ struct Fleet {
   const FleetOptions& opt;
   FleetResult& res;
   Discovery& disc;
-
-  sim::SimTime t0 = 0;
-  sim::SimTime win_start = 0;
-  sim::SimTime win_end = 0;
-  BufChain payload;          // shared 4 KiB write body (refcounted chain)
-  size_t sessions_done = 0;
+  kit::Window win;
+  BufChain payload;  // shared 4 KiB write body (refcounted chain)
 
   Fleet(sim::Engine& e, const FleetOptions& o, FleetResult& r, Discovery& d)
-      : eng(e), opt(o), res(r), disc(d) {}
-
-  void bucket_success(sim::SimTime arrival) {
-    const size_t b = static_cast<size_t>((arrival - t0) / sim::kSecond);
-    if (b < res.bucket_ok.size()) ++res.bucket_ok[b];
-  }
+      : eng(e), opt(o), res(r), disc(d), win(e, r) {}
 };
-
-sim::Task<void> publish_map(net::Host& ctrl, const net::Address& fss,
-                            const crypto::Credential& controller,
-                            const core::ShardMap& map) {
-  services::Envelope env = services::sign_envelope(
-      "PutShardMap", {{"map", map.to_string()}}, controller,
-      static_cast<int64_t>(ctrl.engine().now() / sim::kSecond));
-  auto client = co_await rpc::clnt_create(
-      ctrl, fss, services::kFssProgram, services::kFssVersion);
-  BufChain reply = co_await client->call(
-      static_cast<uint32_t>(services::ServiceProc::kPutShardMap),
-      env.serialize());
-  client->close();
-  Buffer scratch;
-  services::Envelope back =
-      services::Envelope::deserialize(linearize(reply, scratch));
-  if (back.action != "PutShardMapResponse") {
-    throw std::runtime_error("shard map publication rejected: " +
-                             back.action);
-  }
-}
 
 /// One client session: closed-loop think-time pacing, discovery-driven
 /// shard selection, re-discovery + re-establishment on failure.
@@ -151,7 +88,7 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
   Rng rng(f.opt.seed ^ (0xf1ee7000 + idx));
   const std::string dir_name = "u" + std::to_string(idx);
   const std::string route_key = std::string(kFleetRoot) + "/" + dir_name;
-  const rpc::AuthSys auth(kFleetUid, kFleetUid, host.name());
+  const rpc::AuthSys auth(kit::kUid, kit::kUid, host.name());
 
   // Bounded retransmission + JUKEBOX-aware delayed retry: the robust client
   // posture from the overload work — a crashed shard must surface as a
@@ -174,7 +111,7 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
   uint64_t cur_epoch = 0;
 
   co_await f.eng.sleep(phase);
-  while (f.eng.now() < f.win_end) {
+  while (f.eng.now() < f.win.end) {
     bool rediscover = false;  // co_await is illegal inside a handler
     try {
       if (!f.disc.map) co_await f.disc.refresh(false);
@@ -200,10 +137,8 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
         if (!drift_later) {
           cur_epoch = f.disc.map->epoch();
           if (!ops || owner.name != cur_shard) {
-            if (ops) {
-              ops->close();
-              ops.reset();
-            }
+            if (ops) ops->close();
+            ops.reset();
             auto fresh = co_await nfs::V3WireOps::connect(
                 host, owner.proxy, auth, retry, jukebox);
             nfs::Fh root = co_await fresh->mount(kFleetRoot);
@@ -227,53 +162,17 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
       }
 
       // One op: 60% GETATTR / 30% READ / 10% FILE_SYNC WRITE.
-      const sim::SimTime arrival = f.eng.now();
-      const bool in_window = arrival >= f.win_start && arrival < f.win_end;
-      const uint64_t pick = rng.next_below(100);
-      nfs::Status status;
-      if (pick < 60) {
-        nfs::GetattrRes r = co_await ops->getattr(file_fh);
-        status = r.status;
-      } else if (pick < 90) {
-        const uint64_t off = kIoBytes * rng.next_below(kFileBlocks);
-        nfs::ReadRes r = co_await ops->read(file_fh, off, kIoBytes);
-        status = r.status;
-      } else {
-        const uint64_t off = kIoBytes * rng.next_below(kFileBlocks);
-        nfs::WriteRes r = co_await ops->write(
-            file_fh, off, nfs::StableHow::kFileSync, f.payload);
-        status = r.status;
+      const auto ok_at =
+          co_await f.win.op(*ops, file_fh, rng, 60, 90, f.payload);
+      if (ok_at && f.win.contains(*ok_at)) {
+        f.res.lat_ns.push_back(static_cast<uint64_t>(f.eng.now() - *ok_at));
       }
-      if (status == nfs::Status::kOk) {
-        f.bucket_success(arrival);
-        if (in_window) {
-          ++f.res.ok;
-          f.res.lat_ns.push_back(
-              static_cast<uint64_t>(f.eng.now() - arrival));
-        }
-      } else if (status == nfs::Status::kJukebox) {
-        if (in_window) ++f.res.busy;
-      } else {
-        if (in_window) ++f.res.errors;
-      }
-    } catch (const rpc::RpcTimeout&) {
-      const sim::SimTime now = f.eng.now();
-      if (now >= f.win_start && now < f.win_end) ++f.res.giveups;
-      if (ops) {
-        ops->close();
-        ops.reset();
-      }
-      cur_epoch = 0;
-      rediscover = true;
-    } catch (const std::exception&) {
-      // Stream loss / refused connection / failed establishment: drop the
-      // session and go back through discovery.
-      const sim::SimTime now = f.eng.now();
-      if (now >= f.win_start && now < f.win_end) ++f.res.errors;
-      if (ops) {
-        ops->close();
-        ops.reset();
-      }
+    } catch (const std::exception& e) {
+      // Give-up / stream loss / refused connection / failed establishment:
+      // drop the session and go back through discovery.
+      f.win.count_failure(e);
+      if (ops) ops->close();
+      ops.reset();
       cur_epoch = 0;
       rediscover = true;
     }
@@ -281,7 +180,7 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
     co_await f.eng.sleep(interval);
   }
   if (ops) ops->close();
-  ++f.sessions_done;
+  ++f.win.done;
 }
 
 /// Bounded-staleness backstop: refresh the shared map cache periodically so
@@ -289,7 +188,7 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
 /// surviving shards re-learn the epoch without re-establishing).
 sim::Task<void> refresher(Fleet& f) {
   const sim::SimDur period = sim::from_seconds(f.opt.refresh_s);
-  while (f.eng.now() + period < f.win_end) {
+  while (f.eng.now() + period < f.win.end) {
     co_await f.eng.sleep(period);
     co_await f.disc.refresh(true);
   }
@@ -299,100 +198,61 @@ sim::Task<void> refresher(Fleet& f) {
 /// fixed detection delay), publish epoch+1 without the dead shard, then
 /// fold the restarted shard back in at epoch+2.
 sim::Task<void> controller_drill(Fleet& f, net::Host& ctrl,
-                                 const net::Address& fss,
                                  const crypto::Credential& cred,
                                  core::ShardMap map_without,
                                  core::ShardMap map_with,
                                  sim::SimTime crash_at) {
-  const sim::SimTime detect_at =
-      crash_at + sim::from_seconds(f.opt.detect_s);
-  co_await f.eng.sleep(detect_at - f.eng.now());
-  co_await publish_map(ctrl, fss, cred, map_without);
-  const sim::SimTime readd_at = crash_at +
-                                sim::from_seconds(f.opt.downtime_s) +
-                                sim::from_seconds(f.opt.readd_s);
-  co_await f.eng.sleep(readd_at - f.eng.now());
-  co_await publish_map(ctrl, fss, cred, map_with);
+  co_await f.eng.sleep_until(crash_at + sim::from_seconds(f.opt.detect_s));
+  co_await kit::fss_publish(ctrl, cred, services::ServiceProc::kPutShardMap,
+                            "PutShardMap", "map", map_without.to_string());
+  co_await f.eng.sleep_until(crash_at + sim::from_seconds(f.opt.downtime_s) +
+                             sim::from_seconds(f.opt.readd_s));
+  co_await kit::fss_publish(ctrl, cred, services::ServiceProc::kPutShardMap,
+                            "PutShardMap", "map", map_with.to_string());
 }
 
 sim::Task<void> drive(Fleet& f, std::vector<net::Host*>& session_hosts,
-                      net::Host& ctrl, const net::Address& fss_addr,
-                      const crypto::Credential& controller_cred,
-                      const core::ShardMap& map0, Shard* crash_shard) {
-  co_await publish_map(ctrl, fss_addr, controller_cred, map0);
+                      net::Host& ctrl, const crypto::Credential& cred,
+                      const core::ShardMap& map0,
+                      kit::FileServer* crash_shard) {
+  co_await kit::fss_publish(ctrl, cred, services::ServiceProc::kPutShardMap,
+                            "PutShardMap", "map", map0.to_string());
   co_await f.disc.refresh(true);
 
-  f.t0 = f.eng.now();
-  const sim::SimDur warmup = sim::from_seconds(f.opt.warmup_s);
-  f.win_start = f.t0 + warmup;
-  f.win_end = f.win_start + sim::from_seconds(f.opt.window_s);
-  f.res.bucket_ok.assign(
-      static_cast<size_t>((f.win_end - f.t0) / sim::kSecond) + 1, 0);
-  f.res.win_start_bucket = static_cast<size_t>(warmup / sim::kSecond);
-  f.res.win_end_bucket =
-      static_cast<size_t>((f.win_end - f.t0) / sim::kSecond);
-
+  f.win.open(f.opt.warmup_s, f.opt.window_s);
   // Establishment ramp: session starts spread over 80% of the warmup so
   // the mount/lookup wave stays inside each shard's admission capacity.
   const size_t n = session_hosts.size();
-  const sim::SimDur ramp = warmup - warmup / 5;
-  for (size_t i = 0; i < n; ++i) {
-    const sim::SimDur phase = static_cast<sim::SimDur>(
-        ramp * static_cast<sim::SimDur>(i) / static_cast<sim::SimDur>(n));
-    f.eng.spawn(session_actor(f, *session_hosts[i], i, phase));
-  }
+  const sim::SimDur warmup = f.win.start - f.win.t0;
+  kit::ramp(f.eng, n, warmup - warmup / 5, [&](size_t i, sim::SimDur phase) {
+    return session_actor(f, *session_hosts[i], i, phase);
+  });
   f.eng.spawn(refresher(f));
 
   if (crash_shard != nullptr) {
     const sim::SimTime crash_at =
-        f.win_start + sim::from_seconds(f.opt.crash_at_s);
-    crash_shard->host->crash_restart(
-        crash_at, sim::from_seconds(f.opt.downtime_s));
-    const std::string& name = crash_shard->host->name();
+        f.win.start + sim::from_seconds(f.opt.crash_at_s);
+    crash_shard->host.crash_restart(crash_at,
+                                    sim::from_seconds(f.opt.downtime_s));
+    const std::string& name = crash_shard->host.name();
     core::ShardMap map_without = map0.without(name, map0.epoch() + 1);
     core::ShardMap map_with =
         map_without.with(*map0.find(name), map0.epoch() + 2);
-    f.eng.spawn(controller_drill(f, ctrl, fss_addr, controller_cred,
-                                 std::move(map_without), std::move(map_with),
-                                 crash_at));
+    f.eng.spawn(controller_drill(f, ctrl, cred, std::move(map_without),
+                                 std::move(map_with), crash_at));
   }
 
   // Wait for every session to wind down (a session blocked in a reconnect
   // loop can outlive the window by a few seconds).
-  co_await f.eng.sleep(f.win_end - f.eng.now());
-  while (f.sessions_done < n) {
-    co_await f.eng.sleep(50 * sim::kMillisecond);
-  }
+  co_await f.win.drain(n);
 }
 
 }  // namespace
 
 uint64_t FleetResult::fingerprint() const {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(ok);
-  mix(busy);
-  mix(giveups);
-  mix(errors);
-  mix(establishes);
-  mix(reroutes);
-  mix(discovery_fetches);
-  mix(discovery_failures);
-  mix(final_epoch);
-  mix(static_cast<uint64_t>(bucket_ok.size()));
-  for (uint64_t b : bucket_ok) mix(b);
-  mix(static_cast<uint64_t>(lat_ns.size()));
-  for (uint64_t l : lat_ns) mix(l);
-  mix(static_cast<uint64_t>(sim_seconds * 1e9));
-  mix(events);
-  mix(actors);
-  mix(sim_errors);
-  return h;
+  return digest({ok, busy, giveups, errors, establishes, reroutes,
+                 discovery_fetches, discovery_failures, final_epoch},
+                {&bucket_ok, &lat_ns});
 }
 
 double FleetResult::percentile_ms(double q) const {
@@ -402,15 +262,6 @@ double FleetResult::percentile_ms(double q) const {
   const size_t idx = static_cast<size_t>(
       q * static_cast<double>(v.size() - 1) + 0.5);
   return static_cast<double>(v[idx]) / 1e6;
-}
-
-double FleetResult::mean_goodput(size_t from, size_t to) const {
-  from = std::min(from, bucket_ok.size());
-  to = std::min(to, bucket_ok.size());
-  if (to <= from) return 0;
-  uint64_t sum = 0;
-  for (size_t i = from; i < to; ++i) sum += bucket_ok[i];
-  return static_cast<double>(sum) / static_cast<double>(to - from);
 }
 
 FleetResult run_fleet(const FleetOptions& opt) {
@@ -428,43 +279,27 @@ FleetResult run_fleet(const FleetOptions& opt) {
 
   // PKI: one CA, the FSS's host credential, and the fleet controller
   // identity the FSS is configured to obey.
-  Rng pki_rng(opt.seed ^ 0x9e3779b97f4a7c15ull);
-  crypto::CertificateAuthority ca(
-      pki_rng, crypto::DistinguishedName("Grid", "FleetCA"), 0, 1ll << 40);
-  crypto::Credential fss_cred =
-      ca.issue(pki_rng, crypto::DistinguishedName("Grid", "fss"),
-               crypto::CertType::kHost, 0, 1ll << 40);
+  kit::Pki pki(opt.seed, "FleetCA");
+  crypto::Credential fss_cred = pki.issue("fss", crypto::CertType::kHost);
   crypto::Credential controller_cred =
-      ca.issue(pki_rng, crypto::DistinguishedName("Grid", "controller"),
-               crypto::CertType::kIdentity, 0, 1ll << 40);
-  const std::vector<crypto::Certificate> trusted = {ca.root()};
+      pki.issue("controller", crypto::CertType::kIdentity);
 
   // Shared-storage backing store: every shard's kernel NFS server exports
   // the SAME FileSystem under the SAME fsid, so a file handle resolved
   // through one shard stays valid when its directory fails over to another
   // (the cluster-filesystem assumption behind shard interchangeability).
   auto fs = std::make_shared<vfs::FileSystem>();
-  const vfs::Cred root_cred(0, 0);
-  const Buffer file_body(static_cast<size_t>(kIoBytes) * kFileBlocks);
-  vfs::SetAttrs chown;
-  chown.uid = kFleetUid;
-  chown.gid = kFleetUid;
-  fs->mkdir_p(root_cred, kFleetRoot, 0755);
+  const Buffer file_body(static_cast<size_t>(kit::kIoBytes) * kit::kFileBlocks);
   for (int i = 0; i < opt.sessions; ++i) {
-    const std::string dir = std::string(kFleetRoot) + "/u" +
-                            std::to_string(i);
-    auto d = fs->mkdir_p(root_cred, dir, 0755);
-    fs->setattr(root_cred, d.value, chown);
-    auto file = fs->write_file(root_cred, dir + "/f0",
-                               ByteView(file_body.data(), file_body.size()));
-    fs->setattr(root_cred, file.value, chown);
+    kit::add_owned_file(*fs, std::string(kFleetRoot) + "/u" + std::to_string(i),
+                        "f0", ByteView(file_body.data(), file_body.size()));
   }
 
   // Shard fleet: kernel NFS + plain-transport server proxy per shard host.
-  std::vector<Shard> shards(static_cast<size_t>(opt.shards));
+  std::vector<kit::FileServer> shards;
+  shards.reserve(static_cast<size_t>(opt.shards));
   std::vector<core::ShardInfo> infos;
   for (int i = 0; i < opt.shards; ++i) {
-    Shard& s = shards[static_cast<size_t>(i)];
     const std::string name = "shard" + std::to_string(i);
     // SAN-class backing store, not a commodity spindle: the shared-storage
     // model already assumes a cluster filesystem behind every shard, and
@@ -474,45 +309,25 @@ FleetResult run_fleet(const FleetOptions& opt) {
     net::DiskParams san;
     san.seek = 300 * sim::kMicrosecond;
     san.bytes_per_sec = 400.0 * 1024 * 1024;
-    s.host = &net.add_host(name, san);
-    s.kernel = std::make_shared<nfs::Nfs3Server>(*s.host, fs, /*fsid=*/1,
-                                                 nfs::ServerCostModel());
-    s.kernel->add_export(
-        nfs::ExportEntry("/GFS", std::set<std::string>{name}));
-    s.kernel_rpc = std::make_unique<rpc::RpcServer>(*s.host, kKernelPort);
-    s.kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
-                                   s.kernel);
-    s.kernel_rpc->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                                   s.kernel->mount_program());
-    s.kernel_rpc->start();
-
     core::ServerProxyConfig scfg;
-    scfg.kernel_nfs = net::Address(name, kKernelPort);
     scfg.plain_transport = true;
-    scfg.plain_account = core::Account("grid", kFleetUid, kFleetUid);
-    scfg.accounts.add(core::Account("grid", kFleetUid, kFleetUid));
+    scfg.plain_account = core::Account("grid", kit::kUid, kit::kUid);
     scfg.fine_grained_acls = false;
     scfg.cost.per_msg_cpu = opt.proxy_msg_cpu;
     scfg.admission = rpc::AdmissionControl(8, 64, /*busy=*/true);
     scfg.fair_queueing = true;
-    s.proxy = std::make_shared<core::ServerProxy>(
-        *s.host, scfg, nullptr, Rng(opt.seed ^ (0x5a5a0000ull + i)));
-    s.proxy->start(kProxyPort);
-    infos.emplace_back(name, net::Address(name, kProxyPort));
+    shards.emplace_back(net.add_host(name, san), fs, scfg,
+                        Rng(opt.seed ^ (0x5a5a0000ull + i)));
+    infos.emplace_back(name, net::Address(name, kit::kProxyPort));
   }
   const core::ShardMap map0(/*epoch=*/1, infos);
 
   // FSS (discovery + publication endpoint), controller, resolver.
-  net::Host& fss_host = net.add_host("fss");
-  auto fss = std::make_shared<services::FileSystemService>(
-      fss_host, fss_cred, trusted,
-      std::vector<std::string>{"/O=Grid/CN=controller"}, nullptr,
-      net::Address(), Rng(opt.seed ^ 0xf55f55ull));
-  fss->start(kFssPort);
-  const net::Address fss_addr("fss", kFssPort);
+  auto fss = kit::start_fss(net, fss_cred, pki, {"/O=Grid/CN=controller"},
+                            Rng(opt.seed ^ 0xf55f55ull));
   net::Host& ctrl = net.add_host("ctrl");
   net::Host& resolver = net.add_host("resolver");
-  Discovery disc(eng, resolver, fss_addr, trusted);
+  Discovery disc(resolver, pki.trusted, res);
 
   std::vector<net::Host*> session_hosts;
   session_hosts.reserve(static_cast<size_t>(opt.sessions));
@@ -522,26 +337,20 @@ FleetResult run_fleet(const FleetOptions& opt) {
 
   Fleet f(eng, opt, res, disc);
   {
-    Buffer body(kIoBytes);
+    Buffer body(kit::kIoBytes);
     for (size_t i = 0; i < body.size(); ++i) {
       body[i] = static_cast<uint8_t>(i * 131);
     }
     f.payload = BufChain(std::move(body));
   }
 
-  Shard* crash_shard =
+  kit::FileServer* crash_shard =
       opt.crash_shard >= 0 ? &shards[static_cast<size_t>(opt.crash_shard)]
                            : nullptr;
-  eng.run_task(drive(f, session_hosts, ctrl, fss_addr, controller_cred,
-                     map0, crash_shard));
+  eng.run_task(drive(f, session_hosts, ctrl, controller_cred, map0,
+                     crash_shard));
 
-  res.discovery_fetches = disc.fetches;
-  res.discovery_failures = disc.failures;
   res.final_epoch = disc.map ? disc.map->epoch() : 0;
-  res.sim_seconds = sim::to_seconds(eng.now());
-  res.events = eng.events_processed();
-  res.actors = eng.actors_spawned();
-  res.sim_errors = eng.errors().size();
   if (crash_shard != nullptr) {
     res.crash_bucket = res.win_start_bucket +
                        static_cast<size_t>(opt.crash_at_s);
@@ -549,17 +358,7 @@ FleetResult run_fleet(const FleetOptions& opt) {
         res.crash_bucket + static_cast<size_t>(opt.downtime_s) +
         static_cast<size_t>(opt.readd_s) + 2 /* re-establish grace */;
   }
-  for (const auto& [name, c] : eng.metrics().counters()) {
-    res.metrics[name] = static_cast<double>(c.value());
-  }
-  for (const auto& [name, g] : eng.metrics().gauges()) {
-    res.metrics[name] = static_cast<double>(g.value());
-    res.metrics[name + ".max"] = static_cast<double>(g.max());
-  }
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  res.finish(eng, wall_start);
   return res;
 }
 

@@ -23,11 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "fleet/kit.hpp"
 
 namespace sgfs::fleet {
 
@@ -60,14 +58,7 @@ struct FleetOptions {
   FleetOptions() = default;
 };
 
-struct FleetResult {
-  // Op outcomes.  ok/busy/giveups/errors count only ops ARRIVING inside the
-  // measurement window; bucket_ok counts every success since t0 (it is the
-  // recovery timeline the crash gates read).
-  uint64_t ok = 0;
-  uint64_t busy = 0;      // NFS3ERR_JUKEBOX surfaced after delayed retries
-  uint64_t giveups = 0;   // client retransmission budget exhausted
-  uint64_t errors = 0;    // session failures (stream loss, failover, ...)
+struct FleetResult : WindowResult {
   std::vector<uint64_t> lat_ns;  // latency of each in-window success
 
   // Session-lifecycle accounting.
@@ -77,37 +68,14 @@ struct FleetResult {
   uint64_t discovery_failures = 0;
   uint64_t final_epoch = 0;        // shard-map epoch clients ended on
 
-  // Recovery timeline: successes per virtual second since simulation start.
-  std::vector<uint64_t> bucket_ok;
-  size_t win_start_bucket = 0;
-  size_t win_end_bucket = 0;
-  // Crash drill landmarks (valid when the drill ran).
-  size_t crash_bucket = 0;
-  size_t restored_bucket = 0;  // restart + readd + grace
+  size_t restored_bucket = 0;  // crash drill: restart + readd + grace
 
-  // Scale / cost figures.
-  double sim_seconds = 0;   // virtual end time
-  double wall_seconds = 0;  // host wall clock spent inside the simulation
-  uint64_t events = 0;      // sim::Engine::events_processed()
-  uint64_t actors = 0;      // sim::Engine::actors_spawned()
-  uint64_t sim_errors = 0;  // detached-actor exceptions (should be 0)
-
-  std::map<std::string, double> metrics;  // engine registry snapshot
-
-  FleetResult() = default;
-
-  /// Order-independent-of-nothing digest of every observable count: two
-  /// runs with identical options must produce identical fingerprints.
-  /// (wall_seconds and the metrics snapshot are excluded: wall time is
-  /// nondeterministic by nature and the snapshot is derived state.)
+  /// Digest of every observable count: two runs with identical options
+  /// must produce identical fingerprints.
   uint64_t fingerprint() const;
 
   /// Latency percentile over the in-window successes, in milliseconds.
   double percentile_ms(double q) const;
-
-  /// Mean bucket_ok over [from, to) — the goodput plateau helpers the
-  /// crash-recovery gates use.
-  double mean_goodput(size_t from, size_t to) const;
 };
 
 /// Builds the fleet topology, runs the workload, returns the measurements.

@@ -89,6 +89,18 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
+std::map<std::string, double> MetricsRegistry::flat_snapshot() const {
+  std::map<std::string, double> out;
+  for (const auto& [name, c] : counters_) {
+    out[name] = static_cast<double>(c.value());
+  }
+  for (const auto& [name, g] : gauges_) {
+    out[name] = static_cast<double>(g.value());
+    out[name + ".max"] = static_cast<double>(g.max());
+  }
+  return out;
+}
+
 void MetricsRegistry::reset() {
   for (auto& [name, c] : counters_) c.reset();
   for (auto& [name, g] : gauges_) g.reset();

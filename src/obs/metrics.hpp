@@ -126,6 +126,10 @@ class MetricsRegistry {
     uint64_t counter_value(const std::string& name) const;
   };
   Snapshot snapshot() const;
+  /// Counter values and gauge values (plus each gauge's high-water mark as
+  /// `<name>.max`) in one name -> value map: the form bench JSON rows and
+  /// harness results carry.
+  std::map<std::string, double> flat_snapshot() const;
 
   /// Zeroes every registered instrument, keeping registrations (and thus
   /// any cached references) valid.
