@@ -179,6 +179,15 @@ void UnstableLedger::drop_file(uint64_t fileid, uint64_t from_block) {
   if (track_bytes_) m_bytes_.add(-dropped);
 }
 
+void UnstableLedger::trim(const BlockKey& key, size_t len) {
+  auto it = shadows_.find(key);
+  if (it == shadows_.end() || it->second.size() <= len) return;
+  if (track_bytes_) {
+    m_bytes_.add(-static_cast<int64_t>(it->second.size() - len));
+  }
+  it->second = it->second.slice(0, len);
+}
+
 void UnstableLedger::clear() {
   int64_t dropped = 0;
   for (const auto& [key, chain] : shadows_) {

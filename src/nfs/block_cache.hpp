@@ -138,6 +138,8 @@ class UnstableLedger {
   std::set<uint64_t> files() const;
   /// Drops the file's shadows for blocks numbered `from_block` and up.
   void drop_file(uint64_t fileid, uint64_t from_block = 0);
+  /// Cuts the key's shadow to its first `len` bytes (a truncate).
+  void trim(const BlockKey& key, size_t len);
   void clear();
 
   std::optional<uint64_t> verf() const { return verf_; }

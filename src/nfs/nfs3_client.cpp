@@ -647,13 +647,20 @@ sim::Task<uint32_t> MountPoint::access(const std::string& path,
 sim::Task<void> MountPoint::truncate(const std::string& path,
                                      uint64_t size) {
   Fh fh = co_await walk(path);
+  // Like a kernel client, write dirty blocks back before the size changes:
+  // dropping them would lose the bytes below the new size.
+  co_await flush_file(fh, /*commit=*/false);
   co_await charge(Proc3::kSetattr);
   vfs::SetAttrs sattr;
   sattr.size = size;
   WccRes res = co_await ops_->setattr(fh, sattr);
   throw_if_error(res.status);
   invalidate_file(fh.fileid);
-  ledger_.drop_file(fh.fileid);
+  // Shadows past the new end must never be replayed; the one holding the
+  // end keeps only the bytes before it.
+  const uint64_t bs = config_.block_size;
+  ledger_.drop_file(fh.fileid, (size + bs - 1) / bs);
+  ledger_.trim(BlockKey{fh.fileid, size / bs}, size % bs);
   maybe_remember(fh, res.post_attrs);
 }
 

@@ -760,6 +760,7 @@ void ClientProxy::invalidate_dir(uint64_t dir_fileid) {
 ClientProxy::Block* ClientProxy::overlay_block(
     const BlockKey& key, uint32_t valid, bool absorb,
     const std::function<void(MutByteView)>& copy_in) {
+  if (!absorb && cache_.is_dirty(key)) return nullptr;
   if (!config_.cache.encryption) {
     Block& b = cache_.insert(key);
     copy_in(MutByteView(b.data.data(), b.data.size()));
@@ -1166,7 +1167,9 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
         if (aligned) {
           const Block* hit = cache_.find(rkey);
           auto at = attrs_.find(a.fh.fileid);
-          if (hit && at != attrs_.end() && attrs_fresh(at->second)) {
+          // A dirty block is the newest copy whatever the attributes say.
+          if (hit && at != attrs_.end() &&
+              (cache_.is_dirty(rkey) || attrs_fresh(at->second))) {
             // Sealed cache: verify before serving.  During bypass only
             // dirty blocks (the sole copy of absorbed writes) are served
             // from cache; everything else reads through.
@@ -1411,11 +1414,23 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
       auto res = nfs::WccRes::decode(rdec);
       if (res.status == Status::kOk) {
         if (a.sattr.size) {
-          // Truncate: drop cached blocks beyond the new size.
-          const uint64_t keep_blocks = (*a.sattr.size + bs - 1) / bs;
+          // Truncate: drop cached blocks beyond the new size, and cut the
+          // block holding the new end back to it, so neither its write-back
+          // nor a verifier replay of its shadow regrows the file.
+          const uint64_t size = *a.sattr.size;
+          const uint64_t keep_blocks = (size + bs - 1) / bs;
           cancelled_writeback_bytes_ +=
               cache_.erase_file(a.fh.fileid, keep_blocks);
           ledger_.drop_file(a.fh.fileid, keep_blocks);
+          const BlockKey end{a.fh.fileid, size / bs};
+          const auto end_len = static_cast<uint32_t>(size % bs);
+          if (Block* b = cache_.find(end); b && b->valid > end_len) {
+            if (cache_.is_dirty(end)) {
+              cancelled_writeback_bytes_ += b->valid - end_len;
+            }
+            b->valid = end_len;
+          }
+          ledger_.trim(end, end_len);
         }
         remember(a.fh, res.post_attrs, /*server_size=*/a.sattr.size.has_value());
       }

@@ -217,10 +217,11 @@ class ClientProxy : public rpc::RpcProgram,
   void invalidate_dir(uint64_t dir_fileid);
   /// Lays the bytes `copy_in` writes over the block's current plaintext
   /// and stores the result (sealed at a fresh generation with encryption
-  /// on), raising its valid prefix to `valid`.  A sealed block that fails
-  /// verification is poison-evicted first; if that trips the bypass, a fill
-  /// stores nothing (nullptr) while an absorbed write still lands, being
-  /// the only copy of its bytes.
+  /// on), raising its valid prefix to `valid`.  A fill (not `absorb`)
+  /// stores nothing (nullptr) over a dirty block, whose bytes are newer
+  /// than the server's.  A sealed block that fails verification is
+  /// poison-evicted first; if that trips the bypass, a fill stores nothing
+  /// while an absorbed write still lands, being the only copy of its bytes.
   Block* overlay_block(const BlockKey& key, uint32_t valid, bool absorb,
                        const std::function<void(MutByteView)>& copy_in);
   sim::Task<void> evict_if_needed();

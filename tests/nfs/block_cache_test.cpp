@@ -377,5 +377,19 @@ TEST(UnstableLedger, ByteGaugeTracksShadowsWhenEnabled) {
   EXPECT_EQ(ledger.size(), 0u);
 }
 
+TEST(UnstableLedger, TrimCutsAShadowToATruncatedLength) {
+  Engine eng;
+  auto& m = eng.metrics();
+  UnstableLedger ledger(m, "t.recovery", true);
+  ledger.put(BlockKey(1, 0), bytes_of(100, 1));
+  ledger.trim(BlockKey(1, 0), 40);
+  ledger.trim(BlockKey(1, 0), 60);  // never grows a shadow back
+  ledger.trim(BlockKey(9, 0), 10);  // no shadow: nothing to do
+  ASSERT_NE(ledger.find(BlockKey(1, 0)), nullptr);
+  EXPECT_EQ(ledger.find(BlockKey(1, 0))->size(), 40u);
+  EXPECT_EQ(m.gauge_value("t.recovery.uncommitted_bytes"), 40);
+  EXPECT_EQ(ledger.size(), 1u);
+}
+
 }  // namespace
 }  // namespace sgfs::nfs

@@ -196,6 +196,19 @@ TEST_P(NfsEndToEnd, TruncateAndAppend) {
   }(rig, GetParam()));
 }
 
+TEST_P(NfsEndToEnd, TruncateKeepsDirtyBytesBelowTheNewSize) {
+  Rig rig;
+  rig.eng.run_task([](Rig& rig, bool v4) -> Task<void> {
+    auto mp = co_await rig.do_mount(v4);
+    int fd = co_await mp->open("data/cut.txt", kWrOnly | kCreate);
+    co_await mp->write(fd, to_bytes("hello grid"));  // dirty, not flushed
+    co_await mp->truncate("data/cut.txt", 5);
+    co_await mp->close(fd);
+    auto content = rig.fs->read_file(vfs::Cred(0, 0), "/GFS/data/cut.txt");
+    EXPECT_EQ(sgfs::to_string(content.value), "hello");
+  }(rig, GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(Versions, NfsEndToEnd, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "v4" : "v3";

@@ -5,6 +5,7 @@
 
 #include "nfs/nfs3_client.hpp"
 #include "nfs/nfs3_server.hpp"
+#include "nfs/wire_ops.hpp"
 #include "obs/metrics.hpp"
 #include "sgfs/client_proxy.hpp"
 #include "sgfs/server_proxy.hpp"
@@ -348,8 +349,10 @@ TEST(Sgfs, RemoveCancelsPendingWriteback) {
 // the size of its absorbed writes, not the server's stale one.  The reopen
 // forwards ACCESS (and, once the proxy's own attributes expire in revalidate
 // mode, GETATTR): both replies carry the server's view of a file whose
-// newest bytes exist only in the proxy's cache.
-enum class Shape { kNewFile, kAppend, kTruncateThenWrite };
+// newest bytes exist only in the proxy's cache.  kDirtyReread overwrites an
+// older version, then reads the dirty block straight through the proxy after
+// the proxy's attributes for the file expired, with no GETATTR first.
+enum class Shape { kNewFile, kAppend, kTruncateThenWrite, kDirtyReread };
 
 struct StaleSizeCase {
   Consistency consistency;
@@ -386,20 +389,41 @@ TEST_P(WriteBackStaleSize, ReopenAfterAttrTimeoutSeesAbsorbedSize) {
     uint32_t flags = nfs::kWrOnly | nfs::kCreate;
     if (shape == Shape::kAppend) flags = nfs::kWrOnly | nfs::kAppend;
     if (shape == Shape::kTruncateThenWrite) flags = nfs::kWrOnly | nfs::kTrunc;
+    if (shape == Shape::kDirtyReread) flags = nfs::kWrOnly;  // overwrite
     const Buffer update = rng.bytes(shape == Shape::kAppend ? 2000 : 5000);
+    const size_t overwritten = std::min<size_t>(expected.size(), 5000);
+    const Buffer old_tail(expected.begin() + overwritten, expected.end());
     int fd = co_await mp->open("out.dat", flags);
     co_await mp->write(fd, update);
     co_await mp->close(fd);
     if (shape != Shape::kAppend) expected.clear();
     expected.insert(expected.end(), update.begin(), update.end());
+    if (shape == Shape::kDirtyReread) {
+      expected.insert(expected.end(), old_tail.begin(), old_tail.end());
+    }
     EXPECT_GT(grid.client_proxy->dirty_bytes(), 0u);  // not written back
 
-    co_await grid.eng.sleep(5 * sim::kSecond);  // past the kernel's ac_min
-    fd = co_await mp->open("out.dat", nfs::kRdOnly);
     Buffer back(expected.size() + 100);
-    const size_t n = co_await mp->read(fd, back);
-    co_await mp->close(fd);
-    back.resize(n);
+    if (shape == Shape::kDirtyReread) {
+      // A second client on the host, past the kernel's page cache.
+      const rpc::AuthSys job_account(1000, 1000, "compute");
+      const net::Address local_proxy("compute", 2049);
+      auto ops = co_await nfs::V3WireOps::connect(*grid.compute, local_proxy,
+                                                  job_account);
+      const nfs::Fh root = co_await ops->mount("/GFS/alice");
+      const nfs::LookupRes file = co_await ops->lookup(root, "out.dat");
+      co_await grid.eng.sleep(5 * sim::kSecond);  // past the proxy's TTL
+      const nfs::ReadRes r = co_await ops->read(file.fh, 0, 32 * 1024);
+      ops->close();
+      Buffer scratch;
+      const ByteView got = linearize(r.data, scratch);
+      back.assign(got.begin(), got.end());
+    } else {
+      co_await grid.eng.sleep(5 * sim::kSecond);  // past the kernel's ac_min
+      fd = co_await mp->open("out.dat", nfs::kRdOnly);
+      back.resize(co_await mp->read(fd, back));
+      co_await mp->close(fd);
+    }
     EXPECT_EQ(back, expected);
     const vfs::Attributes attrs = co_await mp->stat("out.dat");
     EXPECT_EQ(attrs.size, expected.size());
@@ -415,7 +439,7 @@ TEST_P(WriteBackStaleSize, ReopenAfterAttrTimeoutSeesAbsorbedSize) {
 std::string stale_size_name(
     const ::testing::TestParamInfo<StaleSizeCase>& info) {
   static const char* const kShapes[] = {"new_file", "append",
-                                        "truncate_then_write"};
+                                        "truncate_then_write", "dirty_reread"};
   const char* mode = info.param.consistency == Consistency::kSessionExclusive
                          ? "session_exclusive_"
                          : "revalidate_";
@@ -431,8 +455,32 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape::kTruncateThenWrite),
         StaleSizeCase(Consistency::kRevalidate, Shape::kNewFile),
         StaleSizeCase(Consistency::kRevalidate, Shape::kAppend),
-        StaleSizeCase(Consistency::kRevalidate, Shape::kTruncateThenWrite)),
+        StaleSizeCase(Consistency::kRevalidate, Shape::kTruncateThenWrite),
+        StaleSizeCase(Consistency::kSessionExclusive, Shape::kDirtyReread),
+        StaleSizeCase(Consistency::kRevalidate, Shape::kDirtyReread)),
     stale_size_name);
+
+// A SETATTR that cuts a file inside a dirty block cuts the block too: its
+// write-back must not grow the file back past the new size.
+TEST(Sgfs, WriteBackTruncateIntoDirtyBlockKeepsNewSize) {
+  Grid grid(pki().alice);
+  grid.eng.run_task([](Grid& grid) -> Task<void> {
+    auto mp = co_await grid.mount_session();
+    Rng rng(47);
+    const Buffer payload = rng.bytes(20000);
+    int fd = co_await mp->open("cut.dat", nfs::kWrOnly | nfs::kCreate);
+    co_await mp->write(fd, payload);
+    co_await mp->close(fd);
+    EXPECT_GT(grid.client_proxy->dirty_bytes(), 0u);  // not written back
+
+    co_await mp->truncate("cut.dat", 7000);
+    co_await grid.client_proxy->flush();
+    auto stored = grid.fs->read_file(vfs::Cred(0, 0), "/GFS/alice/cut.dat");
+    EXPECT_EQ(stored.value, Buffer(payload.begin(), payload.begin() + 7000));
+    EXPECT_EQ((co_await mp->stat("cut.dat")).size, 7000u);
+  }(grid));
+  EXPECT_TRUE(grid.eng.errors().empty());
+}
 
 TEST(Sgfs, ProxyCacheServesAfterKernelCacheDrop) {
   Grid grid(pki().alice);
