@@ -1,5 +1,6 @@
 // Microbenchmarks (wall clock, google-benchmark): throughput of the
-// from-scratch crypto used on every SGFS byte.  These validate that the
+// from-scratch crypto used on every SGFS byte, on the hardware path the CPU
+// supports and on the scalar reference.  These validate that the
 // *real* transformations behind the simulation are genuine work.
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "crypto/accel.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/merkle.hpp"
@@ -26,36 +28,53 @@ Buffer payload(size_t n) {
   return rng.bytes(n);
 }
 
-void BM_Sha1(benchmark::State& state) {
+// Each hash/HMAC/AES row has a *Scalar twin at the same sizes: the same
+// code pinned to the scalar reference kernels (crypto/accel.hpp), so one
+// run shows what the hardware path buys on this CPU.
+
+template <typename Hash>
+void hash_row(benchmark::State& state) {
   Buffer data = payload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha1::hash(data));
+    benchmark::DoNotOptimize(Hash::hash(data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+void BM_Sha1(benchmark::State& state) { hash_row<Sha1>(state); }
+void BM_Sha1Scalar(benchmark::State& state) {
+  hash_row<accel::ScalarSha1>(state);
 }
 BENCHMARK(BM_Sha1)->Arg(1024)->Arg(32 * 1024)->Arg(1024 * 1024);
+BENCHMARK(BM_Sha1Scalar)->Arg(1024)->Arg(32 * 1024)->Arg(1024 * 1024);
 
-void BM_Sha256(benchmark::State& state) {
-  Buffer data = payload(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::hash(data));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
+void BM_Sha256(benchmark::State& state) { hash_row<Sha256>(state); }
+void BM_Sha256Scalar(benchmark::State& state) {
+  hash_row<accel::ScalarSha256>(state);
 }
 BENCHMARK(BM_Sha256)->Arg(32 * 1024);
+BENCHMARK(BM_Sha256Scalar)->Arg(32 * 1024);
 
-void BM_HmacSha1(benchmark::State& state) {
+template <typename Hash>
+void hmac_row(benchmark::State& state) {
   Buffer key = payload(20);
   Buffer data = payload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(HmacSha1::mac(key, data));
+    benchmark::DoNotOptimize(Hmac<Hash>::mac(key, data));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HmacSha1)->Arg(32 * 1024);
 
-void BM_Aes256CbcEncrypt(benchmark::State& state) {
-  Aes aes(payload(32));
+void BM_HmacSha1(benchmark::State& state) { hmac_row<Sha1>(state); }
+void BM_HmacSha1Scalar(benchmark::State& state) {
+  hmac_row<accel::ScalarSha1>(state);
+}
+BENCHMARK(BM_HmacSha1)->Arg(32 * 1024);
+BENCHMARK(BM_HmacSha1Scalar)->Arg(32 * 1024);
+
+template <typename Cipher>
+void aes_encrypt_row(benchmark::State& state) {
+  Cipher aes(payload(32));
   Buffer iv = payload(16);
   Buffer data = payload(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -63,10 +82,10 @@ void BM_Aes256CbcEncrypt(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Aes256CbcEncrypt)->Arg(32 * 1024);
 
-void BM_Aes256CbcDecrypt(benchmark::State& state) {
-  Aes aes(payload(32));
+template <typename Cipher>
+void aes_decrypt_row(benchmark::State& state) {
+  Cipher aes(payload(32));
   Buffer iv = payload(16);
   Buffer ct = aes_cbc_encrypt(aes, iv, payload(static_cast<size_t>(
                                            state.range(0))));
@@ -75,7 +94,24 @@ void BM_Aes256CbcDecrypt(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
+
+void BM_Aes256CbcEncrypt(benchmark::State& state) {
+  aes_encrypt_row<Aes>(state);
+}
+void BM_Aes256CbcEncryptScalar(benchmark::State& state) {
+  aes_encrypt_row<accel::ScalarAes>(state);
+}
+BENCHMARK(BM_Aes256CbcEncrypt)->Arg(32 * 1024);
+BENCHMARK(BM_Aes256CbcEncryptScalar)->Arg(32 * 1024);
+
+void BM_Aes256CbcDecrypt(benchmark::State& state) {
+  aes_decrypt_row<Aes>(state);
+}
+void BM_Aes256CbcDecryptScalar(benchmark::State& state) {
+  aes_decrypt_row<accel::ScalarAes>(state);
+}
 BENCHMARK(BM_Aes256CbcDecrypt)->Arg(32 * 1024);
+BENCHMARK(BM_Aes256CbcDecryptScalar)->Arg(32 * 1024);
 
 void BM_Rc4(benchmark::State& state) {
   Buffer key = payload(16);

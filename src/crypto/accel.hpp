@@ -1,0 +1,81 @@
+// Internal: the scalar and hardware kernels behind Sha1, Sha256 and Aes.
+//
+// Callers never include this header; `Sha1()`, `Sha256()` and `Aes(key)`
+// pick the fastest kernel the CPU runs (CPUID is read once per primitive and
+// cached).  Only sha.cpp, aes.cpp, the equivalence tests and micro_crypto
+// include it: they name a kernel explicitly to cross-check the hardware path
+// against the scalar reference and to time one against the other.  There is
+// no switch that forces a path at run time; the scalar kernels are the
+// fallback on CPUs without the instructions and the reference here.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+#include "common/bytes.hpp"
+#include "crypto/aes.hpp"
+#include "crypto/sha.hpp"
+
+namespace sgfs::crypto::accel {
+
+/// CPUID, read once and cached.  Always false off x86-64.
+bool cpu_has_aesni();  // AES-NI + SSE4.1
+bool cpu_has_shani();  // SHA extensions + SSE4.1
+
+// Compression functions over `n` whole 64-byte blocks (Sha1::BlockFn).
+void sha1_blocks_scalar(uint32_t* state, const uint8_t* blocks, size_t n);
+void sha256_blocks_scalar(uint32_t* state, const uint8_t* blocks, size_t n);
+
+// CBC over `n` whole 16-byte blocks (Aes::CbcRun).  Encrypt takes the
+// encryption round keys, decrypt the equivalent-inverse ones.
+void aes_cbc_encrypt_scalar(const uint8_t* round_keys, int rounds,
+                            uint8_t* chain, const uint8_t* in, uint8_t* out,
+                            size_t n);
+void aes_cbc_decrypt_scalar(const uint8_t* round_keys, int rounds,
+                            uint8_t* chain, const uint8_t* in, uint8_t* out,
+                            size_t n);
+
+#if defined(__x86_64__)
+// Hardware kernels; call only when the matching cpu_has_*() is true.
+void sha1_blocks_shani(uint32_t* state, const uint8_t* blocks, size_t n);
+void sha256_blocks_shani(uint32_t* state, const uint8_t* blocks, size_t n);
+void aes_cbc_encrypt_aesni(const uint8_t* round_keys, int rounds,
+                           uint8_t* chain, const uint8_t* in, uint8_t* out,
+                           size_t n);
+void aes_cbc_decrypt_aesni(const uint8_t* round_keys, int rounds,
+                           uint8_t* chain, const uint8_t* in, uint8_t* out,
+                           size_t n);
+#endif
+
+/// A hash bound to one named compression kernel.  Usable wherever the hash
+/// is, including as Hmac<PinnedHash<...>>.
+template <typename Hash, typename Hash::BlockFn Kernel>
+class PinnedHash : public Hash {
+ public:
+  PinnedHash() : Hash(Kernel) {}
+
+  static typename Hash::Digest hash(ByteView data) {
+    PinnedHash h;
+    h.update(data);
+    return h.finish();
+  }
+};
+
+/// An AES key bound to one named pair of CBC kernels.
+template <Aes::CbcRun Encrypt, Aes::CbcRun Decrypt>
+class PinnedAes : public Aes {
+ public:
+  explicit PinnedAes(ByteView key) : Aes(key, Encrypt, Decrypt) {}
+};
+
+using ScalarSha1 = PinnedHash<Sha1, sha1_blocks_scalar>;
+using ScalarSha256 = PinnedHash<Sha256, sha256_blocks_scalar>;
+using ScalarAes = PinnedAes<aes_cbc_encrypt_scalar, aes_cbc_decrypt_scalar>;
+
+#if defined(__x86_64__)
+using ShaNiSha1 = PinnedHash<Sha1, sha1_blocks_shani>;
+using ShaNiSha256 = PinnedHash<Sha256, sha256_blocks_shani>;
+using AesNi = PinnedAes<aes_cbc_encrypt_aesni, aes_cbc_decrypt_aesni>;
+#endif
+
+}  // namespace sgfs::crypto::accel

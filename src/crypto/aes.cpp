@@ -3,6 +3,13 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "crypto/accel.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace sgfs::crypto {
 
 namespace {
@@ -118,20 +125,183 @@ uint32_t inv_mix(uint32_t w) {
          (static_cast<uint32_t>(o[2]) << 8) | static_cast<uint32_t>(o[3]);
 }
 
+// T-table rounds over round keys stored as big-endian words.
+void encrypt_block_scalar(const uint8_t* rk, int rounds, const uint8_t in[16],
+                          uint8_t out[16]) {
+  const auto& t = tables();
+  uint32_t s0 = load_be32(in) ^ load_be32(rk);
+  uint32_t s1 = load_be32(in + 4) ^ load_be32(rk + 4);
+  uint32_t s2 = load_be32(in + 8) ^ load_be32(rk + 8);
+  uint32_t s3 = load_be32(in + 12) ^ load_be32(rk + 12);
+  for (int r = 1; r < rounds; ++r) {
+    rk += 16;
+    uint32_t t0 = t.te[0][s0 >> 24] ^ t.te[1][(s1 >> 16) & 0xff] ^
+                  t.te[2][(s2 >> 8) & 0xff] ^ t.te[3][s3 & 0xff] ^
+                  load_be32(rk);
+    uint32_t t1 = t.te[0][s1 >> 24] ^ t.te[1][(s2 >> 16) & 0xff] ^
+                  t.te[2][(s3 >> 8) & 0xff] ^ t.te[3][s0 & 0xff] ^
+                  load_be32(rk + 4);
+    uint32_t t2 = t.te[0][s2 >> 24] ^ t.te[1][(s3 >> 16) & 0xff] ^
+                  t.te[2][(s0 >> 8) & 0xff] ^ t.te[3][s1 & 0xff] ^
+                  load_be32(rk + 8);
+    uint32_t t3 = t.te[0][s3 >> 24] ^ t.te[1][(s0 >> 16) & 0xff] ^
+                  t.te[2][(s1 >> 8) & 0xff] ^ t.te[3][s2 & 0xff] ^
+                  load_be32(rk + 12);
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
+  }
+  rk += 16;
+  auto final_word = [&](uint32_t a, uint32_t b, uint32_t c, uint32_t d,
+                        const uint8_t* k) {
+    return ((static_cast<uint32_t>(t.sbox[a >> 24]) << 24) |
+            (static_cast<uint32_t>(t.sbox[(b >> 16) & 0xff]) << 16) |
+            (static_cast<uint32_t>(t.sbox[(c >> 8) & 0xff]) << 8) |
+            static_cast<uint32_t>(t.sbox[d & 0xff])) ^
+           load_be32(k);
+  };
+  store_be32(out, final_word(s0, s1, s2, s3, rk));
+  store_be32(out + 4, final_word(s1, s2, s3, s0, rk + 4));
+  store_be32(out + 8, final_word(s2, s3, s0, s1, rk + 8));
+  store_be32(out + 12, final_word(s3, s0, s1, s2, rk + 12));
+}
+
+void decrypt_block_scalar(const uint8_t* rk, int rounds, const uint8_t in[16],
+                          uint8_t out[16]) {
+  const auto& t = tables();
+  uint32_t s0 = load_be32(in) ^ load_be32(rk);
+  uint32_t s1 = load_be32(in + 4) ^ load_be32(rk + 4);
+  uint32_t s2 = load_be32(in + 8) ^ load_be32(rk + 8);
+  uint32_t s3 = load_be32(in + 12) ^ load_be32(rk + 12);
+  for (int r = 1; r < rounds; ++r) {
+    rk += 16;
+    uint32_t t0 = t.td[0][s0 >> 24] ^ t.td[1][(s3 >> 16) & 0xff] ^
+                  t.td[2][(s2 >> 8) & 0xff] ^ t.td[3][s1 & 0xff] ^
+                  load_be32(rk);
+    uint32_t t1 = t.td[0][s1 >> 24] ^ t.td[1][(s0 >> 16) & 0xff] ^
+                  t.td[2][(s3 >> 8) & 0xff] ^ t.td[3][s2 & 0xff] ^
+                  load_be32(rk + 4);
+    uint32_t t2 = t.td[0][s2 >> 24] ^ t.td[1][(s1 >> 16) & 0xff] ^
+                  t.td[2][(s0 >> 8) & 0xff] ^ t.td[3][s3 & 0xff] ^
+                  load_be32(rk + 8);
+    uint32_t t3 = t.td[0][s3 >> 24] ^ t.td[1][(s2 >> 16) & 0xff] ^
+                  t.td[2][(s1 >> 8) & 0xff] ^ t.td[3][s0 & 0xff] ^
+                  load_be32(rk + 12);
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
+  }
+  rk += 16;
+  auto final_word = [&](uint32_t a, uint32_t b, uint32_t c, uint32_t d,
+                        const uint8_t* k) {
+    return ((static_cast<uint32_t>(t.inv_sbox[a >> 24]) << 24) |
+            (static_cast<uint32_t>(t.inv_sbox[(b >> 16) & 0xff]) << 16) |
+            (static_cast<uint32_t>(t.inv_sbox[(c >> 8) & 0xff]) << 8) |
+            static_cast<uint32_t>(t.inv_sbox[d & 0xff])) ^
+           load_be32(k);
+  };
+  store_be32(out, final_word(s0, s3, s2, s1, rk));
+  store_be32(out + 4, final_word(s1, s0, s3, s2, rk + 4));
+  store_be32(out + 8, final_word(s2, s1, s0, s3, rk + 8));
+  store_be32(out + 12, final_word(s3, s2, s1, s0, rk + 12));
+}
+
+void xor_block(uint8_t* dst, const uint8_t* a, const uint8_t* b) {
+  for (size_t i = 0; i < Aes::kBlockSize; ++i) dst[i] = a[i] ^ b[i];
+}
+
+Aes::CbcRun best_encrypt_run() {
+#if defined(__x86_64__)
+  if (accel::cpu_has_aesni()) return accel::aes_cbc_encrypt_aesni;
+#endif
+  return accel::aes_cbc_encrypt_scalar;
+}
+
+Aes::CbcRun best_decrypt_run() {
+#if defined(__x86_64__)
+  if (accel::cpu_has_aesni()) return accel::aes_cbc_decrypt_aesni;
+#endif
+  return accel::aes_cbc_decrypt_scalar;
+}
+
+void check_iv(ByteView iv) {
+  if (iv.size() != Aes::kBlockSize) {
+    throw std::invalid_argument("CBC IV must be 16 bytes");
+  }
+}
+
+// CBC-encrypts a plaintext arriving in pieces, PKCS#7-padded.  Whole blocks
+// inside a piece go straight to the kernel; only a block that straddles two
+// pieces (and the final padded block) passes through the staging block.
+class CbcWriter {
+ public:
+  CbcWriter(const Aes& aes, ByteView iv, size_t plaintext_len)
+      : aes_(aes),
+        out_(plaintext_len + Aes::kBlockSize -
+             plaintext_len % Aes::kBlockSize),
+        dst_(out_.data()) {
+    check_iv(iv);
+    std::memcpy(chain_, iv.data(), Aes::kBlockSize);
+  }
+
+  void feed(const uint8_t* p, size_t n) {
+    if (n == 0) return;
+    if (fill_ > 0) {
+      const size_t take = std::min(n, Aes::kBlockSize - fill_);
+      std::memcpy(staging_ + fill_, p, take);
+      fill_ += take;
+      p += take;
+      n -= take;
+      if (fill_ < Aes::kBlockSize) return;
+      run(staging_, 1);
+      fill_ = 0;
+    }
+    run(p, n / Aes::kBlockSize);
+    p += n - n % Aes::kBlockSize;
+    fill_ = n % Aes::kBlockSize;
+    std::memcpy(staging_, p, fill_);
+  }
+
+  Buffer finish() {
+    const size_t pad = Aes::kBlockSize - fill_;
+    std::memset(staging_ + fill_, static_cast<int>(pad), pad);
+    run(staging_, 1);
+    return std::move(out_);
+  }
+
+ private:
+  void run(const uint8_t* p, size_t blocks) {
+    aes_.cbc_encrypt_run(chain_, p, dst_, blocks);
+    dst_ += blocks * Aes::kBlockSize;
+  }
+
+  const Aes& aes_;
+  Buffer out_;
+  uint8_t* dst_;
+  uint8_t chain_[Aes::kBlockSize];
+  uint8_t staging_[Aes::kBlockSize];
+  size_t fill_ = 0;  // plaintext bytes staged for the next block
+};
+
 }  // namespace
 
-Aes::Aes(ByteView key) {
+Aes::Aes(ByteView key) : Aes(key, best_encrypt_run(), best_decrypt_run()) {}
+
+Aes::Aes(ByteView key, CbcRun encrypt, CbcRun decrypt)
+    : encrypt_(encrypt), decrypt_(decrypt) {
   const size_t nk = key.size() / 4;  // key length in words
   if (key.size() != 16 && key.size() != 32) {
     throw std::invalid_argument("AES key must be 16 or 32 bytes");
   }
   rounds_ = static_cast<int>(nk) + 6;  // 10 or 14
   const size_t total = 4 * (rounds_ + 1);
-  ek_.resize(total);
-  for (size_t i = 0; i < nk; ++i) ek_[i] = load_be32(key.data() + 4 * i);
+  uint32_t w[kMaxRoundKeyBytes / 4];
+  for (size_t i = 0; i < nk; ++i) w[i] = load_be32(key.data() + 4 * i);
   uint32_t rcon = 0x01000000u;
   for (size_t i = nk; i < total; ++i) {
-    uint32_t temp = ek_[i - 1];
+    uint32_t temp = w[i - 1];
     if (i % nk == 0) {
       temp = sub_word(rot_word(temp)) ^ rcon;
       rcon = static_cast<uint32_t>(xtime(static_cast<uint8_t>(rcon >> 24)))
@@ -139,171 +309,53 @@ Aes::Aes(ByteView key) {
     } else if (nk == 8 && i % nk == 4) {
       temp = sub_word(temp);
     }
-    ek_[i] = ek_[i - nk] ^ temp;
+    w[i] = w[i - nk] ^ temp;
   }
-  // Equivalent inverse cipher round keys: reverse order, InvMixColumns on
-  // all but the first and last rounds.
-  dk_.resize(total);
+  // ek_ is the schedule as is; dk_ is the equivalent inverse cipher's:
+  // reverse order, InvMixColumns on all but the first and last rounds.
   for (int r = 0; r <= rounds_; ++r) {
     for (int c = 0; c < 4; ++c) {
-      uint32_t w = ek_[4 * (rounds_ - r) + c];
-      dk_[4 * r + c] = (r == 0 || r == rounds_) ? w : inv_mix(w);
+      const uint32_t word = w[4 * (rounds_ - r) + c];
+      store_be32(&ek_[16 * (rounds_ - r) + 4 * c], word);
+      store_be32(&dk_[16 * r + 4 * c],
+                 (r == 0 || r == rounds_) ? word : inv_mix(word));
     }
   }
 }
 
 void Aes::encrypt_block(const uint8_t in[16], uint8_t out[16]) const {
-  const auto& t = tables();
-  uint32_t s0 = load_be32(in) ^ ek_[0];
-  uint32_t s1 = load_be32(in + 4) ^ ek_[1];
-  uint32_t s2 = load_be32(in + 8) ^ ek_[2];
-  uint32_t s3 = load_be32(in + 12) ^ ek_[3];
-  for (int r = 1; r < rounds_; ++r) {
-    const uint32_t* rk = &ek_[4 * r];
-    uint32_t t0 = t.te[0][s0 >> 24] ^ t.te[1][(s1 >> 16) & 0xff] ^
-                  t.te[2][(s2 >> 8) & 0xff] ^ t.te[3][s3 & 0xff] ^ rk[0];
-    uint32_t t1 = t.te[0][s1 >> 24] ^ t.te[1][(s2 >> 16) & 0xff] ^
-                  t.te[2][(s3 >> 8) & 0xff] ^ t.te[3][s0 & 0xff] ^ rk[1];
-    uint32_t t2 = t.te[0][s2 >> 24] ^ t.te[1][(s3 >> 16) & 0xff] ^
-                  t.te[2][(s0 >> 8) & 0xff] ^ t.te[3][s1 & 0xff] ^ rk[2];
-    uint32_t t3 = t.te[0][s3 >> 24] ^ t.te[1][(s0 >> 16) & 0xff] ^
-                  t.te[2][(s1 >> 8) & 0xff] ^ t.te[3][s2 & 0xff] ^ rk[3];
-    s0 = t0;
-    s1 = t1;
-    s2 = t2;
-    s3 = t3;
-  }
-  const uint32_t* rk = &ek_[4 * rounds_];
-  auto final_word = [&](uint32_t a, uint32_t b, uint32_t c, uint32_t d,
-                        uint32_t k) {
-    return ((static_cast<uint32_t>(t.sbox[a >> 24]) << 24) |
-            (static_cast<uint32_t>(t.sbox[(b >> 16) & 0xff]) << 16) |
-            (static_cast<uint32_t>(t.sbox[(c >> 8) & 0xff]) << 8) |
-            static_cast<uint32_t>(t.sbox[d & 0xff])) ^
-           k;
-  };
-  store_be32(out, final_word(s0, s1, s2, s3, rk[0]));
-  store_be32(out + 4, final_word(s1, s2, s3, s0, rk[1]));
-  store_be32(out + 8, final_word(s2, s3, s0, s1, rk[2]));
-  store_be32(out + 12, final_word(s3, s0, s1, s2, rk[3]));
+  encrypt_block_scalar(ek_.data(), rounds_, in, out);
 }
 
 void Aes::decrypt_block(const uint8_t in[16], uint8_t out[16]) const {
-  const auto& t = tables();
-  uint32_t s0 = load_be32(in) ^ dk_[0];
-  uint32_t s1 = load_be32(in + 4) ^ dk_[1];
-  uint32_t s2 = load_be32(in + 8) ^ dk_[2];
-  uint32_t s3 = load_be32(in + 12) ^ dk_[3];
-  for (int r = 1; r < rounds_; ++r) {
-    const uint32_t* rk = &dk_[4 * r];
-    uint32_t t0 = t.td[0][s0 >> 24] ^ t.td[1][(s3 >> 16) & 0xff] ^
-                  t.td[2][(s2 >> 8) & 0xff] ^ t.td[3][s1 & 0xff] ^ rk[0];
-    uint32_t t1 = t.td[0][s1 >> 24] ^ t.td[1][(s0 >> 16) & 0xff] ^
-                  t.td[2][(s3 >> 8) & 0xff] ^ t.td[3][s2 & 0xff] ^ rk[1];
-    uint32_t t2 = t.td[0][s2 >> 24] ^ t.td[1][(s1 >> 16) & 0xff] ^
-                  t.td[2][(s0 >> 8) & 0xff] ^ t.td[3][s3 & 0xff] ^ rk[2];
-    uint32_t t3 = t.td[0][s3 >> 24] ^ t.td[1][(s2 >> 16) & 0xff] ^
-                  t.td[2][(s1 >> 8) & 0xff] ^ t.td[3][s0 & 0xff] ^ rk[3];
-    s0 = t0;
-    s1 = t1;
-    s2 = t2;
-    s3 = t3;
-  }
-  const uint32_t* rk = &dk_[4 * rounds_];
-  auto final_word = [&](uint32_t a, uint32_t b, uint32_t c, uint32_t d,
-                        uint32_t k) {
-    return ((static_cast<uint32_t>(t.inv_sbox[a >> 24]) << 24) |
-            (static_cast<uint32_t>(t.inv_sbox[(b >> 16) & 0xff]) << 16) |
-            (static_cast<uint32_t>(t.inv_sbox[(c >> 8) & 0xff]) << 8) |
-            static_cast<uint32_t>(t.inv_sbox[d & 0xff])) ^
-           k;
-  };
-  store_be32(out, final_word(s0, s3, s2, s1, rk[0]));
-  store_be32(out + 4, final_word(s1, s0, s3, s2, rk[1]));
-  store_be32(out + 8, final_word(s2, s1, s0, s3, rk[2]));
-  store_be32(out + 12, final_word(s3, s2, s1, s0, rk[3]));
+  decrypt_block_scalar(dk_.data(), rounds_, in, out);
 }
 
 Buffer aes_cbc_encrypt(const Aes& aes, ByteView iv, ByteView plaintext) {
-  if (iv.size() != Aes::kBlockSize) {
-    throw std::invalid_argument("CBC IV must be 16 bytes");
-  }
-  const size_t pad = Aes::kBlockSize - plaintext.size() % Aes::kBlockSize;
-  Buffer padded(plaintext.begin(), plaintext.end());
-  padded.insert(padded.end(), pad, static_cast<uint8_t>(pad));
-  Buffer out(padded.size());
-  uint8_t chain[Aes::kBlockSize];
-  std::memcpy(chain, iv.data(), Aes::kBlockSize);
-  for (size_t off = 0; off < padded.size(); off += Aes::kBlockSize) {
-    uint8_t block[Aes::kBlockSize];
-    for (size_t i = 0; i < Aes::kBlockSize; ++i) {
-      block[i] = padded[off + i] ^ chain[i];
-    }
-    aes.encrypt_block(block, out.data() + off);
-    std::memcpy(chain, out.data() + off, Aes::kBlockSize);
-  }
-  return out;
+  CbcWriter w(aes, iv, plaintext.size());
+  w.feed(plaintext.data(), plaintext.size());
+  return w.finish();
 }
 
 Buffer aes_cbc_encrypt_chain(const Aes& aes, ByteView iv,
                              const BufChain& plaintext) {
-  if (iv.size() != Aes::kBlockSize) {
-    throw std::invalid_argument("CBC IV must be 16 bytes");
-  }
-  const size_t total = plaintext.size();
-  const uint8_t pad =
-      static_cast<uint8_t>(Aes::kBlockSize - total % Aes::kBlockSize);
-  Buffer out(total + pad);
-  uint8_t chain[Aes::kBlockSize];
-  std::memcpy(chain, iv.data(), Aes::kBlockSize);
-  uint8_t staging[Aes::kBlockSize];
-  size_t fill = 0;   // bytes staged for the current block
-  size_t off = 0;    // bytes of `out` produced
-  auto flush_block = [&]() {
-    for (size_t i = 0; i < Aes::kBlockSize; ++i) staging[i] ^= chain[i];
-    aes.encrypt_block(staging, out.data() + off);
-    std::memcpy(chain, out.data() + off, Aes::kBlockSize);
-    off += Aes::kBlockSize;
-    fill = 0;
-  };
-  auto feed = [&](const uint8_t* data, size_t n) {
-    while (n > 0) {
-      const size_t take = std::min(n, Aes::kBlockSize - fill);
-      std::memcpy(staging + fill, data, take);
-      fill += take;
-      data += take;
-      n -= take;
-      if (fill == Aes::kBlockSize) flush_block();
-    }
-  };
+  CbcWriter w(aes, iv, plaintext.size());
   for (const auto& seg : plaintext.segments()) {
-    feed(seg.store->data() + seg.offset, seg.len);
+    w.feed(seg.store->data() + seg.offset, seg.len);
   }
-  const uint8_t pad_bytes[Aes::kBlockSize] = {
-      pad, pad, pad, pad, pad, pad, pad, pad,
-      pad, pad, pad, pad, pad, pad, pad, pad};
-  feed(pad_bytes, pad);
-  return out;
+  return w.finish();
 }
 
 Buffer aes_cbc_decrypt(const Aes& aes, ByteView iv, ByteView ciphertext) {
-  if (iv.size() != Aes::kBlockSize) {
-    throw std::invalid_argument("CBC IV must be 16 bytes");
-  }
+  check_iv(iv);
   if (ciphertext.empty() || ciphertext.size() % Aes::kBlockSize != 0) {
     throw std::runtime_error("CBC ciphertext not block-aligned");
   }
   Buffer out(ciphertext.size());
   uint8_t chain[Aes::kBlockSize];
   std::memcpy(chain, iv.data(), Aes::kBlockSize);
-  for (size_t off = 0; off < ciphertext.size(); off += Aes::kBlockSize) {
-    uint8_t block[Aes::kBlockSize];
-    aes.decrypt_block(ciphertext.data() + off, block);
-    for (size_t i = 0; i < Aes::kBlockSize; ++i) {
-      out[off + i] = block[i] ^ chain[i];
-    }
-    std::memcpy(chain, ciphertext.data() + off, Aes::kBlockSize);
-  }
+  aes.cbc_decrypt_run(chain, ciphertext.data(), out.data(),
+                      ciphertext.size() / Aes::kBlockSize);
   const uint8_t pad = out.back();
   if (pad == 0 || pad > Aes::kBlockSize || pad > out.size()) {
     throw std::runtime_error("CBC padding corrupt");
@@ -317,5 +369,113 @@ Buffer aes_cbc_decrypt(const Aes& aes, ByteView iv, ByteView ciphertext) {
   out.erase(out.end() - pad, out.end());
   return out;
 }
+
+// --- kernels -------------------------------------------------------------------
+
+namespace accel {
+
+void aes_cbc_encrypt_scalar(const uint8_t* round_keys, int rounds,
+                            uint8_t* chain, const uint8_t* in, uint8_t* out,
+                            size_t n) {
+  for (; n > 0; --n, in += Aes::kBlockSize, out += Aes::kBlockSize) {
+    uint8_t block[Aes::kBlockSize];
+    xor_block(block, in, chain);
+    encrypt_block_scalar(round_keys, rounds, block, chain);
+    std::memcpy(out, chain, Aes::kBlockSize);
+  }
+}
+
+void aes_cbc_decrypt_scalar(const uint8_t* round_keys, int rounds,
+                            uint8_t* chain, const uint8_t* in, uint8_t* out,
+                            size_t n) {
+  for (; n > 0; --n, in += Aes::kBlockSize, out += Aes::kBlockSize) {
+    uint8_t ct[Aes::kBlockSize], block[Aes::kBlockSize];
+    std::memcpy(ct, in, Aes::kBlockSize);  // `out` may alias `in`
+    decrypt_block_scalar(round_keys, rounds, ct, block);
+    xor_block(out, block, chain);
+    std::memcpy(chain, ct, Aes::kBlockSize);
+  }
+}
+
+#if defined(__x86_64__)
+
+bool cpu_has_aesni() {
+  static const bool ok = [] {
+    unsigned a, b, c, d;
+    if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+    return (c & bit_AES) != 0 && (c & bit_SSE4_1) != 0;
+  }();
+  return ok;
+}
+
+namespace {
+inline __m128i load128(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline void store128(uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+}  // namespace
+
+__attribute__((target("aes,sse4.1"))) void aes_cbc_encrypt_aesni(
+    const uint8_t* round_keys, int rounds, uint8_t* chain, const uint8_t* in,
+    uint8_t* out, size_t n) {
+  __m128i k[15];
+  for (int r = 0; r <= rounds; ++r) k[r] = load128(round_keys + 16 * r);
+  __m128i c = load128(chain);
+  // Serial by construction: each block's input depends on the last output.
+  for (; n > 0; --n, in += 16, out += 16) {
+    __m128i b = _mm_xor_si128(c, _mm_xor_si128(load128(in), k[0]));
+    for (int r = 1; r < rounds; ++r) b = _mm_aesenc_si128(b, k[r]);
+    c = _mm_aesenclast_si128(b, k[rounds]);
+    store128(out, c);
+  }
+  store128(chain, c);
+}
+
+__attribute__((target("aes,sse4.1"))) void aes_cbc_decrypt_aesni(
+    const uint8_t* round_keys, int rounds, uint8_t* chain, const uint8_t* in,
+    uint8_t* out, size_t n) {
+  constexpr size_t kLanes = 8;
+  __m128i k[15];
+  for (int r = 0; r <= rounds; ++r) k[r] = load128(round_keys + 16 * r);
+  __m128i prev = load128(chain);
+  // Block decryptions are independent: keep eight in flight.
+  for (; n >= kLanes; n -= kLanes, in += 16 * kLanes, out += 16 * kLanes) {
+    // Unrolled so the lanes live in registers, not on the stack.
+    __m128i c[kLanes], b[kLanes];
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      c[j] = load128(in + 16 * j);
+      b[j] = _mm_xor_si128(c[j], k[0]);
+    }
+    for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (size_t j = 0; j < kLanes; ++j) b[j] = _mm_aesdec_si128(b[j], k[r]);
+    }
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      b[j] = _mm_aesdeclast_si128(b[j], k[rounds]);
+      store128(out + 16 * j, _mm_xor_si128(b[j], j == 0 ? prev : c[j - 1]));
+    }
+    prev = c[kLanes - 1];
+  }
+  for (; n > 0; --n, in += 16, out += 16) {
+    const __m128i c = load128(in);
+    __m128i b = _mm_xor_si128(c, k[0]);
+    for (int r = 1; r < rounds; ++r) b = _mm_aesdec_si128(b, k[r]);
+    store128(out, _mm_xor_si128(_mm_aesdeclast_si128(b, k[rounds]), prev));
+    prev = c;
+  }
+  store128(chain, prev);
+}
+
+#else
+
+bool cpu_has_aesni() { return false; }
+
+#endif
+
+}  // namespace accel
 
 }  // namespace sgfs::crypto

@@ -2,13 +2,14 @@
 // with PKCS#7 padding.
 //
 // AES-256-CBC is the paper's "very strong cipher" (sgfs-aes configuration,
-// §6.2.1) and the cipher of the emulated SSH tunnel (gfs-ssh).  The
-// implementation uses the classic 32-bit T-table formulation; tables are
-// derived programmatically from the GF(2^8) S-box at first use.
+// §6.2.1) and the cipher of the emulated SSH tunnel (gfs-ssh).  CBC runs on
+// AES-NI where the CPU has it; the reference and fallback is the classic
+// 32-bit T-table formulation, tables derived programmatically from the
+// GF(2^8) S-box at first use (see crypto/accel.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/bufchain.hpp"
 #include "common/bytes.hpp"
@@ -18,19 +19,44 @@ namespace sgfs::crypto {
 class Aes {
  public:
   static constexpr size_t kBlockSize = 16;
+  /// CBC over `n` whole blocks: `chain` holds the IV on entry and the last
+  /// ciphertext block on return.  `in` and `out` may be unaligned.
+  using CbcRun = void (*)(const uint8_t* round_keys, int rounds,
+                          uint8_t* chain, const uint8_t* in, uint8_t* out,
+                          size_t n);
 
   /// key must be 16 (AES-128) or 32 (AES-256) bytes.
   explicit Aes(ByteView key);
 
+  /// Single blocks, always on the scalar reference.
   void encrypt_block(const uint8_t in[16], uint8_t out[16]) const;
   void decrypt_block(const uint8_t in[16], uint8_t out[16]) const;
 
+  /// The block-run helpers every CBC entry point is built on.
+  void cbc_encrypt_run(uint8_t chain[16], const uint8_t* in, uint8_t* out,
+                       size_t n) const {
+    encrypt_(ek_.data(), rounds_, chain, in, out, n);
+  }
+  void cbc_decrypt_run(uint8_t chain[16], const uint8_t* in, uint8_t* out,
+                       size_t n) const {
+    decrypt_(dk_.data(), rounds_, chain, in, out, n);
+  }
+
   int rounds() const { return rounds_; }
 
+ protected:
+  Aes(ByteView key, CbcRun encrypt, CbcRun decrypt);
+
  private:
-  std::vector<uint32_t> ek_;  // encryption round keys
-  std::vector<uint32_t> dk_;  // decryption round keys (equivalent inverse)
+  static constexpr size_t kMaxRoundKeyBytes = 16 * 15;
+  // Round keys as FIPS-197 words stored big-endian: the byte order AESENC
+  // and AESDEC take.  dk_ is the equivalent inverse cipher's schedule
+  // (reversed, InvMixColumns on the inner rounds), which AESDEC also uses.
+  alignas(16) std::array<uint8_t, kMaxRoundKeyBytes> ek_{};
+  alignas(16) std::array<uint8_t, kMaxRoundKeyBytes> dk_{};
   int rounds_;
+  CbcRun encrypt_;
+  CbcRun decrypt_;
 };
 
 /// CBC-mode encryption with PKCS#7 padding; iv must be 16 bytes.

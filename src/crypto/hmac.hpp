@@ -4,6 +4,8 @@
 // configurations evaluated in the paper (§6.2.1).
 #pragma once
 
+#include <cstring>
+
 #include "common/bytes.hpp"
 #include "crypto/sha.hpp"
 
@@ -16,30 +18,32 @@ class Hmac {
   using Digest = typename Hash::Digest;
 
   explicit Hmac(ByteView key) {
-    Buffer k(key.begin(), key.end());
-    if (k.size() > Hash::kBlockSize) {
-      auto d = Hash::hash(k);
-      k.assign(d.begin(), d.end());
+    uint8_t k[Hash::kBlockSize] = {};
+    if (key.size() > Hash::kBlockSize) {
+      const auto d = Hash::hash(key);
+      std::memcpy(k, d.data(), d.size());
+    } else if (!key.empty()) {
+      std::memcpy(k, key.data(), key.size());
     }
-    k.resize(Hash::kBlockSize, 0);
-    ipad_ = k;
-    opad_ = k;
-    for (auto& b : ipad_) b ^= 0x36;
-    for (auto& b : opad_) b ^= 0x5c;
-    reset();
+    uint8_t pad[Hash::kBlockSize];
+    for (size_t i = 0; i < Hash::kBlockSize; ++i) pad[i] = k[i] ^ 0x36;
+    keyed_inner_.update(ByteView(pad, sizeof(pad)));
+    for (size_t i = 0; i < Hash::kBlockSize; ++i) pad[i] = k[i] ^ 0x5c;
+    keyed_outer_.update(ByteView(pad, sizeof(pad)));
+    inner_ = keyed_inner_;
   }
 
-  void reset() {
-    inner_ = Hash();
-    inner_.update(ipad_);
-  }
+  /// Drops a half-fed message; finish() does this on its own.
+  void reset() { inner_ = keyed_inner_; }
 
   void update(ByteView data) { inner_.update(data); }
 
+  /// The MAC of everything fed since the last finish() or reset(); the
+  /// object is then ready for the next message under the same key.
   Digest finish() {
-    auto inner_digest = inner_.finish();
-    Hash outer;
-    outer.update(opad_);
+    const auto inner_digest = inner_.finish();
+    inner_ = keyed_inner_;
+    Hash outer = keyed_outer_;
     outer.update(ByteView(inner_digest.data(), inner_digest.size()));
     return outer.finish();
   }
@@ -58,7 +62,9 @@ class Hmac {
   }
 
  private:
-  Buffer ipad_, opad_;
+  // The hash states after absorbing key^ipad and key^opad: each message
+  // starts from copies, so the pads are hashed once per key.
+  Hash keyed_inner_, keyed_outer_;
   Hash inner_;
 };
 

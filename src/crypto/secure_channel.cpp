@@ -255,14 +255,15 @@ BufChain SecureChannel::protect_chain(uint64_t seq, const BufChain& plaintext) {
     }
     case Cipher::kAes128Cbc:
     case Cipher::kAes256Cbc: {
-      auto iv_mac = HmacSha1::mac(send_iv_key_, be64(seq));
+      send_iv_mac_->update(be64(seq));
+      auto iv_mac = send_iv_mac_->finish();
       ByteView iv(iv_mac.data(), Aes::kBlockSize);
       ct = aes_cbc_encrypt_chain(*send_aes_, iv, plaintext);
       break;
     }
   }
   if (mac_ == MacAlgo::kHmacSha1) {
-    HmacSha1 h(send_mac_key_);
+    HmacSha1& h = *send_mac_;
     h.update(be64(seq));
     if (cipher_ == Cipher::kNull) {
       for (const auto& seg : plaintext.segments()) h.update(seg.view());
@@ -289,7 +290,7 @@ BufChain SecureChannel::unprotect_adopt(uint64_t seq, Buffer&& wire) {
     body_len = wire.size() - Sha1::kDigestSize;
     ByteView body(wire.data(), body_len);
     ByteView mac(wire.data() + body_len, Sha1::kDigestSize);
-    HmacSha1 h(recv_mac_key_);
+    HmacSha1& h = *recv_mac_;
     h.update(be64(seq));
     h.update(body);
     auto expect = h.finish();
@@ -310,7 +311,8 @@ BufChain SecureChannel::unprotect_adopt(uint64_t seq, Buffer&& wire) {
     }
     case Cipher::kAes128Cbc:
     case Cipher::kAes256Cbc: {
-      auto iv_mac = HmacSha1::mac(recv_iv_key_, be64(seq));
+      recv_iv_mac_->update(be64(seq));
+      auto iv_mac = recv_iv_mac_->finish();
       ByteView iv(iv_mac.data(), Aes::kBlockSize);
       try {
         return BufChain(
@@ -426,10 +428,11 @@ void SecureChannel::install_keys(ByteView premaster, ByteView client_random,
   const Buffer& siv = is_client_ ? c2s_iv : s2c_iv;
   const Buffer& riv = is_client_ ? s2c_iv : c2s_iv;
 
-  send_mac_key_ = smac;
-  recv_mac_key_ = rmac;
-  send_iv_key_ = siv;
-  recv_iv_key_ = riv;
+  // Keyed once here; every record MAC and IV copies these states.
+  send_mac_.emplace(smac);
+  recv_mac_.emplace(rmac);
+  send_iv_mac_.emplace(siv);
+  recv_iv_mac_.emplace(riv);
   send_aes_.reset();
   recv_aes_.reset();
   send_rc4_.reset();
@@ -737,7 +740,7 @@ sim::Task<void> SecureChannel::handshake_resume(const ResumptionTicket& ticket,
 
 sim::Task<void> SecureChannel::send_finished(const std::string& label,
                                              const Buffer& base) {
-  HmacSha1 h(send_mac_key_);
+  HmacSha1& h = *send_mac_;
   h.update(base);
   h.update(to_bytes(label));
   auto m = h.finish();
@@ -751,7 +754,7 @@ sim::Task<void> SecureChannel::expect_finished(const std::string& label,
   if (rec.type != RecordType::kHandshake) {
     throw SecurityError("expected " + label);
   }
-  HmacSha1 h(recv_mac_key_);
+  HmacSha1& h = *recv_mac_;
   h.update(base);
   h.update(to_bytes(label));
   auto expect = h.finish();

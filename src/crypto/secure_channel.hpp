@@ -336,8 +336,9 @@ class SecureChannel {
   Buffer session_id_;          // derived alongside the key block
   Buffer resumption_secret_;   // never leaves this process
 
-  Buffer send_mac_key_, recv_mac_key_;
-  Buffer send_iv_key_, recv_iv_key_;
+  // Record-MAC and IV-derivation keys, keyed at install_keys().
+  std::optional<HmacSha1> send_mac_, recv_mac_;
+  std::optional<HmacSha1> send_iv_mac_, recv_iv_mac_;
   std::unique_ptr<Aes> send_aes_, recv_aes_;
   std::unique_ptr<Rc4> send_rc4_, recv_rc4_;
 

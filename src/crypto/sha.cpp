@@ -1,6 +1,14 @@
 #include "crypto/sha.hpp"
 
 #include <cstring>
+#include <utility>
+
+#include "crypto/accel.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace sgfs::crypto {
 
@@ -20,103 +28,15 @@ inline void store_be32(uint8_t* p, uint32_t v) {
   p[2] = static_cast<uint8_t>(v >> 8);
   p[3] = static_cast<uint8_t>(v);
 }
-}  // namespace
 
-// --- SHA-1 ------------------------------------------------------------------
+constexpr std::array<uint32_t, 5> kSha1Iv = {
+    0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u};
 
-Sha1::Sha1()
-    : state_{0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u} {
-}
+constexpr std::array<uint32_t, 8> kSha256Iv = {
+    0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+    0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
 
-void Sha1::process_block(const uint8_t* block) {
-  uint32_t w[80];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-           e = state_[4];
-  for (int i = 0; i < 80; ++i) {
-    uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    uint32_t tmp = rotl32(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl32(b, 30);
-    b = a;
-    a = tmp;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-}
-
-void Sha1::update(ByteView data) {
-  total_len_ += data.size();
-  size_t off = 0;
-  if (buffer_len_ > 0) {
-    size_t take = std::min(kBlockSize - buffer_len_, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
-    buffer_len_ += take;
-    off = take;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
-  while (off + kBlockSize <= data.size()) {
-    process_block(data.data() + off);
-    off += kBlockSize;
-  }
-  if (off < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
-    buffer_len_ = data.size() - off;
-  }
-}
-
-Sha1::Digest Sha1::finish() {
-  const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad = 0x80;
-  update(ByteView(&pad, 1));
-  static constexpr uint8_t kZeros[kBlockSize] = {};
-  while (buffer_len_ != 56) {
-    const size_t gap = buffer_len_ < 56 ? 56 - buffer_len_
-                                        : kBlockSize - buffer_len_ + 56;
-    update(ByteView(kZeros, std::min<size_t>(gap, kBlockSize)));
-  }
-  uint8_t len_be[8];
-  store_be32(len_be, static_cast<uint32_t>(bit_len >> 32));
-  store_be32(len_be + 4, static_cast<uint32_t>(bit_len));
-  update(ByteView(len_be, 8));
-  Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state_[i]);
-  return out;
-}
-
-Sha1::Digest Sha1::hash(ByteView data) {
-  Sha1 h;
-  h.update(data);
-  return h.finish();
-}
-
-// --- SHA-256 ----------------------------------------------------------------
-
-namespace {
-constexpr uint32_t kSha256K[64] = {
+alignas(16) constexpr uint32_t kSha256K[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -128,89 +48,104 @@ constexpr uint32_t kSha256K[64] = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+detail::Md32<5>::BlockFn best_sha1_blocks() {
+#if defined(__x86_64__)
+  if (accel::cpu_has_shani()) return accel::sha1_blocks_shani;
+#endif
+  return accel::sha1_blocks_scalar;
+}
+
+detail::Md32<8>::BlockFn best_sha256_blocks() {
+#if defined(__x86_64__)
+  if (accel::cpu_has_shani()) return accel::sha256_blocks_shani;
+#endif
+  return accel::sha256_blocks_scalar;
+}
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-             0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u} {}
+// --- the shared stream --------------------------------------------------------
 
-void Sha256::process_block(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^
-                  (w[i - 15] >> 3);
-    uint32_t s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^
-                  (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-           e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
-    uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
+namespace detail {
 
-void Sha256::update(ByteView data) {
+template <size_t Words>
+void Md32<Words>::update(ByteView data) {
+  // An empty view may carry a null pointer; memcpy must never see it.
+  if (data.empty()) return;
   total_len_ += data.size();
-  size_t off = 0;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   if (buffer_len_ > 0) {
-    size_t take = std::min(kBlockSize - buffer_len_, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    const size_t take = std::min(kBlockSize - buffer_len_, n);
+    std::memcpy(buffer_.data() + buffer_len_, p, take);
     buffer_len_ += take;
-    off = take;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    p += take;
+    n -= take;
+    if (buffer_len_ < kBlockSize) return;
+    blocks_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (off + kBlockSize <= data.size()) {
-    process_block(data.data() + off);
-    off += kBlockSize;
+  if (n >= kBlockSize) {
+    blocks_(state_.data(), p, n / kBlockSize);
+    p += n - n % kBlockSize;
+    n %= kBlockSize;
   }
-  if (off < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
-    buffer_len_ = data.size() - off;
+  if (n > 0) {
+    std::memcpy(buffer_.data(), p, n);
+    buffer_len_ = n;
   }
 }
+
+template <size_t Words>
+void Md32<Words>::finish_into(uint8_t* out, size_t out_words) {
+  const uint64_t bit_len = total_len_ * 8;
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    blocks_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  store_be32(buffer_.data() + kBlockSize - 8,
+             static_cast<uint32_t>(bit_len >> 32));
+  store_be32(buffer_.data() + kBlockSize - 4, static_cast<uint32_t>(bit_len));
+  blocks_(state_.data(), buffer_.data(), 1);
+  buffer_len_ = 0;
+  for (size_t i = 0; i < out_words; ++i) store_be32(out + 4 * i, state_[i]);
+}
+
+template class Md32<5>;
+template class Md32<8>;
+
+}  // namespace detail
+
+// --- SHA-1 ------------------------------------------------------------------
+
+Sha1::Sha1() : Md32(kSha1Iv, best_sha1_blocks()) {}
+
+Sha1::Sha1(BlockFn blocks) : Md32(kSha1Iv, blocks) {}
+
+Sha1::Digest Sha1::finish() {
+  Digest out;
+  finish_into(out.data(), 5);
+  return out;
+}
+
+Sha1::Digest Sha1::hash(ByteView data) {
+  Sha1 h;
+  h.update(data);
+  return h.finish();
+}
+
+// --- SHA-256 ----------------------------------------------------------------
+
+Sha256::Sha256() : Md32(kSha256Iv, best_sha256_blocks()) {}
+
+Sha256::Sha256(BlockFn blocks) : Md32(kSha256Iv, blocks) {}
 
 Sha256::Digest Sha256::finish() {
-  const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad = 0x80;
-  update(ByteView(&pad, 1));
-  static constexpr uint8_t kZeros[kBlockSize] = {};
-  while (buffer_len_ != 56) {
-    const size_t gap = buffer_len_ < 56 ? 56 - buffer_len_
-                                        : kBlockSize - buffer_len_ + 56;
-    update(ByteView(kZeros, std::min<size_t>(gap, kBlockSize)));
-  }
-  uint8_t len_be[8];
-  store_be32(len_be, static_cast<uint32_t>(bit_len >> 32));
-  store_be32(len_be + 4, static_cast<uint32_t>(bit_len));
-  update(ByteView(len_be, 8));
   Digest out;
-  for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
+  finish_into(out.data(), 8);
   return out;
 }
 
@@ -219,5 +154,238 @@ Sha256::Digest Sha256::hash(ByteView data) {
   h.update(data);
   return h.finish();
 }
+
+// --- kernels -------------------------------------------------------------------
+
+namespace accel {
+
+void sha1_blocks_scalar(uint32_t* state, const uint8_t* block, size_t n) {
+  for (; n > 0; --n, block += 64) {
+    uint32_t w[80];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
+    for (int i = 16; i < 80; ++i) {
+      w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+             e = state[4];
+    for (int i = 0; i < 80; ++i) {
+      uint32_t f, k;
+      if (i < 20) {
+        f = (b & c) | (~b & d);
+        k = 0x5A827999u;
+      } else if (i < 40) {
+        f = b ^ c ^ d;
+        k = 0x6ED9EBA1u;
+      } else if (i < 60) {
+        f = (b & c) | (b & d) | (c & d);
+        k = 0x8F1BBCDCu;
+      } else {
+        f = b ^ c ^ d;
+        k = 0xCA62C1D6u;
+      }
+      uint32_t tmp = rotl32(a, 5) + f + e + k + w[i];
+      e = d;
+      d = c;
+      c = rotl32(b, 30);
+      b = a;
+      a = tmp;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+  }
+}
+
+void sha256_blocks_scalar(uint32_t* state, const uint8_t* block, size_t n) {
+  for (; n > 0; --n, block += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = rotr32(w[i - 15], 7) ^ rotr32(w[i - 15], 18) ^
+                    (w[i - 15] >> 3);
+      uint32_t s1 = rotr32(w[i - 2], 17) ^ rotr32(w[i - 2], 19) ^
+                    (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+             e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
+      uint32_t s0 = rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+bool cpu_has_shani() {
+  static const bool ok = [] {
+    unsigned a, b, c, d;
+    if (!__get_cpuid(1, &a, &b, &c, &d)) return false;
+    const bool sse41 = (c & bit_SSE4_1) != 0;
+    if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return false;
+    return sse41 && (b & bit_SHA) != 0;
+  }();
+  return ok;
+}
+
+namespace {
+
+// The message words of four-round group G sit in m[G % 4]; the schedule for
+// later groups is built in the free registers as the rounds go (Intel SHA
+// extensions programming reference, SHA-1 flow).
+struct Sha1Regs {
+  __m128i abcd, e[2], m[4];
+};
+
+template <int G>
+__attribute__((target("sha,sse4.1"), always_inline)) inline void sha1_group(
+    Sha1Regs& r, const uint8_t* block, __m128i bswap) {
+  constexpr int cur = G % 4;
+  if constexpr (G < 4) {
+    r.m[cur] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * G)),
+        bswap);
+  }
+  __m128i& e = r.e[G % 2];
+  if constexpr (G == 0) {
+    e = _mm_add_epi32(e, r.m[0]);
+  } else {
+    e = _mm_sha1nexte_epu32(e, r.m[cur]);
+  }
+  r.e[(G + 1) % 2] = r.abcd;
+  r.abcd = _mm_sha1rnds4_epu32(r.abcd, e, G / 5);
+  if constexpr (G >= 3 && G <= 18) {  // completes the words of group G+1
+    r.m[(G + 1) % 4] = _mm_sha1msg2_epu32(r.m[(G + 1) % 4], r.m[cur]);
+  }
+  if constexpr (G >= 2 && G <= 17) {
+    r.m[(G + 2) % 4] = _mm_xor_si128(r.m[(G + 2) % 4], r.m[cur]);
+  }
+  if constexpr (G >= 1 && G <= 16) {  // starts the words of group G+3
+    r.m[(G + 3) % 4] = _mm_sha1msg1_epu32(r.m[(G + 3) % 4], r.m[cur]);
+  }
+}
+
+template <size_t... G>
+__attribute__((target("sha,sse4.1"), always_inline)) inline void sha1_rounds(
+    Sha1Regs& r, const uint8_t* block, __m128i bswap,
+    std::index_sequence<G...>) {
+  (sha1_group<static_cast<int>(G)>(r, block, bswap), ...);
+}
+
+// SHA-256 flow: two rounds per sha256rnds2, the words of group G (four
+// rounds) in m[G % 4], state held as ABEF/CDGH.
+struct Sha256Regs {
+  __m128i abef, cdgh, m[4];
+};
+
+template <int G>
+__attribute__((target("sha,sse4.1"), always_inline)) inline void sha256_group(
+    Sha256Regs& r, const uint8_t* block, __m128i bswap) {
+  constexpr int cur = G % 4;
+  if constexpr (G < 4) {
+    r.m[cur] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * G)),
+        bswap);
+  }
+  __m128i wk = _mm_add_epi32(
+      r.m[cur], _mm_load_si128(reinterpret_cast<const __m128i*>(kSha256K) + G));
+  r.cdgh = _mm_sha256rnds2_epu32(r.cdgh, r.abef, wk);
+  if constexpr (G >= 3 && G <= 14) {  // completes the words of group G+1
+    constexpr int next = (G + 1) % 4;
+    const __m128i tmp = _mm_alignr_epi8(r.m[cur], r.m[(G + 3) % 4], 4);
+    r.m[next] = _mm_sha256msg2_epu32(_mm_add_epi32(r.m[next], tmp), r.m[cur]);
+  }
+  wk = _mm_shuffle_epi32(wk, 0x0E);
+  r.abef = _mm_sha256rnds2_epu32(r.abef, r.cdgh, wk);
+  if constexpr (G >= 1 && G <= 12) {  // starts the words of group G+3
+    r.m[(G + 3) % 4] = _mm_sha256msg1_epu32(r.m[(G + 3) % 4], r.m[cur]);
+  }
+}
+
+template <size_t... G>
+__attribute__((target("sha,sse4.1"), always_inline)) inline void
+sha256_rounds(Sha256Regs& r, const uint8_t* block, __m128i bswap,
+              std::index_sequence<G...>) {
+  (sha256_group<static_cast<int>(G)>(r, block, bswap), ...);
+}
+
+}  // namespace
+
+__attribute__((target("sha,sse4.1"))) void sha1_blocks_shani(
+    uint32_t* state, const uint8_t* block, size_t n) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  Sha1Regs r;
+  r.abcd = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1B);
+  r.e[0] = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  for (; n > 0; --n, block += 64) {
+    const __m128i abcd_save = r.abcd;
+    const __m128i e_save = r.e[0];
+    sha1_rounds(r, block, bswap, std::make_index_sequence<20>());
+    r.e[0] = _mm_sha1nexte_epu32(r.e[0], e_save);
+    r.abcd = _mm_add_epi32(r.abcd, abcd_save);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_shuffle_epi32(r.abcd, 0x1B));
+  state[4] = static_cast<uint32_t>(_mm_extract_epi32(r.e[0], 3));
+}
+
+__attribute__((target("sha,sse4.1"))) void sha256_blocks_shani(
+    uint32_t* state, const uint8_t* block, size_t n) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  Sha256Regs r;
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  r.abef = _mm_alignr_epi8(dcba, efgh, 8);
+  r.cdgh = _mm_blend_epi16(efgh, dcba, 0xF0);
+  for (; n > 0; --n, block += 64) {
+    const __m128i abef_save = r.abef;
+    const __m128i cdgh_save = r.cdgh;
+    sha256_rounds(r, block, bswap, std::make_index_sequence<16>());
+    r.abef = _mm_add_epi32(r.abef, abef_save);
+    r.cdgh = _mm_add_epi32(r.cdgh, cdgh_save);
+  }
+  const __m128i feba = _mm_shuffle_epi32(r.abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(r.cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool cpu_has_shani() { return false; }
+
+#endif
+
+}  // namespace accel
 
 }  // namespace sgfs::crypto

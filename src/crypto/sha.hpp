@@ -3,6 +3,9 @@
 // SHA1-HMAC is the integrity mechanism of every SGFS security configuration
 // in the paper (sgfs-sha / sgfs-rc / sgfs-aes); SHA-256 is used by the
 // certificate layer for fingerprints and by the WS-Security substitute.
+//
+// The compression function runs on the SHA extensions where the CPU has them
+// and on the scalar reference otherwise (see crypto/accel.hpp).
 #pragma once
 
 #include <array>
@@ -12,45 +15,66 @@
 
 namespace sgfs::crypto {
 
-class Sha1 {
+namespace detail {
+
+/// The Merkle–Damgård stream both hashes share: 64-byte blocks, a
+/// big-endian 64-bit bit length, `Words` 32-bit state words.  Every whole
+/// block of one update() goes to a single kernel call.
+template <size_t Words>
+class Md32 {
+ public:
+  static constexpr size_t kBlockSize = 64;
+  /// Compresses `n` whole blocks into `state`.
+  using BlockFn = void (*)(uint32_t* state, const uint8_t* blocks, size_t n);
+
+  void update(ByteView data);
+
+ protected:
+  Md32(const std::array<uint32_t, Words>& iv, BlockFn blocks)
+      : state_(iv), blocks_(blocks) {}
+  /// Pads, compresses the tail and writes the first `out_words` state words.
+  void finish_into(uint8_t* out, size_t out_words);
+
+ private:
+  std::array<uint32_t, Words> state_;
+  BlockFn blocks_;
+  uint64_t total_len_ = 0;
+  std::array<uint8_t, kBlockSize> buffer_{};
+  size_t buffer_len_ = 0;
+};
+
+extern template class Md32<5>;
+extern template class Md32<8>;
+
+}  // namespace detail
+
+class Sha1 : public detail::Md32<5> {
  public:
   static constexpr size_t kDigestSize = 20;
-  static constexpr size_t kBlockSize = 64;
   using Digest = std::array<uint8_t, kDigestSize>;
 
   Sha1();
-  void update(ByteView data);
   Digest finish();
 
   /// One-shot convenience.
   static Digest hash(ByteView data);
 
- private:
-  void process_block(const uint8_t* block);
-  std::array<uint32_t, 5> state_;
-  uint64_t total_len_ = 0;
-  std::array<uint8_t, kBlockSize> buffer_;
-  size_t buffer_len_ = 0;
+ protected:
+  explicit Sha1(BlockFn blocks);
 };
 
-class Sha256 {
+class Sha256 : public detail::Md32<8> {
  public:
   static constexpr size_t kDigestSize = 32;
-  static constexpr size_t kBlockSize = 64;
   using Digest = std::array<uint8_t, kDigestSize>;
 
   Sha256();
-  void update(ByteView data);
   Digest finish();
 
   static Digest hash(ByteView data);
 
- private:
-  void process_block(const uint8_t* block);
-  std::array<uint32_t, 8> state_;
-  uint64_t total_len_ = 0;
-  std::array<uint8_t, kBlockSize> buffer_;
-  size_t buffer_len_ = 0;
+ protected:
+  explicit Sha256(BlockFn blocks);
 };
 
 /// Converts a digest to an owning Buffer.
