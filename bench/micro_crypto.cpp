@@ -125,6 +125,10 @@ void BM_Rc4(benchmark::State& state) {
 }
 BENCHMARK(BM_Rc4)->Arg(32 * 1024);
 
+// RSA rows use a 512-bit key, the size every simulated credential has.
+// BM_RsaSignSha1Reference is the same private operation on the
+// square-and-multiply reference (crypto/accel.hpp) over n, without CRT.
+
 void BM_RsaSignSha1(benchmark::State& state) {
   Rng rng(7);
   RsaKeyPair kp = rsa_generate(rng, 512);
@@ -134,6 +138,50 @@ void BM_RsaSignSha1(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaSignSha1);
+
+void BM_RsaSignSha1Reference(benchmark::State& state) {
+  Rng rng(7);
+  RsaKeyPair kp = rsa_generate(rng, 512);
+  Buffer msg = payload(1024);
+  // The padded digest the signature encodes; the loop times its private
+  // exponentiation and export, as rsa_sign_sha1 does after padding.
+  const Buffer sig = rsa_sign_sha1(kp.priv, msg);
+  const BigInt em = BigInt::mod_exp(BigInt::from_bytes(sig), kp.pub.e,
+                                    kp.pub.n);
+  const size_t width = kp.pub.modulus_bytes();
+  if (accel::mod_exp_reference(em, kp.priv.d, kp.priv.n)
+          .to_bytes_padded(width) != sig) {
+    state.SkipWithError("reference signature differs from rsa_sign_sha1");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        accel::mod_exp_reference(em, kp.priv.d, kp.priv.n)
+            .to_bytes_padded(width));
+  }
+}
+BENCHMARK(BM_RsaSignSha1Reference);
+
+void BM_RsaDecrypt(benchmark::State& state) {
+  Rng rng(7);
+  RsaKeyPair kp = rsa_generate(rng, 512);
+  Buffer ct = rsa_encrypt(kp.pub, rng, payload(48));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rsa_decrypt(kp.priv, ct));
+  }
+}
+BENCHMARK(BM_RsaDecrypt);
+
+void BM_RsaGenerate512(benchmark::State& state) {
+  // A fresh stream per key: each iteration generates a different key, so
+  // the row averages over candidate counts.
+  Rng rng(8);
+  for (auto _ : state) {
+    Rng key_rng = rng.fork();
+    benchmark::DoNotOptimize(rsa_generate(key_rng, 512));
+  }
+}
+BENCHMARK(BM_RsaGenerate512)->Unit(benchmark::kMillisecond);
 
 void BM_RsaVerifySha1(benchmark::State& state) {
   Rng rng(7);

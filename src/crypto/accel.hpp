@@ -1,11 +1,13 @@
-// Internal: the scalar and hardware kernels behind Sha1, Sha256 and Aes.
+// Internal: the scalar and hardware kernels behind Sha1, Sha256 and Aes,
+// and the reference exponentiation behind BigInt::mod_exp.
 //
 // Callers never include this header; `Sha1()`, `Sha256()` and `Aes(key)`
 // pick the fastest kernel the CPU runs (CPUID is read once per primitive and
-// cached).  Only sha.cpp, aes.cpp, the equivalence tests and micro_crypto
-// include it: they name a kernel explicitly to cross-check the hardware path
-// against the scalar reference and to time one against the other.  There is
-// no switch that forces a path at run time; the scalar kernels are the
+// cached), and `BigInt::mod_exp` runs Montgomery products for odd moduli.
+// Only sha.cpp, aes.cpp, bignum.cpp, the equivalence tests and micro_crypto
+// include it: they name a kernel explicitly to cross-check the fast path
+// against the reference and to time one against the other.  There is no
+// switch that forces a path at run time; the scalar kernels are the
 // fallback on CPUs without the instructions and the reference here.
 #pragma once
 
@@ -14,6 +16,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/bignum.hpp"
 #include "crypto/sha.hpp"
 
 namespace sgfs::crypto::accel {
@@ -46,6 +49,12 @@ void aes_cbc_decrypt_aesni(const uint8_t* round_keys, int rounds,
                            uint8_t* chain, const uint8_t* in, uint8_t* out,
                            size_t n);
 #endif
+
+/// (base ^ exp) mod m by right-to-left square-and-multiply with a full
+/// division after every product.  BigInt::mod_exp's path for even moduli
+/// and the reference its Montgomery path is checked and timed against.
+BigInt mod_exp_reference(const BigInt& base, const BigInt& exp,
+                         const BigInt& m);
 
 /// A hash bound to one named compression kernel.  Usable wherever the hash
 /// is, including as Hmac<PinnedHash<...>>.

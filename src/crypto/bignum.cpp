@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "crypto/accel.hpp"
+
 namespace sgfs::crypto {
 
 void BigInt::trim() {
@@ -16,9 +18,12 @@ BigInt::BigInt(uint64_t v) {
 
 BigInt BigInt::from_bytes(ByteView be) {
   BigInt out;
-  for (uint8_t b : be) {
-    out = (out << 8) + BigInt(b);
+  out.limbs_.assign((be.size() + 3) / 4, 0);
+  for (size_t i = 0; i < be.size(); ++i) {
+    const size_t pos = be.size() - 1 - i;  // byte significance
+    out.limbs_[pos / 4] |= static_cast<uint32_t>(be[i]) << (8 * (pos % 4));
   }
+  out.trim();
   return out;
 }
 
@@ -261,8 +266,8 @@ BigInt BigInt::operator%(const BigInt& other) const {
   return divmod(*this, other).second;
 }
 
-BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
-                       const BigInt& m) {
+BigInt accel::mod_exp_reference(const BigInt& base, const BigInt& exp,
+                                const BigInt& m) {
   if (m.is_zero()) throw std::domain_error("mod_exp modulus is zero");
   if (m == BigInt(1)) return {};
   BigInt result(1);
@@ -273,6 +278,191 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
     b = (b * b) % m;
   }
   return result;
+}
+
+namespace {
+
+using u128 = unsigned __int128;
+
+// -m0^-1 mod 2^64 for odd m0.  m0 is its own inverse mod 8; each Newton
+// step doubles the correct low bits (3, 6, 12, 24, 48, 96).
+uint64_t neg_inverse(uint64_t m0) {
+  uint64_t inv = m0;
+  for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;
+  return 0 - inv;
+}
+
+// r = (top:t) mod m for a value below 2m: subtract m once if t >= m.
+void reduce_once(uint64_t* r, const uint64_t* t, uint64_t top,
+                 const uint64_t* m, size_t n) {
+  bool ge = top != 0;
+  if (!ge) {
+    ge = true;
+    for (size_t j = n; j-- > 0;) {
+      if (t[j] != m[j]) {
+        ge = t[j] > m[j];
+        break;
+      }
+    }
+  }
+  if (!ge) {
+    std::copy(t, t + n, r);
+    return;
+  }
+  uint64_t borrow = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const u128 d = static_cast<u128>(t[j]) - m[j] - borrow;
+    r[j] = static_cast<uint64_t>(d);
+    borrow = static_cast<uint64_t>(d >> 64) & 1;
+  }
+}
+
+// r = a * b * 2^(-64n) mod m for a, b < m (CIOS: each row of the product
+// is reduced as it is formed).  t is n + 2 words of scratch; r may alias a
+// or b.
+void mont_mul(uint64_t* r, const uint64_t* a, const uint64_t* b,
+              const uint64_t* m, uint64_t minv, size_t n, uint64_t* t) {
+  std::fill(t, t + n + 2, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bi = b[i];
+    uint64_t c = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const u128 s = static_cast<u128>(a[j]) * bi + t[j] + c;
+      t[j] = static_cast<uint64_t>(s);
+      c = static_cast<uint64_t>(s >> 64);
+    }
+    u128 s = static_cast<u128>(t[n]) + c;
+    t[n] = static_cast<uint64_t>(s);
+    t[n + 1] = static_cast<uint64_t>(s >> 64);
+
+    // Add q*m with q chosen so the low word cancels, then drop that word.
+    const uint64_t q = t[0] * minv;
+    s = static_cast<u128>(q) * m[0] + t[0];
+    c = static_cast<uint64_t>(s >> 64);
+    for (size_t j = 1; j < n; ++j) {
+      s = static_cast<u128>(q) * m[j] + t[j] + c;
+      t[j - 1] = static_cast<uint64_t>(s);
+      c = static_cast<uint64_t>(s >> 64);
+    }
+    s = static_cast<u128>(t[n]) + c;
+    t[n - 1] = static_cast<uint64_t>(s);
+    t[n] = t[n + 1] + static_cast<uint64_t>(s >> 64);
+  }
+  reduce_once(r, t, t[n], m, n);
+}
+
+// r = a * a * 2^(-64n) mod m for a < m: the square with each cross product
+// formed once and doubled, then n word-by-word reduction rounds.  t is 2n
+// words of scratch; r may alias a.
+void mont_sqr(uint64_t* r, const uint64_t* a, const uint64_t* m,
+              uint64_t minv, size_t n, uint64_t* t) {
+  std::fill(t, t + 2 * n, 0);
+  for (size_t i = 0; i + 1 < n; ++i) {
+    uint64_t c = 0;
+    for (size_t j = i + 1; j < n; ++j) {
+      const u128 s = static_cast<u128>(a[i]) * a[j] + t[i + j] + c;
+      t[i + j] = static_cast<uint64_t>(s);
+      c = static_cast<uint64_t>(s >> 64);
+    }
+    t[i + n] = c;
+  }
+  for (size_t k = 2 * n; k-- > 1;) t[k] = (t[k] << 1) | (t[k - 1] >> 63);
+  t[0] <<= 1;
+  uint64_t c = 0;
+  for (size_t i = 0; i < n; ++i) {
+    u128 s = static_cast<u128>(a[i]) * a[i] + t[2 * i] + c;
+    t[2 * i] = static_cast<uint64_t>(s);
+    s = static_cast<u128>(t[2 * i + 1]) + static_cast<uint64_t>(s >> 64);
+    t[2 * i + 1] = static_cast<uint64_t>(s);
+    c = static_cast<uint64_t>(s >> 64);
+  }
+
+  // Each round cancels the lowest live word; `top` is the carry past t's
+  // last word.
+  uint64_t top = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t q = t[i] * minv;
+    c = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const u128 s = static_cast<u128>(q) * m[j] + t[i + j] + c;
+      t[i + j] = static_cast<uint64_t>(s);
+      c = static_cast<uint64_t>(s >> 64);
+    }
+    const u128 s = static_cast<u128>(t[i + n]) + c + top;
+    t[i + n] = static_cast<uint64_t>(s);
+    top = static_cast<uint64_t>(s >> 64);
+  }
+  reduce_once(r, t + n, top, m, n);
+}
+
+// Exponent bits [lo, lo + w) as an integer.
+uint32_t exp_window(const BigInt& exp, size_t lo, size_t w) {
+  uint32_t d = 0;
+  for (size_t i = w; i-- > 0;) d = (d << 1) | (exp.bit(lo + i) ? 1 : 0);
+  return d;
+}
+
+}  // namespace
+
+BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
+                       const BigInt& m) {
+  if (!m.is_odd()) return accel::mod_exp_reference(base, exp, m);
+  if (m == BigInt(1)) return {};
+  const size_t bits = exp.bit_length();
+  if (bits == 0) return BigInt(1);
+
+  // Window width: 5 bits for private exponents, 1 (plain left-to-right
+  // binary) for short public ones such as 65537.
+  const size_t w = bits > 256 ? 5 : bits > 64 ? 4 : 1;
+  const size_t n = (m.limbs_.size() + 1) / 2;
+  const size_t entries = size_t{1} << w;
+
+  // One allocation per call: modulus, accumulator, the plain 1 the exit
+  // product multiplies by, the window table (entry k holds base^k in
+  // Montgomery form; entry 0 is unused) and 2n + 2 words of scratch.
+  std::vector<uint64_t> words(n * (5 + entries) + 2, 0);
+  uint64_t* mw = words.data();
+  uint64_t* acc = mw + n;
+  uint64_t* one = acc + n;
+  uint64_t* table = one + n;
+  uint64_t* t = table + n * entries;
+  auto load = [](const BigInt& v, uint64_t* out) {  // v < m: fits n words
+    for (size_t i = 0; i < v.limbs_.size(); ++i) {
+      out[i / 2] |= static_cast<uint64_t>(v.limbs_[i]) << (32 * (i % 2));
+    }
+  };
+  load(m, mw);
+  one[0] = 1;
+  const uint64_t minv = neg_inverse(mw[0]);
+  auto mul = [&](uint64_t* r, const uint64_t* a, const uint64_t* b) {
+    mont_mul(r, a, b, mw, minv, n, t);
+  };
+
+  // Enter Montgomery form once: base * 2^(64n) mod m.
+  load(divmod(base << (64 * n), m).second, table + n);
+  for (size_t k = 2; k < entries; ++k) {
+    mul(table + k * n, table + (k - 1) * n, table + n);
+  }
+
+  // Fixed windows from the top; the top window holds the exponent's MSB,
+  // so its digit is non-zero.
+  size_t j = (bits - 1) / w;
+  std::copy_n(table + exp_window(exp, j * w, w) * n, n, acc);
+  while (j-- > 0) {
+    for (size_t s = 0; s < w; ++s) mont_sqr(acc, acc, mw, minv, n, t);
+    if (const uint32_t d = exp_window(exp, j * w, w)) {
+      mul(acc, acc, table + d * n);
+    }
+  }
+  mul(acc, acc, one);  // leave Montgomery form
+
+  BigInt out;
+  out.limbs_.resize(2 * n);
+  for (size_t i = 0; i < 2 * n; ++i) {
+    out.limbs_[i] = static_cast<uint32_t>(acc[i / 2] >> (32 * (i % 2)));
+  }
+  out.trim();
+  return out;
 }
 
 BigInt BigInt::gcd(BigInt a, BigInt b) {

@@ -2,9 +2,9 @@
 //
 // Just enough big-number arithmetic for certificate signing and the
 // SecureChannel key exchange: schoolbook multiply, Knuth Algorithm D
-// division, square-and-multiply modular exponentiation, extended Euclid,
-// and Miller–Rabin prime generation.  All randomness flows through the
-// deterministic sgfs::Rng so tests and simulations reproduce exactly.
+// division, Montgomery fixed-window modular exponentiation, extended
+// Euclid, and Miller–Rabin prime generation.  All randomness flows through
+// the deterministic sgfs::Rng so tests and simulations reproduce exactly.
 #pragma once
 
 #include <compare>
@@ -53,7 +53,9 @@ class BigInt {
   static std::pair<BigInt, BigInt> divmod(const BigInt& num,
                                           const BigInt& den);
 
-  /// (base ^ exp) mod m; m must be non-zero.
+  /// (base ^ exp) mod m; m must be non-zero.  Odd moduli run Montgomery
+  /// products over a fixed exponent window; even moduli take the
+  /// square-and-multiply reference (crypto/accel.hpp).
   static BigInt mod_exp(const BigInt& base, const BigInt& exp,
                         const BigInt& m);
 

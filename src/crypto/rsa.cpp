@@ -40,9 +40,12 @@ RsaKeyPair rsa_generate(Rng& rng, size_t modulus_bits) {
     BigInt phi = (p - BigInt(1)) * (q - BigInt(1));
     if (BigInt::gcd(e, phi) != BigInt(1)) continue;
     BigInt d = BigInt::mod_inverse(e, phi);
+    BigInt dp = d % (p - BigInt(1));
+    BigInt dq = d % (q - BigInt(1));
+    BigInt qinv = BigInt::mod_inverse(q, p);
     RsaKeyPair kp;
     kp.pub = {n, e};
-    kp.priv = {n, e, d};
+    kp.priv = {n, e, d, p, q, dp, dq, qinv};
     return kp;
   }
 }
@@ -75,13 +78,23 @@ Buffer digest_info_sha1(ByteView message) {
   return payload;
 }
 
+// x^d mod n.  With the factors: two half-size exponentiations and Garner
+// recombination, m = m2 + q * (qinv * (m1 - m2) mod p).
+BigInt private_op(const RsaPrivateKey& key, const BigInt& x) {
+  if (key.p.is_zero()) return BigInt::mod_exp(x, key.d, key.n);
+  const BigInt m1 = BigInt::mod_exp(x, key.dp, key.p);
+  const BigInt m2 = BigInt::mod_exp(x, key.dq, key.q);
+  const BigInt diff = m1 + key.p - m2 % key.p;  // m1 - m2 mod p, kept >= 0
+  return m2 + key.q * ((key.qinv * diff) % key.p);
+}
+
 }  // namespace
 
 Buffer rsa_sign_sha1(const RsaPrivateKey& key, ByteView message) {
   const size_t width = key.modulus_bytes();
   Buffer em = pkcs1_pad_type1(digest_info_sha1(message), width);
   BigInt m = BigInt::from_bytes(em);
-  BigInt s = BigInt::mod_exp(m, key.d, key.n);
+  BigInt s = private_op(key, m);
   return s.to_bytes_padded(width);
 }
 
@@ -133,7 +146,7 @@ Buffer rsa_decrypt(const RsaPrivateKey& key, ByteView ciphertext) {
   }
   BigInt c = BigInt::from_bytes(ciphertext);
   if (c >= key.n) throw std::runtime_error("RSA ciphertext out of range");
-  BigInt m = BigInt::mod_exp(c, key.d, key.n);
+  BigInt m = private_op(key, c);
   Buffer em = m.to_bytes_padded(width);
   if (em.size() < 11 || em[0] != 0x00 || em[1] != 0x02) {
     throw std::runtime_error("RSA padding corrupt");

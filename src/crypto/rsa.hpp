@@ -37,6 +37,10 @@ struct RsaPrivateKey {
   BigInt n;
   BigInt e;
   BigInt d;  // private exponent
+  // CRT factors (n = p*q, dp = d mod p-1, dq = d mod q-1, qinv = q^-1 mod
+  // p).  rsa_generate fills them; a key rebuilt from (n, e, d) alone leaves
+  // them zero and its private operations run over n.
+  BigInt p, q, dp, dq, qinv;
 
   size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
   RsaPublicKey public_key() const { return {n, e}; }

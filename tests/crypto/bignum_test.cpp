@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/accel.hpp"
+
 namespace sgfs::crypto {
 namespace {
 
@@ -27,6 +29,33 @@ TEST(BigInt, FromToBytesRoundTrip) {
   BigInt v = BigInt::from_bytes(raw);
   EXPECT_EQ(v.to_hex(), "deadbeefcafebabe");  // leading zero stripped
   EXPECT_EQ(to_hex(v.to_bytes()), "deadbeefcafebabe");
+}
+
+TEST(BigInt, FromBytesEmptyAndLeadingZeros) {
+  EXPECT_TRUE(BigInt::from_bytes({}).is_zero());
+  EXPECT_TRUE(BigInt::from_bytes(from_hex("00000000000000")).is_zero());
+  EXPECT_EQ(BigInt::from_bytes(from_hex("000000000001")), BigInt(1));
+  EXPECT_EQ(BigInt::from_bytes(from_hex("0000000000000000000102")).to_hex(),
+            "102");
+}
+
+TEST(BigInt, FromBytesEveryLengthRoundTrips) {
+  // Every length 1-70, so each position of the top byte within a 32-bit
+  // limb is hit, with and without leading zero bytes.
+  Rng rng(10);
+  for (size_t len = 1; len <= 70; ++len) {
+    Buffer raw = rng.bytes(len);
+    raw[0] |= 0x01;  // non-zero top byte: to_bytes gives all len bytes back
+    const BigInt v = BigInt::from_bytes(raw);
+    EXPECT_EQ(v.to_bytes(), raw) << "len " << len;
+    EXPECT_EQ(BigInt::from_hex(to_hex(raw)), v) << "len " << len;
+    EXPECT_EQ(BigInt::from_hex(v.to_hex()), v) << "len " << len;
+
+    Buffer padded(len % 5, 0);
+    append(padded, raw);
+    EXPECT_EQ(BigInt::from_bytes(padded), v) << "len " << len;
+    EXPECT_EQ(v.to_bytes_padded(padded.size()), padded) << "len " << len;
+  }
 }
 
 TEST(BigInt, PaddedExport) {
@@ -113,6 +142,71 @@ TEST(BigInt, ModExpEdgeCases) {
   EXPECT_EQ(BigInt::mod_exp(BigInt(5), BigInt(3), BigInt(1)), BigInt(0));
   EXPECT_EQ(BigInt::mod_exp(BigInt(2), BigInt(10), BigInt(1000)),
             BigInt(24));
+}
+
+TEST(BigInt, ModExpMontgomeryMatchesReference) {
+  // Odd moduli of 33-2048 bits (odd and even 32-bit limb counts), against
+  // the square-and-multiply reference.  Exponents cycle through 0, 1,
+  // 65537, full width and random widths across the window thresholds;
+  // bases through 0, m, multiples of m, values >= m and values < m.
+  Rng rng(21);
+  for (int i = 0; i < 2000; ++i) {
+    const size_t bits = rng.next_range(33, 2048);
+    BigInt m = BigInt::random_bits(rng, bits);
+    if (!m.is_odd()) m = m + BigInt(1);
+
+    BigInt exp;
+    switch (i % 5) {
+      case 0: exp = BigInt(i % 2); break;  // 0 or 1
+      case 1: exp = BigInt(65537); break;
+      case 2:
+        // Full width; the reference is cubic in the width, so moduli over
+        // 1024 bits get it on a quarter of their turns and a 257-1024-bit
+        // exponent otherwise.
+        exp = BigInt::random_bits(rng, bits <= 1024 || i % 4 == 2
+                                           ? bits
+                                           : rng.next_range(257, 1024));
+        break;
+      default: exp = BigInt::random_bits(rng, rng.next_range(2, 320));
+    }
+
+    BigInt base;
+    switch (i % 7) {
+      case 0: break;  // zero
+      case 1: base = m; break;
+      case 2: base = m * BigInt(rng.next_range(2, 1u << 20)); break;
+      case 3: base = BigInt::random_bits(rng, bits + rng.next_range(1, 70));
+              break;
+      case 4: base = m - BigInt(1); break;
+      default: base = BigInt::random_below(rng, m);
+    }
+
+    ASSERT_EQ(BigInt::mod_exp(base, exp, m),
+              accel::mod_exp_reference(base, exp, m))
+        << "case " << i << ": m=" << m.to_hex() << " exp=" << exp.to_hex()
+        << " base=" << base.to_hex();
+  }
+}
+
+TEST(BigInt, ModExpMontgomeryEdgeCases) {
+  const BigInt one(1);
+  const BigInt m = BigInt::from_hex("fffffffffffffffffffffffb");  // 3 limbs
+  for (const BigInt& base : {BigInt(), BigInt(7), m, m + BigInt(7)}) {
+    EXPECT_EQ(BigInt::mod_exp(base, BigInt(0), m), one);
+    EXPECT_TRUE(BigInt::mod_exp(base, BigInt(5), one).is_zero());
+    EXPECT_EQ(BigInt::mod_exp(base, BigInt(1), m), base % m);
+  }
+  // Full-width 2048-bit exponent on a 2048-bit modulus.
+  Rng rng(22);
+  BigInt wide = BigInt::random_bits(rng, 2048) + BigInt(1);
+  if (!wide.is_odd()) wide = wide + BigInt(1);
+  const BigInt base = BigInt::random_bits(rng, 2100);
+  const BigInt exp = BigInt::random_bits(rng, 2048);
+  EXPECT_EQ(BigInt::mod_exp(base, exp, wide),
+            accel::mod_exp_reference(base, exp, wide));
+  // Fermat: a^(p-1) = 1 mod p for the Mersenne prime 2^127 - 1.
+  const BigInt p = (one << 127) - one;
+  EXPECT_EQ(BigInt::mod_exp(BigInt(3), p - one, p), one);
 }
 
 TEST(BigInt, Gcd) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "crypto/accel.hpp"
 #include "crypto/cert.hpp"
 #include "crypto/rsa.hpp"
 
@@ -112,6 +113,100 @@ TEST(Rsa, GenerationIsDeterministic) {
   RsaKeyPair ka = rsa_generate(a, 256);
   RsaKeyPair kb = rsa_generate(b, 256);
   EXPECT_EQ(ka.pub, kb.pub);
+}
+
+TEST(Rsa, GenerationKnownAnswer) {
+  // Pins the keygen Rng stream (prime candidates, small-prime sieve,
+  // Miller-Rabin witness draws): a change to any of them moves every
+  // simulated key, certificate and signature.
+  Rng rng(11);
+  RsaKeyPair kp = rsa_generate(rng, 512);
+  EXPECT_EQ(kp.priv.n.to_hex(),
+            "5aaa57cbe356b683227eac760dc009101599be0ec3e346b07c2db1f8a54fb5ca"
+            "cc2774f4e643e1336fab75ee9a9064cb5b1cb1b339541b8363a5525c5ef6962b");
+  EXPECT_EQ(kp.priv.d.to_hex(),
+            "53dc3f7cfcf855b491916d5f7c74656d952d315862e3b39cc61f560050979be3"
+            "ac733572c7e7d64884f99a08bb7d0b4534d188ec839e3c507e09ce090ca883b1");
+  EXPECT_EQ(rng.next_u64(), 4340536231259699837ull);  // no extra draws
+}
+
+// The key as credential_from_field rebuilds it: (n, e, d), no factors.
+RsaPrivateKey without_factors(const RsaPrivateKey& key) {
+  RsaPrivateKey out;
+  out.n = key.n;
+  out.e = key.e;
+  out.d = key.d;
+  return out;
+}
+
+TEST(Rsa, CrtFactorsAreConsistent) {
+  Rng rng(200);
+  for (size_t bits : {256u, 512u, 1024u}) {
+    const RsaPrivateKey k = rsa_generate(rng, bits).priv;
+    const BigInt one(1);
+    EXPECT_EQ(k.p * k.q, k.n);
+    EXPECT_EQ(k.dp, k.d % (k.p - one));
+    EXPECT_EQ(k.dq, k.d % (k.q - one));
+    EXPECT_EQ((k.qinv * k.q) % k.p, one);
+  }
+}
+
+TEST(Rsa, CrtSignAndDecryptMatchThePlainPath) {
+  // The CRT private operation against the plain one over n and against
+  // the reference exponentiation, byte for byte.  A 256-bit modulus is
+  // too short for the SHA-1 DigestInfo, so it runs decrypt only.
+  Rng rng(201);
+  for (size_t bits : {256u, 512u, 1024u}) {
+    const RsaKeyPair kp = rsa_generate(rng, bits);
+    const RsaPrivateKey plain = without_factors(kp.priv);
+    const size_t width = kp.pub.modulus_bytes();
+    for (int i = 0; i < 12; ++i) {
+      const Buffer secret = rng.bytes(1 + static_cast<size_t>(i) % 20);
+      const Buffer ct = rsa_encrypt(kp.pub, rng, secret);
+      EXPECT_EQ(rsa_decrypt(kp.priv, ct), secret);
+      EXPECT_EQ(rsa_decrypt(plain, ct), secret);
+
+      if (bits == 256) continue;
+      const Buffer msg = rng.bytes(static_cast<size_t>(i) * 37);
+      const Buffer sig = rsa_sign_sha1(kp.priv, msg);
+      EXPECT_EQ(sig, rsa_sign_sha1(plain, msg)) << bits << " bits, msg " << i;
+      const BigInt em =
+          accel::mod_exp_reference(BigInt::from_bytes(sig), kp.pub.e, kp.pub.n);
+      EXPECT_EQ(accel::mod_exp_reference(em, kp.priv.d, kp.priv.n)
+                    .to_bytes_padded(width),
+                sig);
+      EXPECT_TRUE(rsa_verify_sha1(kp.pub, msg, sig));
+    }
+  }
+}
+
+TEST(Rsa, CrtDecryptAgreesOnArbitraryCiphertexts) {
+  // Ciphertexts that are not rsa_encrypt output, including multiples of a
+  // factor: both paths must fail alike or return the same bytes.
+  Rng rng(202);
+  auto outcome = [](const RsaPrivateKey& key, const Buffer& ct) {
+    try {
+      return to_hex(rsa_decrypt(key, ct));
+    } catch (const std::runtime_error& e) {
+      return std::string("error: ") + e.what();
+    }
+  };
+  for (size_t bits : {256u, 512u, 1024u}) {
+    const RsaKeyPair kp = rsa_generate(rng, bits);
+    const RsaPrivateKey plain = without_factors(kp.priv);
+    const size_t width = kp.pub.modulus_bytes();
+    std::vector<BigInt> inputs = {BigInt(), BigInt(1), kp.priv.p, kp.priv.q,
+                                  kp.priv.p * BigInt(3),
+                                  kp.pub.n - BigInt(1)};
+    for (int i = 0; i < 30; ++i) {
+      inputs.push_back(BigInt::random_below(rng, kp.pub.n));
+    }
+    for (const BigInt& c : inputs) {
+      const Buffer ct = c.to_bytes_padded(width);
+      EXPECT_EQ(outcome(kp.priv, ct), outcome(plain, ct))
+          << bits << " bits, c=" << c.to_hex();
+    }
+  }
 }
 
 // --- Distinguished names ----------------------------------------------------

@@ -90,6 +90,20 @@ TEST(Envelope, CredentialFieldRoundTrip) {
   EXPECT_EQ(back.private_key.d, pki().alice.private_key.d);
 }
 
+TEST(Envelope, CredentialFromFieldSignsLikeTheOriginal) {
+  // The field carries (n, e, d) only, so the rebuilt key signs over n
+  // while the original uses its CRT factors; the bytes must agree.
+  const crypto::Credential& alice = pki().alice;
+  crypto::Credential back = credential_from_field(credential_to_field(alice));
+  ASSERT_FALSE(alice.private_key.p.is_zero());
+  EXPECT_TRUE(back.private_key.p.is_zero());
+  for (const char* msg : {"", "CreateSession", "/GFS/alice/data"}) {
+    EXPECT_EQ(crypto::rsa_sign_sha1(back.private_key, to_bytes(msg)),
+              crypto::rsa_sign_sha1(alice.private_key, to_bytes(msg)))
+        << msg;
+  }
+}
+
 // --- full control-plane test ---------------------------------------------------
 
 struct ServiceRig {
