@@ -10,6 +10,46 @@ BufStats& buf_stats() {
   return stats;
 }
 
+BufChain::BufChain(BufChain&& other) noexcept { take(other); }
+
+BufChain& BufChain::operator=(BufChain&& other) noexcept {
+  if (this != &other) {
+    if (count_ <= kInline) {
+      for (size_t i = 0; i < count_; ++i) inline_[i] = Segment();
+    }
+    spill_.clear();
+    take(other);
+  }
+  return *this;
+}
+
+void BufChain::take(BufChain& other) noexcept {
+  // Only the live inline slots move; a spilled chain hands over its vector.
+  count_ = std::exchange(other.count_, 0);
+  size_ = std::exchange(other.size_, 0);
+  if (count_ <= kInline) {
+    for (size_t i = 0; i < count_; ++i) {
+      inline_[i] = std::move(other.inline_[i]);
+    }
+  } else {
+    spill_ = std::move(other.spill_);
+    other.spill_.clear();
+  }
+}
+
+void BufChain::push(Segment seg) {
+  if (count_ < kInline) {
+    inline_[count_++] = std::move(seg);
+    return;
+  }
+  if (count_ == kInline) {
+    spill_.reserve(2 * kInline);
+    for (auto& s : inline_) spill_.push_back(std::move(s));
+  }
+  spill_.push_back(std::move(seg));
+  ++count_;
+}
+
 BufChain::BufChain(Buffer data) {
   if (data.empty()) return;
   auto& stats = buf_stats();
@@ -17,14 +57,14 @@ BufChain::BufChain(Buffer data) {
   stats.bytes_zerocopy += data.size();
   size_ = data.size();
   auto store = std::make_shared<const Buffer>(std::move(data));
-  segs_.emplace_back(std::move(store), 0, size_);
+  push(Segment(std::move(store), 0, size_));
 }
 
 BufChain::BufChain(Segment seg) {
   if (seg.len == 0) return;
   buf_stats().bytes_zerocopy += seg.len;
   size_ = seg.len;
-  segs_.push_back(std::move(seg));
+  push(std::move(seg));
 }
 
 BufChain BufChain::copy_of(ByteView data) {
@@ -34,12 +74,14 @@ BufChain BufChain::copy_of(ByteView data) {
 
 void BufChain::append(BufChain other) {
   if (other.empty()) return;
-  size_ += other.size_;
-  if (segs_.empty()) {
-    segs_ = std::move(other.segs_);
+  if (empty()) {
+    *this = std::move(other);
     return;
   }
-  for (auto& seg : other.segs_) segs_.push_back(std::move(seg));
+  size_ += other.size_;
+  Segment* theirs =
+      other.count_ <= kInline ? other.inline_.data() : other.spill_.data();
+  for (size_t i = 0; i < other.count_; ++i) push(std::move(theirs[i]));
 }
 
 void BufChain::append(Buffer data) { append(BufChain(std::move(data))); }
@@ -53,13 +95,13 @@ BufChain BufChain::slice(size_t offset, size_t len) const {
   buf_stats().bytes_zerocopy += len;
   size_t skip = offset;
   size_t want = len;
-  for (const auto& seg : segs_) {
+  for (const auto& seg : segments()) {
     if (skip >= seg.len) {
       skip -= seg.len;
       continue;
     }
     const size_t take = std::min(seg.len - skip, want);
-    out.segs_.emplace_back(seg.store, seg.offset + skip, take);
+    out.push(Segment(seg.store, seg.offset + skip, take));
     out.size_ += take;
     want -= take;
     skip = 0;
@@ -69,8 +111,8 @@ BufChain BufChain::slice(size_t offset, size_t len) const {
 }
 
 std::optional<ByteView> BufChain::try_view() const {
-  if (segs_.empty()) return ByteView{};
-  if (segs_.size() == 1) return segs_[0].view();
+  if (count_ == 0) return ByteView{};
+  if (count_ == 1) return inline_[0].view();
   return std::nullopt;
 }
 
@@ -78,7 +120,7 @@ Buffer BufChain::flatten() const {
   buf_stats().bytes_copied += size_;
   Buffer out;
   out.reserve(size_);
-  for (const auto& seg : segs_) {
+  for (const auto& seg : segments()) {
     out.insert(out.end(), seg.view().begin(), seg.view().end());
   }
   return out;
@@ -86,7 +128,7 @@ Buffer BufChain::flatten() const {
 
 size_t BufChain::copy_to(MutByteView out) const {
   size_t done = 0;
-  for (const auto& seg : segs_) {
+  for (const auto& seg : segments()) {
     if (done == out.size()) break;
     const size_t take = std::min(seg.len, out.size() - done);
     std::memcpy(out.data() + done, seg.store->data() + seg.offset, take);
@@ -98,7 +140,7 @@ size_t BufChain::copy_to(MutByteView out) const {
 
 uint8_t BufChain::at(size_t i) const {
   if (i >= size_) throw std::out_of_range("BufChain::at out of range");
-  for (const auto& seg : segs_) {
+  for (const auto& seg : segments()) {
     if (i < seg.len) return (*seg.store)[seg.offset + i];
     i -= seg.len;
   }

@@ -1,6 +1,7 @@
 // BufChain — refcounted segmented byte buffer for the zero-copy pipeline.
 //
-// A BufChain is a small vector of shared, immutable segments.  Appending,
+// A BufChain is a small vector of shared, immutable segments (up to three
+// descriptors inline, spilling to the heap beyond that).  Appending,
 // slicing and concatenating chains moves/refcounts segment descriptors
 // instead of copying payload bytes, so an NFS READ reply can travel
 // XDR encoder -> rpc_msg -> secure channel -> stream -> proxy -> client
@@ -15,12 +16,15 @@
 // benches snapshot deltas around each run.
 #pragma once
 
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -57,6 +61,11 @@ class BufChain {
   };
 
   BufChain() {}
+  BufChain(const BufChain&) = default;
+  BufChain& operator=(const BufChain&) = default;
+  /// A moved-from chain is empty.
+  BufChain(BufChain&& other) noexcept;
+  BufChain& operator=(BufChain&& other) noexcept;
 
   /// Adopts an owned Buffer as a single shared segment — no byte copy.
   /// Implicit on purpose: `co_return enc.take_flat();` and friends read
@@ -82,8 +91,13 @@ class BufChain {
   /// zero-copy).  Throws std::out_of_range when the range exceeds size().
   BufChain slice(size_t offset, size_t len) const;
 
-  /// iovec-style access for scatter-gather consumers.
-  const std::vector<Segment>& segments() const { return segs_; }
+  /// iovec-style access for scatter-gather consumers.  The span views this
+  /// chain's own descriptors: bind a temporary chain to a local before
+  /// iterating its segments.
+  std::span<const Segment> segments() const {
+    return count_ <= kInline ? std::span<const Segment>(inline_.data(), count_)
+                             : std::span<const Segment>(spill_);
+  }
 
   /// Contiguous view when the chain has at most one segment.
   std::optional<ByteView> try_view() const;
@@ -99,7 +113,17 @@ class BufChain {
   uint8_t at(size_t i) const;
 
  private:
-  std::vector<Segment> segs_;
+  static constexpr size_t kInline = 3;
+
+  void push(Segment seg);
+  // Moves other's segments into this (empty) chain; leaves other empty.
+  void take(BufChain& other) noexcept;
+
+  // Segments live in inline_[0, count_) while count_ <= kInline, and all of
+  // them in spill_ beyond that.
+  std::array<Segment, kInline> inline_;
+  std::vector<Segment> spill_;
+  size_t count_ = 0;
   size_t size_ = 0;
 };
 

@@ -1,5 +1,8 @@
 #include "common/rng.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace sgfs {
 
 namespace {
@@ -49,10 +52,14 @@ double Rng::next_double() {
 }
 
 void Rng::fill(MutByteView out) {
+  // Each word is stored least-significant byte first; on a little-endian
+  // host that is the word's own memory image.
+  static_assert(std::endian::native == std::endian::little,
+                "Rng::fill stores words in native byte order");
   size_t i = 0;
-  while (i + 8 <= out.size()) {
-    uint64_t v = next_u64();
-    for (int b = 0; b < 8; ++b) out[i++] = static_cast<uint8_t>(v >> (8 * b));
+  for (; i + 8 <= out.size(); i += 8) {
+    const uint64_t v = next_u64();
+    std::memcpy(out.data() + i, &v, sizeof v);
   }
   if (i < out.size()) {
     uint64_t v = next_u64();

@@ -1,6 +1,7 @@
 #include "fleet/flashcrowd.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "net/network.hpp"
@@ -59,7 +60,13 @@ sim::Task<void> client_actor(Crowd& c, const kit::ProxiedClient& client,
       // A short read is the wrong shape: it counts as corruption too.
       uint64_t bad =
           got.size() != std::min<uint64_t>(kBlockBytes, c.oracle.size() - off);
-      for (size_t i = 0; i < got.size(); ++i) {
+      // Whole-block compare first; count bytes one at a time only when
+      // something differs.
+      const bool same = got.empty() ||
+                        (off + got.size() <= c.oracle.size() &&
+                         std::memcmp(got.data(), c.oracle.data() + off,
+                                     got.size()) == 0);
+      for (size_t i = 0; !same && i < got.size(); ++i) {
         bad += off + i >= c.oracle.size() || got[i] != c.oracle[off + i];
       }
       c.res.corrupt_bytes += bad;

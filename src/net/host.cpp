@@ -14,14 +14,6 @@ sim::SimDur Disk::op_cost(size_t bytes, bool sequential) const {
   return (sequential ? 0 : params_.seek) + transfer;
 }
 
-sim::Task<void> Disk::read(size_t bytes, bool sequential, std::string tag) {
-  co_await res_.use(op_cost(bytes, sequential), std::move(tag));
-}
-
-sim::Task<void> Disk::write(size_t bytes, bool sequential, std::string tag) {
-  co_await res_.use(op_cost(bytes, sequential), std::move(tag));
-}
-
 Host::Host(sim::Engine& eng, Network& net, std::string name, DiskParams disk)
     : eng_(eng),
       net_(net),

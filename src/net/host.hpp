@@ -29,11 +29,15 @@ class Disk {
       : res_(eng, std::move(name)), params_(params) {}
 
   /// Charges one random-access read of `bytes`.
-  sim::Task<void> read(size_t bytes, bool sequential = false,
-                       std::string tag = "disk");
+  sim::Engine::SleepAwaiter read(size_t bytes, bool sequential = false,
+                                 const std::string& tag = "disk") {
+    return res_.use(op_cost(bytes, sequential), tag);
+  }
   /// Charges one write of `bytes`.
-  sim::Task<void> write(size_t bytes, bool sequential = false,
-                        std::string tag = "disk");
+  sim::Engine::SleepAwaiter write(size_t bytes, bool sequential = false,
+                                  const std::string& tag = "disk") {
+    return res_.use(op_cost(bytes, sequential), tag);
+  }
 
   sim::Resource& resource() { return res_; }
   const DiskParams& params() const { return params_; }
@@ -63,7 +67,7 @@ class Host {
   /// that predate copy accounting.
   void set_memcpy_bytes_per_sec(double rate) { memcpy_bytes_per_sec_ = rate; }
   bool memcpy_charged() const { return memcpy_bytes_per_sec_ > 0.0; }
-  sim::Task<void> memcpy_cost(size_t bytes) {
+  sim::Engine::SleepAwaiter memcpy_cost(size_t bytes) {
     return cpu_.use(
         sim::from_seconds(static_cast<double>(bytes) / memcpy_bytes_per_sec_),
         "memcpy");

@@ -22,6 +22,7 @@ Host& Network::host(const std::string& name) {
 void Network::set_link(const std::string& a, const std::string& b,
                        LinkParams params) {
   link_overrides_[{std::min(a, b), std::max(a, b)}] = params;
+  ++params_gen_;
 }
 
 LinkParams Network::link_params(const std::string& a,
@@ -31,10 +32,12 @@ LinkParams Network::link_params(const std::string& a,
   return it != link_overrides_.end() ? it->second : default_link_;
 }
 
-Network::LinkState& Network::link_state(const std::string& from,
-                                        const std::string& to) {
-  auto& st = link_states_[{from, to}];
-  st.params = link_params(from, to);  // refresh in case set_link() ran later
+Network::LinkState& Network::refreshed(LinkState& st, const std::string& from,
+                                       const std::string& to) {
+  if (st.gen != params_gen_) {
+    st.params = link_params(from, to);
+    st.gen = params_gen_;
+  }
   return st;
 }
 
@@ -115,10 +118,12 @@ std::pair<StreamPtr, StreamPtr> Stream::make_pair(Network& net, Host& a,
   auto sa = StreamPtr(new Stream());
   auto sb = StreamPtr(new Stream());
   sa->net_ = &net;
+  sa->link_ = &net.link_states_[{a.name(), b.name()}];
   sa->local_ = &a;
   sa->remote_ = &b;
   sa->peer_ = sb;
   sb->net_ = &net;
+  sb->link_ = &net.link_states_[{b.name(), a.name()}];
   sb->local_ = &b;
   sb->remote_ = &a;
   sb->peer_ = sa;
@@ -127,23 +132,10 @@ std::pair<StreamPtr, StreamPtr> Stream::make_pair(Network& net, Host& a,
   return {sa, sb};
 }
 
-sim::Task<void> Stream::deliver_task(sim::Engine& eng, sim::SimTime arrive,
-                                     std::weak_ptr<Stream> peer, Buffer data,
-                                     bool eof) {
-  co_await eng.sleep_until(arrive);
-  if (auto p = peer.lock()) {
-    if (eof) {
-      p->deliver_eof();
-    } else {
-      p->deliver(std::move(data));
-    }
-  }
-}
-
-sim::Task<void> Stream::write(ByteView data) {
+sim::Engine::SleepAwaiter Stream::write(Buffer data) {
   if (local_closed_) throw StreamClosed();
   auto& eng = net_->engine();
-  auto& st = net_->link_state(local_->name(), remote_->name());
+  auto& st = link();
   const sim::SimTime depart = std::max(eng.now(), st.next_free);
   const sim::SimDur serialization = static_cast<sim::SimDur>(
       static_cast<double>(data.size()) / st.params.bytes_per_sec *
@@ -152,43 +144,34 @@ sim::Task<void> Stream::write(ByteView data) {
   const sim::SimTime arrive = depart + serialization +
                               st.params.latency_one_way;
   bytes_sent_ += data.size();
-  eng.spawn(deliver_task(eng, arrive, peer_,
-                         Buffer(data.begin(), data.end()), /*eof=*/false));
+  eng.call_at(arrive, [peer = peer_, data = std::move(data)]() mutable {
+    if (auto p = peer.lock()) p->deliver(std::move(data));
+  });
   // The sender is occupied until its data is serialized onto the link.
-  co_await eng.sleep_until(depart + serialization);
+  return eng.sleep_until(depart + serialization);
 }
 
-sim::Task<void> Stream::write(const BufChain& data) {
-  if (local_closed_) throw StreamClosed();
-  auto& eng = net_->engine();
-  auto& st = net_->link_state(local_->name(), remote_->name());
-  const sim::SimTime depart = std::max(eng.now(), st.next_free);
-  const sim::SimDur serialization = static_cast<sim::SimDur>(
-      static_cast<double>(data.size()) / st.params.bytes_per_sec *
-      static_cast<double>(sim::kSecond));
-  st.next_free = depart + serialization;
-  const sim::SimTime arrive = depart + serialization +
-                              st.params.latency_one_way;
-  bytes_sent_ += data.size();
+sim::Engine::SleepAwaiter Stream::write(const BufChain& data) {
   // Gather the chain into the one in-flight Buffer the link delivers.
   Buffer wire;
   wire.reserve(data.size());
   for (const auto& seg : data.segments()) {
     wire.insert(wire.end(), seg.view().begin(), seg.view().end());
   }
-  eng.spawn(deliver_task(eng, arrive, peer_, std::move(wire), /*eof=*/false));
-  co_await eng.sleep_until(depart + serialization);
+  return write(std::move(wire));
 }
 
 void Stream::close() {
   if (local_closed_) return;
   local_closed_ = true;
   auto& eng = net_->engine();
-  auto& st = net_->link_state(local_->name(), remote_->name());
+  auto& st = link();
   // EOF travels in-order behind already-queued data.
   const sim::SimTime depart = std::max(eng.now(), st.next_free);
   const sim::SimTime arrive = depart + st.params.latency_one_way;
-  eng.spawn(deliver_task(eng, arrive, peer_, Buffer{}, /*eof=*/true));
+  eng.call_at(arrive, [peer = peer_] {
+    if (auto p = peer.lock()) p->deliver_eof();
+  });
 }
 
 void Stream::deliver(Buffer data) {
@@ -222,41 +205,34 @@ void Stream::wake_readers() {
   rx_.waiters.clear();
 }
 
+size_t Stream::try_read(MutByteView out) {
+  size_t copied = 0;
+  while (copied < out.size() && rx_.buffered > 0) {
+    Buffer& seg = rx_.segments.front();
+    const size_t avail = seg.size() - rx_.head_offset;
+    const size_t take = std::min(avail, out.size() - copied);
+    std::copy_n(seg.data() + rx_.head_offset, take, out.data() + copied);
+    copied += take;
+    rx_.head_offset += take;
+    rx_.buffered -= take;
+    if (rx_.head_offset == seg.size()) {
+      rx_.segments.pop_front();
+      rx_.head_offset = 0;
+    }
+  }
+  return copied;
+}
+
 sim::Task<size_t> Stream::read_some(MutByteView out) {
   if (out.empty()) co_return 0;
-  for (;;) {
-    if (rx_.buffered > 0) {
-      size_t copied = 0;
-      while (copied < out.size() && rx_.buffered > 0) {
-        Buffer& seg = rx_.segments.front();
-        const size_t avail = seg.size() - rx_.head_offset;
-        const size_t take = std::min(avail, out.size() - copied);
-        std::copy_n(seg.data() + rx_.head_offset, take,
-                    out.data() + copied);
-        copied += take;
-        rx_.head_offset += take;
-        rx_.buffered -= take;
-        if (rx_.head_offset == seg.size()) {
-          rx_.segments.pop_front();
-          rx_.head_offset = 0;
-        }
-      }
-      co_return copied;
-    }
-    if (rx_.eof) co_return 0;
-    co_await ReadWaiter{rx_};
-  }
+  while (!readable_now(1)) co_await readable(1);
+  co_return try_read(out);
 }
 
 sim::Task<Buffer> Stream::read_exact(size_t n) {
+  while (!readable_now(n)) co_await readable(n);
   Buffer out(n);
-  size_t have = 0;
-  while (have < n) {
-    size_t got = co_await read_some(
-        MutByteView(out.data() + have, n - have));
-    if (got == 0) throw StreamClosed();
-    have += got;
-  }
+  if (try_read(out) != n) throw StreamClosed();
   co_return out;
 }
 

@@ -95,12 +95,19 @@ class Network {
   Host& host(const std::string& name);
 
   /// Default parameters for links between distinct hosts.
-  void set_default_link(LinkParams params) { default_link_ = params; }
+  void set_default_link(LinkParams params) {
+    default_link_ = params;
+    ++params_gen_;
+  }
   /// Parameters for a specific unordered host pair (overrides default).
+  /// Takes effect on open streams from their next write.
   void set_link(const std::string& a, const std::string& b,
                 LinkParams params);
   /// Parameters for same-host traffic.
-  void set_loopback(LinkParams params) { loopback_ = params; }
+  void set_loopback(LinkParams params) {
+    loopback_ = params;
+    ++params_gen_;
+  }
 
   LinkParams link_params(const std::string& a, const std::string& b) const;
 
@@ -155,12 +162,19 @@ class Network {
 
   void register_stream(const std::string& host, std::weak_ptr<Stream> s);
 
-  // Shared per-ordered-pair serialization state (bandwidth queue).
+  // Shared per-ordered-pair serialization state (bandwidth queue).  Each
+  // Stream caches a pointer to its direction's state (map nodes are
+  // stable).  `gen` trails params_gen_ until the first use, and again after
+  // each set_* call, until refreshed() re-reads the parameters.
   struct LinkState {
     LinkParams params;
     sim::SimTime next_free = 0;
+    uint64_t gen = 0;
   };
-  LinkState& link_state(const std::string& from, const std::string& to);
+  // `st` (the state for `from -> to`) with parameters current as of the
+  // last set_default_link / set_link / set_loopback.
+  LinkState& refreshed(LinkState& st, const std::string& from,
+                       const std::string& to);
 
   sim::Engine& eng_;
   std::map<std::string, std::unique_ptr<Host>> hosts_;
@@ -168,6 +182,7 @@ class Network {
   LinkParams loopback_ = LinkParams::loopback();
   std::map<std::pair<std::string, std::string>, LinkParams> link_overrides_;
   std::map<std::pair<std::string, std::string>, LinkState> link_states_;
+  uint64_t params_gen_ = 1;  // bumped by every link-parameter setter
   std::shared_ptr<std::map<Address, Listener*>> registry_ =
       std::make_shared<std::map<Address, Listener*>>();
   std::shared_ptr<FaultPlan> fault_plan_;
@@ -180,18 +195,45 @@ class Network {
 /// A reliable, ordered, bidirectional byte stream between two hosts.
 class Stream : public std::enable_shared_from_this<Stream> {
  public:
-  /// Sends bytes; completes once the data is serialized onto the link.
-  sim::Task<void> write(ByteView data);
+  /// Sends bytes: `co_await s.write(wire)` completes once the data is
+  /// serialized onto the link.  The owned buffer becomes the in-flight
+  /// delivery as is.  Throws StreamClosed (synchronously) after close or
+  /// reset.
+  sim::Engine::SleepAwaiter write(Buffer data);
 
-  /// Exact-match overload: a Buffer would otherwise be ambiguous between
-  /// the ByteView conversion and the implicit Buffer -> BufChain adoption.
-  sim::Task<void> write(const Buffer& data) { return write(ByteView(data)); }
+  /// Copies `data` into the in-flight delivery buffer.
+  sim::Engine::SleepAwaiter write(ByteView data) {
+    return write(Buffer(data.begin(), data.end()));
+  }
 
   /// Scatter-gather send: serializes a segment chain onto the link without
   /// requiring the caller to flatten it first.  The single gather into the
   /// in-flight delivery buffer models the NIC walking an iovec, so it is
   /// deliberately absent from buf_stats().
-  sim::Task<void> write(const BufChain& data);
+  sim::Engine::SleepAwaiter write(const BufChain& data);
+
+  /// Copies up to out.size() buffered bytes into `out` without waiting;
+  /// returns the count (0 when nothing is buffered, at EOF too).
+  size_t try_read(MutByteView out);
+
+  /// True once n bytes are buffered or the read side hit EOF/reset.
+  bool readable_now(size_t n) const { return rx_.buffered >= n || rx_.eof; }
+
+  /// Frame-less wait for input: `co_await s.readable(n)` returns at once
+  /// when readable_now(n), else parks until the next delivery, which may
+  /// still be short.  Callers loop, with the co_await as its own statement
+  /// (GCC 12 miscompiles it inside a condition; DESIGN.md §11):
+  ///   while (!s.readable_now(n)) co_await s.readable(n);
+  struct ReadableAwaiter {
+    Stream& s;
+    size_t n;
+    bool await_ready() const noexcept { return s.readable_now(n); }
+    void await_suspend(std::coroutine_handle<> h) {
+      s.rx_.waiters.push_back(h);
+    }
+    void await_resume() const noexcept {}
+  };
+  ReadableAwaiter readable(size_t n) { return {*this, n}; }
 
   /// Reads at least 1 byte (up to out.size()); returns 0 at EOF.
   sim::Task<size_t> read_some(MutByteView out);
@@ -224,11 +266,12 @@ class Stream : public std::enable_shared_from_this<Stream> {
 
   static std::pair<StreamPtr, StreamPtr> make_pair(Network& net, Host& a,
                                                    Host& b);
-  static sim::Task<void> deliver_task(sim::Engine& eng, sim::SimTime arrive,
-                                      std::weak_ptr<Stream> peer, Buffer data,
-                                      bool eof);
 
   Stream() = default;
+  // The link state of this direction, parameters refreshed if changed.
+  Network::LinkState& link() {
+    return net_->refreshed(*link_, local_->name(), remote_->name());
+  }
   void deliver(Buffer data);
   void deliver_eof();
   void wake_readers();
@@ -236,16 +279,8 @@ class Stream : public std::enable_shared_from_this<Stream> {
   // no-ops, and fails both read and write directions with StreamClosed.
   void reset();
 
-  struct ReadWaiter {
-    Pipe& pipe;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      pipe.waiters.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
   Network* net_ = nullptr;
+  Network::LinkState* link_ = nullptr;  // local -> remote, set by make_pair
   Host* local_ = nullptr;
   Host* remote_ = nullptr;
   std::weak_ptr<Stream> peer_;

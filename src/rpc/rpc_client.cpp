@@ -126,17 +126,6 @@ sim::Task<void> RpcClient::reader_loop(
   state->fail_all();
 }
 
-sim::Task<void> RpcClient::timeout_task(sim::Engine& eng,
-                                        std::shared_ptr<Pending> pending,
-                                        uint64_t gen, sim::SimDur delay) {
-  co_await eng.sleep(delay);
-  // Only fire if this attempt is still the live one: no reply yet, no
-  // newer retransmission, and the call was not already failed.
-  if (!pending->reply && pending->wait_gen == gen && !pending->done.is_set()) {
-    pending->done.set();
-  }
-}
-
 sim::Task<BufChain> RpcClient::call(uint32_t proc, BufChain args) {
   co_return co_await call_with_xid(state_->next_xid++, proc,
                                    std::move(args));
@@ -199,7 +188,15 @@ sim::Task<BufChain> RpcClient::call_with_xid(uint32_t xid, uint32_t proc,
   bool send_this_attempt = true;
   for (int attempt = 0;; ++attempt) {
     if (retry.enabled()) {
-      eng.spawn(timeout_task(eng, pending, pending->wait_gen, timeout));
+      // Retransmission timer.  Fires only if this attempt is still the live
+      // one: no reply yet, no newer retransmission, and the call was not
+      // already failed.
+      eng.call_at(eng.now() + timeout, [pending, gen = pending->wait_gen] {
+        if (!pending->reply && pending->wait_gen == gen &&
+            !pending->done.is_set()) {
+          pending->done.set();
+        }
+      });
     }
     if (send_this_attempt) {
       co_await transport->send(wire);

@@ -127,9 +127,6 @@ class RpcClient {
 
   static sim::Task<void> reader_loop(std::shared_ptr<MsgTransport> transport,
                                      std::shared_ptr<State> state);
-  static sim::Task<void> timeout_task(sim::Engine& eng,
-                                      std::shared_ptr<Pending> pending,
-                                      uint64_t gen, sim::SimDur delay);
 
   sim::Engine& eng_;
   std::shared_ptr<MsgTransport> transport_;

@@ -1,7 +1,6 @@
 #include "rpc/transport.hpp"
 
 #include "net/fault.hpp"
-#include "xdr/xdr.hpp"
 
 namespace sgfs::rpc {
 
@@ -22,15 +21,21 @@ net::FaultPlan::Action fault_action(net::Stream& stream) {
 // reaches the wire (congestion ahead of the NIC).  Delivered-but-late is
 // exactly what distinguishes gray failures from the drop faults above —
 // the retransmission timer may fire even though nothing was lost, so the
-// duplicate-request cache sees live traffic.  With no active window this
-// awaits nothing and leaves fault-free timing bit-identical.
-sim::Task<void> gray_delay(net::Stream& stream) {
+// duplicate-request cache sees live traffic.  With no fault plan or no
+// active window it is 0, and callers await nothing, which leaves
+// fault-free timing bit-identical.
+sim::SimDur gray_delay(net::Stream& stream) {
   net::FaultPlan* plan = stream.local_host().network().fault_plan();
-  if (!plan) co_return;
-  const sim::SimDur d = plan->added_delay(stream.local_host().name(),
-                                          stream.remote_host().name(),
-                                          stream.local_host().engine().now());
-  if (d > 0) co_await stream.local_host().engine().sleep(d);
+  if (!plan) return 0;
+  return plan->added_delay(stream.local_host().name(),
+                           stream.remote_host().name(),
+                           stream.local_host().engine().now());
+}
+
+uint32_t load_be32(const uint8_t* p) {
+  return (static_cast<uint32_t>(p[0]) << 24) |
+         (static_cast<uint32_t>(p[1]) << 16) |
+         (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
 }
 
 }  // namespace
@@ -46,20 +51,30 @@ sim::Task<void> StreamTransport::send(BufChain message) {
       // as a loss; recovery is the caller's retransmission timer.
       co_return;
   }
-  co_await gray_delay(*stream_);
+  if (const sim::SimDur d = gray_delay(*stream_); d > 0) {
+    co_await stream_->local_host().engine().sleep(d);
+  }
   // RFC 5531 record marking: each fragment carries a 32-bit header whose MSB
-  // flags the final fragment of the record.  The payload is never copied:
-  // each fragment is [4-byte header segment | shared slice of the message]
-  // handed to the stream's scatter-gather write.
+  // flags the final fragment of the record.  Each fragment is gathered once,
+  // mark and shared message slice together, into the in-flight buffer the
+  // stream delivers (the NIC walking an iovec; not a counted copy).
   size_t off = 0;
   do {
     const size_t len = std::min(message.size() - off, kMaxFragment);
     const bool last = off + len == message.size();
-    xdr::Encoder enc;
-    enc.put_u32(static_cast<uint32_t>(len) | (last ? 0x80000000u : 0));
-    BufChain frame = enc.take();
-    frame.append(message.slice(off, len));
-    co_await stream_->write(frame);
+    const uint32_t mark =
+        static_cast<uint32_t>(len) | (last ? 0x80000000u : 0);
+    // Bound to a local: segments() views the slice's own descriptors.
+    const BufChain part = message.slice(off, len);
+    Buffer wire;
+    wire.reserve(4 + len);
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      wire.push_back(static_cast<uint8_t>(mark >> shift));
+    }
+    for (const auto& seg : part.segments()) {
+      wire.insert(wire.end(), seg.view().begin(), seg.view().end());
+    }
+    co_await stream_->write(std::move(wire));
     off += len;
   } while (off < message.size());
 }
@@ -67,15 +82,22 @@ sim::Task<void> StreamTransport::send(BufChain message) {
 sim::Task<BufChain> StreamTransport::recv() {
   // Each fragment's receive buffer is adopted as one shared segment; a
   // multi-fragment record reassembles by chaining, not by re-copying.
+  net::Stream& s = *stream_;
   BufChain message;
   for (;;) {
-    Buffer hdr = co_await stream_->read_exact(4);
-    xdr::Decoder dec(hdr);
-    const uint32_t word = dec.get_u32();
+    uint8_t mark[4];
+    while (!s.readable_now(sizeof mark)) {
+      co_await s.readable(sizeof mark);
+    }
+    if (s.try_read(mark) != sizeof mark) throw net::StreamClosed();
+    const uint32_t word = load_be32(mark);
     const bool last = word & 0x80000000u;
     const uint32_t len = word & 0x7fffffffu;
     if (len > (64u << 20)) throw std::runtime_error("RPC fragment too large");
-    message.append(co_await stream_->read_exact(len));
+    while (!s.readable_now(len)) co_await s.readable(len);
+    Buffer body(len);
+    if (s.try_read(body) != len) throw net::StreamClosed();
+    message.append(std::move(body));
     if (last) co_return message;
   }
 }
@@ -96,7 +118,9 @@ sim::Task<void> SecureTransport::send(BufChain message) {
       channel_->corrupt_next_record();
       break;
   }
-  co_await gray_delay(channel_->stream());
+  if (const sim::SimDur d = gray_delay(channel_->stream()); d > 0) {
+    co_await channel_->stream().local_host().engine().sleep(d);
+  }
   co_await channel_->send_chain(std::move(message));
 }
 

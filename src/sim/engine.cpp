@@ -7,85 +7,136 @@
 
 namespace sgfs::sim {
 
-struct Engine::RootPromise {
-  Engine* eng = nullptr;
-
-  Root get_return_object();
-  std::suspend_always initial_suspend() noexcept { return {}; }
-
-  struct FinalAwaiter {
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(RootHandle h) noexcept {
-      // Self-destructing coroutine: h is suspended at final_suspend, so
-      // destroying the frame here is safe; resume() returns afterwards
-      // without touching the frame again.
-      h.promise().eng->on_root_done(h);
+void detail::finish_detached(Engine& eng, std::coroutine_handle<> h,
+                             std::exception_ptr error) noexcept {
+  if (error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      eng.errors_.emplace_back(e.what());
+      SGFS_ERROR("sim", "actor terminated with exception: ", e.what());
+    } catch (...) {
+      eng.errors_.emplace_back("unknown exception");
+      SGFS_ERROR("sim", "actor terminated with unknown exception");
     }
-    void await_resume() const noexcept {}
-  };
-  FinalAwaiter final_suspend() noexcept { return {}; }
-
-  void return_void() noexcept {}
-  void unhandled_exception() noexcept {
-    // make_root's body catches everything; reaching here is a logic error.
-    std::terminate();
   }
-};
-
-struct Engine::Root {
-  using promise_type = Engine::RootPromise;
-  RootHandle handle;
-};
-
-Engine::Root Engine::RootPromise::get_return_object() {
-  return Root{RootHandle::from_promise(*this)};
-}
-
-Engine::Root Engine::make_root(Engine* eng, Task<void> task) {
-  try {
-    co_await std::move(task);
-  } catch (const std::exception& e) {
-    eng->errors_.emplace_back(e.what());
-    SGFS_ERROR("sim", "actor terminated with exception: ", e.what());
-  } catch (...) {
-    eng->errors_.emplace_back("unknown exception");
-    SGFS_ERROR("sim", "actor terminated with unknown exception");
-  }
-}
-
-Engine::~Engine() {
-  // Drop pending resumptions first so nothing runs during teardown, then
-  // destroy surviving actor frames (their locals own nested task frames).
-  while (!queue_.empty()) queue_.pop();
-  auto live = live_;
-  live_.clear();
-  for (void* p : live) RootHandle::from_address(p).destroy();
-}
-
-void Engine::schedule_at(SimTime t, std::coroutine_handle<> h) {
-  queue_.push(Event{t < now_ ? now_ : t, next_seq_++, h});
-}
-
-void Engine::spawn(Task<void> task) {
-  Root root = make_root(this, std::move(task));
-  root.handle.promise().eng = this;
-  live_.insert(root.handle.address());
-  ++actors_spawned_;
-  schedule_now(root.handle);
-}
-
-void Engine::on_root_done(RootHandle h) {
-  live_.erase(h.address());
+  eng.live_.erase(h.address());
   h.destroy();
 }
 
+Engine::~Engine() {
+  // Drop pending events first so nothing runs during teardown, then destroy
+  // surviving actor frames (their locals own nested task frames).  A frame
+  // destructor may still queue work (a stream close posts its EOF), so
+  // repeat until both are empty.
+  drop_pending();
+  while (!live_.empty()) {
+    auto live = std::move(live_);
+    live_.clear();
+    for (void* p : live) std::coroutine_handle<>::from_address(p).destroy();
+    drop_pending();
+  }
+}
+
+void Engine::drop_pending() {
+  auto drop = [](const Event& ev) {
+    if (ev.what & kCallbackTag) {
+      delete reinterpret_cast<Callback*>(ev.what & ~kCallbackTag);
+    }
+  };
+  // Swap out first: a node's destructor must not see a half-freed queue.
+  std::vector<Event> heap = std::move(heap_);
+  std::vector<Event> fifo = std::move(fifo_);
+  const size_t head = fifo_head_;
+  heap_.clear();
+  fifo_.clear();
+  fifo_head_ = 0;
+  for (const Event& ev : heap) drop(ev);
+  for (size_t i = head; i < fifo.size(); ++i) drop(fifo[i]);
+}
+
+void Engine::push(SimTime t, uintptr_t what) {
+  if (t <= now_) {
+    fifo_.push_back(Event{now_, next_seq_++, what});
+  } else {
+    heap_push(Event{t, next_seq_++, what});
+  }
+}
+
+void Engine::heap_push(const Event& ev) {
+  size_t i = heap_.size();
+  heap_.push_back(ev);
+  while (i > 0) {
+    const size_t parent = (i - 1) / 4;
+    if (!(ev < heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = ev;
+}
+
+void Engine::heap_pop() {
+  const Event last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) return;
+  size_t i = 0;
+  for (;;) {
+    const size_t first = 4 * i + 1;
+    if (first >= n) break;
+    const size_t end = first + 4 < n ? first + 4 : n;
+    size_t best = first;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
+    }
+    if (!(heap_[best] < last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
+
+Engine::Event Engine::pop() {
+  // Heap events at now_ were queued before the clock got here, so they
+  // precede every FIFO event; later heap events follow all of them.
+  if (fifo_head_ < fifo_.size() && (heap_.empty() || heap_[0].t != now_)) {
+    const Event ev = fifo_[fifo_head_++];
+    if (fifo_head_ == fifo_.size()) {
+      fifo_.clear();
+      fifo_head_ = 0;
+    } else if (fifo_head_ >= 1024 && 2 * fifo_head_ >= fifo_.size()) {
+      // A long instant (a same-time ping-pong) keeps appending: drop the
+      // consumed prefix so the buffer stays bounded by the live backlog.
+      fifo_.erase(fifo_.begin(),
+                  fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+      fifo_head_ = 0;
+    }
+    return ev;
+  }
+  const Event ev = heap_[0];
+  heap_pop();
+  return ev;
+}
+
+void Engine::spawn(Task<void> task) {
+  auto h = task.release();
+  h.promise().owner = this;
+  live_.insert(h.address());
+  ++actors_spawned_;
+  schedule_now(h);
+}
+
 bool Engine::step() {
-  if (queue_.empty()) return false;
-  Event ev = queue_.top();
-  queue_.pop();
+  if (pending_events() == 0) return false;
+  const Event ev = pop();
   now_ = ev.t;
   ++events_processed_;
-  ev.h.resume();
+  if (ev.what & kCallbackTag) {
+    reinterpret_cast<Callback*>(ev.what & ~kCallbackTag)->run();
+  } else {
+    std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.what))
+        .resume();
+  }
   return true;
 }
 
@@ -95,7 +146,10 @@ void Engine::run() {
 }
 
 void Engine::run_until(SimTime t) {
-  while (!queue_.empty() && queue_.top().t <= t) step();
+  while (pending_events() > 0 &&
+         (fifo_head_ < fifo_.size() ? now_ : heap_[0].t) <= t) {
+    step();
+  }
   if (t > now_) now_ = t;
 }
 

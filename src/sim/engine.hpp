@@ -1,20 +1,29 @@
 // Discrete-event simulation engine.
 //
-// The Engine owns a virtual clock and an event queue of coroutine resumptions
-// ordered by (time, insertion sequence) — the sequence number makes runs
-// bit-deterministic.  Detached actors are started with spawn(); they run
-// until completion and report escaped exceptions to the engine's error list.
+// The Engine owns a virtual clock and one event order, (time, insertion
+// sequence) — the sequence number makes runs bit-deterministic.  An event
+// is either a coroutine resumption or a Callback node (a frame-less timer:
+// network deliveries and RPC retransmission timers).  Detached actors are
+// started with spawn(); they run until completion and report escaped
+// exceptions to the engine's error list.
+//
+// Events at the current instant wait in a FIFO in front of a 4-ary heap.
+// Every one of them was queued after the clock reached now, so it carries a
+// larger sequence number than any heap event at now: merging the two needs
+// only the heap top (DESIGN.md §18).
 //
 // Cancellation is cooperative: tasks exit when their channels close or their
 // shutdown events fire.  The engine never destroys a live task mid-run; any
-// coroutines still suspended at engine destruction are destroyed then.
+// coroutines still suspended at engine destruction are destroyed then, and
+// pending Callback nodes are freed.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <queue>
+#include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -42,12 +51,42 @@ class Engine {
   obs::Tracer& tracer() { return tracer_; }
   const obs::Tracer& tracer() const { return tracer_; }
 
-  /// Enqueues a coroutine resumption at absolute time t (>= now).
-  void schedule_at(SimTime t, std::coroutine_handle<> h);
+  /// A self-owned event node.  run() executes at the posted time and must
+  /// either delete the node or post it again; a node still pending when the
+  /// engine is destroyed is deleted by the engine.
+  class Callback {
+   public:
+    Callback() = default;
+    Callback(const Callback&) = delete;
+    Callback& operator=(const Callback&) = delete;
+    virtual ~Callback() = default;
+    virtual void run() = 0;
+  };
+
+  /// Enqueues a coroutine resumption at absolute time t (earlier t runs
+  /// now).
+  void schedule_at(SimTime t, std::coroutine_handle<> h) {
+    push(t, reinterpret_cast<uintptr_t>(h.address()));
+  }
 
   /// Enqueues a resumption at the current time (after already-queued
   /// same-time events — FIFO fairness).
   void schedule_now(std::coroutine_handle<> h) { schedule_at(now_, h); }
+
+  /// Enqueues a Callback node at absolute time t; the engine owns it until
+  /// it runs.
+  void post_at(SimTime t, Callback* cb) {
+    push(t, reinterpret_cast<uintptr_t>(cb) | kCallbackTag);
+  }
+
+  /// Runs `fn` at absolute time t through two events: an arm event now,
+  /// which posts the call for t.  The arm hop gives the call the same
+  /// (t, seq) as the wakeup of an actor spawned now that sleeps until t,
+  /// so either form leaves every other event where it was.
+  template <typename F>
+  void call_at(SimTime t, F fn) {
+    post_at(now_, new TimedCall<F>(*this, t, std::move(fn)));
+  }
 
   /// Starts a detached actor.  The engine owns its lifetime.
   void spawn(Task<void> task);
@@ -68,7 +107,9 @@ class Engine {
   /// Throws std::runtime_error if the queue drains first (deadlock).
   void run_task(Task<void> task);
 
-  size_t pending_events() const { return queue_.size(); }
+  size_t pending_events() const {
+    return heap_.size() + (fifo_.size() - fifo_head_);
+  }
   size_t live_actors() const { return live_.size(); }
 
   /// Total events executed by step() since construction.  Dividing by
@@ -103,21 +144,49 @@ class Engine {
   SleepAwaiter yield() { return {*this, now_}; }
 
  private:
-  struct Root;
-  struct RootPromise;
-  using RootHandle = std::coroutine_handle<RootPromise>;
+  friend void detail::finish_detached(Engine&, std::coroutine_handle<>,
+                                      std::exception_ptr) noexcept;
 
-  static Root make_root(Engine* eng, Task<void> task);
-  void on_root_done(RootHandle h);
+  template <typename F>
+  class TimedCall final : public Callback {
+   public:
+    TimedCall(Engine& eng, SimTime at, F fn)
+        : eng_(eng), at_(at), fn_(std::move(fn)) {}
+    void run() override {
+      if (!armed_) {
+        armed_ = true;
+        eng_.post_at(at_, this);
+        return;
+      }
+      std::unique_ptr<TimedCall> self(this);
+      fn_();
+    }
+
+   private:
+    Engine& eng_;
+    SimTime at_;
+    F fn_;
+    bool armed_ = false;
+  };
+
+  // Low bit of Event::what: set for a Callback*, clear for a coroutine
+  // frame address (both are at least 8-byte aligned).
+  static constexpr uintptr_t kCallbackTag = 1;
 
   struct Event {
     SimTime t;
     uint64_t seq;
-    std::coroutine_handle<> h;
-    bool operator>(const Event& o) const {
-      return t != o.t ? t > o.t : seq > o.seq;
+    uintptr_t what;
+    bool operator<(const Event& o) const {
+      return t != o.t ? t < o.t : seq < o.seq;
     }
   };
+
+  void push(SimTime t, uintptr_t what);
+  Event pop();
+  void heap_push(const Event& ev);
+  void heap_pop();
+  void drop_pending();
 
   SimTime now_ = 0;
   obs::MetricsRegistry metrics_;
@@ -125,7 +194,9 @@ class Engine {
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   uint64_t actors_spawned_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
+  std::vector<Event> heap_;  // 4-ary min-heap, events after now_
+  std::vector<Event> fifo_;  // events at now_, in seq order from fifo_head_
+  size_t fifo_head_ = 0;
   std::unordered_set<void*> live_;
   std::vector<std::string> errors_;
 };

@@ -2,7 +2,7 @@
 
 namespace sgfs::sim {
 
-Task<void> Resource::use(SimDur dur, std::string tag) {
+Engine::SleepAwaiter Resource::use(SimDur dur, const std::string& tag) {
   if (dur < 0) dur = 0;
   if (slow_factor_) {
     const double f = slow_factor_(eng_.now());
@@ -19,7 +19,7 @@ Task<void> Resource::use(SimDur dur, std::string tag) {
   wait_hist_->observe(start - eng_.now());
   uses_->inc();
   account(start, dur, tag);
-  co_await eng_.sleep_until(start + dur);
+  return eng_.sleep_until(start + dur);
 }
 
 void Resource::charge(SimDur dur, const std::string& tag) {

@@ -25,9 +25,10 @@ class Resource {
 
   const std::string& name() const { return name_; }
 
-  /// Occupies the resource for `dur`, queueing FIFO behind earlier users.
+  /// Occupies the resource for `dur`, queueing FIFO behind earlier users:
+  /// books the slot now, and `co_await res.use(...)` resumes at its end.
   /// `tag` attributes the busy time (e.g. "proxy", "kernel", "app").
-  Task<void> use(SimDur dur, std::string tag = "");
+  Engine::SleepAwaiter use(SimDur dur, const std::string& tag = "");
 
   /// Accounts `dur` of busy time starting now without modelling queueing —
   /// for costs known to overlap poorly-modelled work.  Advances no clock.

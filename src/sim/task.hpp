@@ -5,6 +5,10 @@
 // sim::Engine event loop.  Tasks are lazy (start on first co_await), use
 // symmetric transfer to resume their awaiter on completion, and propagate
 // exceptions across co_await boundaries.
+//
+// A Task handed to Engine::spawn is detached: the engine schedules the
+// task's own frame, and at final suspend the frame reports to its owning
+// engine (escaped exception, live-actor set) and frees itself.
 #pragma once
 
 #include <coroutine>
@@ -16,15 +20,26 @@ namespace sgfs::sim {
 template <typename T>
 class Task;
 
+class Engine;
+
 namespace detail {
+
+/// Done-hook of a detached actor (defined in engine.cpp): records `error`
+/// into the engine's errors(), drops `h` from the live set and destroys it.
+void finish_detached(Engine& eng, std::coroutine_handle<> h,
+                     std::exception_ptr error) noexcept;
 
 struct FinalAwaiter {
   bool await_ready() const noexcept { return false; }
   template <typename Promise>
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) noexcept {
-    auto cont = h.promise().continuation;
-    return cont ? cont : std::noop_coroutine();
+    auto& p = h.promise();
+    if (p.continuation) return p.continuation;
+    // Nothing touches the frame after this: the returned no-op handle is
+    // all the caller resumes.
+    if (p.owner) finish_detached(*p.owner, h, std::move(p.exception));
+    return std::noop_coroutine();
   }
   void await_resume() const noexcept {}
 };
@@ -32,6 +47,7 @@ struct FinalAwaiter {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
+  Engine* owner = nullptr;  // set by Engine::spawn for a detached actor
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
@@ -129,6 +145,9 @@ class [[nodiscard]] Task<void> {
   ~Task() { destroy(); }
 
   bool valid() const { return static_cast<bool>(h_); }
+
+  /// Gives up ownership of the frame (Engine::spawn takes it over).
+  Handle release() noexcept { return std::exchange(h_, {}); }
 
   bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {

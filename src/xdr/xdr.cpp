@@ -1,12 +1,18 @@
 #include "xdr/xdr.hpp"
 
+#include <algorithm>
+
 namespace sgfs::xdr {
 
 void Encoder::put_u32(uint32_t v) {
-  buf_.push_back(static_cast<uint8_t>(v >> 24));
-  buf_.push_back(static_cast<uint8_t>(v >> 16));
-  buf_.push_back(static_cast<uint8_t>(v >> 8));
-  buf_.push_back(static_cast<uint8_t>(v));
+  // Grow in one step to a useful size instead of 1 -> 2 -> 4 -> 8 ... bytes.
+  if (buf_.capacity() - buf_.size() < 4) {
+    buf_.reserve(std::max<size_t>(kMinReserve, 2 * buf_.capacity()));
+  }
+  const uint8_t be[4] = {
+      static_cast<uint8_t>(v >> 24), static_cast<uint8_t>(v >> 16),
+      static_cast<uint8_t>(v >> 8), static_cast<uint8_t>(v)};
+  buf_.insert(buf_.end(), be, be + 4);
 }
 
 void Encoder::put_u64(uint64_t v) {

@@ -77,6 +77,8 @@ class Encoder {
   Buffer take_flat();
 
  private:
+  static constexpr size_t kMinReserve = 64;  // first tail allocation
+
   void flush_tail();
 
   BufChain chain_;

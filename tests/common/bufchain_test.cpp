@@ -3,6 +3,9 @@
 // suspension (the property the whole zero-copy pipeline leans on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bufchain.hpp"
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
@@ -132,6 +135,77 @@ TEST(BufChain, LinearizeBorrowsSingleSegmentAndCopiesFragmented) {
   ByteView w = linearize(split, scratch);
   EXPECT_EQ(to_string(w), "two parts");
   EXPECT_EQ(buf_stats().bytes_copied, before.bytes_copied + 9);
+}
+
+// Builds a chain of `k` segments over `bytes` (split points drawn from rng).
+BufChain chain_of(const Buffer& bytes, size_t k, Rng& rng) {
+  std::vector<size_t> cuts{0, bytes.size()};
+  while (cuts.size() < k + 1) {
+    const size_t c = 1 + rng.next_below(bytes.size() - 1);
+    if (std::find(cuts.begin(), cuts.end(), c) == cuts.end()) {
+      cuts.push_back(c);
+    }
+  }
+  std::sort(cuts.begin(), cuts.end());
+  BufChain out;
+  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+    out.append(Buffer(bytes.begin() + cuts[i], bytes.begin() + cuts[i + 1]));
+  }
+  return out;
+}
+
+TEST(BufChain, InlineAndSpilledChainsAgreeWithFlatten) {
+  // 1-3 segments live inline, 4-5 spill to the heap; every operation must
+  // agree with the flat bytes either way.
+  Rng rng(7);
+  const Buffer bytes = rng.bytes(40);
+  for (size_t k = 1; k <= 5; ++k) {
+    const BufChain c = chain_of(bytes, k, rng);
+    ASSERT_EQ(c.segments().size(), k);
+    EXPECT_EQ(c.flatten(), bytes) << k;
+    EXPECT_EQ(c, bytes) << k;
+
+    for (size_t off = 0; off <= bytes.size(); off += 3) {
+      for (size_t len = 0; off + len <= bytes.size(); len += 5) {
+        const BufChain s = c.slice(off, len);
+        EXPECT_EQ(s.flatten(), Buffer(bytes.begin() + off,
+                                      bytes.begin() + off + len))
+            << k << " " << off << " " << len;
+      }
+    }
+
+    BufChain copy = c;
+    EXPECT_EQ(copy.segments().size(), k);
+    EXPECT_EQ(copy, c);
+    BufChain moved = std::move(copy);
+    EXPECT_EQ(moved, c);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy.size(), 0u);
+    EXPECT_TRUE(copy.segments().empty());
+    BufChain assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.flatten(), bytes);
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(moved.segments().empty());
+
+    // Appends across the inline/spill boundary in both directions.
+    for (size_t j = 1; j <= 5; ++j) {
+      BufChain left = chain_of(bytes, k, rng);
+      left.append(chain_of(bytes, j, rng));
+      Buffer both = bytes;
+      both.insert(both.end(), bytes.begin(), bytes.end());
+      EXPECT_EQ(left.segments().size(), k + j);
+      EXPECT_EQ(left.flatten(), both) << k << "+" << j;
+      EXPECT_EQ(left, chain_of(both, 1 + (k + j) % 5, rng)) << k << "+" << j;
+    }
+
+    // == sees a one-byte difference wherever it falls.
+    for (size_t pos = 0; pos < bytes.size(); pos += 7) {
+      Buffer other = bytes;
+      other[pos] ^= 0x01;
+      EXPECT_FALSE(c == chain_of(other, 1 + pos % 5, rng)) << k << " " << pos;
+    }
+  }
 }
 
 TEST(BufChainLifetime, RefcountReleasesStoreWithLastHolder) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/fault.hpp"
 
 namespace sgfs::net {
@@ -194,6 +196,29 @@ TEST(Network, PerPairLinkOverride) {
   EXPECT_EQ(net.link_params("a", "c").latency_one_way, 1_ms);
   (void)a;
   (void)b;
+}
+
+TEST(Network, SetLinkAppliesToOpenStreamsOnNextWrite) {
+  // Streams cache their link state at connect; a later set_link must still
+  // reach them, starting with the next write.
+  Fixture f;
+  f.net.set_default_link({1_ms, 1e12});
+  auto listener = f.net.listen(*f.server, 2049);
+  f.eng.spawn(echo_server(*listener));
+  std::vector<SimTime> rtts;
+  f.eng.run_task([](Fixture& f, std::vector<SimTime>* out) -> Task<void> {
+    auto s = co_await f.net.connect(*f.client, {"server", 2049});
+    for (int round = 0; round < 3; ++round) {
+      if (round == 1) f.net.set_link("client", "server", {20_ms, 1e12});
+      if (round == 2) f.net.set_default_link({3_ms, 1e12});  // overridden
+      const SimTime start = f.eng.now();
+      co_await s->write(to_bytes("x"));
+      (void)co_await s->read_exact(1);
+      out->push_back(f.eng.now() - start);
+    }
+    s->close();
+  }(f, &rtts));
+  EXPECT_EQ(rtts, (std::vector<SimTime>{2_ms, 40_ms, 40_ms}));
 }
 
 TEST(Network, LoopbackIsFast) {

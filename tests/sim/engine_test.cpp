@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -180,6 +185,229 @@ TEST(Engine, DeterministicAcrossRuns) {
     return times;
   };
   EXPECT_EQ(trace(), trace());
+}
+
+// --- one (t, seq) order across both event kinds ---------------------------
+
+// Reference model of the event order: every schedule is mirrored as
+// (effective time, sequence number, id), and each event checks on entry that
+// it is the smallest pending entry.  Effective time clamps a past t to now,
+// exactly as the engine does.
+struct OrderModel {
+  Engine& eng;
+  Rng rng;
+  std::set<std::tuple<SimTime, uint64_t, int>> pending;
+  uint64_t seq = 0;
+  int next_id = 0;
+  int ran = 0;
+  int out_of_order = 0;
+
+  OrderModel(Engine& e, uint64_t seed) : eng(e), rng(seed) {}
+
+  // A time with many same-instant ties, some in the past.
+  SimTime pick() {
+    switch (rng.next_below(4)) {
+      case 0:
+        return eng.now();
+      case 1:
+        return eng.now() - static_cast<SimDur>(1 + rng.next_below(5));
+      case 2:
+        return eng.now() + static_cast<SimDur>(rng.next_below(3));
+      default:
+        return eng.now() + static_cast<SimDur>(rng.next_below(100));
+    }
+  }
+
+  int expect(SimTime t) {
+    const int id = next_id++;
+    pending.emplace(std::max(t, eng.now()), seq++, id);
+    return id;
+  }
+
+  void ran_event(int id) {
+    ++ran;
+    if (pending.empty() || std::get<2>(*pending.begin()) != id ||
+        std::get<0>(*pending.begin()) != eng.now()) {
+      ++out_of_order;
+      std::erase_if(pending, [id](const auto& e) {
+        return std::get<2>(e) == id;
+      });
+      return;
+    }
+    pending.erase(pending.begin());
+  }
+};
+
+struct ResumeAt {
+  OrderModel& m;
+  SimTime t;
+  int* id;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    *id = m.expect(t);
+    m.eng.schedule_at(t, h);
+  }
+  void await_resume() const noexcept {}
+};
+
+Task<void> ordered_actor(OrderModel& m, int first_id, int hops) {
+  m.ran_event(first_id);
+  for (int i = 0; i < hops; ++i) {
+    int id = -1;
+    co_await ResumeAt{m, m.pick(), &id};
+    m.ran_event(id);
+  }
+}
+
+class OrderedNode final : public Engine::Callback {
+ public:
+  OrderedNode(OrderModel& m, int hops) : m_(m), hops_(hops) {}
+
+  void post() {
+    const SimTime t = m_.pick();
+    id_ = m_.expect(t);
+    m_.eng.post_at(t, this);
+  }
+
+  void run() override {
+    m_.ran_event(id_);
+    if (m_.rng.next_below(4) == 0) {
+      // Fan out: a fresh node and a fresh actor from inside a callback.
+      (new OrderedNode(m_, 2))->post();
+      const int id = m_.expect(m_.eng.now());
+      m_.eng.spawn(ordered_actor(m_, id, 2));
+    }
+    if (hops_-- > 0) {
+      post();
+    } else {
+      delete this;
+    }
+  }
+
+ private:
+  OrderModel& m_;
+  int hops_;
+  int id_ = -1;
+};
+
+TEST(Engine, MixedEventKindsPopInTimeSeqOrder) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Engine eng;
+    OrderModel m(eng, seed);
+    for (int i = 0; i < 30; ++i) {
+      if (m.rng.next_below(2) == 0) {
+        (new OrderedNode(m, 1 + static_cast<int>(m.rng.next_below(20))))
+            ->post();
+      } else {
+        const int id = m.expect(eng.now());
+        eng.spawn(ordered_actor(
+            m, id, 1 + static_cast<int>(m.rng.next_below(20))));
+      }
+    }
+    // Advance in uneven windows so run_until's clock jumps mix in too.
+    while (eng.pending_events() > 0) {
+      eng.run_until(eng.now() + static_cast<SimDur>(m.rng.next_below(40)));
+    }
+    EXPECT_EQ(m.out_of_order, 0) << "seed " << seed;
+    EXPECT_GT(m.ran, 300) << "seed " << seed;
+    EXPECT_TRUE(m.pending.empty()) << "seed " << seed;
+    EXPECT_EQ(eng.live_actors(), 0u);
+    EXPECT_EQ(eng.events_processed(), static_cast<uint64_t>(m.ran));
+  }
+}
+
+TEST(Engine, LongInstantKeepsFifoOrder) {
+  // Thousands of events at one instant: the same-instant queue drops its
+  // consumed prefix as it goes and must neither lose nor reorder events.
+  Engine eng;
+  std::vector<int> order;
+  auto yielder = [](Engine& e, std::vector<int>* out, int id) -> Task<void> {
+    for (int round = 0; round < 2000; ++round) {
+      out->push_back(id);
+      co_await e.yield();
+    }
+  };
+  for (int id = 0; id < 3; ++id) eng.spawn(yielder(eng, &order, id));
+  bool timed_ran = false;
+  eng.call_at(1_us, [&] { timed_ran = true; });
+  eng.run_until(0);
+  ASSERT_EQ(order.size(), 6000u);
+  for (size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(order[i], static_cast<int>(i % 3)) << i;
+  }
+  EXPECT_FALSE(timed_ran);
+  eng.run();
+  EXPECT_TRUE(timed_ran);
+  EXPECT_EQ(eng.now(), 1_us);
+}
+
+TEST(Engine, CallAtFiresAfterAnArmHop) {
+  // call_at takes two events: the arm at now, then the call at t — the same
+  // two the sleeping actor it replaces took.
+  Engine eng;
+  std::vector<int> order;
+  eng.call_at(5_us, [&] { order.push_back(1); });
+  eng.spawn([](Engine& e, std::vector<int>* out) -> Task<void> {
+    out->push_back(0);
+    co_await e.sleep(5_us);
+    out->push_back(2);
+  }(eng, &order));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(eng.events_processed(), 4u);
+  EXPECT_EQ(eng.now(), 5_us);
+}
+
+TEST(Engine, ThrowingActorIsRecordedAndFreed) {
+  Engine eng;
+  auto token = std::make_shared<int>(0);
+  auto thrower = [](Engine& e, std::shared_ptr<int> /*hold*/,
+                    bool wait) -> Task<void> {
+    if (wait) co_await e.sleep(1_us);
+    throw std::runtime_error(wait ? "late" : "early");
+  };
+  eng.spawn(thrower(eng, token, false));
+  eng.spawn(thrower(eng, token, true));
+  EXPECT_EQ(eng.live_actors(), 2u);
+  eng.run();
+  ASSERT_EQ(eng.errors().size(), 2u);
+  EXPECT_EQ(eng.errors()[0], "early");
+  EXPECT_EQ(eng.errors()[1], "late");
+  EXPECT_EQ(eng.live_actors(), 0u);
+  EXPECT_EQ(token.use_count(), 1);  // both frames (and their params) freed
+}
+
+TEST(Engine, DestructionFreesPendingCallbacksAndActors) {
+  auto token = std::make_shared<int>(0);
+  struct Holder final : Engine::Callback {
+    std::shared_ptr<int> hold;
+    explicit Holder(std::shared_ptr<int> h) : hold(std::move(h)) {}
+    void run() override { delete this; }
+  };
+  {
+    Engine eng;
+    SimEvent never(eng);
+    eng.post_at(10_s, new Holder(token));  // far in the future
+    eng.post_at(0, new Holder(token));     // runs and frees itself
+    eng.call_at(1_us, [token] {});         // armed below, waits for 1 us
+    eng.spawn([](Engine& e, std::shared_ptr<int> /*hold*/) -> Task<void> {
+      co_await e.sleep(100_s);
+    }(eng, token));
+    eng.spawn([](SimEvent& ev, std::shared_ptr<int> /*hold*/) -> Task<void> {
+      co_await ev.wait();
+    }(never, token));
+    for (int i = 0; i < 4; ++i) eng.step();  // all at t = 0
+    EXPECT_EQ(eng.live_actors(), 2u);
+    eng.spawn([](std::shared_ptr<int> /*hold*/) -> Task<void> {
+      co_return;
+    }(token));                              // spawned, never started
+    eng.call_at(5_s, [token] {});           // still in its arm hop
+    eng.post_at(0, new Holder(token));      // same instant, never run
+    EXPECT_EQ(eng.now(), 0);
+    EXPECT_GT(token.use_count(), 1);
+    EXPECT_GT(eng.pending_events(), 0u);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(SimEventTest, WaitersReleasedOnSet) {
