@@ -145,11 +145,8 @@ void BM_Nfs3ReadResCodec(benchmark::State& state) {
   res.post_attrs = attrs;
   CopyCounters counters(state);
   for (auto _ : state) {
-    xdr::Encoder enc;
-    res.encode(enc);
-    BufChain arrived = deliver(enc.take());
-    xdr::Decoder dec(arrived);
-    benchmark::DoNotOptimize(nfs::ReadRes::decode(dec));
+    BufChain arrived = deliver(xdr::encode(res));
+    benchmark::DoNotOptimize(xdr::decode<nfs::ReadRes>(arrived));
   }
   state.SetBytesProcessed(state.iterations() * 32 * 1024);
 }

@@ -1,4 +1,5 @@
-// NFS version 3 wire protocol (RFC 1813) — types, XDR, procedure numbers.
+// NFS version 3 wire protocol (RFC 1813) — types, their XDR layouts and the
+// procedure table.
 //
 // The field sets mirror RFC 1813's semantics with the attribute fields our
 // VFS models (fattr3 minus rdev/fsid specifics); both peers run this code so
@@ -7,14 +8,48 @@
 // keeps the client attribute cache warm without extra GETATTR round trips.
 #pragma once
 
+#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bufchain.hpp"
 #include "common/bytes.hpp"
 #include "vfs/vfs.hpp"
 #include "xdr/xdr.hpp"
+
+namespace sgfs::vfs {
+
+// The NFSv3 wire layouts of the VFS attribute types (fattr3 and sattr3 as
+// this model trims them).  They live with the other NFS layouts, in the
+// vfs namespace so the xdr walkers find them by argument-dependent lookup.
+
+template <class Io>
+void walk(Io& io, Attributes& a) {
+  io(a.type);
+  io(a.mode);
+  io(a.nlink);
+  io(a.uid);
+  io(a.gid);
+  io(a.size);
+  io(a.atime);
+  io(a.mtime);
+  io(a.ctime);
+  io(a.fileid);
+}
+
+template <class Io>
+void walk(Io& io, SetAttrs& s) {  // each field: bool set + value
+  io(s.mode);
+  io(s.uid);
+  io(s.gid);
+  io(s.size);
+  io(s.atime);
+  io(s.mtime);
+}
+
+}  // namespace sgfs::vfs
 
 namespace sgfs::nfs {
 
@@ -29,6 +64,8 @@ inline constexpr uint32_t kMountVersion3 = 3;
 /// the blanket 64 MiB Decoder ceiling.
 inline constexpr size_t kMaxDataBytes = 8u << 20;  // READ/WRITE payload
 inline constexpr size_t kMaxPathBytes = 1024;      // symlink targets, paths
+inline constexpr size_t kMaxNameBytes = 255;       // one path component
+inline constexpr size_t kMaxReaddirEntries = 100000;
 
 enum class Proc3 : uint32_t {
   kNull = 0,
@@ -58,23 +95,6 @@ enum class MountProc : uint32_t {
   kMnt = 1,
   kUmnt = 3,
 };
-
-/// True when re-executing the procedure is harmless.  The non-idempotent
-/// ones (CREATE, REMOVE, RENAME, ...) are what the server's
-/// duplicate-request cache must protect against under RPC retransmission —
-/// the classic NFSv3 DRC classification.
-bool proc3_is_idempotent(Proc3 p);
-
-/// Uppercase protocol name ("GETATTR", "READ", ...; "PROC<n>" for unknown
-/// values) — used for per-procedure metric names.
-const char* proc3_name(Proc3 p);
-
-/// Serialized result body meaning "server overloaded, try again later":
-/// the procedure's result shape with status NFS3ERR_JUKEBOX and no payload
-/// (RFC 1813 §2.6 — the jukebox error was designed for exactly this "come
-/// back later" signal).  Empty for procedures that carry no status (NULL),
-/// in which case the shedding server should drop instead of replying.
-BufChain busy_status_reply(Proc3 proc);
 
 /// Peeks an encoded result's leading status word (every NFSv3 result begins
 /// with one) for NFS3ERR_JUKEBOX, without decoding the procedure's shape.
@@ -113,69 +133,79 @@ struct Fh {
   bool operator==(const Fh&) const = default;
   auto operator<=>(const Fh&) const = default;
 
-  void encode(xdr::Encoder& enc) const {
-    enc.put_u64(fsid);
-    enc.put_u64(fileid);
-  }
-  static Fh decode(xdr::Decoder& dec) {
-    Fh fh;
-    fh.fsid = dec.get_u64();
-    fh.fileid = dec.get_u64();
-    return fh;
+  template <class Io>
+  void walk(Io& io) {
+    io(fsid);
+    io(fileid);
   }
 };
 
-void encode_attrs(xdr::Encoder& enc, const vfs::Attributes& a);
-vfs::Attributes decode_attrs(xdr::Decoder& dec);
-
-void encode_opt_attrs(xdr::Encoder& enc,
-                      const std::optional<vfs::Attributes>& a);
-std::optional<vfs::Attributes> decode_opt_attrs(xdr::Decoder& dec);
-
-void encode_sattr(xdr::Encoder& enc, const vfs::SetAttrs& s);
-vfs::SetAttrs decode_sattr(xdr::Decoder& dec);
-
 // --- per-procedure argument/result structures -------------------------------
 // All are non-aggregates (user-declared default ctor) per the GCC 12 rule.
+// Each `walk` is the struct's one wire layout (xdr.hpp): fields guarded by
+// `status == kOk` are on the wire only in the OK shape.
 
-struct GetattrArgs {
+/// Empty XDR body: NULL's arguments and result.
+struct Void {
+  Void() = default;
+  template <class Io>
+  void walk(Io&) {}
+};
+
+struct GetattrArgs {  // also READLINK, FSSTAT and FSINFO (one nfs_fh3)
   Fh fh;
   GetattrArgs() = default;
-  void encode(xdr::Encoder& e) const { fh.encode(e); }
-  static GetattrArgs decode(xdr::Decoder& d);
+  explicit GetattrArgs(Fh f) : fh(f) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(fh);
+  }
 };
 
 struct GetattrRes {
   Status status = Status::kOk;
   vfs::Attributes attrs;
   GetattrRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static GetattrRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) io(attrs);
+  }
 };
 
 struct SetattrArgs {
   Fh fh;
   vfs::SetAttrs sattr;
   SetattrArgs() = default;
-  void encode(xdr::Encoder& e) const;
-  static SetattrArgs decode(xdr::Decoder& d);
+  SetattrArgs(Fh f, vfs::SetAttrs s) : fh(f), sattr(std::move(s)) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(fh);
+    io(sattr);
+  }
 };
 
 struct WccRes {  // status + post-op attributes (wcc_data simplified)
   Status status = Status::kOk;
   std::optional<vfs::Attributes> post_attrs;
   WccRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static WccRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    io(post_attrs);
+  }
 };
 
-struct DiropArgs {
+struct DiropArgs {  // diropargs3
   Fh dir;
   std::string name;
   DiropArgs() = default;
   DiropArgs(Fh d, std::string n) : dir(d), name(std::move(n)) {}
-  void encode(xdr::Encoder& e) const;
-  static DiropArgs decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(dir);
+    io.string(name, kMaxNameBytes);
+  }
 };
 
 struct LookupRes {
@@ -184,8 +214,15 @@ struct LookupRes {
   std::optional<vfs::Attributes> attrs;
   std::optional<vfs::Attributes> dir_attrs;
   LookupRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static LookupRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) {
+      io(fh);
+      io(attrs);
+    }
+    io(dir_attrs);
+  }
 };
 
 struct AccessArgs {
@@ -193,8 +230,11 @@ struct AccessArgs {
   uint32_t access = 0;
   AccessArgs() = default;
   AccessArgs(Fh f, uint32_t a) : fh(f), access(a) {}
-  void encode(xdr::Encoder& e) const;
-  static AccessArgs decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(fh);
+    io(access);
+  }
 };
 
 struct AccessRes {
@@ -202,16 +242,23 @@ struct AccessRes {
   uint32_t access = 0;
   std::optional<vfs::Attributes> post_attrs;
   AccessRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static AccessRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) io(access);
+    io(post_attrs);
+  }
 };
 
 struct ReadlinkRes {
   Status status = Status::kOk;
   std::string target;
   ReadlinkRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static ReadlinkRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) io.string(target, kMaxPathBytes);
+  }
 };
 
 struct ReadArgs {
@@ -220,8 +267,12 @@ struct ReadArgs {
   uint32_t count = 0;
   ReadArgs() = default;
   ReadArgs(Fh f, uint64_t off, uint32_t c) : fh(f), offset(off), count(c) {}
-  void encode(xdr::Encoder& e) const;
-  static ReadArgs decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(fh);
+    io(offset);
+    io(count);
+  }
 };
 
 struct ReadRes {
@@ -233,8 +284,16 @@ struct ReadRes {
   BufChain data;
   std::optional<vfs::Attributes> post_attrs;
   ReadRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static ReadRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) {
+      io(count);
+      io(eof);
+      io.opaque_ref(data, kMaxDataBytes);
+    }
+    io(post_attrs);
+  }
 };
 
 struct WriteArgs {
@@ -243,8 +302,15 @@ struct WriteArgs {
   StableHow stable = StableHow::kFileSync;
   BufChain data;
   WriteArgs() = default;
-  void encode(xdr::Encoder& e) const;
-  static WriteArgs decode(xdr::Decoder& d);
+  WriteArgs(Fh f, uint64_t off, StableHow s, BufChain d)
+      : fh(f), offset(off), stable(s), data(std::move(d)) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(fh);
+    io(offset);
+    io(stable);
+    io.opaque_ref(data, kMaxDataBytes);
+  }
 };
 
 struct WriteRes {
@@ -254,46 +320,76 @@ struct WriteRes {
   uint64_t verf = 0;  // write verifier (server instance cookie)
   std::optional<vfs::Attributes> post_attrs;
   WriteRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static WriteRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) {
+      io(count);
+      io(committed);
+      io(verf);
+    }
+    io(post_attrs);
+  }
 };
 
+// CREATE, MKDIR and SYMLINK args lead with diropargs3 `where`, as in
+// RFC 1813, so code that only needs the new name reads it the same way
+// for all three.
 struct CreateArgs {
-  Fh dir;
-  std::string name;
+  DiropArgs where;
   uint32_t mode = 0644;
   bool exclusive = false;
   CreateArgs() = default;
-  void encode(xdr::Encoder& e) const;
-  static CreateArgs decode(xdr::Decoder& d);
+  CreateArgs(DiropArgs w, uint32_t m, bool excl)
+      : where(std::move(w)), mode(m), exclusive(excl) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(where);
+    io(mode);
+    io(exclusive);
+  }
 };
 
-struct CreateRes {
+struct CreateRes {  // CREATE, MKDIR and SYMLINK
   Status status = Status::kOk;
   Fh fh;
   std::optional<vfs::Attributes> attrs;
   std::optional<vfs::Attributes> dir_attrs;
   CreateRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static CreateRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) {
+      io(fh);
+      io(attrs);
+    }
+    io(dir_attrs);
+  }
 };
 
 struct MkdirArgs {
-  Fh dir;
-  std::string name;
+  DiropArgs where;
   uint32_t mode = 0755;
   MkdirArgs() = default;
-  void encode(xdr::Encoder& e) const;
-  static MkdirArgs decode(xdr::Decoder& d);
+  MkdirArgs(DiropArgs w, uint32_t m) : where(std::move(w)), mode(m) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(where);
+    io(mode);
+  }
 };
 
 struct SymlinkArgs {
-  Fh dir;
-  std::string name;
+  DiropArgs where;
   std::string target;
   SymlinkArgs() = default;
-  void encode(xdr::Encoder& e) const;
-  static SymlinkArgs decode(xdr::Decoder& d);
+  SymlinkArgs(DiropArgs w, std::string t)
+      : where(std::move(w)), target(std::move(t)) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(where);
+    io.string(target, kMaxPathBytes);
+  }
 };
 
 struct RenameArgs {
@@ -302,8 +398,16 @@ struct RenameArgs {
   Fh to_dir;
   std::string to_name;
   RenameArgs() = default;
-  void encode(xdr::Encoder& e) const;
-  static RenameArgs decode(xdr::Decoder& d);
+  RenameArgs(Fh fd, std::string fn, Fh td, std::string tn)
+      : from_dir(fd), from_name(std::move(fn)), to_dir(td),
+        to_name(std::move(tn)) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(from_dir);
+    io.string(from_name, kMaxNameBytes);
+    io(to_dir);
+    io.string(to_name, kMaxNameBytes);
+  }
 };
 
 struct LinkArgs {
@@ -311,8 +415,13 @@ struct LinkArgs {
   Fh dir;
   std::string name;
   LinkArgs() = default;
-  void encode(xdr::Encoder& e) const;
-  static LinkArgs decode(xdr::Decoder& d);
+  LinkArgs(Fh f, Fh d, std::string n) : file(f), dir(d), name(std::move(n)) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(file);
+    io(dir);
+    io.string(name, kMaxNameBytes);
+  }
 };
 
 struct ReaddirArgs {
@@ -321,8 +430,15 @@ struct ReaddirArgs {
   uint32_t count = 0;  // max entries
   bool plus = false;   // READDIRPLUS: include attrs + fh per entry
   ReaddirArgs() = default;
-  void encode(xdr::Encoder& e) const;
-  static ReaddirArgs decode(xdr::Decoder& d);
+  ReaddirArgs(Fh d, uint64_t c, uint32_t n, bool p)
+      : dir(d), cookie(c), count(n), plus(p) {}
+  template <class Io>
+  void walk(Io& io) {
+    io(dir);
+    io(cookie);
+    io(count);
+    io(plus);
+  }
 };
 
 struct DirEntry3 {
@@ -332,15 +448,28 @@ struct DirEntry3 {
   std::optional<vfs::Attributes> attrs;  // READDIRPLUS only
   std::optional<Fh> fh;                  // READDIRPLUS only
   DirEntry3() = default;
+  template <class Io>
+  void walk(Io& io) {
+    io(fileid);
+    io.string(name, kMaxNameBytes);
+    io(cookie);
+    io(attrs);
+    io(fh);
+  }
 };
 
-struct ReaddirRes {
+struct ReaddirRes {  // READDIR and READDIRPLUS
   Status status = Status::kOk;
   std::vector<DirEntry3> entries;
   bool eof = false;
   ReaddirRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static ReaddirRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status != Status::kOk) return;
+    io.array(entries, kMaxReaddirEntries);
+    io(eof);
+  }
 };
 
 struct FsstatRes {
@@ -349,8 +478,14 @@ struct FsstatRes {
   uint64_t free_bytes = 0;
   uint64_t total_files = 0;
   FsstatRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static FsstatRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status != Status::kOk) return;
+    io(total_bytes);
+    io(free_bytes);
+    io(total_files);
+  }
 };
 
 struct FsinfoRes {
@@ -359,8 +494,14 @@ struct FsinfoRes {
   uint32_t wtmax = 32768;
   uint32_t dtpref = 4096;
   FsinfoRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static FsinfoRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status != Status::kOk) return;
+    io(rtmax);
+    io(wtmax);
+    io(dtpref);
+  }
 };
 
 struct CommitArgs {
@@ -369,17 +510,120 @@ struct CommitArgs {
   uint32_t count = 0;  // 0 = whole file
   CommitArgs() = default;
   CommitArgs(Fh f, uint64_t off, uint32_t c) : fh(f), offset(off), count(c) {}
-  void encode(xdr::Encoder& e) const;
-  static CommitArgs decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(fh);
+    io(offset);
+    io(count);
+  }
 };
 
 struct CommitRes {
   Status status = Status::kOk;
   uint64_t verf = 0;
   CommitRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static CommitRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) io(verf);
+  }
 };
+
+// --- the procedure table ---------------------------------------------------
+//
+// One entry per procedure; the per-procedure facts the rest of the code
+// needs are read from it: wire names, the DRC classification, jukebox
+// replies, the client stubs (V3WireOps::call<P>) and the client proxy's
+// attribute overlay.  Columns:
+//   Args / Res  the argument and result structs;
+//   kName       the protocol name, used for per-procedure metric names;
+//   kIdempotent re-executing is harmless; the server's duplicate-request
+//               cache keeps the replies of the others (CREATE, REMOVE, ...);
+//   kAttrs      the Res member with the attributes of the file the call
+//               names, on which a client proxy holding newer dirty bytes
+//               overlays its size and mtime; nullptr when the reply carries
+//               none, or only those of a directory or a new inode.
+template <Proc3 P>
+struct ProcTraits;
+
+#define SGFS_NFS3_PROC(P, NAME, ARGS, RES, IDEMPOTENT, ATTRS) \
+  template <>                                                 \
+  struct ProcTraits<Proc3::P> {                               \
+    using Args = ARGS;                                        \
+    using Res = RES;                                          \
+    static constexpr const char* kName = NAME;                \
+    static constexpr bool kIdempotent = IDEMPOTENT;           \
+    static constexpr auto kAttrs = ATTRS;                     \
+  };
+
+SGFS_NFS3_PROC(kNull, "NULL", Void, Void, true, nullptr)
+SGFS_NFS3_PROC(kGetattr, "GETATTR", GetattrArgs, GetattrRes, true,
+               &GetattrRes::attrs)
+SGFS_NFS3_PROC(kSetattr, "SETATTR", SetattrArgs, WccRes, false,
+               &WccRes::post_attrs)
+SGFS_NFS3_PROC(kLookup, "LOOKUP", DiropArgs, LookupRes, true,
+               &LookupRes::attrs)
+SGFS_NFS3_PROC(kAccess, "ACCESS", AccessArgs, AccessRes, true,
+               &AccessRes::post_attrs)
+SGFS_NFS3_PROC(kReadlink, "READLINK", GetattrArgs, ReadlinkRes, true, nullptr)
+SGFS_NFS3_PROC(kRead, "READ", ReadArgs, ReadRes, true, &ReadRes::post_attrs)
+SGFS_NFS3_PROC(kWrite, "WRITE", WriteArgs, WriteRes, true,
+               &WriteRes::post_attrs)
+SGFS_NFS3_PROC(kCreate, "CREATE", CreateArgs, CreateRes, false,
+               &CreateRes::attrs)
+SGFS_NFS3_PROC(kMkdir, "MKDIR", MkdirArgs, CreateRes, false, nullptr)
+SGFS_NFS3_PROC(kSymlink, "SYMLINK", SymlinkArgs, CreateRes, false, nullptr)
+SGFS_NFS3_PROC(kRemove, "REMOVE", DiropArgs, WccRes, false, nullptr)
+SGFS_NFS3_PROC(kRmdir, "RMDIR", DiropArgs, WccRes, false, nullptr)
+SGFS_NFS3_PROC(kRename, "RENAME", RenameArgs, WccRes, false, nullptr)
+SGFS_NFS3_PROC(kLink, "LINK", LinkArgs, WccRes, false, nullptr)
+SGFS_NFS3_PROC(kReaddir, "READDIR", ReaddirArgs, ReaddirRes, true, nullptr)
+SGFS_NFS3_PROC(kReaddirplus, "READDIRPLUS", ReaddirArgs, ReaddirRes, true,
+               &ReaddirRes::entries)
+SGFS_NFS3_PROC(kFsstat, "FSSTAT", GetattrArgs, FsstatRes, true, nullptr)
+SGFS_NFS3_PROC(kFsinfo, "FSINFO", GetattrArgs, FsinfoRes, true, nullptr)
+SGFS_NFS3_PROC(kCommit, "COMMIT", CommitArgs, CommitRes, true, nullptr)
+
+#undef SGFS_NFS3_PROC
+
+/// Every procedure in the table, in wire-number order.
+inline constexpr Proc3 kProcs3[] = {
+    Proc3::kNull,   Proc3::kGetattr, Proc3::kSetattr,     Proc3::kLookup,
+    Proc3::kAccess, Proc3::kReadlink, Proc3::kRead,       Proc3::kWrite,
+    Proc3::kCreate, Proc3::kMkdir,   Proc3::kSymlink,     Proc3::kRemove,
+    Proc3::kRmdir,  Proc3::kRename,  Proc3::kLink,        Proc3::kReaddir,
+    Proc3::kReaddirplus, Proc3::kFsstat, Proc3::kFsinfo, Proc3::kCommit,
+};
+
+/// Calls f(ProcTraits<P>{}) for the table entry of `p`.  Returns false,
+/// without calling f, for a procedure number the table does not know.
+template <typename F>
+bool visit_proc3(Proc3 p, F&& f) {
+  return [&]<size_t... I>(std::index_sequence<I...>) {
+    return ((p == kProcs3[I] && (f(ProcTraits<kProcs3[I]>{}), true)) || ...);
+  }(std::make_index_sequence<std::size(kProcs3)>{});
+}
+
+/// The protocol name ("GETATTR", ...; "PROC?" for unknown values).
+const char* proc3_name(Proc3 p);
+
+/// True when re-executing the procedure is harmless (unknown values too).
+bool proc3_is_idempotent(Proc3 p);
+
+/// An encoded result of shape `Res` carrying only the failure `status`.
+template <typename Res>
+BufChain status_reply(Status status) {
+  Res res;
+  res.status = status;
+  return xdr::encode(res);
+}
+
+/// Serialized result body meaning "server overloaded, try again later":
+/// the procedure's result shape with status NFS3ERR_JUKEBOX and no payload
+/// (RFC 1813 §2.6 — the jukebox error was designed for exactly this "come
+/// back later" signal).  Empty for procedures that carry no status (NULL),
+/// in which case the shedding server should drop instead of replying.
+BufChain busy_status_reply(Proc3 proc);
 
 // --- MOUNT protocol ----------------------------------------------------------
 
@@ -387,16 +631,21 @@ struct MntArgs {
   std::string dirpath;
   MntArgs() = default;
   explicit MntArgs(std::string p) : dirpath(std::move(p)) {}
-  void encode(xdr::Encoder& e) const { e.put_string(dirpath); }
-  static MntArgs decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io.string(dirpath, kMaxPathBytes);
+  }
 };
 
 struct MntRes {
   Status status = Status::kOk;
   Fh root_fh;
   MntRes() = default;
-  void encode(xdr::Encoder& e) const;
-  static MntRes decode(xdr::Decoder& d);
+  template <class Io>
+  void walk(Io& io) {
+    io(status);
+    if (status == Status::kOk) io(root_fh);
+  }
 };
 
 }  // namespace sgfs::nfs

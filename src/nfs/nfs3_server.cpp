@@ -42,6 +42,46 @@ void Nfs3Server::forget_unstable(uint64_t fileid) {
   unstable_undo_.erase(fileid);
 }
 
+CreateRes Nfs3Server::created(const DiropArgs& where,
+                              const vfs::Result<vfs::FileId>& r) const {
+  CreateRes res;
+  res.status = r.status;
+  if (r.ok()) {
+    res.fh = Fh(fsid_, r.value);
+    res.attrs = attrs_of(r.value);
+  }
+  res.dir_attrs = attrs_of(where.dir.fileid);
+  return res;
+}
+
+vfs::Result<uint32_t> Nfs3Server::write_data(const vfs::Cred& cred,
+                                             uint64_t fileid, uint64_t offset,
+                                             const BufChain& data,
+                                             bool unstable) {
+  // Snapshot the pre-image before the VFS mutates.
+  if (unstable) record_unstable_undo(fileid, offset, data.size());
+  // The VFS stores contiguous bytes; a multi-segment WRITE payload is
+  // linearized here, at the disk boundary, and nowhere earlier.
+  Buffer scratch;
+  auto r = fs_->write(cred, fileid, offset, linearize(data, scratch));
+  if (unstable && !r.ok() && !unstable_undo_[fileid].empty()) {
+    unstable_undo_[fileid].pop_back();
+  }
+  return r;
+}
+
+Status Nfs3Server::unlink_forgetting(uint64_t dir, const std::string& name,
+                                     const std::function<Status()>& unlink) {
+  // Resolve the victim before it goes away.
+  vfs::Cred root(0, 0);
+  auto victim = fs_->lookup(root, dir, name);
+  const Status status = unlink();
+  if (status == Status::kOk && victim.ok() && !attrs_of(victim.value)) {
+    forget_unstable(victim.value);
+  }
+  return status;
+}
+
 void Nfs3Server::on_crash() {
   // Revert every acknowledged-but-uncommitted write, newest-first per file:
   // restore the overwritten bytes, then truncate back to the pre-write
@@ -183,305 +223,204 @@ sim::Task<BufChain> Nfs3Server::handle(const rpc::CallContext& ctx,
   // Kernel nfsd processing cost.
   co_await host_.cpu().use(cost_.per_op_cpu, "nfsd");
 
-  xdr::Decoder dec(args);
-  xdr::Encoder enc;
-
+  // A handle from another filesystem gets the procedure's kStale result.
   switch (proc) {
     case Proc3::kNull:
       co_return BufChain{};
 
     case Proc3::kGetattr: {
-      auto a = GetattrArgs::decode(dec);
+      auto a = xdr::decode<GetattrArgs>(args);
+      if (!fh_ok(a.fh)) co_return status_reply<GetattrRes>(Status::kStale);
       GetattrRes res;
-      if (!fh_ok(a.fh)) {
-        res.status = Status::kStale;
-      } else {
-        auto r = fs_->getattr(a.fh.fileid);
-        res.status = r.status;
-        if (r.ok()) res.attrs = r.value;
-      }
-      res.encode(enc);
-      co_return enc.take();
+      auto r = fs_->getattr(a.fh.fileid);
+      res.status = r.status;
+      if (r.ok()) res.attrs = r.value;
+      co_return xdr::encode(res);
     }
 
     case Proc3::kSetattr: {
-      auto a = SetattrArgs::decode(dec);
+      auto a = xdr::decode<SetattrArgs>(args);
+      if (!fh_ok(a.fh)) co_return status_reply<WccRes>(Status::kStale);
       WccRes res;
-      if (!fh_ok(a.fh)) {
-        res.status = Status::kStale;
-      } else {
-        res.status = fs_->setattr(cred, a.fh.fileid, a.sattr);
-        if (res.status == Status::kOk) co_await charge_meta();
-        res.post_attrs = attrs_of(a.fh.fileid);
-      }
-      res.encode(enc);
-      co_return enc.take();
+      res.status = fs_->setattr(cred, a.fh.fileid, a.sattr);
+      if (res.status == Status::kOk) co_await charge_meta();
+      res.post_attrs = attrs_of(a.fh.fileid);
+      co_return xdr::encode(res);
     }
 
     case Proc3::kLookup: {
-      auto a = DiropArgs::decode(dec);
+      auto a = xdr::decode<DiropArgs>(args);
+      if (!fh_ok(a.dir)) co_return status_reply<LookupRes>(Status::kStale);
       LookupRes res;
-      if (!fh_ok(a.dir)) {
-        res.status = Status::kStale;
-      } else {
-        auto r = fs_->lookup(cred, a.dir.fileid, a.name);
-        res.status = r.status;
-        if (r.ok()) {
-          res.fh = Fh(fsid_, r.value);
-          res.attrs = attrs_of(r.value);
-        }
-        res.dir_attrs = attrs_of(a.dir.fileid);
+      auto r = fs_->lookup(cred, a.dir.fileid, a.name);
+      res.status = r.status;
+      if (r.ok()) {
+        res.fh = Fh(fsid_, r.value);
+        res.attrs = attrs_of(r.value);
       }
-      res.encode(enc);
-      co_return enc.take();
+      res.dir_attrs = attrs_of(a.dir.fileid);
+      co_return xdr::encode(res);
     }
 
     case Proc3::kAccess: {
-      auto a = AccessArgs::decode(dec);
+      auto a = xdr::decode<AccessArgs>(args);
+      if (!fh_ok(a.fh)) co_return status_reply<AccessRes>(Status::kStale);
       AccessRes res;
-      if (!fh_ok(a.fh)) {
-        res.status = Status::kStale;
-      } else {
-        res.access = fs_->access(cred, a.fh.fileid, a.access);
-        res.post_attrs = attrs_of(a.fh.fileid);
-        if (!res.post_attrs) res.status = Status::kStale;
-      }
-      res.encode(enc);
-      co_return enc.take();
+      res.access = fs_->access(cred, a.fh.fileid, a.access);
+      res.post_attrs = attrs_of(a.fh.fileid);
+      if (!res.post_attrs) res.status = Status::kStale;
+      co_return xdr::encode(res);
     }
 
     case Proc3::kReadlink: {
-      auto a = GetattrArgs::decode(dec);
+      auto a = xdr::decode<GetattrArgs>(args);
+      if (!fh_ok(a.fh)) co_return status_reply<ReadlinkRes>(Status::kStale);
       ReadlinkRes res;
-      if (!fh_ok(a.fh)) {
-        res.status = Status::kStale;
-      } else {
-        auto r = fs_->readlink(a.fh.fileid);
-        res.status = r.status;
-        if (r.ok()) res.target = r.value;
-      }
-      res.encode(enc);
-      co_return enc.take();
+      auto r = fs_->readlink(a.fh.fileid);
+      res.status = r.status;
+      if (r.ok()) res.target = r.value;
+      co_return xdr::encode(res);
     }
 
     case Proc3::kRead: {
-      auto a = ReadArgs::decode(dec);
+      auto a = xdr::decode<ReadArgs>(args);
+      if (!fh_ok(a.fh)) co_return status_reply<ReadRes>(Status::kStale);
       ReadRes res;
-      if (!fh_ok(a.fh)) {
-        res.status = Status::kStale;
-      } else {
-        auto r = fs_->read(cred, a.fh.fileid, a.offset, a.count);
-        res.status = r.status;
-        if (r.ok()) {
-          co_await charge_read(a.fh.fileid, a.offset, r.value.data.size());
-          co_await host_.cpu().use(
-              sim::from_seconds(static_cast<double>(r.value.data.size()) /
-                                cost_.copy_bytes_per_sec),
-              "nfsd");
-          res.count = static_cast<uint32_t>(r.value.data.size());
-          res.eof = r.value.eof;
-          res.data = std::move(r.value.data);
-          res.post_attrs = attrs_of(a.fh.fileid);
-        }
+      auto r = fs_->read(cred, a.fh.fileid, a.offset, a.count);
+      res.status = r.status;
+      if (r.ok()) {
+        co_await charge_read(a.fh.fileid, a.offset, r.value.data.size());
+        co_await host_.cpu().use(
+            sim::from_seconds(static_cast<double>(r.value.data.size()) /
+                              cost_.copy_bytes_per_sec),
+            "nfsd");
+        res.count = static_cast<uint32_t>(r.value.data.size());
+        res.eof = r.value.eof;
+        res.data = std::move(r.value.data);
+        res.post_attrs = attrs_of(a.fh.fileid);
       }
-      res.encode(enc);
-      co_return enc.take();
+      co_return xdr::encode(res);
     }
 
     case Proc3::kWrite: {
-      auto a = WriteArgs::decode(dec);
+      auto a = xdr::decode<WriteArgs>(args);
+      if (!fh_ok(a.fh)) co_return status_reply<WriteRes>(Status::kStale);
       WriteRes res;
-      if (!fh_ok(a.fh)) {
-        res.status = Status::kStale;
-      } else {
-        // Unstable data must be revertible at a crash: snapshot the
-        // pre-image before the VFS mutates (pure state ops, no time cost).
-        const bool unstable = a.stable == StableHow::kUnstable;
-        if (unstable) {
-          record_unstable_undo(a.fh.fileid, a.offset, a.data.size());
-        }
-        // The VFS stores contiguous bytes; a multi-segment WRITE payload is
-        // linearized here, at the disk boundary, and nowhere earlier.
-        Buffer scratch;
-        auto r =
-            fs_->write(cred, a.fh.fileid, a.offset, linearize(a.data, scratch));
-        if (unstable && !r.ok() && !unstable_undo_[a.fh.fileid].empty()) {
-          unstable_undo_[a.fh.fileid].pop_back();
-        }
-        res.status = r.status;
-        if (r.ok()) {
-          co_await host_.cpu().use(
-              sim::from_seconds(static_cast<double>(a.data.size()) /
-                                cost_.copy_bytes_per_sec),
-              "nfsd");
-          co_await charge_write(a.fh.fileid, a.offset, a.data.size(),
-                                a.stable != StableHow::kUnstable);
-          res.count = r.value;
-          res.committed = a.stable == StableHow::kUnstable
-                              ? StableHow::kUnstable
-                              : StableHow::kFileSync;
-          res.verf = write_verf_;
-          res.post_attrs = attrs_of(a.fh.fileid);
-        }
+      const bool unstable = a.stable == StableHow::kUnstable;
+      auto r = write_data(cred, a.fh.fileid, a.offset, a.data, unstable);
+      res.status = r.status;
+      if (r.ok()) {
+        co_await host_.cpu().use(
+            sim::from_seconds(static_cast<double>(a.data.size()) /
+                              cost_.copy_bytes_per_sec),
+            "nfsd");
+        co_await charge_write(a.fh.fileid, a.offset, a.data.size(), !unstable);
+        res.count = r.value;
+        res.committed = unstable ? StableHow::kUnstable : StableHow::kFileSync;
+        res.verf = write_verf_;
+        res.post_attrs = attrs_of(a.fh.fileid);
       }
-      res.encode(enc);
-      co_return enc.take();
+      co_return xdr::encode(res);
     }
 
+    // CREATE, MKDIR and SYMLINK differ only in the VFS call.
     case Proc3::kCreate: {
-      auto a = CreateArgs::decode(dec);
-      CreateRes res;
-      if (!fh_ok(a.dir)) {
-        res.status = Status::kStale;
-      } else {
-        auto r = fs_->create(cred, a.dir.fileid, a.name, a.mode, a.exclusive);
-        res.status = r.status;
-        if (r.ok()) {
-          co_await charge_meta();
-          res.fh = Fh(fsid_, r.value);
-          res.attrs = attrs_of(r.value);
-        }
-        res.dir_attrs = attrs_of(a.dir.fileid);
+      auto a = xdr::decode<CreateArgs>(args);
+      if (!fh_ok(a.where.dir)) {
+        co_return status_reply<CreateRes>(Status::kStale);
       }
-      res.encode(enc);
-      co_return enc.take();
+      auto r = fs_->create(cred, a.where.dir.fileid, a.where.name, a.mode,
+                           a.exclusive);
+      if (r.ok()) co_await charge_meta();
+      co_return xdr::encode(created(a.where, r));
     }
 
     case Proc3::kMkdir: {
-      auto a = MkdirArgs::decode(dec);
-      CreateRes res;
-      if (!fh_ok(a.dir)) {
-        res.status = Status::kStale;
-      } else {
-        auto r = fs_->mkdir(cred, a.dir.fileid, a.name, a.mode);
-        res.status = r.status;
-        if (r.ok()) {
-          co_await charge_meta();
-          res.fh = Fh(fsid_, r.value);
-          res.attrs = attrs_of(r.value);
-        }
-        res.dir_attrs = attrs_of(a.dir.fileid);
+      auto a = xdr::decode<MkdirArgs>(args);
+      if (!fh_ok(a.where.dir)) {
+        co_return status_reply<CreateRes>(Status::kStale);
       }
-      res.encode(enc);
-      co_return enc.take();
+      auto r = fs_->mkdir(cred, a.where.dir.fileid, a.where.name, a.mode);
+      if (r.ok()) co_await charge_meta();
+      co_return xdr::encode(created(a.where, r));
     }
 
     case Proc3::kSymlink: {
-      auto a = SymlinkArgs::decode(dec);
-      CreateRes res;
-      if (!fh_ok(a.dir)) {
-        res.status = Status::kStale;
-      } else {
-        auto r = fs_->symlink(cred, a.dir.fileid, a.name, a.target);
-        res.status = r.status;
-        if (r.ok()) {
-          co_await charge_meta();
-          res.fh = Fh(fsid_, r.value);
-          res.attrs = attrs_of(r.value);
-        }
-        res.dir_attrs = attrs_of(a.dir.fileid);
+      auto a = xdr::decode<SymlinkArgs>(args);
+      if (!fh_ok(a.where.dir)) {
+        co_return status_reply<CreateRes>(Status::kStale);
       }
-      res.encode(enc);
-      co_return enc.take();
+      auto r = fs_->symlink(cred, a.where.dir.fileid, a.where.name, a.target);
+      if (r.ok()) co_await charge_meta();
+      co_return xdr::encode(created(a.where, r));
     }
 
     case Proc3::kRemove:
     case Proc3::kRmdir: {
-      auto a = DiropArgs::decode(dec);
+      auto a = xdr::decode<DiropArgs>(args);
+      if (!fh_ok(a.dir)) co_return status_reply<WccRes>(Status::kStale);
       WccRes res;
-      if (!fh_ok(a.dir)) {
-        res.status = Status::kStale;
-      } else {
-        // Resolve the victim before it goes away: if the unlink destroys
-        // the inode, its unstable-write bookkeeping must die with it, or a
-        // later COMMIT of a recycled fileid would be mis-charged.
-        std::optional<vfs::FileId> victim;
-        if (proc == Proc3::kRemove) {
-          vfs::Cred root(0, 0);
-          auto v = fs_->lookup(root, a.dir.fileid, a.name);
-          if (v.ok()) victim = v.value;
-        }
-        res.status = proc == Proc3::kRemove
-                         ? fs_->remove(cred, a.dir.fileid, a.name)
-                         : fs_->rmdir(cred, a.dir.fileid, a.name);
-        if (res.status == Status::kOk) {
-          if (victim && !attrs_of(*victim)) forget_unstable(*victim);
-          co_await charge_meta();
-        }
-        res.post_attrs = attrs_of(a.dir.fileid);
-      }
-      res.encode(enc);
-      co_return enc.take();
+      res.status = unlink_forgetting(a.dir.fileid, a.name, [&] {
+        return proc == Proc3::kRemove ? fs_->remove(cred, a.dir.fileid, a.name)
+                                      : fs_->rmdir(cred, a.dir.fileid, a.name);
+      });
+      if (res.status == Status::kOk) co_await charge_meta();
+      res.post_attrs = attrs_of(a.dir.fileid);
+      co_return xdr::encode(res);
     }
 
     case Proc3::kRename: {
-      auto a = RenameArgs::decode(dec);
-      WccRes res;
+      auto a = xdr::decode<RenameArgs>(args);
       if (!fh_ok(a.from_dir) || !fh_ok(a.to_dir)) {
-        res.status = Status::kStale;
-      } else {
-        // A rename-over destroys the target inode (if no other links):
-        // drop its unstable-write bookkeeping like a REMOVE would.
-        std::optional<vfs::FileId> target;
-        {
-          vfs::Cred root(0, 0);
-          auto t = fs_->lookup(root, a.to_dir.fileid, a.to_name);
-          if (t.ok()) target = t.value;
-        }
-        res.status = fs_->rename(cred, a.from_dir.fileid, a.from_name,
-                                 a.to_dir.fileid, a.to_name);
-        if (res.status == Status::kOk) {
-          if (target && !attrs_of(*target)) forget_unstable(*target);
-          co_await charge_meta();
-        }
-        res.post_attrs = attrs_of(a.to_dir.fileid);
+        co_return status_reply<WccRes>(Status::kStale);
       }
-      res.encode(enc);
-      co_return enc.take();
+      WccRes res;
+      // A rename-over destroys the target inode (if no other links).
+      res.status = unlink_forgetting(a.to_dir.fileid, a.to_name, [&] {
+        return fs_->rename(cred, a.from_dir.fileid, a.from_name,
+                           a.to_dir.fileid, a.to_name);
+      });
+      if (res.status == Status::kOk) co_await charge_meta();
+      res.post_attrs = attrs_of(a.to_dir.fileid);
+      co_return xdr::encode(res);
     }
 
     case Proc3::kLink: {
-      auto a = LinkArgs::decode(dec);
-      WccRes res;
+      auto a = xdr::decode<LinkArgs>(args);
       if (!fh_ok(a.file) || !fh_ok(a.dir)) {
-        res.status = Status::kStale;
-      } else {
-        res.status = fs_->link(cred, a.file.fileid, a.dir.fileid, a.name);
-        if (res.status == Status::kOk) co_await charge_meta();
-        res.post_attrs = attrs_of(a.dir.fileid);
+        co_return status_reply<WccRes>(Status::kStale);
       }
-      res.encode(enc);
-      co_return enc.take();
+      WccRes res;
+      res.status = fs_->link(cred, a.file.fileid, a.dir.fileid, a.name);
+      if (res.status == Status::kOk) co_await charge_meta();
+      res.post_attrs = attrs_of(a.dir.fileid);
+      co_return xdr::encode(res);
     }
 
     case Proc3::kReaddir:
     case Proc3::kReaddirplus: {
-      auto a = ReaddirArgs::decode(dec);
+      auto a = xdr::decode<ReaddirArgs>(args);
+      if (!fh_ok(a.dir)) co_return status_reply<ReaddirRes>(Status::kStale);
       ReaddirRes res;
-      if (!fh_ok(a.dir)) {
-        res.status = Status::kStale;
-      } else {
-        const uint32_t max = a.count ? a.count : 1024;
-        auto r = fs_->readdir(cred, a.dir.fileid, a.cookie, max);
-        res.status = r.status;
-        if (r.ok()) {
-          const bool plus = proc == Proc3::kReaddirplus || a.plus;
-          for (const auto& entry : r.value) {
-            DirEntry3 e3;
-            e3.fileid = entry.fileid;
-            e3.name = entry.name;
-            e3.cookie = entry.cookie;
-            if (plus) {
-              e3.attrs = attrs_of(entry.fileid);
-              e3.fh = Fh(fsid_, entry.fileid);
-            }
-            res.entries.push_back(std::move(e3));
+      const uint32_t max = a.count ? a.count : 1024;
+      auto r = fs_->readdir(cred, a.dir.fileid, a.cookie, max);
+      res.status = r.status;
+      if (r.ok()) {
+        const bool plus = proc == Proc3::kReaddirplus || a.plus;
+        for (const auto& entry : r.value) {
+          DirEntry3 e3;
+          e3.fileid = entry.fileid;
+          e3.name = entry.name;
+          e3.cookie = entry.cookie;
+          if (plus) {
+            e3.attrs = attrs_of(entry.fileid);
+            e3.fh = Fh(fsid_, entry.fileid);
           }
-          res.eof = r.value.size() < max;
+          res.entries.push_back(std::move(e3));
         }
+        res.eof = r.value.size() < max;
       }
-      res.encode(enc);
-      co_return enc.take();
+      co_return xdr::encode(res);
     }
 
     case Proc3::kFsstat: {
@@ -489,38 +428,30 @@ sim::Task<BufChain> Nfs3Server::handle(const rpc::CallContext& ctx,
       res.total_bytes = 1ull << 40;
       res.free_bytes = (1ull << 40) - fs_->bytes_used();
       res.total_files = fs_->inode_count();
-      res.encode(enc);
-      co_return enc.take();
+      co_return xdr::encode(res);
     }
 
-    case Proc3::kFsinfo: {
-      FsinfoRes res;
-      res.encode(enc);
-      co_return enc.take();
-    }
+    case Proc3::kFsinfo:
+      co_return xdr::encode(FsinfoRes());
 
     case Proc3::kCommit: {
-      auto a = CommitArgs::decode(dec);
-      CommitRes res;
-      if (!fh_ok(a.fh)) {
-        res.status = Status::kStale;
+      auto a = xdr::decode<CommitArgs>(args);
+      if (!fh_ok(a.fh)) co_return status_reply<CommitRes>(Status::kStale);
+      auto it = unstable_bytes_.find(a.fh.fileid);
+      if (it != unstable_bytes_.end() && it->second > 0) {
+        ++disk_writes_;
+        const uint64_t bytes = it->second;
+        forget_unstable(a.fh.fileid);
+        co_await host_.disk().write(bytes, /*sequential=*/false,
+                                    "nfsd.commit");
       } else {
-        auto it = unstable_bytes_.find(a.fh.fileid);
-        if (it != unstable_bytes_.end() && it->second > 0) {
-          ++disk_writes_;
-          const uint64_t bytes = it->second;
-          forget_unstable(a.fh.fileid);
-          co_await host_.disk().write(bytes, /*sequential=*/false,
-                                      "nfsd.commit");
-        } else {
-          // Nothing pending (e.g. already flushed): still durable; drop any
-          // stale undo bookkeeping.
-          unstable_undo_.erase(a.fh.fileid);
-        }
-        res.verf = write_verf_;
+        // Nothing pending (e.g. already flushed): still durable; drop any
+        // stale undo bookkeeping.
+        unstable_undo_.erase(a.fh.fileid);
       }
-      res.encode(enc);
-      co_return enc.take();
+      CommitRes res;
+      res.verf = write_verf_;
+      co_return xdr::encode(res);
     }
   }
   throw rpc::RpcError(rpc::AcceptStat::kProcUnavail, "unknown NFS proc");
@@ -534,13 +465,11 @@ std::shared_ptr<rpc::RpcProgram> Nfs3Server::mount_program() {
 
 sim::Task<BufChain> MountProgram::handle(const rpc::CallContext& ctx,
                                          BufChain args) {
-  xdr::Decoder dec(args);
-  xdr::Encoder enc;
   switch (static_cast<MountProc>(ctx.proc)) {
     case MountProc::kNull:
       co_return BufChain{};
     case MountProc::kMnt: {
-      auto a = MntArgs::decode(dec);
+      auto a = xdr::decode<MntArgs>(args);
       MntRes res;
       const ExportEntry* match = nullptr;
       for (const auto& e : server_->exports_) {
@@ -565,8 +494,7 @@ sim::Task<BufChain> MountProgram::handle(const rpc::CallContext& ctx,
         res.status = id.status;
         if (id.ok()) res.root_fh = Fh(server_->fsid_, id.value);
       }
-      res.encode(enc);
-      co_return enc.take();
+      co_return xdr::encode(res);
     }
     case MountProc::kUmnt:
       co_return BufChain{};

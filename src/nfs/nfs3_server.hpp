@@ -16,6 +16,7 @@
 // the paper.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -104,6 +105,9 @@ class Nfs3Server : public rpc::RpcProgram,
   vfs::Cred cred_of(const rpc::CallContext& ctx) const;
   bool fh_ok(const Fh& fh) const { return fh.fsid == fsid_; }
   std::optional<vfs::Attributes> attrs_of(vfs::FileId id) const;
+  /// The CREATE/MKDIR/SYMLINK result for the new name in `where`.
+  CreateRes created(const DiropArgs& where,
+                    const vfs::Result<vfs::FileId>& r) const;
 
   // Page-cache timing model.
   sim::Task<void> charge_meta();
@@ -113,9 +117,21 @@ class Nfs3Server : public rpc::RpcProgram,
   void cache_insert(uint64_t fileid, uint64_t block);
   bool cache_has(uint64_t fileid, uint64_t block) const;
 
-  // Crash model: unstable data is genuinely volatile.
+  // Crash model: unstable data is genuinely volatile.  None of these
+  // charge virtual time.
   void record_unstable_undo(uint64_t fileid, uint64_t offset, size_t len);
   void forget_unstable(uint64_t fileid);
+  /// The VFS write behind v3 and v4 WRITE: an UNSTABLE write snapshots the
+  /// pre-image first, so a crash reverts it.
+  vfs::Result<uint32_t> write_data(const vfs::Cred& cred, uint64_t fileid,
+                                   uint64_t offset, const BufChain& data,
+                                   bool unstable);
+  /// Destroys `name` in `dir` through `unlink` (REMOVE, RMDIR, RENAME over
+  /// an existing target); if that destroyed the inode, its unstable-write
+  /// bookkeeping dies with it, or a later COMMIT of a recycled fileid
+  /// would be mis-charged.
+  Status unlink_forgetting(uint64_t dir, const std::string& name,
+                           const std::function<Status()>& unlink);
   void on_crash();
 
   net::Host& host_;

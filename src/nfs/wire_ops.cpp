@@ -77,201 +77,97 @@ sim::Task<BufChain> V3WireOps::call_once(Proc3 proc, BufChain args) {
   }
 }
 
+template <Proc3 P>
+sim::Task<typename ProcTraits<P>::Res> V3WireOps::call(
+    typename ProcTraits<P>::Args args) {
+  BufChain reply = co_await call(P, xdr::encode(args));
+  co_return xdr::decode<typename ProcTraits<P>::Res>(reply);
+}
+
 sim::Task<Fh> V3WireOps::mount(const std::string& path) {
   auto mount_client = co_await rpc::clnt_create(host_, server_, kMountProgram,
                                                 kMountVersion3);
   mount_client->set_auth(auth_);
   mount_client->set_retry(retry_);
-  MntArgs margs(path);
-  xdr::Encoder enc;
-  margs.encode(enc);
   BufChain reply = co_await mount_client->call(
-      static_cast<uint32_t>(MountProc::kMnt), enc.take());
-  xdr::Decoder dec(reply);
-  MntRes res = MntRes::decode(dec);
+      static_cast<uint32_t>(MountProc::kMnt), xdr::encode(MntArgs(path)));
+  auto res = xdr::decode<MntRes>(reply);
   mount_client->close();
   if (res.status != Status::kOk) throw FsError(res.status);
   co_return res.root_fh;
 }
 
+// Each method is one typed call: the table (nfs3.hpp) supplies the codec.
+
 sim::Task<LookupRes> V3WireOps::lookup(Fh dir, const std::string& name) {
-  DiropArgs args(dir, name);
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kLookup, enc.take());
-  xdr::Decoder dec(reply);
-  co_return LookupRes::decode(dec);
+  return call<Proc3::kLookup>(DiropArgs(dir, name));
 }
 
 sim::Task<GetattrRes> V3WireOps::getattr(Fh fh) {
-  GetattrArgs args;
-  args.fh = fh;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kGetattr, enc.take());
-  xdr::Decoder dec(reply);
-  co_return GetattrRes::decode(dec);
+  return call<Proc3::kGetattr>(GetattrArgs(fh));
 }
 
 sim::Task<WccRes> V3WireOps::setattr(Fh fh, const vfs::SetAttrs& sattr) {
-  SetattrArgs args;
-  args.fh = fh;
-  args.sattr = sattr;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kSetattr, enc.take());
-  xdr::Decoder dec(reply);
-  co_return WccRes::decode(dec);
+  return call<Proc3::kSetattr>(SetattrArgs(fh, sattr));
 }
 
 sim::Task<AccessRes> V3WireOps::access(Fh fh, uint32_t want) {
-  AccessArgs args(fh, want);
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kAccess, enc.take());
-  xdr::Decoder dec(reply);
-  co_return AccessRes::decode(dec);
+  return call<Proc3::kAccess>(AccessArgs(fh, want));
 }
 
 sim::Task<ReadRes> V3WireOps::read(Fh fh, uint64_t offset, uint32_t count) {
-  ReadArgs args(fh, offset, count);
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kRead, enc.take());
-  xdr::Decoder dec(reply);
-  co_return ReadRes::decode(dec);
+  return call<Proc3::kRead>(ReadArgs(fh, offset, count));
 }
 
 sim::Task<WriteRes> V3WireOps::write(Fh fh, uint64_t offset, StableHow stable,
                                      BufChain data) {
-  WriteArgs args;
-  args.fh = fh;
-  args.offset = offset;
-  args.stable = stable;
-  args.data = std::move(data);
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kWrite, enc.take());
-  xdr::Decoder dec(reply);
-  co_return WriteRes::decode(dec);
+  return call<Proc3::kWrite>(WriteArgs(fh, offset, stable, std::move(data)));
 }
 
 sim::Task<CreateRes> V3WireOps::create(Fh dir, const std::string& name,
                                        uint32_t mode, bool exclusive) {
-  CreateArgs args;
-  args.dir = dir;
-  args.name = name;
-  args.mode = mode;
-  args.exclusive = exclusive;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kCreate, enc.take());
-  xdr::Decoder dec(reply);
-  co_return CreateRes::decode(dec);
+  return call<Proc3::kCreate>(CreateArgs({dir, name}, mode, exclusive));
 }
 
 sim::Task<CreateRes> V3WireOps::mkdir(Fh dir, const std::string& name,
                                       uint32_t mode) {
-  MkdirArgs args;
-  args.dir = dir;
-  args.name = name;
-  args.mode = mode;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kMkdir, enc.take());
-  xdr::Decoder dec(reply);
-  co_return CreateRes::decode(dec);
+  return call<Proc3::kMkdir>(MkdirArgs({dir, name}, mode));
 }
 
 sim::Task<CreateRes> V3WireOps::symlink(Fh dir, const std::string& name,
                                         const std::string& target) {
-  SymlinkArgs args;
-  args.dir = dir;
-  args.name = name;
-  args.target = target;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kSymlink, enc.take());
-  xdr::Decoder dec(reply);
-  co_return CreateRes::decode(dec);
+  return call<Proc3::kSymlink>(SymlinkArgs({dir, name}, target));
 }
 
 sim::Task<WccRes> V3WireOps::remove(Fh dir, const std::string& name) {
-  DiropArgs args(dir, name);
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kRemove, enc.take());
-  xdr::Decoder dec(reply);
-  co_return WccRes::decode(dec);
+  return call<Proc3::kRemove>(DiropArgs(dir, name));
 }
 
 sim::Task<WccRes> V3WireOps::rmdir(Fh dir, const std::string& name) {
-  DiropArgs args(dir, name);
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kRmdir, enc.take());
-  xdr::Decoder dec(reply);
-  co_return WccRes::decode(dec);
+  return call<Proc3::kRmdir>(DiropArgs(dir, name));
 }
 
 sim::Task<WccRes> V3WireOps::rename(Fh from_dir, const std::string& from_name,
                                     Fh to_dir, const std::string& to_name) {
-  RenameArgs args;
-  args.from_dir = from_dir;
-  args.from_name = from_name;
-  args.to_dir = to_dir;
-  args.to_name = to_name;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kRename, enc.take());
-  xdr::Decoder dec(reply);
-  co_return WccRes::decode(dec);
+  return call<Proc3::kRename>(RenameArgs(from_dir, from_name, to_dir, to_name));
 }
 
 sim::Task<WccRes> V3WireOps::link(Fh file, Fh dir, const std::string& name) {
-  LinkArgs args;
-  args.file = file;
-  args.dir = dir;
-  args.name = name;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kLink, enc.take());
-  xdr::Decoder dec(reply);
-  co_return WccRes::decode(dec);
+  return call<Proc3::kLink>(LinkArgs(file, dir, name));
 }
 
 sim::Task<ReaddirRes> V3WireOps::readdir(Fh dir, uint64_t cookie,
                                          uint32_t count, bool plus) {
-  ReaddirArgs args;
-  args.dir = dir;
-  args.cookie = cookie;
-  args.count = count;
-  args.plus = plus;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(
-      plus ? Proc3::kReaddirplus : Proc3::kReaddir, enc.take());
-  xdr::Decoder dec(reply);
-  co_return ReaddirRes::decode(dec);
+  const ReaddirArgs args(dir, cookie, count, plus);
+  return plus ? call<Proc3::kReaddirplus>(args) : call<Proc3::kReaddir>(args);
 }
 
 sim::Task<ReadlinkRes> V3WireOps::readlink(Fh fh) {
-  GetattrArgs args;
-  args.fh = fh;
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kReadlink, enc.take());
-  xdr::Decoder dec(reply);
-  co_return ReadlinkRes::decode(dec);
+  return call<Proc3::kReadlink>(GetattrArgs(fh));
 }
 
 sim::Task<CommitRes> V3WireOps::commit(Fh fh) {
-  CommitArgs args(fh, 0, 0);
-  xdr::Encoder enc;
-  args.encode(enc);
-  BufChain reply = co_await call(Proc3::kCommit, enc.take());
-  xdr::Decoder dec(reply);
-  co_return CommitRes::decode(dec);
+  return call<Proc3::kCommit>(CommitArgs(fh, 0, 0));
 }
 
 }  // namespace sgfs::nfs

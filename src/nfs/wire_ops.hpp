@@ -106,6 +106,11 @@ class V3WireOps final : public WireOps {
                            "nfs.client.jukebox_retries"),
         m_reconnects_(host.engine().metrics(), "nfs.client.reconnects") {}
 
+  /// Encodes P's Args, calls, decodes P's Res: the whole body of each
+  /// procedure method.
+  template <Proc3 P>
+  sim::Task<typename ProcTraits<P>::Res> call(
+      typename ProcTraits<P>::Args args);
   sim::Task<BufChain> call(Proc3 proc, BufChain args);
   /// One xid's worth of call: retransmissions and reconnect-resends reuse
   /// the xid; jukebox-delayed retries (in call()) get a fresh one.

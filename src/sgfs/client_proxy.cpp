@@ -16,18 +16,6 @@ using nfs::Fh;
 using nfs::Proc3;
 using nfs::Status;
 
-namespace {
-
-/// XDR-encodes an NFS argument or result struct into a fresh chain.
-template <typename T>
-BufChain encoded(const T& value) {
-  xdr::Encoder enc;
-  value.encode(enc);
-  return enc.take();
-}
-
-}  // namespace
-
 ClientProxy::~ClientProxy() = default;
 
 ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
@@ -330,8 +318,8 @@ void ClientProxy::name_put(uint64_t dir, const std::string& name,
     e.generation = 0;
     return;
   }
-  xdr::Encoder enc;
-  res.encode(enc);
+  xdr::Encoder enc;  // flat: the blob is sealed in place, never chained
+  enc(res);
   Buffer plain = enc.take_flat();
   e.generation = ++seal_clock_;
   e.sealed = crypto::seal_block(name_keys(dir), dir, shard_hash(name),
@@ -362,7 +350,8 @@ std::optional<nfs::LookupRes> ClientProxy::name_get(uint64_t dir,
   if (plain) {
     try {
       xdr::Decoder dec(ByteView(plain->data(), plain->size()));
-      nfs::LookupRes res = nfs::LookupRes::decode(dec);
+      nfs::LookupRes res;
+      dec(res);
       dec.expect_done();
       return res;
     } catch (const xdr::XdrError&) {
@@ -411,7 +400,7 @@ sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
     res.count = 0;
     res.eof = true;
     m_replica_reads_.inc();
-    co_return encoded(res);
+    co_return xdr::encode(res);
   }
   const uint64_t index = a.offset / bs;
   auto plain = co_await replica_->fetch_block(a.fh.fileid, index);
@@ -445,7 +434,7 @@ sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
   }
   if (host_.memcpy_charged()) co_await host_.memcpy_cost(have);
   co_await host_.cpu().use(config_.cost.msg_cost(have), "proxy");
-  co_return encoded(res);
+  co_return xdr::encode(res);
 }
 
 
@@ -707,36 +696,22 @@ bool ClientProxy::overlay_dirty(std::optional<vfs::Attributes>& attrs) const {
   return attrs && overlay_dirty(*attrs);
 }
 
+bool ClientProxy::overlay_dirty(std::vector<nfs::DirEntry3>& entries) const {
+  bool changed = false;
+  for (auto& entry : entries) changed |= overlay_dirty(entry.attrs);
+  return changed;
+}
+
 BufChain ClientProxy::with_local_attrs(Proc3 proc, BufChain reply) const {
   if (!cache_.any_dirty()) return reply;
-  xdr::Decoder dec(reply);
-  auto patch = [&](auto res, auto member) {
-    return overlay_dirty(res.*member) ? encoded(res) : reply;
-  };
-  switch (proc) {
-    case Proc3::kGetattr:
-      return patch(nfs::GetattrRes::decode(dec), &nfs::GetattrRes::attrs);
-    case Proc3::kLookup:
-      return patch(nfs::LookupRes::decode(dec), &nfs::LookupRes::attrs);
-    case Proc3::kCreate:
-      return patch(nfs::CreateRes::decode(dec), &nfs::CreateRes::attrs);
-    case Proc3::kAccess:
-      return patch(nfs::AccessRes::decode(dec), &nfs::AccessRes::post_attrs);
-    case Proc3::kRead:
-      return patch(nfs::ReadRes::decode(dec), &nfs::ReadRes::post_attrs);
-    case Proc3::kWrite:
-      return patch(nfs::WriteRes::decode(dec), &nfs::WriteRes::post_attrs);
-    case Proc3::kSetattr:
-      return patch(nfs::WccRes::decode(dec), &nfs::WccRes::post_attrs);
-    case Proc3::kReaddirplus: {
-      auto res = nfs::ReaddirRes::decode(dec);
-      bool changed = false;
-      for (auto& entry : res.entries) changed |= overlay_dirty(entry.attrs);
-      return changed ? encoded(res) : reply;
+  nfs::visit_proc3(proc, [&](auto p) {
+    using P = decltype(p);
+    if constexpr (!std::is_null_pointer_v<decltype(P::kAttrs)>) {
+      auto res = xdr::decode<typename P::Res>(reply);
+      if (overlay_dirty(res.*P::kAttrs)) reply = xdr::encode(res);
     }
-    default:
-      return reply;
-  }
+  });
+  return reply;
 }
 
 void ClientProxy::drop_file(uint64_t fileid) {
@@ -792,26 +767,25 @@ ClientProxy::Block* ClientProxy::overlay_block(
   return &b;
 }
 
-sim::Task<BufChain> ClientProxy::forward_own(Proc3 proc, BufChain args) {
+template <Proc3 P>
+sim::Task<typename nfs::ProcTraits<P>::Res> ClientProxy::forward_own(
+    typename nfs::ProcTraits<P>::Args args) {
   rpc::CallContext ctx;
   ctx.prog = nfs::kNfsProgram;
   ctx.vers = nfs::kNfsVersion3;
-  ctx.proc = static_cast<uint32_t>(proc);
+  ctx.proc = static_cast<uint32_t>(P);
   ctx.auth_sys = last_client_auth_;
-  co_return co_await forward(ctx, std::move(args));
+  BufChain reply = co_await forward(ctx, xdr::encode(args));
+  co_return xdr::decode<typename nfs::ProcTraits<P>::Res>(reply);
 }
 
 sim::Task<nfs::WriteRes> ClientProxy::upstream_write(BlockKey key,
                                                      BufChain data,
                                                      nfs::StableHow stable) {
-  nfs::WriteArgs wargs;
-  wargs.fh = Fh(seen_fsid_, key.fileid);
-  wargs.offset = key.block * config_.cache.block_size;
-  wargs.stable = stable;
-  wargs.data = std::move(data);
-  BufChain reply = co_await forward_own(Proc3::kWrite, encoded(wargs));
-  xdr::Decoder dec(reply);
-  co_return nfs::WriteRes::decode(dec);
+  return forward_own<Proc3::kWrite>(
+      nfs::WriteArgs(Fh(seen_fsid_, key.fileid),
+                     key.block * config_.cache.block_size, stable,
+                     std::move(data)));
 }
 
 sim::Task<std::optional<BufChain>> ClientProxy::dirty_snapshot(BlockKey key) {
@@ -1038,10 +1012,8 @@ sim::Task<void> ClientProxy::flush() {
     // holds the data; a mismatch means a mid-flush restart, which
     // note_upstream_verf answers by replaying the uncommitted shadows.
     for (;;) {
-      const nfs::CommitArgs cargs(Fh(seen_fsid_, fileid), 0, 0);
-      BufChain reply = co_await forward_own(Proc3::kCommit, encoded(cargs));
-      xdr::Decoder dec(reply);
-      auto res = nfs::CommitRes::decode(dec);
+      const nfs::CommitRes res = co_await forward_own<Proc3::kCommit>(
+          nfs::CommitArgs(Fh(seen_fsid_, fileid), 0, 0));
       if (res.status != Status::kOk) {
         SGFS_WARN("sgfs-proxy", "flush COMMIT failed: ",
                   vfs::to_string(res.status));
@@ -1082,8 +1054,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
 
   switch (proc) {
     case Proc3::kGetattr: {
-      xdr::Decoder dec(args);
-      auto a = nfs::GetattrArgs::decode(dec);
+      auto a = xdr::decode<nfs::GetattrArgs>(args);
       auto hit = attrs_.find(a.fh.fileid);
       if (config_.cache.cache_attrs && hit != attrs_.end() &&
           attrs_fresh(hit->second)) {
@@ -1091,11 +1062,10 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
         m_absorbed_getattrs_.inc();
         nfs::GetattrRes res;
         res.attrs = hit->second.attrs;
-        co_return encoded(res);
+        co_return xdr::encode(res);
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::GetattrRes::decode(rdec);
+      auto res = xdr::decode<nfs::GetattrRes>(reply);
       if (res.status == Status::kOk) {
         remember(a.fh, res.attrs);
       }
@@ -1103,8 +1073,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     }
 
     case Proc3::kLookup: {
-      xdr::Decoder dec(args);
-      auto a = nfs::DiropArgs::decode(dec);
+      auto a = xdr::decode<nfs::DiropArgs>(args);
       if (config_.cache.cache_names) {
         auto cached = name_get(a.dir.fileid, a.name);
         if (cached) {
@@ -1114,12 +1083,11 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
           // Refresh attrs from the attribute cache (local writes move them).
           auto at = attrs_.find(res.fh.fileid);
           if (at != attrs_.end()) res.attrs = at->second.attrs;
-          co_return encoded(res);
+          co_return xdr::encode(res);
         }
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::LookupRes::decode(rdec);
+      auto res = xdr::decode<nfs::LookupRes>(reply);
       if (res.status == Status::kOk && config_.cache.cache_names) {
         name_put(a.dir.fileid, a.name, res);
         remember(res.fh, res.attrs);
@@ -1129,8 +1097,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     }
 
     case Proc3::kAccess: {
-      xdr::Decoder dec(args);
-      auto a = nfs::AccessArgs::decode(dec);
+      auto a = xdr::decode<nfs::AccessArgs>(args);
       auto hit = access_cache_.find(a.fh.fileid);
       if (hit != access_cache_.end() &&
           (a.access & ~hit->second.first) == 0) {
@@ -1138,11 +1105,10 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
         res.access = hit->second.second & a.access;
         auto at = attrs_.find(a.fh.fileid);
         if (at != attrs_.end()) res.post_attrs = at->second.attrs;
-        co_return encoded(res);
+        co_return xdr::encode(res);
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::AccessRes::decode(rdec);
+      auto res = xdr::decode<nfs::AccessRes>(reply);
       if (res.status == Status::kOk) {
         access_cache_[a.fh.fileid] = {a.access, res.access};
         remember(a.fh, res.post_attrs);
@@ -1151,8 +1117,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     }
 
     case Proc3::kRead: {
-      xdr::Decoder dec(args);
-      auto a = nfs::ReadArgs::decode(dec);
+      auto a = xdr::decode<nfs::ReadArgs>(args);
       seen_fsid_ = a.fh.fsid;
       // Block alignment is what the replica path needs; cachability
       // additionally requires the data cache to be on.
@@ -1225,7 +1190,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
                                      have ? have : 1,
                                      /*write=*/false);
               if (host_.memcpy_charged()) co_await host_.memcpy_cost(have);
-              co_return encoded(res);
+              co_return xdr::encode(res);
             }
           }
         }
@@ -1245,8 +1210,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
         if (served) co_return std::move(*served);
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::ReadRes::decode(rdec);
+      auto res = xdr::decode<nfs::ReadRes>(reply);
       if (res.status == Status::kOk && aligned) {
         remember(a.fh, res.post_attrs);
         if ((!config_.cache.encryption || data_cache_admitting()) &&
@@ -1263,8 +1227,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     }
 
     case Proc3::kWrite: {
-      xdr::Decoder dec(args);
-      auto a = nfs::WriteArgs::decode(dec);
+      auto a = xdr::decode<nfs::WriteArgs>(args);
       seen_fsid_ = a.fh.fsid;
       const bool aligned =
           config_.cache.cache_data && a.offset % bs == 0 &&
@@ -1300,13 +1263,12 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
         res.committed = nfs::StableHow::kFileSync;  // durable in disk cache
         res.verf = 0x53474653;
         if (at != attrs_.end()) res.post_attrs = at->second.attrs;
-        BufChain reply = encoded(res);
+        BufChain reply = xdr::encode(res);
         co_await evict_if_needed();
         co_return reply;
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::WriteRes::decode(rdec);
+      auto res = xdr::decode<nfs::WriteRes>(reply);
       if (res.status == Status::kOk) remember(a.fh, res.post_attrs);
       co_return reply;
     }
@@ -1321,7 +1283,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
         // happens at flush() (end of session) or under eviction pressure.
         nfs::CommitRes res;
         res.verf = 0x53474653;
-        co_return encoded(res);
+        co_return xdr::encode(res);
       }
       co_return co_await forward(ctx, args);
     }
@@ -1329,35 +1291,22 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     case Proc3::kCreate:
     case Proc3::kMkdir:
     case Proc3::kSymlink: {
-      xdr::Decoder dec(args);
-      Fh dir;
-      std::string name;
-      if (proc == Proc3::kCreate) {
-        auto a = nfs::CreateArgs::decode(dec);
-        dir = a.dir;
-        name = a.name;
-      } else if (proc == Proc3::kMkdir) {
-        auto a = nfs::MkdirArgs::decode(dec);
-        dir = a.dir;
-        name = a.name;
-      } else {
-        auto a = nfs::SymlinkArgs::decode(dec);
-        dir = a.dir;
-        name = a.name;
-      }
+      const nfs::DiropArgs where =
+          proc == Proc3::kCreate  ? xdr::decode<nfs::CreateArgs>(args).where
+          : proc == Proc3::kMkdir ? xdr::decode<nfs::MkdirArgs>(args).where
+                                  : xdr::decode<nfs::SymlinkArgs>(args).where;
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::CreateRes::decode(rdec);
+      auto res = xdr::decode<nfs::CreateRes>(reply);
       // A create invalidates the cached listing but not sibling names.
-      dir_cache_.erase(dir.fileid);
+      dir_cache_.erase(where.dir.fileid);
       if (res.status == Status::kOk) {
         remember(res.fh, res.attrs);
-        remember(dir, res.dir_attrs);
+        remember(where.dir, res.dir_attrs);
         if (config_.cache.cache_names) {
           nfs::LookupRes lr;
           lr.fh = res.fh;
           lr.attrs = res.attrs;
-          name_put(dir.fileid, name, lr);
+          name_put(where.dir.fileid, where.name, lr);
         }
       }
       co_return reply;
@@ -1365,8 +1314,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
 
     case Proc3::kRemove:
     case Proc3::kRmdir: {
-      xdr::Decoder dec(args);
-      auto a = nfs::DiropArgs::decode(dec);
+      auto a = xdr::decode<nfs::DiropArgs>(args);
       // Identify the victim before forwarding so pending write-backs can be
       // cancelled (paper §6.3.2).
       // (A sealed entry that fails its MAC leaves the victim unknown: the
@@ -1376,8 +1324,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
         victim = hit->fh.fileid;
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::WccRes::decode(rdec);
+      auto res = xdr::decode<nfs::WccRes>(reply);
       if (res.status == Status::kOk) {
         dir_cache_.erase(a.dir.fileid);
         names_.erase({a.dir.fileid, a.name});
@@ -1388,11 +1335,9 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     }
 
     case Proc3::kRename: {
-      xdr::Decoder dec(args);
-      auto a = nfs::RenameArgs::decode(dec);
+      auto a = xdr::decode<nfs::RenameArgs>(args);
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::WccRes::decode(rdec);
+      auto res = xdr::decode<nfs::WccRes>(reply);
       if (res.status == Status::kOk) {
         dir_cache_.erase(a.from_dir.fileid);
         dir_cache_.erase(a.to_dir.fileid);
@@ -1407,11 +1352,9 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     }
 
     case Proc3::kSetattr: {
-      xdr::Decoder dec(args);
-      auto a = nfs::SetattrArgs::decode(dec);
+      auto a = xdr::decode<nfs::SetattrArgs>(args);
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::WccRes::decode(rdec);
+      auto res = xdr::decode<nfs::WccRes>(reply);
       if (res.status == Status::kOk) {
         if (a.sattr.size) {
           // Truncate: drop cached blocks beyond the new size, and cut the
@@ -1439,16 +1382,14 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
 
     case Proc3::kReaddir:
     case Proc3::kReaddirplus: {
-      xdr::Decoder dec(args);
-      auto a = nfs::ReaddirArgs::decode(dec);
+      auto a = xdr::decode<nfs::ReaddirArgs>(args);
       if (config_.cache.cache_dirs && a.cookie == 0) {
         auto hit = dir_cache_.find(a.dir.fileid);
-        if (hit != dir_cache_.end()) co_return encoded(hit->second);
+        if (hit != dir_cache_.end()) co_return xdr::encode(hit->second);
       }
       BufChain reply = co_await forward(ctx, args);
       if (config_.cache.cache_dirs && a.cookie == 0) {
-        xdr::Decoder rdec(reply);
-        auto res = nfs::ReaddirRes::decode(rdec);
+        auto res = xdr::decode<nfs::ReaddirRes>(reply);
         if (res.status == Status::kOk && res.eof) {
           for (const auto& entry : res.entries) {
             if (entry.fh && entry.attrs) {

@@ -187,7 +187,9 @@ class ClientProxy : public rpc::RpcProgram,
   sim::Task<BufChain> forward(const rpc::CallContext& ctx, BufChain args);
   /// Forwards a call the proxy makes on its own behalf (write-back, replay,
   /// COMMIT) under the job account's credentials.
-  sim::Task<BufChain> forward_own(nfs::Proc3 proc, BufChain args);
+  template <nfs::Proc3 P>
+  sim::Task<typename nfs::ProcTraits<P>::Res> forward_own(
+      typename nfs::ProcTraits<P>::Args args);
   /// One write-back WRITE of `data` at block `key`; the caller keeps its
   /// own alias of `data` as the replay shadow.
   sim::Task<nfs::WriteRes> upstream_write(BlockKey key, BufChain data,
@@ -207,9 +209,11 @@ class ClientProxy : public rpc::RpcProgram,
   /// wins).  Returns true when `attrs` changed.
   bool overlay_dirty(vfs::Attributes& attrs) const;
   bool overlay_dirty(std::optional<vfs::Attributes>& attrs) const;
-  /// Applies overlay_dirty to the file attributes an NFS reply carries and
-  /// re-encodes the reply if any changed, so the kernel client never takes
-  /// the server's stale size for a file whose newest bytes are only here.
+  bool overlay_dirty(std::vector<nfs::DirEntry3>& entries) const;
+  /// Applies overlay_dirty to the file attributes an NFS reply carries (the
+  /// table's kAttrs member) and re-encodes the reply if any changed, so the
+  /// kernel client never takes the server's stale size for a file whose
+  /// newest bytes are only here.
   BufChain with_local_attrs(nfs::Proc3 proc, BufChain reply) const;
   /// The request handler behind handle(): cache hits, absorbs, forwards.
   sim::Task<BufChain> serve(const rpc::CallContext& ctx, BufChain args);

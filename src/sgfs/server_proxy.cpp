@@ -318,9 +318,7 @@ sim::Task<BufChain> ServerProxy::handle(const rpc::CallContext& ctx,
   rpc::AuthSys mapped(account->uid, account->gid, "sgfs-proxy");
 
   if (ctx.prog == nfs::kMountProgram) {
-    BufChain reply =
-        co_await forward(ctx, args, mapped);
-    co_return reply;
+    co_return co_await forward(ctx, args, mapped);
   }
 
   const auto proc = static_cast<Proc3>(ctx.proc);
@@ -329,126 +327,81 @@ sim::Task<BufChain> ServerProxy::handle(const rpc::CallContext& ctx,
 
   switch (proc) {
     case Proc3::kLookup: {
-      xdr::Decoder dec(args);
-      auto a = nfs::DiropArgs::decode(dec);
+      auto a = xdr::decode<nfs::DiropArgs>(args);
       if (is_acl_name(a.name)) {
         // ACL files are invisible remotely.
-        nfs::LookupRes res;
-        res.status = Status::kNoEnt;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return nfs::status_reply<nfs::LookupRes>(Status::kNoEnt);
       }
-      BufChain reply =
-          co_await forward(ctx, args, mapped);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::LookupRes::decode(rdec);
+      BufChain reply = co_await forward(ctx, args, mapped);
+      auto res = xdr::decode<nfs::LookupRes>(reply);
       if (res.status == Status::kOk) learn_fh(res.fh, a.dir, a.name);
       co_return reply;
     }
 
     case Proc3::kCreate:
     case Proc3::kMkdir: {
-      xdr::Decoder dec(args);
-      Fh dir;
-      std::string name;
-      if (proc == Proc3::kCreate) {
-        auto a = nfs::CreateArgs::decode(dec);
-        dir = a.dir;
-        name = a.name;
-      } else {
-        auto a = nfs::MkdirArgs::decode(dec);
-        dir = a.dir;
-        name = a.name;
+      const nfs::DiropArgs where =
+          proc == Proc3::kCreate ? xdr::decode<nfs::CreateArgs>(args).where
+                                 : xdr::decode<nfs::MkdirArgs>(args).where;
+      if (is_acl_name(where.name)) {
+        co_return nfs::status_reply<nfs::CreateRes>(Status::kAcces);
       }
-      if (is_acl_name(name)) {
-        nfs::CreateRes res;
-        res.status = Status::kAcces;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
-      }
-      BufChain reply =
-          co_await forward(ctx, args, mapped);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::CreateRes::decode(rdec);
-      if (res.status == Status::kOk) learn_fh(res.fh, dir, name);
+      BufChain reply = co_await forward(ctx, args, mapped);
+      auto res = xdr::decode<nfs::CreateRes>(reply);
+      if (res.status == Status::kOk) learn_fh(res.fh, where.dir, where.name);
       co_return reply;
     }
 
     case Proc3::kRemove: {
-      xdr::Decoder dec(args);
-      auto a = nfs::DiropArgs::decode(dec);
+      auto a = xdr::decode<nfs::DiropArgs>(args);
       if (is_acl_name(a.name)) {
-        nfs::WccRes res;
-        res.status = Status::kAcces;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return nfs::status_reply<nfs::WccRes>(Status::kAcces);
       }
       co_return co_await forward(ctx, args, mapped);
     }
 
     case Proc3::kAccess: {
-      xdr::Decoder dec(args);
-      auto a = nfs::AccessArgs::decode(dec);
-      BufChain reply =
-          co_await forward(ctx, args, mapped);
+      auto a = xdr::decode<nfs::AccessArgs>(args);
+      BufChain reply = co_await forward(ctx, args, mapped);
       if (auto mask = acl_mask(a.fh, dn)) {
         // Grid ACL governs this file: the proxy's decision replaces the
         // kernel's (the paper disables kernel ACLs entirely).
-        xdr::Decoder rdec(reply);
-        auto res = nfs::AccessRes::decode(rdec);
+        auto res = xdr::decode<nfs::AccessRes>(reply);
         if (res.status == Status::kOk) {
           res.access = a.access & *mask;
-          xdr::Encoder enc;
-          res.encode(enc);
-          co_return enc.take();
+          co_return xdr::encode(res);
         }
       }
       co_return reply;
     }
 
     case Proc3::kRead: {
-      xdr::Decoder dec(args);
-      auto a = nfs::ReadArgs::decode(dec);
+      auto a = xdr::decode<nfs::ReadArgs>(args);
       if (auto mask = acl_mask(a.fh, dn);
           mask && !(*mask & vfs::kAccessRead)) {
         ++denied_;
         m_denied_.inc();
-        nfs::ReadRes res;
-        res.status = Status::kAcces;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return nfs::status_reply<nfs::ReadRes>(Status::kAcces);
       }
       co_return co_await forward(ctx, args, mapped);
     }
 
     case Proc3::kWrite: {
-      xdr::Decoder dec(args);
-      auto a = nfs::WriteArgs::decode(dec);
+      auto a = xdr::decode<nfs::WriteArgs>(args);
       if (auto mask = acl_mask(a.fh, dn);
           mask && !(*mask & (vfs::kAccessModify | vfs::kAccessExtend))) {
         ++denied_;
         m_denied_.inc();
-        nfs::WriteRes res;
-        res.status = Status::kAcces;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return nfs::status_reply<nfs::WriteRes>(Status::kAcces);
       }
       co_return co_await forward(ctx, args, mapped);
     }
 
     case Proc3::kReaddir:
     case Proc3::kReaddirplus: {
-      xdr::Decoder dec(args);
-      auto a = nfs::ReaddirArgs::decode(dec);
-      BufChain reply =
-          co_await forward(ctx, args, mapped);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::ReaddirRes::decode(rdec);
+      auto a = xdr::decode<nfs::ReaddirArgs>(args);
+      BufChain reply = co_await forward(ctx, args, mapped);
+      auto res = xdr::decode<nfs::ReaddirRes>(reply);
       if (res.status != Status::kOk) co_return reply;
       std::vector<nfs::DirEntry3> kept;
       kept.reserve(res.entries.size());
@@ -458,9 +411,7 @@ sim::Task<BufChain> ServerProxy::handle(const rpc::CallContext& ctx,
         kept.push_back(std::move(entry));
       }
       res.entries = std::move(kept);
-      xdr::Encoder enc;
-      res.encode(enc);
-      co_return enc.take();
+      co_return xdr::encode(res);
     }
 
     default:

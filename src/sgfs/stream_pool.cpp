@@ -187,17 +187,14 @@ sim::Task<void> StreamPool::read_worker(std::shared_ptr<ReadJob> job,
       } else {
         client->clear_auth();
       }
-      nfs::ReadArgs args(job->fh, job->offset + idx * job->chunk,
-                         static_cast<uint32_t>(chunk_len(*job, idx)));
-      xdr::Encoder enc;
-      args.encode(enc);
+      const nfs::ReadArgs args(job->fh, job->offset + idx * job->chunk,
+                               static_cast<uint32_t>(chunk_len(*job, idx)));
       BufChain reply = co_await client->call(
-          static_cast<uint32_t>(Proc3::kRead), enc.take());
+          static_cast<uint32_t>(Proc3::kRead), xdr::encode(args));
       // Same per-reply processing charge the single-stream forward path
       // pays; concurrent workers serialize on the host CPU resource.
       co_await host_.cpu().use(config_.cost.msg_cost(reply.size()), "proxy");
-      xdr::Decoder dec(reply);
-      auto res = nfs::ReadRes::decode(dec);
+      auto res = xdr::decode<nfs::ReadRes>(reply);
       if (res.status != Status::kOk) {
         if (!job->error) {
           job->error = std::make_exception_ptr(std::runtime_error(
@@ -297,18 +294,13 @@ sim::Task<void> StreamPool::write_worker(std::shared_ptr<WriteJob> job,
       } else {
         client->clear_auth();
       }
-      nfs::WriteArgs wargs;
-      wargs.fh = batch.fh;
-      wargs.offset = batch.offset;
-      wargs.stable = nfs::StableHow::kUnstable;
-      wargs.data = batch.data;  // refcounted alias, no copy
-      xdr::Encoder enc;
-      wargs.encode(enc);
+      // The payload is a refcounted alias of the batch, no copy.
+      const nfs::WriteArgs wargs(batch.fh, batch.offset,
+                                 nfs::StableHow::kUnstable, batch.data);
       BufChain reply = co_await client->call(
-          static_cast<uint32_t>(Proc3::kWrite), enc.take());
+          static_cast<uint32_t>(Proc3::kWrite), xdr::encode(wargs));
       co_await host_.cpu().use(config_.cost.msg_cost(reply.size()), "proxy");
-      xdr::Decoder dec(reply);
-      job->results[idx].res.emplace(nfs::WriteRes::decode(dec));
+      job->results[idx].res.emplace(xdr::decode<nfs::WriteRes>(reply));
       job->results[idx].ok = true;
       m_batch_bytes_.inc(batch.data.size());
       slots_[slot].bytes.inc(batch.data.size());

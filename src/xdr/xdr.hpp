@@ -10,6 +10,19 @@
 // BufChain.  The Decoder can be constructed over a BufChain and hands out
 // shared sub-slices for bulk opaque data (get_opaque_ref) that keep the
 // backing store alive by refcount instead of copying.
+//
+// Field walkers: a message type writes its wire layout once, as
+//
+//   template <class Io> void walk(Io& io) {
+//     io(status);                              // scalar, enum, bool
+//     if (status == kOk) io.string(name, 255); // bounded fields name a cap
+//     io(post_attrs);                          // optional: bool + value
+//   }
+//
+// (or as a free walk(Io&, T&) found by argument-dependent lookup), and both
+// the Encoder and the Decoder drive it: the Encoder reads each field, the
+// Decoder assigns it in the same order.  encode(x) / decode<T>(chain) are
+// the one typed entry point.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +30,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/bufchain.hpp"
@@ -28,6 +42,11 @@ class XdrError : public std::runtime_error {
  public:
   explicit XdrError(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// A type with a field walker, member or free (see the header comment).
+template <typename T, typename Io>
+concept Walkable = requires(T& t, Io& io) { t.walk(io); } ||
+                   requires(T& t, Io& io) { walk(io, t); };
 
 class Encoder {
  public:
@@ -56,11 +75,43 @@ class Encoder {
   /// String: identical encoding to variable-length opaque.
   void put_string(std::string_view s);
 
+  // --- field-walker interface (the max_len caps bind only the Decoder) ---
+  void operator()(uint32_t v) { put_u32(v); }
+  void operator()(uint64_t v) { put_u64(v); }
+  void operator()(int64_t v) { put_i64(v); }
+  void operator()(bool v) { put_bool(v); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void operator()(E v) {
+    put_enum(v);
+  }
   /// Optional ("pointer"): bool present + value when present.
-  template <typename T, typename F>
-  void put_optional(const std::optional<T>& v, F&& encode_value) {
+  template <typename T>
+  void operator()(const std::optional<T>& v) {
     put_bool(v.has_value());
-    if (v) encode_value(*v);
+    if (v) (*this)(*v);
+  }
+  /// Walks a message.  The walker is one non-const template shared with
+  /// the Decoder; on this side it only reads, so a const message is safe.
+  template <typename T>
+    requires Walkable<T, Encoder>
+  void operator()(const T& v) {
+    T& fields = const_cast<T&>(v);
+    if constexpr (requires { fields.walk(*this); }) {
+      fields.walk(*this);
+    } else {
+      walk(*this, fields);
+    }
+  }
+  void string(std::string_view s, size_t /*max_len*/) { put_string(s); }
+  void opaque_ref(const BufChain& data, size_t /*max_len*/) {
+    put_opaque_ref(data);
+  }
+  /// Counted array: u32 element count, then each element.
+  template <typename T>
+  void array(const std::vector<T>& v, size_t /*max_len*/) {
+    put_u32(static_cast<uint32_t>(v.size()));
+    for (const T& x : v) (*this)(x);
   }
 
   size_t size() const { return chain_.size() + buf_.size(); }
@@ -127,10 +178,44 @@ class Decoder {
   /// Reads a string; rejects lengths above max_len.
   std::string get_string(size_t max_len = kDefaultMax);
 
-  template <typename T, typename F>
-  std::optional<T> get_optional(F&& decode_value) {
-    if (!get_bool()) return std::nullopt;
-    return decode_value();
+  // --- field-walker interface (the same walker the Encoder drives) -------
+  void operator()(uint32_t& v) { v = get_u32(); }
+  void operator()(uint64_t& v) { v = get_u64(); }
+  void operator()(int64_t& v) { v = get_i64(); }
+  void operator()(bool& v) { v = get_bool(); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void operator()(E& v) {
+    v = get_enum<E>();
+  }
+  template <typename T>
+  void operator()(std::optional<T>& v) {
+    if (get_bool()) {
+      (*this)(v.emplace());
+    } else {
+      v.reset();
+    }
+  }
+  template <typename T>
+    requires Walkable<T, Decoder>
+  void operator()(T& v) {
+    if constexpr (requires { v.walk(*this); }) {
+      v.walk(*this);
+    } else {
+      walk(*this, v);
+    }
+  }
+  void string(std::string& s, size_t max_len) { s = get_string(max_len); }
+  void opaque_ref(BufChain& data, size_t max_len) {
+    data = get_opaque_ref(max_len);
+  }
+  /// Counted array; rejects more than max_len elements before allocating.
+  template <typename T>
+  void array(std::vector<T>& v, size_t max_len) {
+    const uint32_t n = get_u32();
+    if (n > max_len) throw XdrError("array exceeds limit");
+    v.resize(n);
+    for (T& x : v) (*this)(x);
   }
 
   size_t remaining() const { return data_.size() - pos_; }
@@ -155,18 +240,21 @@ class Decoder {
   size_t base_ = 0;
 };
 
-/// Round-trip helper for types exposing encode(Encoder&)/decode(Decoder&).
+/// Encodes one message into a fresh chain (grafted payloads stay shared).
 template <typename T>
-Buffer encode_message(const T& msg) {
+BufChain encode(const T& msg) {
   Encoder enc;
-  msg.encode(enc);
-  return enc.take_flat();
+  enc(msg);
+  return enc.take();
 }
 
+/// Decodes one message from the front of `wire`; payload fields come out
+/// as shared slices of it.  Trailing bytes are left to the caller.
 template <typename T>
-T decode_message(ByteView data) {
-  Decoder dec(data);
-  T out = T::decode(dec);
+T decode(const BufChain& wire) {
+  Decoder dec(wire);
+  T out;
+  dec(out);
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 
 #include "common/rng.hpp"
 #include "nfs/nfs3.hpp"
@@ -21,44 +22,30 @@ namespace {
 
 template <typename T>
 BufChain wire(const T& x) {
-  xdr::Encoder enc;
-  x.encode(enc);
-  return enc.take();
+  return xdr::encode(x);
 }
 
 /// Decodes a whole message: trailing bytes are an error here.
 template <typename T>
 T unwire(const BufChain& bytes) {
   xdr::Decoder dec(bytes);
-  T out = T::decode(dec);
+  T out;
+  dec(out);
   dec.expect_done();
   return out;
 }
 
 CreateArgs create_args(Fh dir, std::string name, uint32_t mode,
                        bool exclusive) {
-  CreateArgs a;
-  a.dir = dir;
-  a.name = std::move(name);
-  a.mode = mode;
-  a.exclusive = exclusive;
-  return a;
+  return CreateArgs({dir, std::move(name)}, mode, exclusive);
 }
 
 MkdirArgs mkdir_args(Fh dir, std::string name, uint32_t mode) {
-  MkdirArgs a;
-  a.dir = dir;
-  a.name = std::move(name);
-  a.mode = mode;
-  return a;
+  return MkdirArgs({dir, std::move(name)}, mode);
 }
 
 SymlinkArgs symlink_args(Fh dir, std::string name, std::string target) {
-  SymlinkArgs a;
-  a.dir = dir;
-  a.name = std::move(name);
-  a.target = std::move(target);
-  return a;
+  return SymlinkArgs({dir, std::move(name)}, std::move(target));
 }
 
 /// Lower-case hex, one space between 4-byte XDR words.
@@ -72,7 +59,7 @@ std::string hex_words(const BufChain& bytes) {
   return out;
 }
 
-// --- fixed field values --------------------------------------------------------
+// --- fixed field values ----------------------------------------------------
 
 const Fh kFh(1, 42);
 const Fh kDir(1, 7);
@@ -495,6 +482,7 @@ std::optional<vfs::Attributes> ropt_attrs(Rng& r) {
 
 StableHow rstable(Rng& r) { return static_cast<StableHow>(r.next_below(3)); }
 
+void fill(Rng&, Void&) {}
 void fill(Rng& r, GetattrArgs& a) { a.fh = rfh(r); }
 void fill(Rng& r, GetattrRes& x) {
   x.status = rstatus(r);
@@ -570,7 +558,9 @@ void fill(Rng& r, CreateRes& x) {
   x.attrs = ropt_attrs(r);
   x.dir_attrs = ropt_attrs(r);
 }
-void fill(Rng& r, MkdirArgs& a) { a = mkdir_args(rfh(r), rname(r, 255), u32(r)); }
+void fill(Rng& r, MkdirArgs& a) {
+  a = mkdir_args(rfh(r), rname(r, 255), u32(r));
+}
 void fill(Rng& r, SymlinkArgs& a) {
   a = symlink_args(rfh(r), rname(r, 255), rname(r, kMaxPathBytes));
 }
@@ -643,37 +633,54 @@ void round_trips(const std::string& what) {
   }
 }
 
-TEST(Nfs3Wire, SeededRoundTrips) {
-  round_trips<GetattrArgs>("GetattrArgs");
-  round_trips<GetattrRes>("GetattrRes");
-  round_trips<SetattrArgs>("SetattrArgs");
-  round_trips<WccRes>("WccRes");
-  round_trips<DiropArgs>("DiropArgs");
-  round_trips<LookupRes>("LookupRes");
-  round_trips<AccessArgs>("AccessArgs");
-  round_trips<AccessRes>("AccessRes");
-  round_trips<ReadlinkRes>("ReadlinkRes");
-  round_trips<ReadArgs>("ReadArgs");
-  round_trips<ReadRes>("ReadRes");
-  round_trips<WriteArgs>("WriteArgs");
-  round_trips<WriteRes>("WriteRes");
-  round_trips<CreateArgs>("CreateArgs");
-  round_trips<CreateRes>("CreateRes");
-  round_trips<MkdirArgs>("MkdirArgs");
-  round_trips<SymlinkArgs>("SymlinkArgs");
-  round_trips<RenameArgs>("RenameArgs");
-  round_trips<LinkArgs>("LinkArgs");
-  round_trips<ReaddirArgs>("ReaddirArgs");
-  round_trips<ReaddirRes>("ReaddirRes");
-  round_trips<FsstatRes>("FsstatRes");
-  round_trips<FsinfoRes>("FsinfoRes");
-  round_trips<CommitArgs>("CommitArgs");
-  round_trips<CommitRes>("CommitRes");
-  round_trips<MntArgs>("MntArgs");
-  round_trips<MntRes>("MntRes");
+TEST(Nfs3Wire, SeededRoundTripsForEveryTableEntry) {
+  for (Proc3 p : kProcs3) {
+    visit_proc3(p, [](auto proc) {
+      round_trips<typename decltype(proc)::Args>(std::string(proc.kName) +
+                                                 " args");
+      round_trips<typename decltype(proc)::Res>(std::string(proc.kName) +
+                                                " res");
+    });
+  }
+  round_trips<MntArgs>("MNT args");
+  round_trips<MntRes>("MNT res");
 }
 
-// --- jukebox replies -----------------------------------------------------------
+// --- the table against RFC 1813 --------------------------------------------
+
+TEST(Nfs3Wire, TableNamesAndDrcClassesMatchRfc1813) {
+  const std::vector<std::pair<Proc3, const char*>> kNames = {
+      {Proc3::kNull, "NULL"},         {Proc3::kGetattr, "GETATTR"},
+      {Proc3::kSetattr, "SETATTR"},   {Proc3::kLookup, "LOOKUP"},
+      {Proc3::kAccess, "ACCESS"},     {Proc3::kReadlink, "READLINK"},
+      {Proc3::kRead, "READ"},         {Proc3::kWrite, "WRITE"},
+      {Proc3::kCreate, "CREATE"},     {Proc3::kMkdir, "MKDIR"},
+      {Proc3::kSymlink, "SYMLINK"},   {Proc3::kRemove, "REMOVE"},
+      {Proc3::kRmdir, "RMDIR"},       {Proc3::kRename, "RENAME"},
+      {Proc3::kLink, "LINK"},         {Proc3::kReaddir, "READDIR"},
+      {Proc3::kReaddirplus, "READDIRPLUS"},
+      {Proc3::kFsstat, "FSSTAT"},     {Proc3::kFsinfo, "FSINFO"},
+      {Proc3::kCommit, "COMMIT"}};
+  ASSERT_EQ(kNames.size(), std::size(kProcs3));
+  for (size_t i = 0; i < kNames.size(); ++i) {
+    EXPECT_EQ(kProcs3[i], kNames[i].first);
+    EXPECT_STREQ(proc3_name(kNames[i].first), kNames[i].second);
+  }
+  EXPECT_STREQ(proc3_name(static_cast<Proc3>(11)), "PROC?");  // MKNOD
+
+  // The classic DRC classification: the procedures whose re-execution is
+  // visible.  Unknown numbers count as idempotent (nothing to protect).
+  const std::set<Proc3> kNonIdempotent = {
+      Proc3::kSetattr, Proc3::kCreate, Proc3::kMkdir,  Proc3::kSymlink,
+      Proc3::kRemove,  Proc3::kRmdir,  Proc3::kRename, Proc3::kLink};
+  for (Proc3 p : kProcs3) {
+    EXPECT_EQ(proc3_is_idempotent(p), kNonIdempotent.count(p) == 0)
+        << proc3_name(p);
+  }
+  EXPECT_TRUE(proc3_is_idempotent(static_cast<Proc3>(11)));
+}
+
+// --- jukebox replies -------------------------------------------------------
 
 template <typename Res>
 void expect_jukebox_as(Proc3 p, const char* what) {
@@ -709,15 +716,17 @@ TEST(Nfs3Wire, BusyReplyDecodesAsTheProceduresOwnResult) {
   expect_jukebox_as<CommitRes>(Proc3::kCommit, "COMMIT");
 }
 
-// --- per-field decode caps -----------------------------------------------------
+// --- per-field decode caps -------------------------------------------------
 //
 // Each cap is checked on both sides of its bound with the bytes really
 // present, so the rejection comes from the cap and not from an underrun.
 
 TEST(Nfs3Wire, NameCapIs255Bytes) {
-  EXPECT_NO_THROW(unwire<DiropArgs>(wire(DiropArgs(kDir, std::string(255, 'n')))));
-  EXPECT_THROW(unwire<DiropArgs>(wire(DiropArgs(kDir, std::string(256, 'n')))),
-               xdr::XdrError);
+  EXPECT_NO_THROW(
+      unwire<DiropArgs>(wire(DiropArgs(kDir, std::string(255, 'n')))));
+  EXPECT_THROW(
+      unwire<DiropArgs>(wire(DiropArgs(kDir, std::string(256, 'n')))),
+      xdr::XdrError);
   EXPECT_THROW(unwire<CreateArgs>(wire(create_args(kDir, std::string(256, 'n'),
                                                    0644, false))),
                xdr::XdrError);

@@ -480,20 +480,15 @@ TEST(Nfs3Drc, RetransmittedCreateReturnsOriginalReply) {
     // A raw NFSv3 CREATE, retransmitted byte-for-byte with the same xid —
     // the duplicate-request cache must return the original reply instead of
     // re-running the (non-idempotent) procedure.
-    CreateArgs cargs;
-    cargs.dir = dir.fh;
-    cargs.name = "drc.txt";
-    cargs.mode = 0644;
-    cargs.exclusive = true;  // a re-execution would fail with kExist
-    xdr::Encoder enc;
-    cargs.encode(enc);
+    // (exclusive: a re-execution would fail with kExist)
+    const CreateArgs cargs({dir.fh, "drc.txt"}, 0644, /*exclusive=*/true);
     rpc::CallMsg call;
     call.xid = 424242;
     call.prog = kNfsProgram;
     call.vers = kNfsVersion3;
     call.proc = static_cast<uint32_t>(Proc3::kCreate);
     call.cred = rpc::OpaqueAuth::sys(auth);
-    call.args = enc.take();
+    call.args = xdr::encode(cargs);
     const BufChain wire = call.serialize();
 
     net::StreamPtr s = co_await rig.net.connect(*rig.client_host, addr);
@@ -510,8 +505,7 @@ TEST(Nfs3Drc, RetransmittedCreateReturnsOriginalReply) {
   EXPECT_EQ(rig.nfs_server->ops_for(Proc3::kCreate), 1u);
   EXPECT_EQ(rig.rpc_server->drc_hits(), 1u);
   rpc::ReplyMsg reply = rpc::ReplyMsg::deserialize(wire1);
-  xdr::Decoder dec(reply.results);
-  CreateRes res = CreateRes::decode(dec);
+  const auto res = xdr::decode<CreateRes>(reply.results);
   EXPECT_EQ(res.status, Status::kOk);
 }
 
@@ -645,6 +639,107 @@ TEST(NfsV4, CompoundCountsTrack) {
     EXPECT_GT(v4.compounds(), 0u);
     EXPECT_GT(v4.ops(), v4.compounds());
   }(rig, *v4));
+}
+
+
+// --- v3 and v4 on one server -------------------------------------------------
+//
+// Testbeds serve v3 and v4 from one Nfs3Server, so both protocols share its
+// crash model: unstable bytes are reverted by a crash and committed bytes
+// survive it, whichever protocol wrote or committed them.
+
+struct BothProtocols {
+  std::unique_ptr<V3WireOps> v3;
+  std::unique_ptr<V4WireOps> v4;
+  Fh dir;
+  BothProtocols() = default;
+
+  void close() {
+    v3->close();
+    v4->close();
+  }
+};
+
+Task<BothProtocols> connect_both(Rig& rig) {
+  net::Address addr("server", 2049);
+  rpc::AuthSys auth(1000, 1000, "client");
+  BothProtocols both;
+  both.v3 = co_await V3WireOps::connect(*rig.client_host, addr, auth);
+  both.v4 = co_await V4WireOps::connect(*rig.client_host, addr, auth);
+  const Fh root = co_await both.v3->mount("/GFS");
+  both.dir = (co_await both.v3->lookup(root, "data")).fh;
+  co_return both;
+}
+
+Task<void> crash_server(Rig& rig) {
+  rig.server_host->crash_restart(rig.eng.now() + 1_ms, 50_ms);
+  co_await rig.eng.sleep(200_ms);
+}
+
+Buffer file_bytes(Rig& rig, const std::string& path) {
+  auto got = rig.fs->read_file(vfs::Cred(0, 0), path);
+  EXPECT_TRUE(got.ok()) << path;
+  return got.value;
+}
+
+TEST(NfsV4, CommitThroughV4SurvivesCrash) {
+  Rig rig;
+  rig.eng.run_task([](Rig& rig) -> Task<void> {
+    BothProtocols both = co_await connect_both(rig);
+    const Fh fh = (co_await both.v3->create(both.dir, "mixed.bin", 0644,
+                                            false)).fh;
+    const WriteRes w = co_await both.v3->write(
+        fh, 0, StableHow::kUnstable, BufChain(to_bytes("committed by v4")));
+    EXPECT_EQ(w.committed, StableHow::kUnstable);
+    EXPECT_EQ((co_await both.v4->commit(fh)).status, Status::kOk);
+    EXPECT_EQ(rig.nfs_server->unstable_files(), 0u);
+    both.close();
+    co_await crash_server(rig);
+  }(rig));
+  EXPECT_EQ(file_bytes(rig, "/GFS/data/mixed.bin"),
+            to_bytes("committed by v4"));
+}
+
+TEST(NfsV4, UnstableWritesAreRevertedByCrashAsInV3) {
+  Rig rig;
+  rig.eng.run_task([](Rig& rig) -> Task<void> {
+    BothProtocols both = co_await connect_both(rig);
+    WireOps* protocols[] = {both.v3.get(), both.v4.get()};
+    const char* names[] = {"v3.bin", "v4.bin"};
+    for (int i = 0; i < 2; ++i) {
+      const Fh fh = (co_await both.v3->create(both.dir, names[i], 0644,
+                                              false)).fh;
+      (void)co_await both.v3->write(fh, 0, StableHow::kFileSync,
+                                    BufChain(to_bytes("stable base")));
+      const WriteRes w = co_await protocols[i]->write(
+          fh, 0, StableHow::kUnstable, BufChain(to_bytes("UNSTABLE")));
+      EXPECT_EQ(w.committed, StableHow::kUnstable) << names[i];
+    }
+    both.close();
+    co_await crash_server(rig);
+  }(rig));
+  EXPECT_EQ(file_bytes(rig, "/GFS/data/v3.bin"), to_bytes("stable base"));
+  EXPECT_EQ(file_bytes(rig, "/GFS/data/v4.bin"), to_bytes("stable base"));
+}
+
+TEST(NfsV4, OversizedSymlinkTargetIsGarbageArgsAsInV3) {
+  Rig rig;
+  rig.eng.run_task([](Rig& rig) -> Task<void> {
+    BothProtocols both = co_await connect_both(rig);
+    const std::string target(2048, 't');  // twice kMaxPathBytes
+    WireOps* protocols[] = {both.v3.get(), both.v4.get()};
+    for (WireOps* ops : protocols) {
+      rpc::AcceptStat stat = rpc::AcceptStat::kSuccess;
+      try {
+        (void)co_await ops->symlink(both.dir, "long", target);
+      } catch (const rpc::RpcError& e) {
+        stat = e.stat();
+      }
+      EXPECT_EQ(stat, rpc::AcceptStat::kGarbageArgs);
+    }
+    both.close();
+  }(rig));
+  EXPECT_FALSE(rig.fs->resolve(vfs::Cred(0, 0), "/GFS/data/long").ok());
 }
 
 }  // namespace

@@ -116,11 +116,13 @@ TEST(Xdr, LyingLengthPrefixThrows) {
 TEST(Xdr, OptionalPresentAndAbsent) {
   Encoder e;
   std::optional<uint32_t> present = 7, absent;
-  e.put_optional(present, [&](uint32_t v) { e.put_u32(v); });
-  e.put_optional(absent, [&](uint32_t v) { e.put_u32(v); });
+  e(present);
+  e(absent);
+  EXPECT_EQ(e.size(), 12u);  // bool + value, bool
   Decoder d(e.data());
-  auto a = d.get_optional<uint32_t>([&] { return d.get_u32(); });
-  auto b = d.get_optional<uint32_t>([&] { return d.get_u32(); });
+  std::optional<uint32_t> a, b = 9;
+  d(a);
+  d(b);
   EXPECT_EQ(a, 7u);
   EXPECT_EQ(b, std::nullopt);
 }
@@ -149,24 +151,26 @@ TEST(Xdr, ExpectDoneCatchesTrailingGarbage) {
 
 struct Point {
   uint32_t x = 0, y = 0;
-  void encode(Encoder& e) const {
-    e.put_u32(x);
-    e.put_u32(y);
-  }
-  static Point decode(Decoder& d) {
-    Point p;
-    p.x = d.get_u32();
-    p.y = d.get_u32();
-    return p;
+  std::optional<uint64_t> z;
+  template <class Io>
+  void walk(Io& io) {
+    io(x);
+    io(y);
+    io(z);
   }
 };
 
 TEST(Xdr, MessageHelpers) {
-  Point p{3, 4};
-  Buffer wire = encode_message(p);
-  Point q = decode_message<Point>(wire);
+  // One walker drives both directions.
+  Point p{3, 4, 5};
+  BufChain wire = encode(p);
+  EXPECT_EQ(wire.size(), 20u);
+  Point q = decode<Point>(wire);
   EXPECT_EQ(q.x, 3u);
   EXPECT_EQ(q.y, 4u);
+  EXPECT_EQ(q.z, 5u);
+  p.z.reset();
+  EXPECT_FALSE(decode<Point>(encode(p)).z.has_value());
 }
 
 // Property sweep: random payload sizes survive a round trip and respect
@@ -253,7 +257,7 @@ TEST(XdrProperty, RandomFieldSequencesRoundTripBothDecoders) {
           if (rng.next_below(2) == 1)
             v = static_cast<uint32_t>(rng.next_u64());
           ints.push_back(v ? uint64_t{*v} + 1 : 0);  // 0 encodes nullopt
-          enc.put_optional(v, [&](uint32_t x) { enc.put_u32(x); });
+          enc(v);
           break;
         }
       }
@@ -286,7 +290,8 @@ TEST(XdrProperty, RandomFieldSequencesRoundTripBothDecoders) {
             EXPECT_EQ(dec.get_opaque_ref(), blobs[bi++]);
             break;
           case kOptU32: {
-            auto v = dec.get_optional<uint32_t>([&] { return dec.get_u32(); });
+            std::optional<uint32_t> v;
+            dec(v);
             const uint64_t expect = ints[ii++];
             if (expect == 0) {
               EXPECT_FALSE(v.has_value());
