@@ -37,7 +37,7 @@ double run_mab_total(TestbedOptions opts, const MabParams& params,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"compile-cpu"});
   JsonReport json(flags, "ablation_cache");
   (void)json;
   MabParams params;

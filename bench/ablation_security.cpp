@@ -31,7 +31,7 @@ double run_pm(TestbedOptions opts, const PostmarkParams& params,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"dirs", "files", "transactions"});
   JsonReport json(flags, "ablation_security");
   PostmarkParams params;
   params.directories = static_cast<int>(flags.get_int("dirs", 50));

@@ -3,13 +3,18 @@
 // Every bench binary prints: the measured (simulated) values, the paper's
 // reported values where the paper gives numbers, and the ratio checks the
 // text calls out.  Flags: --full reproduces paper-size workloads; --runs=N
-// repeats with different seeds and reports mean ± stddev.
+// repeats with different seeds and reports mean ± stddev; each bench also
+// names the flags of its own that Flags::parse accepts.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bufchain.hpp"
@@ -24,23 +29,38 @@ struct Flags {
   int runs = 1;
   std::map<std::string, std::string> raw;
 
-  static Flags parse(int argc, char** argv) {
+  /// Parses argv.  The flags every bench shares (--full, --runs=N,
+  /// --json=PATH, --trace=PATH) are always accepted; besides those, only
+  /// the names in `known` are.  Any other argument (a typo, a retired
+  /// flag) exits with status 2 naming it, rather than running the
+  /// defaults without complaint.
+  static Flags parse(int argc, char** argv,
+                     std::initializer_list<std::string_view> known) {
     Flags flags;
     for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
+      const std::string arg = argv[i];
       if (arg == "--full") {
         flags.full = true;
-      } else if (arg.rfind("--runs=", 0) == 0) {
-        flags.runs = std::atoi(arg.c_str() + 7);
-        if (flags.runs < 1) flags.runs = 1;
-      } else if (arg.rfind("--", 0) == 0) {
-        auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-          flags.raw[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-        } else {
-          flags.raw[arg.substr(2)] = "1";
-        }
+        continue;
       }
+      if (arg.rfind("--runs=", 0) == 0) {
+        flags.runs = std::max(1, std::atoi(arg.c_str() + 7));
+        continue;
+      }
+      const size_t eq = arg.find('=');
+      const std::string name =
+          arg.rfind("--", 0) == 0
+              ? arg.substr(2, eq == std::string::npos ? eq : eq - 2)
+              : std::string();
+      const bool accepted =
+          name == "json" || name == "trace" ||
+          std::find(known.begin(), known.end(), name) != known.end();
+      if (name.empty() || !accepted) {
+        std::fprintf(stderr, "%s: unknown flag %s\n", argv[0],
+                     name.empty() ? arg.c_str() : ("--" + name).c_str());
+        std::exit(2);
+      }
+      flags.raw[name] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
     }
     return flags;
   }

@@ -205,7 +205,7 @@ void print_storm_row(const std::string& name, const StormResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"quick", "passes", "mb", "seed"});
   JsonReport json(flags, "cachestorm");
 
   const bool quick = flags.raw.count("quick") > 0;

@@ -205,7 +205,8 @@ Dist dist_of(const std::vector<RunStats>& runs, Get&& get) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags =
+      Flags::parse(argc, argv, {"seeds", "seed", "file-kb", "proxy-file-kb"});
   JsonReport json(flags, "chaos_recovery");
   const int seeds =
       static_cast<int>(flags.get_int("seeds", flags.full ? 10 : 5));

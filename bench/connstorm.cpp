@@ -79,7 +79,9 @@ void print_storm_run(const std::string& name, const fleet::ConnstormResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(
+      argc, argv,
+      {"quick", "clients", "users", "window", "crash-at", "downtime", "seed"});
   JsonReport json(flags, "connstorm");
 
   const bool quick = flags.raw.count("quick") > 0;

@@ -86,7 +86,8 @@ RunResult run_once(double loss, double corrupt, PostmarkParams params,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags =
+      Flags::parse(argc, argv, {"dirs", "files", "transactions", "seed"});
   JsonReport json(flags, "fault_recovery");
   PostmarkParams params;
   params.directories =

@@ -53,13 +53,10 @@ double run_one(TestbedOptions opts, uint64_t file_bytes, uint64_t client_mem,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"file-mb"});
   const uint64_t file_bytes =
       flags.get_int("file-mb", flags.full ? 512 : 128) << 20;
   const uint64_t client_mem = file_bytes / 2;  // paper ratio: 512MB vs 256MB
-  // Opt-in memcpy cost model (GB/s); 0 keeps timing identical to earlier
-  // revisions while buf.* counters still report the copy volume.
-  const double memcpy_gbps = flags.get_double("memcpy-gbps", 0);
 
   print_header("Figure 4 — IOzone runtime, LAN",
                "read/reread of " + std::to_string(file_bytes >> 20) +
@@ -102,7 +99,6 @@ int main(int argc, char** argv) {
     for (int r = 0; r < flags.runs; ++r) {
       TestbedOptions opts = config.opts;
       opts.seed = 42 + 1000ull * r;
-      opts.memcpy_bytes_per_sec = memcpy_gbps * 1e9;
       totals.push_back(run_one(opts, file_bytes, client_mem, flags,
                                config.name, r == 0 ? &metrics : nullptr,
                                r == 0 && json.enabled() ? &json_metrics

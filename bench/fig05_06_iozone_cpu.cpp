@@ -55,7 +55,7 @@ double mean_nonzero(const std::vector<double>& xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"file-mb", "series"});
   JsonReport json(flags, "fig05_06_iozone_cpu");
   const uint64_t file_bytes =
       flags.get_int("file-mb", flags.full ? 512 : 128) << 20;

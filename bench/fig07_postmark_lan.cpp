@@ -14,7 +14,7 @@ using baselines::Testbed;
 using baselines::TestbedOptions;
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"dirs", "files", "transactions"});
   JsonReport json(flags, "fig07_postmark_lan");
   (void)json;
   PostmarkParams params;

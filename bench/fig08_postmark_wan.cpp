@@ -13,7 +13,8 @@ using baselines::Testbed;
 using baselines::TestbedOptions;
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags =
+      Flags::parse(argc, argv, {"dirs", "files", "transactions", "streams"});
   JsonReport json(flags, "fig08_postmark_wan");
   (void)json;
   PostmarkParams params;

@@ -46,7 +46,7 @@ MabRun run_one(TestbedOptions opts, const MabParams& params) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"compile-cpu"});
   JsonReport json(flags, "fig09_mab");
   (void)json;
   MabParams params;

@@ -46,7 +46,7 @@ SeismicRun run_one(TestbedOptions opts, const SeismicParams& params) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"trace-mb"});
   JsonReport json(flags, "fig10_seismic");
   (void)json;
   SeismicParams params;

@@ -75,7 +75,8 @@ void print_crowd_row(const std::string& name, const FlashcrowdResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(
+      argc, argv, {"quick", "clients", "replicas", "blocks", "seed"});
   JsonReport json(flags, "flashcrowd");
 
   const bool quick = flags.raw.count("quick") > 0;

@@ -68,7 +68,9 @@ void print_fleet_run(const std::string& name, const fleet::FleetResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(
+      argc, argv,
+      {"quick", "shards", "window", "crash-window", "min-events-per-sec"});
   JsonReport json(flags, "fleet");
 
   const bool quick = flags.raw.count("quick") > 0;

@@ -274,7 +274,8 @@ ClientCfg robust_cfg() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags =
+      Flags::parse(argc, argv, {"quick", "sessions", "warmup", "window"});
   JsonReport json(flags, "overload");
 
   const bool quick = flags.raw.count("quick") > 0;

@@ -95,7 +95,7 @@ RunOut run_bulk(const TestbedOptions& opt, uint64_t bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"quick", "bytes"});
   JsonReport json(flags, "wanstream");
   (void)json;
   const bool quick = flags.raw.count("quick") > 0;
@@ -112,9 +112,9 @@ int main(int argc, char** argv) {
                    " MiB sequential read, sgfs-sha proxies, disk cache on, "
                    "K secure streams from ONE handshake");
 
-  // The wire limit every cell is normalized against (TestbedOptions
-  // default: the virtualized-GbE effective rate).
-  const double wire_mbps = TestbedOptions().wire_bytes_per_sec / 1e6;
+  // The wire limit every cell is normalized against: the virtualized-GbE
+  // effective rate.
+  const double wire_mbps = Testbed::kWireBytesPerSec / 1e6;
   std::printf("  wire limit: %.0f MB/s — cells show MB/s (fraction of "
               "wire; >=0.5 marked # = bandwidth-bound)\n\n", wire_mbps);
   std::printf("  %-8s", "RTT");

@@ -46,12 +46,10 @@ Testbed::Testbed(TestbedOptions options)
     : options_(options), net_(eng_), rng_(options.seed) {
   client_ = &net_.add_host("client");
   server_ = &net_.add_host("server");
-  client_->set_memcpy_bytes_per_sec(options_.memcpy_bytes_per_sec);
-  server_->set_memcpy_bytes_per_sec(options_.memcpy_bytes_per_sec);
   net_.set_default_link(net::LinkParams(
       options_.wan_rtt > 0 ? options_.wan_rtt / 2
                            : 150 * sim::kMicrosecond,
-      options_.wire_bytes_per_sec));
+      kWireBytesPerSec));
 
   if (options_.loss_probability > 0 || options_.corrupt_probability > 0 ||
       options_.any_gray()) {
@@ -92,10 +90,8 @@ Testbed::Testbed(TestbedOptions options)
   chown.gid = kGridUid;
   fs_->setattr(root, dir.value, chown);
 
-  nfs::ServerCostModel server_cost;
-  server_cost.memory_bytes = options_.server_mem_bytes;
-  kernel_nfs_ =
-      std::make_shared<nfs::Nfs3Server>(*server_, fs_, 1, server_cost);
+  // The default ServerCostModel is the paper's 768 MB server VM.
+  kernel_nfs_ = std::make_shared<nfs::Nfs3Server>(*server_, fs_);
   const bool direct =
       options_.kind == SetupKind::kNfsV3 || options_.kind == SetupKind::kNfsV4;
   kernel_nfs_->add_export(nfs::ExportEntry(
@@ -150,8 +146,6 @@ Testbed::Testbed(TestbedOptions options)
       }
       scfg.durable_ticket_cache = options_.durable_ticket_cache;
       scfg.key_regression = options_.key_regression;
-      scfg.resumption_capacity = options_.resumption_capacity;
-      scfg.resumption_ttl_s = options_.resumption_ttl_s;
       break;
     default:
       break;
@@ -174,7 +168,6 @@ Testbed::Testbed(TestbedOptions options)
   core::ClientProxyConfig ccfg;
   ccfg.server_proxy = client_upstream;
   ccfg.retry = options_.retry;
-  ccfg.max_reconnects = options_.max_reconnects;
   ccfg.verifier_replay = options_.verifier_replay;
   ccfg.cache.enabled = true;
   ccfg.cache.cache_data = options_.proxy_disk_cache;

@@ -5,9 +5,10 @@
 //
 //   nfs-v3   kernel NFSv3, client mounts the server directly
 //   nfs-v4   NFSv4-lite COMPOUND protocol, same topology
-//   sfs      SFS-like user-level daemons: asynchronous (pipelined) RPC,
-//            aggressive in-memory attr/name caching, no data caching,
-//            high daemon CPU cost (the paper measured >30% utilization)
+//   sfs      SFS-like user-level daemons: the proxies' serialized
+//            forwarding with SFS cost constants, aggressive in-memory
+//            attr/name caching, no data caching, high daemon CPU cost (the
+//            paper measured >30% utilization)
 //   gfs      basic GFS: the SGFS proxies with security disabled
 //   gfs-ssh  gfs + SSH tunnel (double user-level forwarding + tunnel crypto)
 //   sgfs     the paper's contribution: SSL-secured proxies, GSI certs,
@@ -50,9 +51,6 @@ struct TestbedOptions {
   /// 0 = LAN (0.3 ms RTT); otherwise the emulated WAN round-trip time.
   sim::SimDur wan_rtt = 0;
   uint64_t client_mem_bytes = 256ull << 20;  // paper: 256 MB client VM
-  uint64_t server_mem_bytes = 768ull << 20;  // paper: 768 MB server VM
-  /// Effective end-to-end wire throughput of the virtualized GbE testbed.
-  double wire_bytes_per_sec = 400.0e6 / 8.0;
   size_t readahead_blocks = 8;  // kernel client read-ahead depth
   uint64_t seed = 42;
   /// Fault injection on the client<->server WAN link (0 = perfect network,
@@ -63,17 +61,10 @@ struct TestbedOptions {
   double loss_probability = 0;
   double corrupt_probability = 0;
   rpc::RetryPolicy retry;
-  /// Upstream session re-establishment attempts per call in the client
-  /// proxy (crash/restart recovery).
-  int max_reconnects = 4;
   /// RFC 1813 §3.3.21 write-verifier replay in the kernel client and the
   /// client proxy.  Disable ONLY to demonstrate the resulting data loss
   /// (the chaos suite's deliberately-broken negative test).
   bool verifier_replay = true;
-  /// Opt-in memcpy cost model (net::Host::set_memcpy_bytes_per_sec) applied
-  /// to both hosts.  0 (the default) keeps copy accounting free of charge,
-  /// so results are bit-identical to runs that predate the zero-copy work.
-  double memcpy_bytes_per_sec = 0;
   /// WAN stream pool (gfs and sgfs setups).  pool.streams == 1 (the
   /// default) keeps the pool entirely inert: no extra RNG forks and no
   /// resumed-handshake negotiation, bit-identical to the pre-pool testbed.
@@ -102,9 +93,6 @@ struct TestbedOptions {
   /// Storage-fault injection against the proxy disk cache (cache_fault.hpp).
   /// rate_per_s == 0 (the default) spawns no injector.
   core::CacheFaultOptions cache_tamper;
-  /// Server resumption-ticket cache tuning (0 TTL = no expiry).
-  size_t resumption_capacity = crypto::ResumptionCache::kDefaultCapacity;
-  int64_t resumption_ttl_s = 0;
   /// Untrusted read-only replica fleet (DESIGN.md §16).  0 = no replicas,
   /// bit-identical to every legacy run.  With N > 0 (proxied setups only),
   /// N ReplicaServer hosts join the network and publish_replicas() pushes
@@ -209,6 +197,8 @@ class Testbed {
   static constexpr const char* kDataPath = "/GFS/grid";
   static constexpr uint32_t kGridUid = 1000;
   static constexpr uint16_t kReplicaPort = 5049;
+  /// Effective end-to-end wire throughput of the virtualized GbE testbed.
+  static constexpr double kWireBytesPerSec = 400.0e6 / 8.0;
 
  private:
   struct Pki;

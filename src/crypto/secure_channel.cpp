@@ -197,7 +197,7 @@ sim::Task<std::unique_ptr<SecureChannel>> SecureChannel::accept(
   auto ch = std::unique_ptr<SecureChannel>(new SecureChannel(
       std::move(stream), config, rng, /*is_client=*/false, now_epoch));
   try {
-    if (config.resume_only || config.negotiate) {
+    if (config.resumption) {
       co_await ch->handshake_stream();
     } else {
       co_await ch->handshake();

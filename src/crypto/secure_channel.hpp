@@ -175,18 +175,10 @@ struct SecurityConfig {
   /// Automatic session-key renegotiation period; 0 disables (paper §4.2).
   sim::SimDur renegotiate_interval = 0;
   /// Server side: ticket store enabling abbreviated handshakes (pool
-  /// sibling streams and cross-session reconnects).  Null (the default)
-  /// keeps the feature off end to end.
+  /// sibling streams and cross-session reconnects).  Non-null, the
+  /// listener negotiates the handshake flavour from the first message's
+  /// magic.  Null (the default) keeps the strict full-handshake path.
   std::shared_ptr<ResumptionCache> resumption;
-  /// Server side: this listener negotiates the handshake flavour — the
-  /// first message's magic picks resumed vs full flow.  Off (the default),
-  /// the listener keeps the strict full-handshake path and its exact
-  /// timing, so sessions that never resume are bit-identical to the
-  /// pre-resumption code.
-  bool negotiate = false;
-  /// Back-compat alias for `negotiate` (PR 7's resume-only stream
-  /// listener); either flag routes accept() through the negotiating path.
-  bool resume_only = false;
 
   SecurityConfig() = default;
 };
@@ -199,10 +191,11 @@ class SecureChannel {
       net::StreamPtr stream, const SecurityConfig& config, Rng& rng,
       int64_t now_epoch);
 
-  /// Server side: answers a handshake.  When `config.negotiate` (or the
-  /// legacy `config.resume_only`) is set the listener dispatches on the
-  /// first message's magic: abbreviated resumed handshake, or a full one
-  /// as fallback (e.g. after the server restarted and forgot the ticket).
+  /// Server side: answers a handshake.  When `config.resumption` holds a
+  /// ticket store the listener dispatches on the first message's magic:
+  /// abbreviated resumed handshake, or a full one as fallback (e.g. after
+  /// the server restarted and forgot the ticket).  Without one a resumed
+  /// hello fails closed.
   static sim::Task<std::unique_ptr<SecureChannel>> accept(
       net::StreamPtr stream, const SecurityConfig& config, Rng& rng,
       int64_t now_epoch);

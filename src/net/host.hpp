@@ -60,19 +60,6 @@ class Host {
   sim::Resource& cpu() { return cpu_; }
   Disk& disk() { return disk_; }
 
-  /// Opt-in memcpy cost model: when set to a positive rate, the buffer
-  /// pipeline's counted copies (page-cache fills, write-back snapshots,
-  /// proxy absorbs) charge CPU time at this rate.  The default of 0 keeps
-  /// the knob disabled so virtual-time results are bit-identical to runs
-  /// that predate copy accounting.
-  void set_memcpy_bytes_per_sec(double rate) { memcpy_bytes_per_sec_ = rate; }
-  bool memcpy_charged() const { return memcpy_bytes_per_sec_ > 0.0; }
-  sim::Engine::SleepAwaiter memcpy_cost(size_t bytes) {
-    return cpu_.use(
-        sim::from_seconds(static_cast<double>(bytes) / memcpy_bytes_per_sec_),
-        "memcpy");
-  }
-
   // --- crash/restart faults -------------------------------------------------
   //
   // A crash models the *process* dying, not the link: at the crash instant
@@ -113,7 +100,6 @@ class Host {
   std::string name_;
   sim::Resource cpu_;
   Disk disk_;
-  double memcpy_bytes_per_sec_ = 0.0;
   struct CrashHandler {
     std::weak_ptr<const void> owner;
     std::function<void()> fn;

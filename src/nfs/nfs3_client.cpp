@@ -209,12 +209,10 @@ sim::Task<void> MountPoint::writeback_block(uint64_t fileid, uint64_t block) {
   // block while the WRITE RPC is outstanding.  This is one of the two
   // copies the client page cache fundamentally needs (the other is the
   // fill in fetch_block).
-  const size_t snap_len = cb->valid;
-  BufChain data = BufChain::copy_of(ByteView(cb->data.data(), snap_len));
+  BufChain data = BufChain::copy_of(ByteView(cb->data.data(), cb->valid));
   // Refcounted alias of the snapshot, shadowed until COMMIT so a server
   // restart can be answered by resending exactly these bytes.
   BufChain shadow = data;
-  if (host_.memcpy_charged()) co_await host_.memcpy_cost(snap_len);
   co_await charge(Proc3::kWrite);
   WriteRes res = co_await ops_->write(
       fh, block * config_.block_size,
@@ -276,7 +274,6 @@ sim::Task<void> MountPoint::fetch_block(const Fh& fh, uint64_t block) {
   maybe_remember(fh, res.post_attrs);
   co_await ensure_space(config_.block_size);
   fill_block(key, res);
-  if (host_.memcpy_charged()) co_await host_.memcpy_cost(res.data.size());
 }
 
 // Fetched bytes may predate data the server acknowledged UNSTABLE and then
@@ -358,7 +355,6 @@ void MountPoint::start_readahead(const Fh& fh, uint64_t from_block) {
       // prefetch path); only drop the data if everything is dirty.
       if (!mp->cache_.make_room_clean(block_size)) co_return;
       mp->fill_block(BlockKey{fh.fileid, block}, res);
-      if (host->memcpy_charged()) co_await host->memcpy_cost(res.data.size());
     };
     host_.engine().spawn(task(this, alive_, ops_.get(), &host_,
                               config_.per_call_cpu, fh, b,

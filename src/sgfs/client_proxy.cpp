@@ -59,12 +59,6 @@ ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
     // their exact RNG stream (golden-pin protection).
     cache_master_ = rng_.bytes(crypto::KeyRegression::kSecretSize);
   }
-  if (config_.retry_budget_ratio > 0) {
-    // Shared across (and surviving) the session's upstream clients, so a
-    // reconnect does not refill the bucket.
-    retry_budget_ = std::make_shared<rpc::RetryBudget>(
-        config_.retry_budget_ratio, config_.retry_budget_burst);
-  }
   if (config_.pool.streams > 1) {
     pool_ = std::make_unique<StreamPool>(host_, config_, session_mgr_, rng_);
   }
@@ -129,7 +123,6 @@ sim::Task<void> ClientProxy::ensure_upstream() {
     upstream_nfs_ =
         co_await session_mgr_.establish(nfs::kNfsProgram, nfs::kNfsVersion3);
     upstream_nfs_->set_retry(config_.retry);
-    if (retry_budget_) upstream_nfs_->set_retry_budget(retry_budget_);
     ++handshakes_;
     m_sessions_.inc();
   }
@@ -137,7 +130,6 @@ sim::Task<void> ClientProxy::ensure_upstream() {
     upstream_mount_ = co_await session_mgr_.establish(nfs::kMountProgram,
                                                       nfs::kMountVersion3);
     upstream_mount_->set_retry(config_.retry);
-    if (retry_budget_) upstream_mount_->set_retry_budget(retry_budget_);
   }
 }
 
@@ -193,7 +185,6 @@ TrustBreaker::Policy ClientProxy::cache_breaker_policy() const {
   p.burst = config_.cache.poison_burst;
   p.window = config_.cache.poison_window;
   p.open_duration = config_.cache.bypass_duration;
-  p.probe_on_expiry = true;
   return p;
 }
 
@@ -432,7 +423,6 @@ sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
     spawn_cache_store(a.fh.fileid, index, n);
     co_await evict_if_needed();
   }
-  if (host_.memcpy_charged()) co_await host_.memcpy_cost(have);
   co_await host_.cpu().use(config_.cost.msg_cost(have), "proxy");
   co_return xdr::encode(res);
 }
@@ -440,15 +430,9 @@ sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
 
 sim::Task<BufChain> ClientProxy::forward(const rpc::CallContext& ctx,
                                          BufChain args) {
-  std::optional<sim::SimMutex::Guard> guard;
-  if (config_.serialize_forwarding) {
-    guard.emplace(co_await forward_mutex_.scoped());
-  }
+  auto guard = co_await forward_mutex_.scoped();
   ++forwarded_;
   m_forwarded_.inc();
-  if (config_.cost.per_msg_latency > 0) {
-    co_await host_.engine().sleep(config_.cost.per_msg_latency);
-  }
   // Session re-establishment (paper §4.2: the FSS-managed session survives
   // transient failures).  A broken stream, a failed-closed secure channel
   // or a retransmission give-up tears the upstream session down; the proxy
@@ -514,7 +498,7 @@ sim::Task<BufChain> ClientProxy::forward(const rpc::CallContext& ctx,
     co_await host_.engine().sleep(config_.reconnect_backoff * (attempt + 1));
   }
   // Reply processing: inside the blocking proxy's single thread this
-  // serializes with everything else; an async daemon overlaps it.
+  // serializes with everything else.
   co_await host_.cpu().use(config_.cost.msg_cost(reply.size()), "proxy");
   if (config_.cost.overlapped_bytes_per_sec > 0) {
     host_.cpu().charge(
@@ -814,7 +798,6 @@ sim::Task<std::optional<BufChain>> ClientProxy::dirty_snapshot(BlockKey key) {
     poison_evict(key);
     co_return std::nullopt;
   }
-  if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
   co_return std::move(snap);
 }
 
@@ -862,16 +845,13 @@ sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
   // Hold the forwarding mutex for the whole striped transfer: the primary
   // stream serves stripe chunks too and must not interleave with other
   // forwarded calls.
-  std::optional<sim::SimMutex::Guard> guard;
-  if (config_.serialize_forwarding) {
-    guard.emplace(co_await forward_mutex_.scoped());
-  }
+  auto guard = co_await forward_mutex_.scoped();
   // Re-check under the mutex: a concurrent miss may have filled the block
   // while this coroutine waited.
   if (cache_.contains(BlockKey{a.fh.fileid, a.offset / bs})) co_return;
   try {
     co_await ensure_upstream();
-    co_await pool_->ensure_streams(*upstream_nfs_, retry_budget_);
+    co_await pool_->ensure_streams(*upstream_nfs_);
     const size_t want = config_.pool.effective_prefetch();
     StreamPool::StripedRead res = co_await pool_->read_striped(
         *upstream_nfs_, a.fh, a.offset, want, last_client_auth_);
@@ -887,7 +867,6 @@ sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
       const BufChain chunk = res.data.slice(off, len);
       overlay_block(key, static_cast<uint32_t>(len), /*absorb=*/false,
                     [&](MutByteView dst) { chunk.copy_to(dst); });
-      if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
       spawn_cache_store(a.fh.fileid, block, len);
     }
     co_await evict_if_needed();
@@ -939,14 +918,11 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
   std::vector<StreamPool::BatchResult> results;
   try {
     co_await ensure_upstream();
-    co_await pool_->ensure_streams(*upstream_nfs_, retry_budget_);
+    co_await pool_->ensure_streams(*upstream_nfs_);
     std::vector<StreamPool::WriteBatch> wire;
     wire.reserve(batches.size());
     for (const Batch& b : batches) wire.push_back(b.wire);
-    std::optional<sim::SimMutex::Guard> guard;
-    if (config_.serialize_forwarding) {
-      guard.emplace(co_await forward_mutex_.scoped());
-    }
+    auto guard = co_await forward_mutex_.scoped();
     results = co_await pool_->write_batches(*upstream_nfs_, wire,
                                             last_client_auth_);
   } catch (const std::exception& e) {
@@ -1189,7 +1165,6 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
               co_await cache_disk_io(a.fh.fileid, a.offset / bs,
                                      have ? have : 1,
                                      /*write=*/false);
-              if (host_.memcpy_charged()) co_await host_.memcpy_cost(have);
               co_return xdr::encode(res);
             }
           }
@@ -1216,9 +1191,6 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
         if ((!config_.cache.encryption || data_cache_admitting()) &&
             overlay_block(rkey, res.count, /*absorb=*/false,
                           [&](MutByteView dst) { res.data.copy_to(dst); })) {
-          if (host_.memcpy_charged()) {
-            co_await host_.memcpy_cost(res.data.size());
-          }
           spawn_cache_store(a.fh.fileid, a.offset / bs, res.count);
           co_await evict_if_needed();
         }
@@ -1247,7 +1219,6 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
                       /*absorb=*/true,
                       [&](MutByteView dst) { a.data.copy_to(dst); });
         cache_.mark_dirty(wkey);
-        if (host_.memcpy_charged()) co_await host_.memcpy_cost(a.data.size());
         spawn_cache_store(a.fh.fileid, a.offset / bs, a.data.size());
         // Update the locally-known attributes.
         auto at = attrs_.find(a.fh.fileid);

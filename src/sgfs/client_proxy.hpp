@@ -310,7 +310,6 @@ class ClientProxy : public rpc::RpcProgram,
   std::unique_ptr<rpc::RpcClient> upstream_mount_;
   std::unique_ptr<StreamPool> pool_;  // null unless config.pool.streams > 1
   std::unique_ptr<ReplicaSet> replica_;  // null unless replica.enabled
-  std::shared_ptr<rpc::RetryBudget> retry_budget_;
   sim::SimMutex forward_mutex_;
 
   // Hot-path metric handles (lazy first-use resolution; see

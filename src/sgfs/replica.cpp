@@ -14,6 +14,8 @@ namespace sgfs::core {
 namespace {
 
 constexpr const char* kLog = "sgfs-replica";
+// Replicas tried per block before degrading to the origin secure channel.
+constexpr int kMaxAttempts = 4;
 
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
@@ -218,7 +220,6 @@ bool ReplicaSet::install(ReplicaCatalog fresh) {
       bp.burst = policy_.blacklist_burst;
       bp.window = policy_.blacklist_window;
       bp.open_duration = policy_.blacklist_duration;
-      bp.probe_on_expiry = true;
       r->breaker = TrustBreaker(bp);
       replicas_.push_back(std::move(r));
     }
@@ -456,7 +457,7 @@ sim::Task<std::optional<Buffer>> ReplicaSet::fetch_block(uint64_t fileid,
   m_fetches_.inc();
   std::vector<Replica*> order = ranked(fileid, index);
   const int attempts =
-      std::min<int>(policy_.max_attempts, static_cast<int>(order.size()));
+      std::min<int>(kMaxAttempts, static_cast<int>(order.size()));
   bool hedge_fired = false;
   for (int i = 0; i < attempts; ++i) {
     Replica& r = *order[static_cast<size_t>(i)];

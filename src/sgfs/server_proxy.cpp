@@ -16,16 +16,8 @@ ServerProxy::ServerProxy(net::Host& host, ServerProxyConfig config,
       rng_(rng),
       forward_mutex_(host.engine()),
       fair_mutex_(host.engine()) {
-  TrustBreaker::Policy breaker_policy;
-  breaker_policy.burst = config_.breaker_failure_threshold;
-  breaker_policy.window = 0;  // consecutive failures only
-  breaker_policy.open_duration = config_.breaker_open_duration;
-  breaker_policy.probe_on_expiry = false;
-  breaker_ = TrustBreaker(breaker_policy);
   auto& m = host.engine().metrics();
-  m_breaker_fast_fails_ = {m, "sgfs.server_proxy.breaker_fast_fails"};
   m_forwarded_ = {m, "sgfs.server_proxy.forwarded"};
-  m_breaker_opens_ = {m, "sgfs.server_proxy.breaker_opens"};
   m_acl_checks_ = {m, "sgfs.server_proxy.acl_checks"};
   m_denied_ = {m, "sgfs.server_proxy.denied"};
   m_fq_wait_ns_ = {m, "sgfs.server_proxy.fq_wait_ns"};
@@ -73,10 +65,8 @@ void ServerProxy::start(uint16_t port) {
       // full-handshake path and its exact pre-resumption timing.
       if (!config_.security.resumption) {
         config_.security.resumption =
-            std::make_shared<crypto::ResumptionCache>(
-                config_.resumption_capacity, config_.resumption_ttl_s);
+            std::make_shared<crypto::ResumptionCache>();
       }
-      config_.security.negotiate = true;
     }
     rpc_server_ = std::make_unique<rpc::RpcServer>(
         host_, port, config_.security, rng_.fork(),
@@ -131,12 +121,10 @@ sim::Task<void> ServerProxy::ensure_upstream() {
   if (!upstream_nfs_) {
     upstream_nfs_ = co_await rpc::clnt_create(
         host_, config_.kernel_nfs, nfs::kNfsProgram, nfs::kNfsVersion3);
-    upstream_nfs_->set_retry(config_.upstream_retry);
   }
   if (!upstream_mount_) {
     upstream_mount_ = co_await rpc::clnt_create(
         host_, config_.kernel_nfs, nfs::kMountProgram, nfs::kMountVersion3);
-    upstream_mount_->set_retry(config_.upstream_retry);
   }
 }
 
@@ -193,35 +181,17 @@ sim::Task<BufChain> ServerProxy::forward(const rpc::CallContext& ctx,
                                          BufChain args,
                                          const rpc::AuthSys& cred) {
   auto& eng = host_.engine();
-  const bool breaker = config_.breaker_failure_threshold > 0;
-  // Circuit breaker, checked BEFORE queueing for the upstream: while the
-  // kernel NFS server is black-holed or degraded, waiting behind the
-  // forwarding mutex only builds a queue of calls doomed to the same fate.
-  // Fail fast with the "try later" result instead; after the open window a
-  // single probe call goes through and either resets or re-trips it.
-  if (breaker && !breaker_.admitting(eng.now())) {
-    ++breaker_fast_fails_;
-    m_breaker_fast_fails_.inc();
-    if (ctx.prog == nfs::kNfsProgram) {
-      BufChain busy = nfs::busy_status_reply(static_cast<Proc3>(ctx.proc));
-      if (!busy.empty()) co_return busy;
-    }
-    throw rpc::RpcError(rpc::AcceptStat::kSystemErr, "upstream circuit open");
-  }
-  // Blocking RPC library: one outstanding upstream call at a time.
-  // (SFS-style daemons skip the serialization and pipeline.)  With
+  // Blocking RPC library: one outstanding upstream call at a time.  With
   // fair_queueing the wait is round-robin across sessions instead of global
   // FIFO, so one hot session cannot starve the rest.
   std::optional<sim::SimMutex::Guard> guard;
   std::optional<sim::FairMutex::Guard> fair_guard;
-  if (config_.serialize_forwarding) {
-    if (config_.fair_queueing) {
-      const sim::SimTime q0 = eng.now();
-      fair_guard.emplace(co_await fair_mutex_.scoped(session_key(ctx)));
-      m_fq_wait_ns_.observe(eng.now() - q0);
-    } else {
-      guard.emplace(co_await forward_mutex_.scoped());
-    }
+  if (config_.fair_queueing) {
+    const sim::SimTime q0 = eng.now();
+    fair_guard.emplace(co_await fair_mutex_.scoped(session_key(ctx)));
+    m_fq_wait_ns_.observe(eng.now() - q0);
+  } else {
+    guard.emplace(co_await forward_mutex_.scoped());
   }
   co_await ensure_upstream();
   ++forwarded_;
@@ -229,24 +199,7 @@ sim::Task<BufChain> ServerProxy::forward(const rpc::CallContext& ctx,
   rpc::RpcClient& client =
       ctx.prog == nfs::kMountProgram ? *upstream_mount_ : *upstream_nfs_;
   client.set_auth(cred);
-  if (config_.cost.per_msg_latency > 0) {
-    co_await eng.sleep(config_.cost.per_msg_latency);
-  }
-  BufChain reply;
-  if (breaker) {
-    try {
-      reply = co_await client.call(ctx.proc, std::move(args));
-    } catch (const rpc::RpcTimeout&) {
-      trip_breaker();
-      throw;
-    } catch (const net::StreamClosed&) {
-      trip_breaker();
-      throw;
-    }
-    breaker_.note_success();  // success closes the half-open breaker
-  } else {
-    reply = co_await client.call(ctx.proc, std::move(args));
-  }
+  BufChain reply = co_await client.call(ctx.proc, std::move(args));
   co_await host_.cpu().use(config_.cost.msg_cost(reply.size()), "proxy");
   if (config_.cost.overlapped_bytes_per_sec > 0) {
     host_.cpu().charge(
@@ -255,25 +208,6 @@ sim::Task<BufChain> ServerProxy::forward(const rpc::CallContext& ctx,
         "proxy");
   }
   co_return reply;
-}
-
-void ServerProxy::trip_breaker() {
-  // The dead connection must not poison post-recovery probes: drop the
-  // upstream clients so the next call reconnects.
-  if (upstream_nfs_) {
-    upstream_nfs_->close();
-    upstream_nfs_.reset();
-  }
-  if (upstream_mount_) {
-    upstream_mount_->close();
-    upstream_mount_.reset();
-  }
-  if (breaker_.note_failure(host_.engine().now())) {
-    ++breaker_opens_;
-    m_breaker_opens_.inc();
-    SGFS_INFO("sgfs-proxy", "upstream circuit opened for ",
-              config_.breaker_open_duration / sim::kMillisecond, " ms");
-  }
 }
 
 void ServerProxy::learn_fh(const Fh& fh, const Fh& parent,

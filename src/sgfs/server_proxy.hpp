@@ -17,8 +17,8 @@
 //     file still applies, restricted to localhost).
 //
 // The proxy uses blocking RPC forwarding (one outstanding upstream call),
-// reproducing the serialization the paper measures against SFS's
-// asynchronous RPCs (§6.2.1).
+// reproducing the serialization the paper measures (§6.2.1).  The SFS
+// baseline daemons forward the same way; only their cost constants differ.
 #pragma once
 
 #include "crypto/key_regression.hpp"
@@ -26,7 +26,6 @@
 #include "rpc/rpc_client.hpp"
 #include "rpc/rpc_server.hpp"
 #include "sgfs/session.hpp"
-#include "sgfs/trust_breaker.hpp"
 #include "sim/fair_mutex.hpp"
 #include "sim/mutex.hpp"
 
@@ -104,9 +103,6 @@ class ServerProxy : public rpc::RpcProgram,
   uint64_t forwarded() const { return forwarded_; }
   uint64_t denied() const { return denied_; }
   uint64_t acl_decisions() const { return acl_decisions_; }
-  /// Circuit-breaker activity toward the upstream kernel NFS server.
-  uint64_t breaker_opens() const { return breaker_opens_; }
-  uint64_t breaker_fast_fails() const { return breaker_fast_fails_; }
   /// Calls shed by the WAN-facing RPC service's admission control.
   uint64_t calls_shed() const {
     return rpc_server_ ? rpc_server_->calls_shed() : 0;
@@ -126,8 +122,6 @@ class ServerProxy : public rpc::RpcProgram,
   /// Fair-queueing key: the session's grid identity (peer DN), falling back
   /// to the peer host for plain-transport sessions.
   static std::string session_key(const rpc::CallContext& ctx);
-  /// Records one upstream failure; opens the breaker at the threshold.
-  void trip_breaker();
   std::optional<Account> authorize(const rpc::CallContext& ctx);
   void learn_fh(const nfs::Fh& fh, const nfs::Fh& parent,
                 const std::string& name);
@@ -146,18 +140,8 @@ class ServerProxy : public rpc::RpcProgram,
 
   // Hot-path metric handles (lazy first-use resolution; see
   // obs::CounterHandle).
-  obs::CounterHandle m_breaker_fast_fails_, m_forwarded_, m_breaker_opens_;
-  obs::CounterHandle m_acl_checks_, m_denied_;
+  obs::CounterHandle m_forwarded_, m_acl_checks_, m_denied_;
   obs::HistogramHandle m_fq_wait_ns_;
-
-  // Circuit breaker toward the upstream kernel NFS server (inert unless
-  // breaker_failure_threshold > 0): consecutive upstream failures trip it;
-  // while open, calls fail fast without touching the upstream.  Shared
-  // core::TrustBreaker, configured window=0 (consecutive-only) and
-  // probe_on_expiry=false (an expired breaker re-earns a full burst).
-  TrustBreaker breaker_;
-  uint64_t breaker_opens_ = 0;
-  uint64_t breaker_fast_fails_ = 0;
 
   // Session-generation key chain (config.key_regression); absent = lazy
   // revocation semantics (live sessions keep admission-time rights).

@@ -32,10 +32,6 @@ enum class Consistency {
 struct ProxyCostModel {
   sim::SimDur per_msg_cpu = 150 * sim::kMicrosecond;  // parse+dispatch+fwd
   double copy_bytes_per_sec = 600.0e6;                // user-space copies
-  /// Internal per-message turnaround latency that is NOT CPU (daemon
-  /// scheduling, small-transfer chunking).  Zero for the SGFS proxies;
-  /// the SFS daemons carry one (slow *and* only ~30% CPU, Figures 4/5).
-  sim::SimDur per_msg_latency = 0;
   /// CPU the daemon burns *overlapped* with I/O waits (async daemons doing
   /// crypto/processing off the critical path — accounted for utilization,
   /// Figures 5/6, without extending the request path).
@@ -136,10 +132,6 @@ struct ReplicaPolicy {
   /// abandon it (scoring a strike) and try the next-ranked replica.
   /// 0 disables hedging (each attempt gets the full fetch_timeout).
   sim::SimDur hedge_delay = 250 * sim::kMillisecond;
-  /// Replicas tried per block before degrading to the origin secure
-  /// channel.
-  int max_attempts = 4;
-
   ReplicaPolicy() = default;
 };
 
@@ -149,9 +141,6 @@ struct ServerProxyConfig {
   /// When plain, every caller maps to this account (the paper's gfs uses
   /// out-of-band session-key setup; the account stands in for it).
   std::optional<Account> plain_account;
-  /// Blocking RPC forwarding (one outstanding upstream call).  SFS-style
-  /// daemons set this false to pipeline asynchronously.
-  bool serialize_forwarding = true;
   crypto::SecurityConfig security;
   GridMap gridmap;
   AccountTable accounts;
@@ -166,28 +155,15 @@ struct ServerProxyConfig {
   rpc::AdmissionControl admission;
   /// Per-session fair queueing toward the upstream kernel NFS server:
   /// round-robin across sessions (peer identities) instead of global FIFO,
-  /// so one hot session cannot starve the others.  Only meaningful with
-  /// serialize_forwarding; disabled by default (plain FIFO).
+  /// so one hot session cannot starve the others.  Disabled by default
+  /// (plain FIFO).
   bool fair_queueing = false;
-  /// Circuit breaker toward the upstream kernel NFS server: after this many
-  /// consecutive upstream failures (timeouts/disconnects) the proxy fails
-  /// fast — busy replies without touching the upstream — for
-  /// breaker_open_duration, then probes again.  0 disables the breaker.
-  int breaker_failure_threshold = 0;
-  sim::SimDur breaker_open_duration = 5 * sim::kSecond;
-  /// Retransmission policy for the proxy's upstream (loopback) calls;
-  /// needed for the breaker to observe timeouts rather than hang.  Default:
-  /// wait forever (loopback is reliable unless a FaultPlan says otherwise).
-  rpc::RetryPolicy upstream_retry;
   /// Abbreviated resumed handshakes on the main port (unified negotiation:
   /// the first handshake message's magic picks resumed vs full flow).
   /// Off (default), the listener keeps the strict full-handshake path and
   /// its exact pre-resumption timing.  On, the proxy issues tickets for
   /// both pool sibling streams and cross-session reconnects.
   bool session_resumption = false;
-  /// Ticket store bounds (satellite: LRU + TTL; ttl 0 = never expires).
-  size_t resumption_capacity = crypto::ResumptionCache::kDefaultCapacity;
-  int64_t resumption_ttl_s = 0;
   /// Model a session-ticket store that survives orderly restarts (e.g. a
   /// sealed ticket-encryption key on disk).  Default off: a crash wipes
   /// the cache and reconnecting clients fall back to full handshakes.
@@ -203,8 +179,7 @@ struct ServerProxyConfig {
 };
 
 struct ClientProxyConfig {
-  bool plain_transport = false;       // gfs / gfs-ssh baselines
-  bool serialize_forwarding = true;   // false: SFS-style async RPC
+  bool plain_transport = false;  // gfs / gfs-ssh baselines
   crypto::SecurityConfig security;
   net::Address server_proxy;
   CacheConfig cache;
@@ -212,11 +187,6 @@ struct ClientProxyConfig {
   /// Upstream call retransmission policy; enable alongside a lossy
   /// net::FaultPlan (defaults to disabled = wait forever).
   rpc::RetryPolicy retry;
-  /// Retry budget shared across the session's upstream clients (survives
-  /// reconnects): bounds retransmissions to a fraction of offered load.
-  /// ratio 0 = disabled.
-  double retry_budget_ratio = 0.0;
-  double retry_budget_burst = 10.0;
   /// Reaction to NFS3ERR_JUKEBOX from an overloaded server proxy: delayed
   /// retry under a fresh xid.  Disabled by default — the jukebox status is
   /// forwarded to the kernel client unchanged.

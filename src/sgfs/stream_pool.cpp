@@ -36,8 +36,7 @@ size_t StreamPool::live_streams() const {
   return live;
 }
 
-sim::Task<void> StreamPool::ensure_streams(
-    rpc::RpcClient& primary, std::shared_ptr<rpc::RetryBudget> budget) {
+sim::Task<void> StreamPool::ensure_streams(rpc::RpcClient& primary) {
   if (config_.pool.streams <= 1) co_return;
   if (slots_.empty()) {
     slots_.resize(static_cast<size_t>(config_.pool.streams));
@@ -66,7 +65,6 @@ sim::Task<void> StreamPool::ensure_streams(
         }
       }
       c->set_retry(config_.retry);
-      if (budget) c->set_retry_budget(budget);
       slots_[i].client = std::move(c);
     } catch (const std::exception& e) {
       SGFS_WARN("sgfs-pool", "stream ", i, " setup failed: ", e.what());

@@ -47,8 +47,7 @@ class StreamPool {
   /// handshake when the server forgot the ticket (restart), and degrades
   /// to fewer streams when even that fails.  No-op for streams the pool
   /// already holds open.
-  sim::Task<void> ensure_streams(
-      rpc::RpcClient& primary, std::shared_ptr<rpc::RetryBudget> budget);
+  sim::Task<void> ensure_streams(rpc::RpcClient& primary);
 
   /// Drops every pool stream (session re-establishment: the tickets died
   /// with the old primary channel).

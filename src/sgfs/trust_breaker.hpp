@@ -1,25 +1,20 @@
 // Shared Active -> Open -> Probe breaker state machine.
 //
-// Three independent trust loops grew the same shape: the server proxy's
-// upstream circuit breaker (PR 5), the client proxy's poisoned-cache bypass
-// (PR 9) and the replica blacklist (DESIGN.md §16).  This is the one
-// implementation all three configure:
+// Two independent trust loops share this shape: the client proxy's
+// poisoned-cache bypass (DESIGN.md §15) and the replica blacklist
+// (DESIGN.md §16).  This is the one implementation both configure:
 //
 //   kActive: failures accumulate as strikes.  window > 0 decays a strike
 //            streak whose last failure is older than the window (the cache
 //            "poison burst" semantics); window == 0 counts consecutive
-//            failures, reset only by success (the upstream-breaker
-//            semantics).  `burst` strikes trip the breaker; burst <= 0
-//            disables tripping entirely.
+//            failures, reset only by success.  `burst` strikes trip the
+//            breaker; burst <= 0 disables tripping entirely.
 //   kOpen:   admitting() is false until open_duration elapses.  What
-//            "not admitting" means is the caller's business (fail-fast
-//            busy replies, cache bypass, replica skipped).
-//   kProbe:  reached when the open window expires and probe_on_expiry is
-//            set: the next success closes the breaker (note_success), the
-//            next failure re-trips it immediately — no fresh burst needed.
-//            With probe_on_expiry false the expired breaker returns to
-//            kActive and failures must re-earn a full burst (the PR 5
-//            consecutive-failure behavior, pinned by its tests).
+//            "not admitting" means is the caller's business (cache
+//            bypass, replica skipped).
+//   kProbe:  reached when the open window expires: the next success
+//            closes the breaker (note_success), the next failure re-trips
+//            it immediately — no fresh burst needed.
 //
 // note_failure() returns true exactly when that failure trips the breaker,
 // so callers hang their side effects (metrics, purges, connection drops)
@@ -38,7 +33,6 @@ class TrustBreaker {
     int burst = 0;                // failures to trip; <= 0 disables
     sim::SimDur window = 0;       // strike decay; 0 = consecutive-only
     sim::SimDur open_duration = 0;
-    bool probe_on_expiry = true;  // expire into kProbe vs back to kActive
     Policy() = default;
   };
 
@@ -77,12 +71,10 @@ class TrustBreaker {
   }
 
   /// Whether traffic should flow right now.  Takes the kOpen -> kProbe
-  /// (or -> kActive) expiry edge; compare state() around the call to
-  /// observe it (probe metrics).
+  /// expiry edge; compare state() around the call to observe it (probe
+  /// metrics).
   bool admitting(sim::SimTime now) {
-    if (state_ == State::kOpen && now >= open_until_) {
-      state_ = policy_.probe_on_expiry ? State::kProbe : State::kActive;
-    }
+    if (state_ == State::kOpen && now >= open_until_) state_ = State::kProbe;
     return state_ != State::kOpen;
   }
 

@@ -521,6 +521,65 @@ TEST(Sgfs, CacheDisabledForwardsEverything) {
   }(grid));
 }
 
+// Kernel-server program wrapper that records how many proxied calls the
+// kernel NFS server is executing at once.
+struct InFlightCounter : rpc::RpcProgram {
+  explicit InFlightCounter(std::shared_ptr<rpc::RpcProgram> inner)
+      : inner(std::move(inner)) {}
+
+  Task<BufChain> handle(const rpc::CallContext& ctx, BufChain args) override {
+    ++calls;
+    max_in_flight = std::max(max_in_flight, ++in_flight);
+    BufChain reply = co_await inner->handle(ctx, std::move(args));
+    --in_flight;
+    co_return reply;
+  }
+  bool cache_reply(const rpc::CallContext& ctx) const override {
+    return inner->cache_reply(ctx);
+  }
+
+  std::shared_ptr<rpc::RpcProgram> inner;
+  uint64_t calls = 0;
+  int in_flight = 0;
+  int max_in_flight = 0;
+};
+
+TEST(Sgfs, ForwardingIsSerialized) {
+  // Two kernel clients, each with read-ahead in flight, share one
+  // ClientProxy -> ServerProxy pair: the blocking forwarders hand the
+  // kernel server one call at a time (paper §6.2.1).
+  CacheConfig cache;
+  cache.enabled = false;  // every READ crosses both proxies
+  Grid grid(pki().alice, cache);
+  auto counter = std::make_shared<InFlightCounter>(grid.kernel_nfs);
+  grid.kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
+                                    counter);
+  for (const char* path : {"/GFS/alice/a.bin", "/GFS/alice/b.bin"}) {
+    grid.fs->write_file(vfs::Cred(0, 0), path, Buffer(256 * 1024, 0x5a),
+                        0644);
+  }
+  int finished = 0;
+  auto client = [](Grid& grid, std::string name, int& finished)
+      -> Task<void> {
+    auto mp = co_await grid.mount_session();
+    Buffer buf(256 * 1024);
+    int fd = co_await mp->open(name, nfs::kRdOnly);
+    co_await mp->read(fd, buf);
+    co_await mp->close(fd);
+    EXPECT_EQ(buf, Buffer(256 * 1024, 0x5a));
+    ++finished;
+  };
+  grid.eng.spawn(client(grid, "a.bin", finished));
+  grid.eng.spawn(client(grid, "b.bin", finished));
+  grid.eng.run();
+  EXPECT_TRUE(grid.eng.errors().empty())
+      << (grid.eng.errors().empty() ? "" : grid.eng.errors()[0]);
+  EXPECT_EQ(finished, 2);
+  EXPECT_GE(counter->calls, 16u);  // 2 x 8 READs at least
+  EXPECT_EQ(counter->max_in_flight, 1);
+  EXPECT_EQ(counter->in_flight, 0);
+}
+
 TEST(Sgfs, PeriodicRenegotiationRefreshesKeys) {
   Grid grid(pki().alice, CacheConfig(), UnmappedPolicy::kDeny,
             /*renegotiate=*/30 * sim::kSecond);

@@ -9,7 +9,9 @@
 //   - a MAC failure on one stream fails THAT channel closed and leaves its
 //     siblings healthy (independent keys, independent failure domains);
 //   - a forgotten/unknown ticket is refused (fails closed), which is what
-//     the pool's full-handshake fallback rides on.
+//     the pool's full-handshake fallback rides on;
+//   - a listener negotiates the handshake flavour exactly when its config
+//     holds a ticket store; without one a resumed hello fails closed.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -43,8 +45,8 @@ Pki& pki() {
   return p;
 }
 
-// A server with the stream pool's two-listener shape: full handshakes on
-// 4433, resume-only on 4434, tickets shared through one ResumptionCache.
+// A server with one negotiating listener on 4433: full and resumed
+// handshakes share the port, tickets live in one ResumptionCache.
 struct Fixture {
   Engine eng;
   net::Network net{eng};
@@ -54,9 +56,7 @@ struct Fixture {
   Rng server_rng{2000};
   SecurityConfig client_cfg;
   SecurityConfig server_cfg;
-  SecurityConfig resume_cfg;
-  std::unique_ptr<net::Network::Listener> main_listener;
-  std::unique_ptr<net::Network::Listener> stream_listener;
+  std::unique_ptr<net::Network::Listener> listener;
 
   Fixture() {
     client = &net.add_host("client");
@@ -68,13 +68,9 @@ struct Fixture {
     server_cfg = client_cfg;
     server_cfg.credential = pki().host;
     server_cfg.resumption = std::make_shared<ResumptionCache>();
-    resume_cfg = server_cfg;
-    resume_cfg.resume_only = true;
-    main_listener = net.listen(*server, 4433);
-    stream_listener = net.listen(*server, 4434);
-    // Detached accept loops, like the proxy's two RpcServers.
-    eng.spawn(accept_loop(*this, *main_listener, server_cfg));
-    eng.spawn(accept_loop(*this, *stream_listener, resume_cfg));
+    listener = net.listen(*server, 4433);
+    // Detached accept loop, like the proxy's RpcServer.
+    eng.spawn(accept_loop(*this, *listener, server_cfg));
   }
 
   std::vector<std::unique_ptr<SecureChannel>> accepted;
@@ -95,9 +91,9 @@ struct Fixture {
   }
 
   Task<std::unique_ptr<SecureChannel>> dial_resumed(
-      const ResumptionTicket& ticket, uint32_t index) {
+      const ResumptionTicket& ticket, uint32_t index, uint16_t port = 4433) {
     StreamPtr s =
-        co_await net.connect(*client, net::Address("server", 4434));
+        co_await net.connect(*client, net::Address("server", port));
     co_return co_await SecureChannel::connect_resumed(s, client_cfg,
                                                       client_rng, 0, ticket,
                                                       index);
@@ -215,6 +211,66 @@ TEST(StreamKeys, UnknownTicketFailsClosed) {
     }
   }
   EXPECT_TRUE(server_refused);
+}
+
+TEST(StreamKeys, ListenerWithTicketStoreAcceptsFullAndResumedHello) {
+  Fixture f;
+  f.eng.run_task([](Fixture& f) -> Task<void> {
+    // Both flavours on ONE listener: the first message's magic decides.
+    auto primary = co_await f.dial_full();
+    auto sibling = co_await f.dial_resumed(primary->ticket(), 1);
+    EXPECT_FALSE(primary->resumed());
+    EXPECT_TRUE(sibling->resumed());
+    EXPECT_EQ(f.counter("crypto.handshakes"), 2u);
+    EXPECT_EQ(f.counter("crypto.stream_resumptions"), 2u);
+    EXPECT_EQ(f.accepted.size(), 2u);
+    if (f.accepted.size() != 2u) co_return;
+    EXPECT_FALSE(f.accepted[0]->resumed());
+    EXPECT_TRUE(f.accepted[1]->resumed());
+    co_await sibling->send(to_bytes("ping"));
+    Buffer got = co_await f.accepted[1]->recv();
+    EXPECT_EQ(got, to_bytes("ping"));
+  }(f));
+  f.eng.run();
+  EXPECT_TRUE(f.eng.errors().empty())
+      << (f.eng.errors().empty() ? "" : f.eng.errors()[0]);
+}
+
+TEST(StreamKeys, ListenerWithoutTicketStoreRejectsResumedHello) {
+  Fixture f;
+  SecurityConfig strict_cfg = f.server_cfg;
+  strict_cfg.resumption = nullptr;
+  auto strict_listener = f.net.listen(*f.server, 4434);
+  bool security_error = false;
+  StreamPtr server_end;
+  f.eng.spawn([](Fixture& f, net::Network::Listener& l, SecurityConfig cfg,
+                 bool& security_error, StreamPtr& server_end) -> Task<void> {
+    server_end = co_await l.accept();
+    try {
+      (void)co_await SecureChannel::accept(server_end, cfg, f.server_rng, 0);
+    } catch (const SecurityError&) {
+      security_error = true;
+    }
+  }(f, *strict_listener, strict_cfg, security_error, server_end));
+  f.eng.run_task([](Fixture& f) -> Task<void> {
+    // A valid ticket from the negotiating listener, redeemed at one that
+    // holds no ticket store.
+    auto primary = co_await f.dial_full();
+    bool refused = false;
+    try {
+      (void)co_await f.dial_resumed(primary->ticket(), 1, 4434);
+    } catch (const std::exception&) {
+      refused = true;
+    }
+    EXPECT_TRUE(refused);
+  }(f));
+  f.eng.run();
+  EXPECT_TRUE(security_error);
+  ASSERT_NE(server_end, nullptr);
+  EXPECT_TRUE(server_end->write_closed());
+  EXPECT_EQ(f.counter("crypto.stream_resumptions"), 1u);  // client side only
+  EXPECT_TRUE(f.eng.errors().empty())
+      << (f.eng.errors().empty() ? "" : f.eng.errors()[0]);
 }
 
 // Proxy-level cross-check on the full testbed: a K=4 session costs the
