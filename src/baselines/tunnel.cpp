@@ -16,6 +16,7 @@ sim::Task<void> splice_encrypt(net::StreamPtr src, net::StreamPtr dst,
                                std::shared_ptr<uint64_t> frames,
                                std::shared_ptr<bool> alive) {
   crypto::Aes aes(aes_key);
+  crypto::HmacSha1 mac(mac_key);
   uint64_t seq = 0;
   for (;;) {
     Buffer plain(SshTunnel::kFrameSize);
@@ -23,16 +24,7 @@ sim::Task<void> splice_encrypt(net::StreamPtr src, net::StreamPtr dst,
     if (n == 0 || !*alive) break;
     plain.resize(n);
     co_await host->cpu().use(cost.frame_cost(n), "ssh");
-    uint8_t iv[16] = {};
-    for (int i = 0; i < 8; ++i) iv[i] = static_cast<uint8_t>(seq >> (8 * i));
-    ++seq;
-    Buffer ct = aes_cbc_encrypt(aes, ByteView(iv, 16), plain);
-    auto mac = crypto::HmacSha1::mac(mac_key, ct);
-    xdr::Encoder enc;
-    enc.put_u32(static_cast<uint32_t>(ct.size()));
-    Buffer frame = enc.take_flat();
-    append(frame, ct);
-    append(frame, ByteView(mac.data(), mac.size()));
+    Buffer frame = SshTunnel::seal_frame(aes, mac, seq++, plain);
     if (frames) ++*frames;
     try {
       co_await dst->write(frame);
@@ -96,6 +88,21 @@ sim::Task<void> splice_decrypt(net::StreamPtr src, net::StreamPtr dst,
 }
 
 }  // namespace
+
+Buffer SshTunnel::seal_frame(const crypto::Aes& aes, crypto::HmacSha1& mac,
+                             uint64_t seq, ByteView plain) {
+  uint8_t iv[16] = {};
+  for (int i = 0; i < 8; ++i) iv[i] = static_cast<uint8_t>(seq >> (8 * i));
+  Buffer ct = aes_cbc_encrypt(aes, ByteView(iv, 16), plain);
+  mac.update(ct);
+  auto tag = mac.finish();
+  xdr::Encoder enc;
+  enc.put_u32(static_cast<uint32_t>(ct.size()));
+  Buffer frame = enc.take_flat();
+  append(frame, ct);
+  append(frame, ByteView(tag.data(), tag.size()));
+  return frame;
+}
 
 SshTunnel::SshTunnel(net::Host& client_host, uint16_t client_port,
                      net::Host& server_host, uint16_t server_port,

@@ -53,6 +53,11 @@ class SshTunnel {
   void start();
   void stop();
 
+  /// One frame's wire bytes: u32 ciphertext length | AES-256-CBC of
+  /// `plain` under the IV of frame `seq` | HMAC-SHA1 of the ciphertext.
+  static Buffer seal_frame(const crypto::Aes& aes, crypto::HmacSha1& mac,
+                           uint64_t seq, ByteView plain);
+
   uint64_t connections() const { return *connections_; }
   uint64_t frames_forwarded() const { return *frames_; }
 

@@ -265,6 +265,9 @@ class SecureChannel {
   net::Stream& stream() { return *stream_; }
 
  private:
+  // Lets tests start the record sequence numbers past 2^32.
+  friend struct SecureChannelTestPeer;
+
   enum class RecordType : uint8_t {
     kHandshake = 1,
     kData = 2,

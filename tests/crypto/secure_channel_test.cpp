@@ -3,6 +3,16 @@
 #include <gtest/gtest.h>
 
 namespace sgfs::crypto {
+
+struct SecureChannelTestPeer {
+  static void set_send_seq(SecureChannel& ch, uint64_t seq) {
+    ch.send_seq_ = seq;
+  }
+  static void set_recv_seq(SecureChannel& ch, uint64_t seq) {
+    ch.recv_seq_ = seq;
+  }
+};
+
 namespace {
 
 using namespace sgfs::sim::literals;
@@ -387,6 +397,132 @@ TEST(SecureChannel, CryptoCostChargedOnCpu) {
   EXPECT_GT(f.client->cpu().busy_for("crypto"), 0);
   EXPECT_GT(f.server->cpu().busy_for("crypto"), 0);
 }
+
+// --- record bytes on the wire ---------------------------------------------
+
+// Payload lengths on both sides of the AES block (16 bytes) and SHA-1 window
+// (64 bytes) edges, once the record's type byte, CBC padding and the 8-byte
+// sequence number in front of the MAC stream are counted in.
+constexpr size_t kEdgeLengths[] = {0,  1,  15, 16, 39,   40,    47,   48,
+                                   55, 56, 63, 64, 4095, 16384, 32775};
+constexpr uint64_t kHighSeq = (uint64_t{1} << 32) + 5;
+
+// Every edge length, a three-segment payload, then two records numbered
+// past 2^32; all payload bytes come from `rng`.
+Task<void> send_edge_records(SecureChannel& ch, Rng& rng) {
+  for (size_t n : kEdgeLengths) co_await ch.send(rng.bytes(n));
+  BufChain multi(rng.bytes(5));
+  multi.append(rng.bytes(4096));
+  multi.append(rng.bytes(11));
+  co_await ch.send_chain(std::move(multi));
+  SecureChannelTestPeer::set_send_seq(ch, kHighSeq);
+  co_await ch.send(rng.bytes(40));
+  co_await ch.send(rng.bytes(100));
+}
+
+// Appends the raw stream bytes to `out` until the peer closes.
+Task<void> read_raw_to_eof(net::Stream& s, Buffer* out) {
+  for (;;) {
+    while (!s.readable_now(1)) co_await s.readable(1);
+    uint8_t buf[4096];
+    const size_t n = s.try_read(buf);
+    if (n == 0) co_return;
+    out->insert(out->end(), buf, buf + n);
+  }
+}
+
+struct GoldenSuite {
+  Cipher cipher;
+  MacAlgo mac;
+  const char* sha256;  // of every byte the client sent after the handshake
+};
+
+// The literals were recorded before the one-pass AES + HMAC-SHA1 seal
+// replaced the two-pass one; never edit them to make a change pass.
+TEST(SecureChannel, GoldenRecordBytes) {
+  const GoldenSuite suites[] = {
+      {Cipher::kNull, MacAlgo::kHmacSha1,
+       "f672ba728e1a2ab388f86166ba10391a6c69b91da236e88562c5f42034d9652d"},
+      {Cipher::kRc4_128, MacAlgo::kHmacSha1,
+       "60ea598135b1ba04a3e3cb2fb1d92290bd9b4587bcd442fa68f20412c217d740"},
+      {Cipher::kAes128Cbc, MacAlgo::kHmacSha1,
+       "bbec011fcf989c2c3dd011731d00b6dd1417701c3d4ed7c60b13a3c834ddc983"},
+      {Cipher::kAes256Cbc, MacAlgo::kHmacSha1,
+       "4acda8a996914069724534cd31aa855b56acf445de434fb18c381259b0515fea"},
+      {Cipher::kNull, MacAlgo::kNull,
+       "2c188f44ea1693561df2983aff2457835273ba65ef4dd966735c0518d25b24e9"},
+  };
+  for (const auto& suite : suites) {
+    SCOPED_TRACE(to_string(suite.cipher) + "/" + to_string(suite.mac));
+    Fixture f(suite.cipher, suite.mac);
+    Buffer raw;
+    run_pair(
+        f,
+        [](SecureChannel& ch) -> Task<void> {
+          Rng rng(77);
+          co_await send_edge_records(ch, rng);
+          // Fault injection flips its bit in the sealed record.
+          ch.corrupt_next_record();
+          co_await ch.send(rng.bytes(48));
+          ch.close();
+        },
+        [&raw](SecureChannel& ch) -> Task<void> {
+          co_await read_raw_to_eof(ch.stream(), &raw);
+        });
+    std::vector<size_t> payloads(std::begin(kEdgeLengths),
+                                 std::end(kEdgeLengths));
+    payloads.insert(payloads.end(), {5 + 4096 + 11, 40, 100, 48});
+    size_t expect_size = 0;
+    for (size_t n : payloads) {
+      const size_t plain = 1 + n;  // the record type byte leads
+      const bool cbc = suite.cipher == Cipher::kAes128Cbc ||
+                       suite.cipher == Cipher::kAes256Cbc;
+      expect_size += 4 + (cbc ? plain + 16 - plain % 16 : plain) +
+                     (suite.mac == MacAlgo::kHmacSha1 ? 20 : 0);
+    }
+    EXPECT_EQ(raw.size(), expect_size);
+    EXPECT_EQ(to_hex(digest_bytes(Sha256::hash(raw))), suite.sha256);
+  }
+}
+
+class SecureChannelEdgeTest
+    : public ::testing::TestWithParam<std::pair<Cipher, MacAlgo>> {};
+
+TEST_P(SecureChannelEdgeTest, EdgeLengthRecordsRoundTrip) {
+  auto [cipher, mac] = GetParam();
+  Fixture f(cipher, mac);
+  run_pair(
+      f,
+      [](SecureChannel& ch) -> Task<void> {
+        Rng rng(78);
+        co_await send_edge_records(ch, rng);
+        ch.close();
+      },
+      [](SecureChannel& ch) -> Task<void> {
+        Rng rng(78);
+        for (size_t n : kEdgeLengths) {
+          Buffer got = co_await ch.recv();
+          EXPECT_EQ(got, rng.bytes(n)) << n << " bytes";
+        }
+        Buffer multi = rng.bytes(5);
+        append(multi, rng.bytes(4096));
+        append(multi, rng.bytes(11));
+        EXPECT_EQ(co_await ch.recv(), multi);
+        SecureChannelTestPeer::set_recv_seq(ch, kHighSeq);
+        EXPECT_EQ(co_await ch.recv(), rng.bytes(40));
+        EXPECT_EQ(co_await ch.recv(), rng.bytes(100));
+        EXPECT_EQ(ch.records_received(), kHighSeq + 2);
+      });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suites, SecureChannelEdgeTest,
+    ::testing::Values(
+        std::make_pair(Cipher::kNull, MacAlgo::kHmacSha1),
+        std::make_pair(Cipher::kRc4_128, MacAlgo::kHmacSha1),
+        std::make_pair(Cipher::kAes128Cbc, MacAlgo::kHmacSha1),
+        std::make_pair(Cipher::kAes256Cbc, MacAlgo::kHmacSha1),
+        std::make_pair(Cipher::kNull, MacAlgo::kNull)));
 
 TEST(CryptoCostModel, StrongerCipherCostsMore) {
   CryptoCostModel m;
