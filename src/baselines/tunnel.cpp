@@ -27,7 +27,7 @@ sim::Task<void> splice_encrypt(net::StreamPtr src, net::StreamPtr dst,
     Buffer frame = SshTunnel::seal_frame(aes, mac, seq++, plain);
     if (frames) ++*frames;
     try {
-      co_await dst->write(frame);
+      co_await dst->write(std::move(frame));
     } catch (const net::StreamClosed&) {
       break;
     }
@@ -40,30 +40,30 @@ sim::Task<void> splice_decrypt(net::StreamPtr src, net::StreamPtr dst,
                                Buffer aes_key, Buffer mac_key,
                                std::shared_ptr<bool> alive) {
   crypto::Aes aes(aes_key);
+  crypto::HmacSha1 mac(mac_key);
+  net::Stream& in = *src;
   uint64_t seq = 0;
   for (;;) {
-    Buffer hdr;
-    try {
-      hdr = co_await src->read_exact(4);
-    } catch (const net::StreamClosed&) {
-      break;
-    }
-    xdr::Decoder dec(hdr);
+    uint8_t hdr[4];
+    while (!in.readable_now(sizeof hdr)) co_await in.readable(sizeof hdr);
+    if (in.try_read(hdr) != sizeof hdr) break;
+    xdr::Decoder dec(ByteView(hdr, sizeof hdr));
     const uint32_t len = dec.get_u32();
     if (len == 0 || len > SshTunnel::kFrameSize + 64) {
       SGFS_WARN("ssh-tunnel", "bad frame length");
       break;
     }
-    Buffer ct;
-    Buffer mac;
-    try {
-      ct = co_await src->read_exact(len);
-      mac = co_await src->read_exact(crypto::Sha1::kDigestSize);
-    } catch (const net::StreamClosed&) {
-      break;
-    }
+    const size_t sealed = len + crypto::Sha1::kDigestSize;
+    while (!in.readable_now(sealed)) co_await in.readable(sealed);
+    const BufChain frame = in.take(sealed);
+    if (frame.size() != sealed) break;
     if (!*alive) break;
-    if (!crypto::HmacSha1::verify(mac_key, ct, mac)) {
+    Buffer scratch;
+    const ByteView wire = linearize(frame, scratch);
+    const ByteView ct = wire.first(len);
+    mac.update(ct);
+    const auto want = mac.finish();
+    if (!ct_equal(ByteView(want.data(), want.size()), wire.subspan(len))) {
       SGFS_WARN("ssh-tunnel", "frame MAC mismatch; dropping connection");
       break;
     }
@@ -79,7 +79,7 @@ sim::Task<void> splice_decrypt(net::StreamPtr src, net::StreamPtr dst,
     }
     co_await host->cpu().use(cost.frame_cost(plain.size()), "ssh");
     try {
-      co_await dst->write(plain);
+      co_await dst->write(std::move(plain));
     } catch (const net::StreamClosed&) {
       break;
     }
@@ -93,14 +93,14 @@ Buffer SshTunnel::seal_frame(const crypto::Aes& aes, crypto::HmacSha1& mac,
                              uint64_t seq, ByteView plain) {
   uint8_t iv[16] = {};
   for (int i = 0; i < 8; ++i) iv[i] = static_cast<uint8_t>(seq >> (8 * i));
-  Buffer ct = aes_cbc_encrypt(aes, ByteView(iv, 16), plain);
-  mac.update(ct);
-  auto tag = mac.finish();
-  xdr::Encoder enc;
-  enc.put_u32(static_cast<uint32_t>(ct.size()));
-  Buffer frame = enc.take_flat();
-  append(frame, ct);
-  append(frame, ByteView(tag.data(), tag.size()));
+  const size_t ct_len = crypto::cbc_ciphertext_size(plain.size());
+  Buffer frame(4 + ct_len + crypto::Sha1::kDigestSize);
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<uint8_t>(ct_len >> (24 - 8 * i));
+  }
+  // The MAC covers the ciphertext alone: no prefix in front of it.
+  crypto::cbc_encrypt_then_mac(aes, ByteView(iv, 16), plain, BufChain(), mac,
+                               frame.data() + 4, 0);
   return frame;
 }
 

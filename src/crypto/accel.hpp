@@ -1,5 +1,6 @@
-// Internal: the scalar and hardware kernels behind Sha1, Sha256 and Aes,
-// and the reference exponentiation behind BigInt::mod_exp.
+// Internal: the scalar and hardware kernels behind Sha1, Sha256, Aes and the
+// one-pass record seal, and the reference exponentiation behind
+// BigInt::mod_exp.
 //
 // Callers never include this header; `Sha1()`, `Sha256()` and `Aes(key)`
 // pick the fastest kernel the CPU runs (CPUID is read once per primitive and
@@ -38,6 +39,23 @@ void aes_cbc_decrypt_scalar(const uint8_t* round_keys, int rounds,
                             uint8_t* chain, const uint8_t* in, uint8_t* out,
                             size_t n);
 
+// The record seal's pass (cbc_encrypt_then_mac): CBC-encrypts `n` whole
+// blocks like a CbcRun and compresses into the SHA-1 `state` every whole
+// 64-byte window of the MAC stream, which starts at `mac_at`, at most 63
+// bytes before `out` (the MAC prefix the caller put there), and runs
+// through the blocks written.  Returns the number of windows compressed;
+// a partial window at the end is left to the caller.
+using CbcSha1Run = size_t (*)(const uint8_t* round_keys, int rounds,
+                              uint8_t* chain, const uint8_t* in, uint8_t* out,
+                              size_t n, uint32_t* state,
+                              const uint8_t* mac_at);
+
+// The reference: aes_cbc_encrypt_scalar over every block, then
+// sha1_blocks_scalar over every whole window.
+size_t aes_cbc_sha1_scalar(const uint8_t* round_keys, int rounds,
+                           uint8_t* chain, const uint8_t* in, uint8_t* out,
+                           size_t n, uint32_t* state, const uint8_t* mac_at);
+
 #if defined(__x86_64__)
 // Hardware kernels; call only when the matching cpu_has_*() is true.
 void sha1_blocks_shani(uint32_t* state, const uint8_t* blocks, size_t n);
@@ -48,6 +66,15 @@ void aes_cbc_encrypt_aesni(const uint8_t* round_keys, int rounds,
 void aes_cbc_decrypt_aesni(const uint8_t* round_keys, int rounds,
                            uint8_t* chain, const uint8_t* in, uint8_t* out,
                            size_t n);
+// AES-NI and SHA-NI in one loop (both cpu_has_*() true).  Each step of four
+// blocks runs their AES chain interleaved with the rounds of the window
+// completed one step earlier, never the window being written, so SHA-1
+// does not wait on that step's chain; the windows the last steps complete
+// are compressed after the loop.
+size_t aes_cbc_sha1_stitched(const uint8_t* round_keys, int rounds,
+                             uint8_t* chain, const uint8_t* in, uint8_t* out,
+                             size_t n, uint32_t* state,
+                             const uint8_t* mac_at);
 #endif
 
 /// (base ^ exp) mod m by right-to-left square-and-multiply with a full

@@ -232,18 +232,35 @@ void check_iv(ByteView iv) {
   }
 }
 
-// CBC-encrypts a plaintext arriving in pieces, PKCS#7-padded.  Whole blocks
-// inside a piece go straight to the kernel; only a block that straddles two
-// pieces (and the final padded block) passes through the staging block.
+// The stitched record-seal kernel where the CPU has AES-NI and SHA-NI, else
+// nullptr: the seal then runs the key's and the hash's kernels in turn.
+accel::CbcSha1Run stitched_cbc_sha1() {
+#if defined(__x86_64__)
+  if (accel::cpu_has_aesni() && accel::cpu_has_shani()) {
+    return accel::aes_cbc_sha1_stitched;
+  }
+#endif
+  return nullptr;
+}
+
+// CBC-encrypts a plaintext arriving in pieces, PKCS#7-padded, to `out`.
+// Whole blocks inside a piece go straight to the kernel; only a block that
+// straddles two pieces (and the final padded block) passes through the
+// staging block.  After stitch(), every block run also hashes the MAC
+// stream's windows through the stitched kernel.
 class CbcWriter {
  public:
-  CbcWriter(const Aes& aes, ByteView iv, size_t plaintext_len)
-      : aes_(aes),
-        out_(plaintext_len + Aes::kBlockSize -
-             plaintext_len % Aes::kBlockSize),
-        dst_(out_.data()) {
+  CbcWriter(const Aes& aes, ByteView iv, uint8_t* out) : aes_(aes), dst_(out) {
     check_iv(iv);
     std::memcpy(chain_, iv.data(), Aes::kBlockSize);
+  }
+
+  /// The MAC stream starts at `mac_at`; a null kernel only records that.
+  void stitch(accel::CbcSha1Run kernel, uint32_t* state,
+              const uint8_t* mac_at) {
+    stitched_ = kernel;
+    sha1_state_ = state;
+    mac_at_ = mac_at;
   }
 
   void feed(const uint8_t* p, size_t n) {
@@ -264,25 +281,41 @@ class CbcWriter {
     std::memcpy(staging_, p, fill_);
   }
 
-  Buffer finish() {
+  void finish() {
     const size_t pad = Aes::kBlockSize - fill_;
     std::memset(staging_ + fill_, static_cast<int>(pad), pad);
     run(staging_, 1);
-    return std::move(out_);
   }
+
+  /// The first MAC stream byte no kernel has hashed yet, and the number of
+  /// 64-byte windows hashed before it.
+  const uint8_t* mac_at() const { return mac_at_; }
+  size_t windows() const { return windows_; }
 
  private:
   void run(const uint8_t* p, size_t blocks) {
-    aes_.cbc_encrypt_run(chain_, p, dst_, blocks);
+    if (blocks == 0) return;
+    if (stitched_) {
+      const size_t w =
+          stitched_(aes_.encrypt_round_keys(), aes_.rounds(), chain_, p, dst_,
+                    blocks, sha1_state_, mac_at_);
+      mac_at_ += w * Sha1::kBlockSize;
+      windows_ += w;
+    } else {
+      aes_.cbc_encrypt_run(chain_, p, dst_, blocks);
+    }
     dst_ += blocks * Aes::kBlockSize;
   }
 
   const Aes& aes_;
-  Buffer out_;
   uint8_t* dst_;
   uint8_t chain_[Aes::kBlockSize];
   uint8_t staging_[Aes::kBlockSize];
   size_t fill_ = 0;  // plaintext bytes staged for the next block
+  accel::CbcSha1Run stitched_ = nullptr;
+  uint32_t* sha1_state_ = nullptr;
+  const uint8_t* mac_at_ = nullptr;
+  size_t windows_ = 0;
 };
 
 }  // namespace
@@ -332,18 +365,44 @@ void Aes::decrypt_block(const uint8_t in[16], uint8_t out[16]) const {
 }
 
 Buffer aes_cbc_encrypt(const Aes& aes, ByteView iv, ByteView plaintext) {
-  CbcWriter w(aes, iv, plaintext.size());
+  Buffer out(cbc_ciphertext_size(plaintext.size()));
+  CbcWriter w(aes, iv, out.data());
   w.feed(plaintext.data(), plaintext.size());
-  return w.finish();
+  w.finish();
+  return out;
 }
 
 Buffer aes_cbc_encrypt_chain(const Aes& aes, ByteView iv,
                              const BufChain& plaintext) {
-  CbcWriter w(aes, iv, plaintext.size());
+  Buffer out(cbc_ciphertext_size(plaintext.size()));
+  CbcWriter w(aes, iv, out.data());
   for (const auto& seg : plaintext.segments()) {
     w.feed(seg.store->data() + seg.offset, seg.len);
   }
-  return w.finish();
+  w.finish();
+  return out;
+}
+
+void cbc_encrypt_then_mac(const Aes& aes, ByteView iv, ByteView head,
+                          const BufChain& body, HmacSha1& mac, uint8_t* out,
+                          size_t prefix_len) {
+  static const accel::CbcSha1Run stitched = stitched_cbc_sha1();
+  Sha1& inner = mac.inner();
+  CbcWriter w(aes, iv, out);
+  uint32_t* state = inner.block_state();
+  w.stitch(state ? stitched : nullptr, state, out - prefix_len);
+  w.feed(head.data(), head.size());
+  for (const auto& seg : body.segments()) {
+    w.feed(seg.store->data() + seg.offset, seg.len);
+  }
+  w.finish();
+  // Whatever the kernel left (all of it on the two-pass path) goes through
+  // the hash's own update().
+  uint8_t* const end = out + cbc_ciphertext_size(head.size() + body.size());
+  inner.absorbed(w.windows());
+  inner.update(ByteView(w.mac_at(), static_cast<size_t>(end - w.mac_at())));
+  const auto tag = mac.finish();
+  std::memcpy(end, tag.data(), tag.size());
 }
 
 Buffer aes_cbc_decrypt(const Aes& aes, ByteView iv, ByteView ciphertext) {

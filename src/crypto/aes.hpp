@@ -13,6 +13,7 @@
 
 #include "common/bufchain.hpp"
 #include "common/bytes.hpp"
+#include "crypto/hmac.hpp"
 
 namespace sgfs::crypto {
 
@@ -43,6 +44,8 @@ class Aes {
   }
 
   int rounds() const { return rounds_; }
+  /// The encryption schedule, in the layout the CBC kernels take.
+  const uint8_t* encrypt_round_keys() const { return ek_.data(); }
 
  protected:
   Aes(ByteView key, CbcRun encrypt, CbcRun decrypt);
@@ -67,6 +70,23 @@ Buffer aes_cbc_encrypt(const Aes& aes, ByteView iv, ByteView plaintext);
 /// copy is ever materialised.
 Buffer aes_cbc_encrypt_chain(const Aes& aes, ByteView iv,
                              const BufChain& plaintext);
+
+/// Length of the PKCS#7-padded CBC ciphertext of `plaintext_len` bytes.
+constexpr size_t cbc_ciphertext_size(size_t plaintext_len) {
+  return plaintext_len + Aes::kBlockSize - plaintext_len % Aes::kBlockSize;
+}
+
+/// Encrypt-then-MAC in one pass, the seal of the secure channel's AES
+/// records and of the SSH tunnel's frames.  Writes the CBC encryption of
+/// `head` followed by `body` (PKCS#7-padded, cbc_ciphertext_size bytes) at
+/// `out`, then right behind it the MAC under `mac` of the `prefix_len` bytes
+/// in front of `out` followed by that ciphertext.  `prefix_len` is below 64
+/// and `mac` holds no partial message.  Where the CPU has AES-NI and SHA-NI
+/// one stitched loop does both (crypto/accel.hpp); elsewhere the key's and
+/// the hash's own kernels run one after the other.  The bytes are the same.
+void cbc_encrypt_then_mac(const Aes& aes, ByteView iv, ByteView head,
+                          const BufChain& body, HmacSha1& mac, uint8_t* out,
+                          size_t prefix_len);
 
 /// CBC-mode decryption; throws std::runtime_error on corrupt padding.
 Buffer aes_cbc_decrypt(const Aes& aes, ByteView iv, ByteView ciphertext);

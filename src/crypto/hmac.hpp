@@ -38,6 +38,10 @@ class Hmac {
 
   void update(ByteView data) { inner_.update(data); }
 
+  /// The inner hash of the message being fed, for kernels that compress
+  /// its blocks directly (Md32::block_state).
+  Hash& inner() { return inner_; }
+
   /// The MAC of everything fed since the last finish() or reset(); the
   /// object is then ready for the next message under the same key.
   Digest finish() {

@@ -1,5 +1,8 @@
 #include "crypto/secure_channel.hpp"
 
+#include <array>
+#include <cstring>
+
 #include "common/log.hpp"
 #include "crypto/seal.hpp"
 #include "xdr/xdr.hpp"
@@ -15,13 +18,23 @@ constexpr size_t kPremasterSize = 48;
 constexpr size_t kSessionIdSize = 16;
 constexpr size_t kMaxRecord = 4u << 20;  // 4 MiB
 
-Buffer be64(uint64_t v) {
-  Buffer out(8);
+std::array<uint8_t, 8> be64(uint64_t v) {
+  std::array<uint8_t, 8> out;
   for (int i = 7; i >= 0; --i) {
     out[i] = static_cast<uint8_t>(v);
     v >>= 8;
   }
   return out;
+}
+
+void store_be32(uint8_t* p, uint32_t v) {
+  for (int i = 3; i >= 0; --i, v >>= 8) p[i] = static_cast<uint8_t>(v);
+}
+
+uint32_t load_be32(const uint8_t* p) {
+  return (static_cast<uint32_t>(p[0]) << 24) |
+         (static_cast<uint32_t>(p[1]) << 16) |
+         (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
 }
 
 // Key expansion lives in crypto/seal.hpp now (the cache sealer shares it).
@@ -233,7 +246,30 @@ sim::Task<void> SecureChannel::charge_crypto(size_t bytes) {
   co_await stream_->local_host().cpu().use(cost, "crypto");
 }
 
-BufChain SecureChannel::protect_chain(uint64_t seq, const BufChain& plaintext) {
+BufChain SecureChannel::seal_cbc_hmac(uint64_t seq, uint8_t type,
+                                      const BufChain& payload, bool corrupt) {
+  const auto seq_bytes = be64(seq);
+  send_iv_mac_->update(seq_bytes);
+  const auto iv_mac = send_iv_mac_->finish();
+  // One buffer of the record's final size: the sequence number sits in the
+  // 8 bytes in front of the ciphertext, where the MAC stream starts, and
+  // its low half then turns into the length word; the wire form is the
+  // buffer from offset 4.
+  const size_t sealed =
+      cbc_ciphertext_size(1 + payload.size()) + Sha1::kDigestSize;
+  Buffer buf(8 + sealed);
+  std::memcpy(buf.data(), seq_bytes.data(), seq_bytes.size());
+  cbc_encrypt_then_mac(*send_aes_, ByteView(iv_mac.data(), Aes::kBlockSize),
+                       ByteView(&type, 1), payload, *send_mac_,
+                       buf.data() + 8, 8);
+  store_be32(buf.data() + 4, static_cast<uint32_t>(sealed));
+  // Fault injection flips its bit here, before anything shares the buffer.
+  if (corrupt) buf[8 + sealed / 2] ^= 0x20;
+  return BufChain(std::move(buf)).slice(4, 4 + sealed);
+}
+
+BufChain SecureChannel::protect_chain(uint64_t seq, const BufChain& plaintext,
+                                      bool corrupt) {
   // Produce the ciphertext.  The cipher's working buffers are charged to the
   // crypto cost model, not buf_stats(): only the null cipher's graft (no
   // transformation) participates in copy accounting, as a zero-copy handoff.
@@ -278,36 +314,48 @@ BufChain SecureChannel::protect_chain(uint64_t seq, const BufChain& plaintext) {
     }
   }
   if (cipher_ != Cipher::kNull) out.append(std::move(ct));
-  return out;
+  if (corrupt) {
+    // Rare path: flattening here keeps the common path copy-free.
+    Buffer flat = out.flatten();
+    flat[flat.size() / 2] ^= 0x20;
+    out = BufChain(std::move(flat));
+  }
+  xdr::Encoder enc;
+  enc.put_u32(static_cast<uint32_t>(out.size()));
+  BufChain wire = enc.take();
+  wire.append(std::move(out));
+  return wire;
 }
 
-BufChain SecureChannel::unprotect_adopt(uint64_t seq, Buffer&& wire) {
+BufChain SecureChannel::unprotect(uint64_t seq, const BufChain& record) {
+  // A record is one write, so it normally arrives as one slice and this
+  // view borrows it; only a record split across deliveries is copied.
+  Buffer scratch;
+  const ByteView wire = linearize(record, scratch);
   size_t body_len = wire.size();
   if (mac_ == MacAlgo::kHmacSha1) {
     if (wire.size() < Sha1::kDigestSize) {
       throw SecurityError("record too short for MAC");
     }
     body_len = wire.size() - Sha1::kDigestSize;
-    ByteView body(wire.data(), body_len);
-    ByteView mac(wire.data() + body_len, Sha1::kDigestSize);
     HmacSha1& h = *recv_mac_;
     h.update(be64(seq));
-    h.update(body);
+    h.update(wire.first(body_len));
     auto expect = h.finish();
-    if (!ct_equal(ByteView(expect.data(), expect.size()), mac)) {
+    if (!ct_equal(ByteView(expect.data(), expect.size()),
+                  wire.subspan(body_len))) {
       throw MacError();
     }
   }
+  const ByteView body = wire.first(body_len);
   switch (cipher_) {
     case Cipher::kNull:
-      // Adopt the receive buffer itself; the MAC tail is sliced off by
-      // length, never re-copied.
-      wire.resize(body_len);
-      return BufChain(std::move(wire));
+      // The MAC tail is sliced off by length, never re-copied.
+      return record.slice(0, body_len);
     case Cipher::kRc4_128: {
-      wire.resize(body_len);
-      recv_rc4_->process(wire);
-      return BufChain(std::move(wire));
+      Buffer plain(body.begin(), body.end());
+      recv_rc4_->process(plain);
+      return BufChain(std::move(plain));
     }
     case Cipher::kAes128Cbc:
     case Cipher::kAes256Cbc: {
@@ -315,8 +363,7 @@ BufChain SecureChannel::unprotect_adopt(uint64_t seq, Buffer&& wire) {
       auto iv_mac = recv_iv_mac_->finish();
       ByteView iv(iv_mac.data(), Aes::kBlockSize);
       try {
-        return BufChain(
-            aes_cbc_decrypt(*recv_aes_, iv, ByteView(wire.data(), body_len)));
+        return BufChain(aes_cbc_decrypt(*recv_aes_, iv, body));
       } catch (const std::runtime_error& e) {
         throw SecurityError(e.what());
       }
@@ -331,39 +378,39 @@ sim::Task<void> SecureChannel::send_record(RecordType type,
   if (payload.size() > kMaxRecord) throw SecurityError("record too large");
   co_await charge_crypto(payload.size());
   const uint64_t seq = send_seq_++;
-  // The record type is authenticated: it is prepended to the plaintext as
-  // its own one-byte segment; the payload segments are grafted untouched.
-  BufChain framed{Buffer{static_cast<uint8_t>(type)}};
-  framed.append(std::move(payload));
-  BufChain wire = protect_chain(seq, framed);
-  if (corrupt_next_ && type == RecordType::kData) {
-    // Fault injection: the record left us intact but the wire flips a bit.
-    // Rare path: flattening here keeps the common path copy-free.
-    corrupt_next_ = false;
-    Buffer flat = wire.flatten();
-    flat[flat.size() / 2] ^= 0x20;
-    wire = BufChain(std::move(flat));
+  // Fault injection: the record leaves us intact but the wire flips a bit.
+  const bool corrupt = corrupt_next_ && type == RecordType::kData;
+  if (corrupt) corrupt_next_ = false;
+  // The record type is authenticated: it leads the plaintext.
+  BufChain wire;
+  if (send_aes_ && mac_ == MacAlgo::kHmacSha1) {
+    wire = seal_cbc_hmac(seq, static_cast<uint8_t>(type), payload, corrupt);
+  } else {
+    // The payload segments are grafted untouched behind the type byte.
+    BufChain framed{Buffer{static_cast<uint8_t>(type)}};
+    framed.append(std::move(payload));
+    wire = protect_chain(seq, framed, corrupt);
   }
   m_records_sent_.inc();
-  m_bytes_sent_.inc(wire.size());
-  xdr::Encoder enc;
-  enc.put_u32(static_cast<uint32_t>(wire.size()));
-  BufChain out = enc.take();
-  out.append(std::move(wire));
-  co_await stream_->write(out);
+  m_bytes_sent_.inc(wire.size() - 4);
+  co_await stream_->write(wire);
 }
 
 sim::Task<SecureChannel::Record> SecureChannel::recv_record() {
   if (failed_) throw SecurityError("channel failed closed");
-  Buffer len_buf = co_await stream_->read_exact(4);
-  xdr::Decoder dec(len_buf);
-  const uint32_t len = dec.get_u32();
+  net::Stream& s = *stream_;
+  uint8_t len_buf[4];
+  while (!s.readable_now(sizeof len_buf)) co_await s.readable(sizeof len_buf);
+  if (s.try_read(len_buf) != sizeof len_buf) throw net::StreamClosed();
+  const uint32_t len = load_be32(len_buf);
   if (len == 0 || len > kMaxRecord + 64) {
     failed_ = true;
     stream_->close();
     throw SecurityError("bad record length");
   }
-  Buffer wire = co_await stream_->read_exact(len);
+  while (!s.readable_now(len)) co_await s.readable(len);
+  BufChain wire = s.take(len);
+  if (wire.size() != len) throw net::StreamClosed();
   co_await charge_crypto(wire.size());
   m_records_recv_.inc();
   m_bytes_recv_.inc(wire.size());
@@ -372,7 +419,7 @@ sim::Task<SecureChannel::Record> SecureChannel::recv_record() {
     // The sequence number is consumed only once the record authenticates;
     // advancing it on the failed attempt would silently desynchronise the
     // record counters for the rest of the session.
-    framed = unprotect_adopt(recv_seq_, std::move(wire));
+    framed = unprotect(recv_seq_, wire);
   } catch (const SecurityError&) {
     stream_->local_host().engine().metrics().counter("crypto.mac_failures")
         .inc();

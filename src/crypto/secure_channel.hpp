@@ -304,13 +304,20 @@ class SecureChannel {
 
   void install_keys(ByteView premaster, ByteView client_random,
                     ByteView server_random);
-  /// Seals [plaintext] into wire form: ciphertext (or grafted plaintext for
-  /// the null cipher) followed by the record MAC.  Scatter-gather: never
-  /// materialises a contiguous plaintext copy.
-  BufChain protect_chain(uint64_t seq, const BufChain& plaintext);
-  /// Verifies and strips the MAC, decrypts, and adopts the result without
-  /// re-copying; consumes the wire buffer.
-  BufChain unprotect_adopt(uint64_t seq, Buffer&& wire);
+  /// The wire form of an AES + HMAC-SHA1 record, sealed in one pass
+  /// straight into one buffer: length word, ciphertext of type || payload,
+  /// MAC of seq || ciphertext.  `corrupt` flips one bit (fault injection).
+  BufChain seal_cbc_hmac(uint64_t seq, uint8_t type, const BufChain& payload,
+                         bool corrupt);
+  /// The wire form of a record under the other suites: length word, then
+  /// the ciphertext (or grafted plaintext for the null cipher) followed by
+  /// the record MAC.  Scatter-gather: never materialises a contiguous
+  /// plaintext copy.
+  BufChain protect_chain(uint64_t seq, const BufChain& plaintext,
+                         bool corrupt);
+  /// Verifies and strips the MAC, then decrypts; reads the received slices
+  /// in place (the null cipher returns a slice of them).
+  BufChain unprotect(uint64_t seq, const BufChain& record);
   sim::Task<void> charge_crypto(size_t bytes);
 
   net::StreamPtr stream_;

@@ -238,6 +238,16 @@ void sha256_blocks_scalar(uint32_t* state, const uint8_t* block, size_t n) {
   }
 }
 
+size_t aes_cbc_sha1_scalar(const uint8_t* round_keys, int rounds,
+                           uint8_t* chain, const uint8_t* in, uint8_t* out,
+                           size_t n, uint32_t* state, const uint8_t* mac_at) {
+  aes_cbc_encrypt_scalar(round_keys, rounds, chain, in, out, n);
+  const size_t windows =
+      static_cast<size_t>(out + 16 * n - mac_at) / Sha1::kBlockSize;
+  sha1_blocks_scalar(state, mac_at, windows);
+  return windows;
+}
+
 #if defined(__x86_64__)
 
 bool cpu_has_shani() {
@@ -288,11 +298,40 @@ __attribute__((target("sha,sse4.1"), always_inline)) inline void sha1_group(
   }
 }
 
-template <size_t... G>
-__attribute__((target("sha,sse4.1"), always_inline)) inline void sha1_rounds(
+// Groups From .. From + sizeof...(G) - 1 of one block.
+template <int From, size_t... G>
+__attribute__((target("sha,sse4.1"), always_inline)) inline void sha1_groups(
     Sha1Regs& r, const uint8_t* block, __m128i bswap,
     std::index_sequence<G...>) {
-  (sha1_group<static_cast<int>(G)>(r, block, bswap), ...);
+  (sha1_group<From + static_cast<int>(G)>(r, block, bswap), ...);
+}
+
+// One block, all 20 groups, fed forward into the state.
+__attribute__((target("sha,sse4.1"), always_inline)) inline void sha1_block(
+    Sha1Regs& r, const uint8_t* block, __m128i bswap) {
+  const __m128i abcd_save = r.abcd;
+  const __m128i e_save = r.e[0];
+  sha1_groups<0>(r, block, bswap, std::make_index_sequence<20>());
+  r.e[0] = _mm_sha1nexte_epu32(r.e[0], e_save);
+  r.abcd = _mm_add_epi32(r.abcd, abcd_save);
+}
+
+inline __m128i sha1_bswap() {
+  return _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+}
+
+__attribute__((target("sha,sse4.1"), always_inline)) inline void sha1_load(
+    Sha1Regs& r, const uint32_t* state) {
+  r.abcd = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1B);
+  r.e[0] = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+}
+
+__attribute__((target("sha,sse4.1"), always_inline)) inline void sha1_store(
+    const Sha1Regs& r, uint32_t* state) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_shuffle_epi32(r.abcd, 0x1B));
+  state[4] = static_cast<uint32_t>(_mm_extract_epi32(r.e[0], 3));
 }
 
 // SHA-256 flow: two rounds per sha256rnds2, the words of group G (four
@@ -336,22 +375,87 @@ sha256_rounds(Sha256Regs& r, const uint8_t* block, __m128i bswap,
 
 __attribute__((target("sha,sse4.1"))) void sha1_blocks_shani(
     uint32_t* state, const uint8_t* block, size_t n) {
-  const __m128i bswap =
-      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  const __m128i bswap = sha1_bswap();
   Sha1Regs r;
-  r.abcd = _mm_shuffle_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1B);
-  r.e[0] = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
-  for (; n > 0; --n, block += 64) {
+  sha1_load(r, state);
+  for (; n > 0; --n, block += 64) sha1_block(r, block, bswap);
+  sha1_store(r, state);
+}
+
+namespace {
+
+inline __m128i load128(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// One CBC block: chain c in, ciphertext out (stored) and returned.
+template <int Rounds>
+__attribute__((target("aes,sse4.1"), always_inline)) inline __m128i
+cbc_block(__m128i c, const __m128i* k, const uint8_t* in, uint8_t* out) {
+  __m128i b = _mm_xor_si128(c, _mm_xor_si128(load128(in), k[0]));
+#pragma GCC unroll 14
+  for (int r = 1; r < Rounds; ++r) b = _mm_aesenc_si128(b, k[r]);
+  c = _mm_aesenclast_si128(b, k[Rounds]);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), c);
+  return c;
+}
+
+template <int Rounds>
+__attribute__((target("aes,sha,sse4.1"))) size_t cbc_sha1_stitched(
+    const uint8_t* round_keys, uint8_t* chain, const uint8_t* in,
+    uint8_t* out, size_t n, uint32_t* state, const uint8_t* mac_at) {
+  __m128i k[Rounds + 1];
+  for (int r = 0; r <= Rounds; ++r) k[r] = load128(round_keys + 16 * r);
+  __m128i c = load128(chain);
+  const __m128i bswap = sha1_bswap();
+  Sha1Regs r;
+  sha1_load(r, state);
+  // The stream bytes in front of block i are lead + 16 i; window w is whole
+  // once they reach 64 (w + 1).  lead < 64, so before step j (blocks
+  // 4j .. 4j+3) exactly windows 0 .. j-1 are whole: step j hashes j - 1.
+  const size_t lead = static_cast<size_t>(out - mac_at);
+  const uint8_t* window = mac_at;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4, in += 64, out += 64) {
+    if (window + 64 > out) {  // the first step: nothing whole yet
+      for (int b = 0; b < 4; ++b) {
+        c = cbc_block<Rounds>(c, k, in + 16 * b, out + 16 * b);
+      }
+      continue;
+    }
     const __m128i abcd_save = r.abcd;
     const __m128i e_save = r.e[0];
-    sha1_rounds(r, block, bswap, std::make_index_sequence<20>());
+    c = cbc_block<Rounds>(c, k, in, out);
+    sha1_groups<0>(r, window, bswap, std::make_index_sequence<5>());
+    c = cbc_block<Rounds>(c, k, in + 16, out + 16);
+    sha1_groups<5>(r, window, bswap, std::make_index_sequence<5>());
+    c = cbc_block<Rounds>(c, k, in + 32, out + 32);
+    sha1_groups<10>(r, window, bswap, std::make_index_sequence<5>());
+    c = cbc_block<Rounds>(c, k, in + 48, out + 48);
+    sha1_groups<15>(r, window, bswap, std::make_index_sequence<5>());
     r.e[0] = _mm_sha1nexte_epu32(r.e[0], e_save);
     r.abcd = _mm_add_epi32(r.abcd, abcd_save);
+    window += 64;
   }
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
-                   _mm_shuffle_epi32(r.abcd, 0x1B));
-  state[4] = static_cast<uint32_t>(_mm_extract_epi32(r.e[0], 3));
+  for (; i < n; ++i, in += 16, out += 16) c = cbc_block<Rounds>(c, k, in, out);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(chain), c);
+  // The windows the last steps completed.
+  const size_t windows = (lead + 16 * n) / 64;
+  const uint8_t* end = mac_at + 64 * windows;
+  for (; window < end; window += 64) sha1_block(r, window, bswap);
+  sha1_store(r, state);
+  return windows;
+}
+
+}  // namespace
+
+__attribute__((target("aes,sha,sse4.1"))) size_t aes_cbc_sha1_stitched(
+    const uint8_t* round_keys, int rounds, uint8_t* chain, const uint8_t* in,
+    uint8_t* out, size_t n, uint32_t* state, const uint8_t* mac_at) {
+  return rounds == 14 ? cbc_sha1_stitched<14>(round_keys, chain, in, out, n,
+                                               state, mac_at)
+                      : cbc_sha1_stitched<10>(round_keys, chain, in, out, n,
+                                              state, mac_at);
 }
 
 __attribute__((target("sha,sse4.1"))) void sha256_blocks_shani(

@@ -29,6 +29,14 @@ class Md32 {
 
   void update(ByteView data);
 
+  /// For a kernel that compresses whole blocks itself (the stitched record
+  /// seal): the chaining state, or nullptr while a partial block is
+  /// buffered.  absorbed(n) then books the n blocks it compressed.
+  uint32_t* block_state() {
+    return buffer_len_ == 0 ? state_.data() : nullptr;
+  }
+  void absorbed(size_t blocks) { total_len_ += blocks * kBlockSize; }
+
  protected:
   Md32(const std::array<uint32_t, Words>& iv, BlockFn blocks)
       : state_(iv), blocks_(blocks) {}

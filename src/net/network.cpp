@@ -133,25 +133,15 @@ std::pair<StreamPtr, StreamPtr> Stream::make_pair(Network& net, Host& a,
 }
 
 sim::Engine::SleepAwaiter Stream::write(Buffer data) {
-  if (local_closed_) throw StreamClosed();
-  auto& eng = net_->engine();
-  auto& st = link();
-  const sim::SimTime depart = std::max(eng.now(), st.next_free);
-  const sim::SimDur serialization = static_cast<sim::SimDur>(
-      static_cast<double>(data.size()) / st.params.bytes_per_sec *
-      static_cast<double>(sim::kSecond));
-  st.next_free = depart + serialization;
-  const sim::SimTime arrive = depart + serialization +
-                              st.params.latency_one_way;
-  bytes_sent_ += data.size();
-  eng.call_at(arrive, [peer = peer_, data = std::move(data)]() mutable {
-    if (auto p = peer.lock()) p->deliver(std::move(data));
-  });
-  // The sender is occupied until its data is serialized onto the link.
-  return eng.sleep_until(depart + serialization);
+  const size_t n = data.size();
+  return write_segment(BufChain::Segment(
+      std::make_shared<const Buffer>(std::move(data)), 0, n));
 }
 
 sim::Engine::SleepAwaiter Stream::write(const BufChain& data) {
+  if (data.segments().size() == 1) {
+    return write_segment(data.segments().front());
+  }
   // Gather the chain into the one in-flight Buffer the link delivers.
   Buffer wire;
   wire.reserve(data.size());
@@ -159,6 +149,25 @@ sim::Engine::SleepAwaiter Stream::write(const BufChain& data) {
     wire.insert(wire.end(), seg.view().begin(), seg.view().end());
   }
   return write(std::move(wire));
+}
+
+sim::Engine::SleepAwaiter Stream::write_segment(BufChain::Segment data) {
+  if (local_closed_) throw StreamClosed();
+  auto& eng = net_->engine();
+  auto& st = link();
+  const sim::SimTime depart = std::max(eng.now(), st.next_free);
+  const sim::SimDur serialization = static_cast<sim::SimDur>(
+      static_cast<double>(data.len) / st.params.bytes_per_sec *
+      static_cast<double>(sim::kSecond));
+  st.next_free = depart + serialization;
+  const sim::SimTime arrive = depart + serialization +
+                              st.params.latency_one_way;
+  bytes_sent_ += data.len;
+  eng.call_at(arrive, [peer = peer_, data = std::move(data)]() mutable {
+    if (auto p = peer.lock()) p->deliver(std::move(data));
+  });
+  // The sender is occupied until its data is serialized onto the link.
+  return eng.sleep_until(depart + serialization);
 }
 
 void Stream::close() {
@@ -174,11 +183,11 @@ void Stream::close() {
   });
 }
 
-void Stream::deliver(Buffer data) {
+void Stream::deliver(BufChain::Segment data) {
   if (reset_) return;  // data in flight to a reset stream is lost
-  if (data.empty()) return;
-  bytes_received_ += data.size();
-  rx_.buffered += data.size();
+  if (data.len == 0) return;
+  bytes_received_ += data.len;
+  rx_.buffered += data.len;
   rx_.segments.push_back(std::move(data));
   wake_readers();
 }
@@ -194,9 +203,8 @@ void Stream::reset() {
   reset_ = true;
   local_closed_ = true;  // writes now throw StreamClosed
   rx_.segments.clear();
-  rx_.head_offset = 0;
   rx_.buffered = 0;
-  rx_.eof = true;  // readers drain to EOF -> read_exact throws StreamClosed
+  rx_.eof = true;  // readers drain to EOF and see a short take
   wake_readers();
 }
 
@@ -208,32 +216,44 @@ void Stream::wake_readers() {
 size_t Stream::try_read(MutByteView out) {
   size_t copied = 0;
   while (copied < out.size() && rx_.buffered > 0) {
-    Buffer& seg = rx_.segments.front();
-    const size_t avail = seg.size() - rx_.head_offset;
-    const size_t take = std::min(avail, out.size() - copied);
-    std::copy_n(seg.data() + rx_.head_offset, take, out.data() + copied);
+    BufChain::Segment& seg = rx_.segments.front();
+    const size_t take = std::min(seg.len, out.size() - copied);
+    std::copy_n(seg.store->data() + seg.offset, take, out.data() + copied);
     copied += take;
-    rx_.head_offset += take;
     rx_.buffered -= take;
-    if (rx_.head_offset == seg.size()) {
+    if (take == seg.len) {
       rx_.segments.pop_front();
-      rx_.head_offset = 0;
+    } else {
+      seg.offset += take;
+      seg.len -= take;
     }
   }
   return copied;
+}
+
+BufChain Stream::take(size_t n) {
+  BufChain out;
+  while (n > 0 && rx_.buffered > 0) {
+    BufChain::Segment& seg = rx_.segments.front();
+    const size_t k = std::min(seg.len, n);
+    if (k == seg.len) {
+      out.append(BufChain(std::move(seg)));
+      rx_.segments.pop_front();
+    } else {
+      out.append(BufChain(BufChain::Segment(seg.store, seg.offset, k)));
+      seg.offset += k;
+      seg.len -= k;
+    }
+    rx_.buffered -= k;
+    n -= k;
+  }
+  return out;
 }
 
 sim::Task<size_t> Stream::read_some(MutByteView out) {
   if (out.empty()) co_return 0;
   while (!readable_now(1)) co_await readable(1);
   co_return try_read(out);
-}
-
-sim::Task<Buffer> Stream::read_exact(size_t n) {
-  while (!readable_now(n)) co_await readable(n);
-  Buffer out(n);
-  if (try_read(out) != n) throw StreamClosed();
-  co_return out;
 }
 
 }  // namespace sgfs::net

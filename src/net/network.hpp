@@ -196,9 +196,9 @@ class Network {
 class Stream : public std::enable_shared_from_this<Stream> {
  public:
   /// Sends bytes: `co_await s.write(wire)` completes once the data is
-  /// serialized onto the link.  The owned buffer becomes the in-flight
-  /// delivery as is.  Throws StreamClosed (synchronously) after close or
-  /// reset.
+  /// serialized onto the link.  The owned buffer becomes the shared store
+  /// of the in-flight delivery as is.  Throws StreamClosed (synchronously)
+  /// after close or reset.
   sim::Engine::SleepAwaiter write(Buffer data);
 
   /// Copies `data` into the in-flight delivery buffer.
@@ -206,15 +206,21 @@ class Stream : public std::enable_shared_from_this<Stream> {
     return write(Buffer(data.begin(), data.end()));
   }
 
-  /// Scatter-gather send: serializes a segment chain onto the link without
-  /// requiring the caller to flatten it first.  The single gather into the
-  /// in-flight delivery buffer models the NIC walking an iovec, so it is
-  /// deliberately absent from buf_stats().
+  /// Scatter-gather send.  A one-segment chain travels as is: the receiver
+  /// gets the sender's store, shared, not copied.  A longer chain is
+  /// gathered once into the in-flight delivery buffer; that gather models
+  /// the NIC walking an iovec, so it is deliberately absent from
+  /// buf_stats().
   sim::Engine::SleepAwaiter write(const BufChain& data);
 
   /// Copies up to out.size() buffered bytes into `out` without waiting;
   /// returns the count (0 when nothing is buffered, at EOF too).
   size_t try_read(MutByteView out);
+
+  /// Removes n buffered bytes and returns them as slices of the stores
+  /// they were delivered in, without copying; fewer only at EOF or after a
+  /// reset, when it returns what is left.  Wait for readable_now(n) first.
+  BufChain take(size_t n);
 
   /// True once n bytes are buffered or the read side hit EOF/reset.
   bool readable_now(size_t n) const { return rx_.buffered >= n || rx_.eof; }
@@ -238,9 +244,6 @@ class Stream : public std::enable_shared_from_this<Stream> {
   /// Reads at least 1 byte (up to out.size()); returns 0 at EOF.
   sim::Task<size_t> read_some(MutByteView out);
 
-  /// Reads exactly n bytes; throws StreamClosed on premature EOF.
-  sim::Task<Buffer> read_exact(size_t n);
-
   /// Closes the write direction (half-close, like shutdown(SHUT_WR));
   /// the peer sees EOF after in-flight data.  Reads remain possible.
   void close();
@@ -257,8 +260,9 @@ class Stream : public std::enable_shared_from_this<Stream> {
   friend class Network;
 
   struct Pipe {
-    std::deque<Buffer> segments;
-    size_t head_offset = 0;  // consumed bytes of segments.front()
+    // Unread bytes, one entry per delivery; reads advance the front
+    // entry's offset in place.
+    std::deque<BufChain::Segment> segments;
     size_t buffered = 0;
     bool eof = false;
     std::deque<std::coroutine_handle<>> waiters;
@@ -272,7 +276,9 @@ class Stream : public std::enable_shared_from_this<Stream> {
   Network::LinkState& link() {
     return net_->refreshed(*link_, local_->name(), remote_->name());
   }
-  void deliver(Buffer data);
+  // The one write path: `data` becomes the in-flight delivery.
+  sim::Engine::SleepAwaiter write_segment(BufChain::Segment data);
+  void deliver(BufChain::Segment data);
   void deliver_eof();
   void wake_readers();
   // Connection-reset: discards buffered data, turns future delivers into

@@ -80,7 +80,7 @@ sim::Task<void> StreamTransport::send(BufChain message) {
 }
 
 sim::Task<BufChain> StreamTransport::recv() {
-  // Each fragment's receive buffer is adopted as one shared segment; a
+  // Each fragment is a slice of the buffer the stream delivered it in; a
   // multi-fragment record reassembles by chaining, not by re-copying.
   net::Stream& s = *stream_;
   BufChain message;
@@ -95,8 +95,8 @@ sim::Task<BufChain> StreamTransport::recv() {
     const uint32_t len = word & 0x7fffffffu;
     if (len > (64u << 20)) throw std::runtime_error("RPC fragment too large");
     while (!s.readable_now(len)) co_await s.readable(len);
-    Buffer body(len);
-    if (s.try_read(body) != len) throw net::StreamClosed();
+    BufChain body = s.take(len);
+    if (body.size() != len) throw net::StreamClosed();
     message.append(std::move(body));
     if (last) co_return message;
   }

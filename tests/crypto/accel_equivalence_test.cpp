@@ -1,5 +1,5 @@
-// Hardware-vs-scalar equivalence for the SHA-1, SHA-256 and AES-CBC
-// kernels (crypto/accel.hpp).  Seeded and deterministic.  The scalar half
+// Hardware-vs-scalar equivalence for the SHA-1, SHA-256, AES-CBC and
+// record-seal kernels (crypto/accel.hpp).  Seeded and deterministic.  The scalar half
 // always runs; the hardware half skips, with the reason, on a CPU or build
 // without the instructions.
 #include "crypto/accel.hpp"
@@ -13,6 +13,7 @@
 
 #include "common/bufchain.hpp"
 #include "common/rng.hpp"
+#include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
 
 namespace sgfs::crypto {
@@ -295,6 +296,136 @@ TEST(AccelAesHardware, CorruptPaddingRejected) {
 #if defined(__x86_64__)
   expect_corrupt_padding_rejected<accel::AesNi>();
 #endif
+}
+
+// --- record seal: AES-CBC and the HMAC-SHA1 inner hash in one pass ----------
+
+// `n` random blocks at an odd input offset, and an output area at an odd
+// offset that starts with a random `prefix`-byte MAC prefix; a random chain
+// and SHA-1 state.
+struct SealCase {
+  size_t prefix = 0, n = 0, in_off = 0, out_off = 0;
+  Buffer in, out, chain;
+  std::vector<uint32_t> state;
+  size_t windows = 0;  // set by run()
+
+  SealCase(size_t prefix_len, size_t blocks, Rng& rng)
+      : prefix(prefix_len), n(blocks) {
+    in_off = rng.next_range(1, 15);
+    out_off = rng.next_range(1, 15);
+    in = rng.bytes(in_off + 16 * n);
+    out = rng.bytes(out_off + prefix + 16 * n);
+    chain = rng.bytes(16);
+    for (int i = 0; i < 5; ++i) {
+      state.push_back(static_cast<uint32_t>(rng.next_u64()));
+    }
+  }
+
+  ByteView plain() const { return ByteView(in.data() + in_off, 16 * n); }
+  // The MAC stream: prefix, then ciphertext.
+  ByteView stream() const {
+    return ByteView(out.data() + out_off, prefix + 16 * n);
+  }
+
+  SealCase run(accel::CbcSha1Run kernel, const Aes& aes) const {
+    SealCase c = *this;
+    uint8_t* ct = c.out.data() + out_off + prefix;
+    c.windows = kernel(aes.encrypt_round_keys(), aes.rounds(), c.chain.data(),
+                       c.in.data() + in_off, ct, n, c.state.data(),
+                       ct - prefix);
+    return c;
+  }
+};
+
+// The reference kernel is the two passes it claims to be.
+TEST(AccelSealScalar, ReferenceIsCbcThenWindows) {
+  Rng rng(51);
+  for (size_t key_len : {size_t{16}, size_t{32}}) {
+    const ScalarAes aes(rng.bytes(key_len));
+    for (size_t prefix : {size_t{0}, size_t{8}}) {
+      for (size_t n : {size_t{0}, size_t{3}, size_t{4}, size_t{13},
+                       size_t{64}}) {
+        const SealCase before(prefix, n, rng);
+        const SealCase after = before.run(accel::aes_cbc_sha1_scalar, aes);
+        Buffer stream(before.stream().begin(),
+                      before.stream().begin() + static_cast<ptrdiff_t>(prefix));
+        append(stream, reference_cbc_encrypt(aes, before.chain, before.plain()));
+        const size_t windows = (prefix + 16 * n) / 64;
+        std::vector<uint32_t> state = before.state;
+        accel::sha1_blocks_scalar(state.data(), stream.data(), windows);
+        EXPECT_EQ(after.windows, windows);
+        EXPECT_EQ(to_hex(after.stream()), to_hex(stream));
+        EXPECT_EQ(after.state, state) << prefix << " + " << n << " blocks";
+      }
+    }
+  }
+}
+
+TEST(AccelSealHardware, StitchedMatchesScalarReference) {
+  if (!accel::cpu_has_aesni() || !accel::cpu_has_shani()) {
+    GTEST_SKIP() << "CPU lacks AES-NI + SHA-NI; the stitched kernel is off";
+  }
+#if defined(__x86_64__)
+  Rng rng(52);
+  std::vector<size_t> counts;
+  for (size_t n = 0; n <= 40; ++n) counts.push_back(n);
+  counts.push_back(1024);
+  for (size_t key_len : {size_t{16}, size_t{32}}) {
+    for (int key = 0; key < 3; ++key) {
+      const Aes aes(rng.bytes(key_len));
+      for (size_t prefix : {size_t{0}, size_t{8}}) {
+        for (size_t n : counts) {
+          const SealCase before(prefix, n, rng);
+          const SealCase hw = before.run(accel::aes_cbc_sha1_stitched, aes);
+          const SealCase sw = before.run(accel::aes_cbc_sha1_scalar, aes);
+          ASSERT_EQ(hw.windows, sw.windows) << n << " blocks";
+          ASSERT_EQ(to_hex(hw.out), to_hex(sw.out)) << n << " blocks";
+          ASSERT_EQ(to_hex(hw.chain), to_hex(sw.chain)) << n << " blocks";
+          ASSERT_EQ(hw.state, sw.state)
+              << "AES-" << 8 * key_len << ", prefix " << prefix << ", " << n
+              << " blocks";
+        }
+      }
+    }
+  }
+#endif
+}
+
+// cbc_encrypt_then_mac, on whichever path this CPU takes, equals
+// aes_cbc_encrypt followed by a separate HMAC over prefix || ciphertext,
+// for every plaintext length 0..300 and random segmentations.
+TEST(AccelSeal, EncryptThenMacMatchesTwoCalls) {
+  Rng rng(53);
+  for (size_t key_len : {size_t{16}, size_t{32}}) {
+    const Aes aes(rng.bytes(key_len));
+    const Buffer mac_key = rng.bytes(20);
+    HmacSha1 mac(mac_key);
+    for (size_t prefix : {size_t{0}, size_t{8}}) {
+      for (size_t len = 0; len <= 300; ++len) {
+        const Buffer iv = rng.bytes(16);
+        const Buffer plain = rng.bytes(len);
+        const size_t head = std::min<size_t>(len, rng.next_below(3));
+        BufChain body;
+        for (size_t off = head; off < len;) {
+          const size_t take = std::min<size_t>(len - off, rng.next_range(1, 90));
+          body.append(Buffer(plain.begin() + static_cast<ptrdiff_t>(off),
+                             plain.begin() + static_cast<ptrdiff_t>(off + take)));
+          off += take;
+        }
+        const size_t ct_len = cbc_ciphertext_size(len);
+        Buffer out = rng.bytes(prefix + ct_len + 20);
+        cbc_encrypt_then_mac(aes, iv, ByteView(plain.data(), head), body, mac,
+                             out.data() + prefix, prefix);
+
+        Buffer want(out.begin(), out.begin() + static_cast<ptrdiff_t>(prefix));
+        append(want, aes_cbc_encrypt(aes, iv, plain));
+        append(want, digest_bytes(HmacSha1::mac(mac_key, want)));
+        ASSERT_EQ(to_hex(out), to_hex(want))
+            << "len " << len << ", prefix " << prefix << ", "
+            << body.segments().size() << " body segments";
+      }
+    }
+  }
 }
 
 // --- HMAC: one keyed object, many messages -----------------------------------

@@ -507,10 +507,13 @@ TEST_P(SecureChannelEdgeTest, EdgeLengthRecordsRoundTrip) {
         Buffer multi = rng.bytes(5);
         append(multi, rng.bytes(4096));
         append(multi, rng.bytes(11));
-        EXPECT_EQ(co_await ch.recv(), multi);
+        const Buffer got_multi = co_await ch.recv();
+        EXPECT_EQ(got_multi, multi);
         SecureChannelTestPeer::set_recv_seq(ch, kHighSeq);
-        EXPECT_EQ(co_await ch.recv(), rng.bytes(40));
-        EXPECT_EQ(co_await ch.recv(), rng.bytes(100));
+        const Buffer high = co_await ch.recv();
+        EXPECT_EQ(high, rng.bytes(40));
+        const Buffer higher = co_await ch.recv();
+        EXPECT_EQ(higher, rng.bytes(100));
         EXPECT_EQ(ch.records_received(), kHighSeq + 2);
       });
 }

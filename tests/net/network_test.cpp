@@ -40,6 +40,12 @@ Task<void> echo_server(Network::Listener& listener) {
   }
 }
 
+// Waits until n bytes are buffered (or EOF) and takes them.
+Task<BufChain> take_n(Stream& s, size_t n) {
+  while (!s.readable_now(n)) co_await s.readable(n);
+  co_return s.take(n);
+}
+
 TEST(Network, ConnectCostsOneRtt) {
   Fixture f;
   f.net.set_default_link(LinkParams::wan(40_ms));
@@ -70,7 +76,7 @@ TEST(Network, EchoRoundTrip) {
   f.eng.run_task([](Fixture& f, std::string* out) -> Task<void> {
     auto s = co_await f.net.connect(*f.client, {"server", 2049});
     co_await s->write(to_bytes("ping"));
-    Buffer got = co_await s->read_exact(4);
+    BufChain got = co_await take_n(*s, 4);
     *out = to_string(got);
     s->close();
   }(f, &reply));
@@ -87,7 +93,7 @@ TEST(Network, LatencyChargedEachDirection) {
     auto s = co_await f.net.connect(*f.client, {"server", 2049});
     SimTime start = f.eng.now();
     co_await s->write(to_bytes("x"));
-    (void)co_await s->read_exact(1);
+    (void)co_await take_n(*s, 1);
     *out = f.eng.now() - start;
     s->close();
   }(f, &elapsed));
@@ -108,7 +114,8 @@ TEST(Network, BandwidthBoundsThroughput) {
     SimTime start = f.eng.now();
     Buffer data(size, 0xAB);
     co_await s->write(data);
-    Buffer back = co_await s->read_exact(size);
+    BufChain back = co_await take_n(*s, size);
+    EXPECT_EQ(back, data);
     *out = f.eng.now() - start;
     s->close();
   }(f, kSize, &elapsed));
@@ -126,7 +133,7 @@ TEST(Network, DataArrivesInOrder) {
     co_await s->write(to_bytes("abc"));
     co_await s->write(to_bytes("def"));
     co_await s->write(to_bytes("ghi"));
-    Buffer all = co_await s->read_exact(9);
+    BufChain all = co_await take_n(*s, 9);
     *out = to_string(all);
     s->close();
   }(f, &got));
@@ -156,7 +163,7 @@ TEST(Network, EofAfterInFlightData) {
   EXPECT_EQ(seen, "last words");
 }
 
-TEST(Network, ReadExactThrowsOnPrematureEof) {
+TEST(Network, TakeIsShortAtEof) {
   Fixture f;
   auto listener = f.net.listen(*f.server, 7);
   f.eng.spawn([](Network::Listener& l) -> Task<void> {
@@ -164,11 +171,103 @@ TEST(Network, ReadExactThrowsOnPrematureEof) {
     co_await s->write(to_bytes("xy"));
     s->close();
   }(*listener));
-  EXPECT_THROW(f.eng.run_task([](Fixture& f) -> Task<void> {
+  std::string got = "unset";
+  f.eng.run_task([](Fixture& f, std::string* out) -> Task<void> {
     auto s = co_await f.net.connect(*f.client, {"server", 7});
-    (void)co_await s->read_exact(10);
-  }(f)),
-               StreamClosed);
+    const BufChain got = co_await take_n(*s, 10);  // EOF after 2 of 10
+    *out = to_string(got);
+    EXPECT_TRUE(s->take(10).empty());
+  }(f, &got));
+  EXPECT_EQ(got, "xy");
+}
+
+TEST(Network, TakeSpansSeveralDeliveries) {
+  Fixture f;
+  auto listener = f.net.listen(*f.server, 7);
+  f.eng.spawn([](Network::Listener& l) -> Task<void> {
+    auto s = co_await l.accept();
+    co_await s->write(to_bytes("abc"));
+    co_await s->write(to_bytes("defg"));
+    co_await s->write(to_bytes("hij"));
+    s->close();
+  }(*listener));
+  f.eng.run_task([](Fixture& f) -> Task<void> {
+    auto s = co_await f.net.connect(*f.client, {"server", 7});
+    const BufChain got = co_await take_n(*s, 9);  // ends inside the third
+    EXPECT_EQ(to_string(got), "abcdefghi");
+    EXPECT_EQ(got.segments().size(), 3u);
+    const BufChain rest = co_await take_n(*s, 1);
+    EXPECT_EQ(to_string(rest), "j");
+  }(f));
+}
+
+TEST(Network, PartialTakesShareOneDelivery) {
+  Fixture f;
+  auto listener = f.net.listen(*f.server, 7);
+  f.eng.spawn([](Network::Listener& l) -> Task<void> {
+    auto s = co_await l.accept();
+    co_await s->write(to_bytes("0123456789"));
+    s->close();
+  }(*listener));
+  f.eng.run_task([](Fixture& f) -> Task<void> {
+    auto s = co_await f.net.connect(*f.client, {"server", 7});
+    const BufChain a = co_await take_n(*s, 3);
+    uint8_t b[4];
+    EXPECT_EQ(s->try_read(b), 4u);  // copies out of the same delivery
+    const BufChain c = co_await take_n(*s, 3);
+    EXPECT_EQ(to_string(a), "012");
+    EXPECT_EQ(to_string(ByteView(b, 4)), "3456");
+    EXPECT_EQ(to_string(c), "789");
+    EXPECT_EQ(a.segments().size(), 1u);
+    EXPECT_EQ(c.segments().size(), 1u);
+    EXPECT_EQ(a.segments().front().store, c.segments().front().store);
+    EXPECT_TRUE(s->take(1).empty());
+  }(f));
+}
+
+TEST(Network, ResetDiscardsQueuedSlices) {
+  Fixture f;
+  auto listener = f.net.listen(*f.server, 7);
+  f.eng.spawn([](Network::Listener& l) -> Task<void> {
+    auto s = co_await l.accept();
+    co_await s->write(to_bytes("kept"));
+    co_await s->write(to_bytes("queued"));
+    co_await l.accept();  // parks until the test ends
+  }(*listener));
+  f.eng.run_task([](Fixture& f) -> Task<void> {
+    auto s = co_await f.net.connect(*f.client, {"server", 7});
+    const BufChain kept = co_await take_n(*s, 4);
+    while (!s->readable_now(6)) co_await s->readable(6);
+    f.net.reset_host_streams("server");
+    EXPECT_TRUE(s->readable_now(1));  // reset reads as EOF
+    EXPECT_TRUE(s->take(6).empty());  // "queued" is gone
+    EXPECT_EQ(to_string(kept), "kept");  // a taken slice owns its store
+  }(f));
+  listener->close();
+  f.eng.run();
+}
+
+TEST(Network, OneSegmentWriteArrivesAsTheSendersStore) {
+  Fixture f;
+  auto listener = f.net.listen(*f.server, 7);
+  const Buffer payload = to_bytes("shared, not copied");
+  BufChain sent(payload);
+  const Buffer* sender_store = sent.segments()[0].store.get();
+  f.eng.spawn([](Network::Listener& l, const BufChain& sent) -> Task<void> {
+    auto s = co_await l.accept();
+    co_await s->write(sent);
+    s->close();
+  }(*listener, sent));
+  const uint64_t copied_before = buf_stats().bytes_copied;
+  f.eng.run_task([](Fixture& f, const Buffer* sender_store,
+                    const Buffer& payload) -> Task<void> {
+    auto s = co_await f.net.connect(*f.client, {"server", 7});
+    const BufChain got = co_await take_n(*s, payload.size());
+    EXPECT_EQ(got, payload);
+    EXPECT_EQ(got.segments().size(), 1u);
+    EXPECT_EQ(got.segments().front().store.get(), sender_store);
+  }(f, sender_store, payload));
+  EXPECT_EQ(buf_stats().bytes_copied, copied_before);
 }
 
 TEST(Network, WriteAfterCloseThrows) {
@@ -213,7 +312,7 @@ TEST(Network, SetLinkAppliesToOpenStreamsOnNextWrite) {
       if (round == 2) f.net.set_default_link({3_ms, 1e12});  // overridden
       const SimTime start = f.eng.now();
       co_await s->write(to_bytes("x"));
-      (void)co_await s->read_exact(1);
+      (void)co_await take_n(*s, 1);
       out->push_back(f.eng.now() - start);
     }
     s->close();
@@ -266,7 +365,7 @@ TEST(Network, StreamByteCounters) {
                     uint64_t* r_out) -> Task<void> {
     auto s = co_await f.net.connect(*f.client, {"server", 7});
     co_await s->write(Buffer(100, 1));
-    (void)co_await s->read_exact(100);
+    (void)co_await take_n(*s, 100);
     *s_out = s->bytes_sent();
     *r_out = s->bytes_received();
     s->close();
@@ -285,7 +384,7 @@ TEST(Network, LoopbackConnectSameHost) {
   eng.run_task([](Network& net, Host& h, std::string* out) -> Task<void> {
     auto s = co_await net.connect(h, {"solo", 111});
     co_await s->write(to_bytes("local"));
-    Buffer b = co_await s->read_exact(5);
+    BufChain b = co_await take_n(*s, 5);
     *out = to_string(b);
     s->close();
   }(net, h, &got));
