@@ -97,6 +97,18 @@ sim::Task<BufChain> StreamTransport::recv() {
     while (!s.readable_now(len)) co_await s.readable(len);
     BufChain body = s.take(len);
     if (body.size() != len) throw net::StreamClosed();
+    if (body.segments().size() > 1) {
+      // The fragment came in several deliveries (the SSH tunnel re-frames
+      // RPCs into 16 KiB pieces): reassemble it in one buffer, as a socket
+      // read would, so the decoder reads it in one piece.  Like the stream
+      // read every fragment once made, this copy is not counted.
+      Buffer whole;
+      whole.reserve(len);
+      for (const auto& seg : body.segments()) {
+        whole.insert(whole.end(), seg.view().begin(), seg.view().end());
+      }
+      body = BufChain(std::move(whole));
+    }
     message.append(std::move(body));
     if (last) co_return message;
   }

@@ -570,6 +570,43 @@ class CountingProgram : public RpcProgram {
   uint32_t count_ = 0;
 };
 
+// A record fragment arrives as a slice of the delivery that carried it; a
+// fragment split across deliveries is reassembled into one segment.
+TEST(Rpc, StreamTransportReadsEachFragmentInOnePiece) {
+  Engine eng;
+  net::Network net(eng);
+  net::Host& ch = net.add_host("client");
+  net::Host& sh = net.add_host("server");
+  auto listener = net.listen(sh, 9);
+  std::vector<BufChain> got;
+  eng.spawn([](net::Network::Listener& l,
+               std::vector<BufChain>* out) -> Task<void> {
+    net::StreamPtr s = co_await l.accept();
+    StreamTransport t(std::move(s));
+    for (int i = 0; i < 2; ++i) {
+      BufChain message = co_await t.recv();
+      out->push_back(std::move(message));
+    }
+  }(*listener, &got));
+  eng.run_task([](net::Network& net, net::Host& h) -> Task<void> {
+    net::StreamPtr s = co_await net.connect(h, net::Address("server", 9));
+    Buffer split_head = {0x80, 0, 0, 6, 'a', 'b'};  // last fragment, 6 bytes
+    Buffer split_tail = to_bytes("cdef");
+    Buffer whole = {0x80, 0, 0, 6, 'g', 'h', 'i', 'j', 'k', 'l'};
+    co_await s->write(std::move(split_head));
+    co_await s->write(std::move(split_tail));
+    co_await s->write(std::move(whole));
+    s->close();
+  }(net, ch));
+  eng.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(to_string(got[0]), "abcdef");
+  EXPECT_EQ(got[0].segments().size(), 1u);
+  EXPECT_EQ(to_string(got[1]), "ghijkl");
+  ASSERT_EQ(got[1].segments().size(), 1u);
+  EXPECT_EQ(got[1].segments()[0].offset, 4u);  // behind the mark: a slice
+}
+
 TEST(Rpc, DuplicateRequestCacheReplaysReply) {
   Engine eng;
   net::Network net(eng);
