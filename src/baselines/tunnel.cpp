@@ -1,11 +1,20 @@
 #include "baselines/tunnel.hpp"
 
+#include <array>
+
 #include "common/log.hpp"
 #include "xdr/xdr.hpp"
 
 namespace sgfs::baselines {
 
 namespace {
+
+// Frame `seq`'s IV: the sequence number little-endian, then zeros.
+std::array<uint8_t, 16> frame_iv(uint64_t seq) {
+  std::array<uint8_t, 16> iv{};
+  for (int i = 0; i < 8; ++i) iv[i] = static_cast<uint8_t>(seq >> (8 * i));
+  return iv;
+}
 
 // One spliced direction: reads plaintext from `src`, sends SSH-style
 // encrypted frames to `dst` (or the reverse when `decrypt` is set).
@@ -67,12 +76,10 @@ sim::Task<void> splice_decrypt(net::StreamPtr src, net::StreamPtr dst,
       SGFS_WARN("ssh-tunnel", "frame MAC mismatch; dropping connection");
       break;
     }
-    uint8_t iv[16] = {};
-    for (int i = 0; i < 8; ++i) iv[i] = static_cast<uint8_t>(seq >> (8 * i));
-    ++seq;
+    const auto iv = frame_iv(seq++);
     Buffer plain;
     try {
-      plain = aes_cbc_decrypt(aes, ByteView(iv, 16), ct);
+      plain = aes_cbc_decrypt(aes, iv, ct);
     } catch (const std::runtime_error&) {
       SGFS_WARN("ssh-tunnel", "frame decrypt failed");
       break;
@@ -91,15 +98,14 @@ sim::Task<void> splice_decrypt(net::StreamPtr src, net::StreamPtr dst,
 
 Buffer SshTunnel::seal_frame(const crypto::Aes& aes, crypto::HmacSha1& mac,
                              uint64_t seq, ByteView plain) {
-  uint8_t iv[16] = {};
-  for (int i = 0; i < 8; ++i) iv[i] = static_cast<uint8_t>(seq >> (8 * i));
+  const auto iv = frame_iv(seq);
   const size_t ct_len = crypto::cbc_ciphertext_size(plain.size());
   Buffer frame(4 + ct_len + crypto::Sha1::kDigestSize);
   for (int i = 0; i < 4; ++i) {
     frame[i] = static_cast<uint8_t>(ct_len >> (24 - 8 * i));
   }
   // The MAC covers the ciphertext alone: no prefix in front of it.
-  crypto::cbc_encrypt_then_mac(aes, ByteView(iv, 16), plain, BufChain(), mac,
+  crypto::cbc_encrypt_then_mac(aes, iv, plain, BufChain(), mac,
                                frame.data() + 4, 0);
   return frame;
 }
