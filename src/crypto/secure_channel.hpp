@@ -311,8 +311,8 @@ class SecureChannel {
                          bool corrupt);
   /// The wire form of a record under the other suites: length word, then
   /// the ciphertext (or grafted plaintext for the null cipher) followed by
-  /// the record MAC.  Scatter-gather: never materialises a contiguous
-  /// plaintext copy.
+  /// the record MAC; `corrupt` as above.  Scatter-gather: never
+  /// materialises a contiguous plaintext copy.
   BufChain protect_chain(uint64_t seq, const BufChain& plaintext,
                          bool corrupt);
   /// Verifies and strips the MAC, then decrypts; reads the received slices
