@@ -75,9 +75,7 @@ Testbed::Testbed(TestbedOptions options)
     }
     plan->set_metrics(&eng_.metrics());
     net_.set_fault_plan(std::move(plan));
-    if (!options_.retry.enabled()) {
-      options_.retry = rpc::RetryPolicy::standard();
-    }
+    retry_ = rpc::RetryPolicy::standard();
   }
 
   // Kernel NFS server, exported to localhost only when proxies front it.
@@ -167,7 +165,7 @@ Testbed::Testbed(TestbedOptions options)
   // --- client-side proxy ---
   core::ClientProxyConfig ccfg;
   ccfg.server_proxy = client_upstream;
-  ccfg.retry = options_.retry;
+  ccfg.retry = retry_;
   ccfg.verifier_replay = options_.verifier_replay;
   ccfg.cache.enabled = true;
   ccfg.cache.cache_data = options_.proxy_disk_cache;
@@ -267,7 +265,6 @@ Testbed::~Testbed() {
 sim::Task<std::shared_ptr<nfs::MountPoint>> Testbed::mount() {
   nfs::Nfs3ClientConfig cfg;
   cfg.cache_bytes = options_.client_mem_bytes;
-  cfg.readahead_blocks = options_.readahead_blocks;
   cfg.use_readdirplus = false;  // 2007-era listing behaviour
   cfg.verifier_replay = options_.verifier_replay;
   rpc::AuthSys job(kGridUid, kGridUid, "client");
@@ -276,7 +273,7 @@ sim::Task<std::shared_ptr<nfs::MountPoint>> Testbed::mount() {
       options_.kind == SetupKind::kNfsV3 || options_.kind == SetupKind::kNfsV4;
   // Direct setups face the lossy WAN themselves; proxied setups recover in
   // the client proxy and the loopback hop stays reliable.
-  if (direct) cfg.retry = options_.retry;
+  if (direct) cfg.retry = retry_;
   net::Address target = direct ? net::Address("server", 2049)
                                : net::Address("client", 2049);
   if (options_.kind == SetupKind::kNfsV4) {

@@ -51,16 +51,13 @@ struct TestbedOptions {
   /// 0 = LAN (0.3 ms RTT); otherwise the emulated WAN round-trip time.
   sim::SimDur wan_rtt = 0;
   uint64_t client_mem_bytes = 256ull << 20;  // paper: 256 MB client VM
-  size_t readahead_blocks = 8;  // kernel client read-ahead depth
   uint64_t seed = 42;
   /// Fault injection on the client<->server WAN link (0 = perfect network,
   /// the default).  When either probability is nonzero a deterministic
-  /// net::FaultPlan (seeded from `seed`) is installed and — unless `retry`
-  /// was set explicitly — the WAN-facing RPC clients get the standard
-  /// retransmission policy.
+  /// net::FaultPlan (seeded from `seed`) is installed and the WAN-facing
+  /// RPC clients get the standard retransmission policy.
   double loss_probability = 0;
   double corrupt_probability = 0;
-  rpc::RetryPolicy retry;
   /// RFC 1813 §3.3.21 write-verifier replay in the kernel client and the
   /// client proxy.  Disable ONLY to demonstrate the resulting data loss
   /// (the chaos suite's deliberately-broken negative test).
@@ -119,9 +116,9 @@ struct TestbedOptions {
     GrayWindow() = default;
   };
   /// Added-delay windows on the client<->server link.  Any nonempty gray
-  /// schedule installs a FaultPlan (even with zero loss) and — unless
-  /// `retry` was set explicitly — enables the standard retransmission
-  /// policy, since a slow-enough link is indistinguishable from loss.
+  /// schedule installs a FaultPlan (even with zero loss) and enables the
+  /// standard retransmission policy, since a slow-enough link is
+  /// indistinguishable from loss.
   std::vector<GrayWindow> link_slowdowns;
   /// Degradation windows on the server host ("slow disk" / "slow CPU").
   std::vector<GrayWindow> server_slow_disk;
@@ -204,6 +201,9 @@ class Testbed {
   struct Pki;
 
   TestbedOptions options_;
+  /// WAN-facing retransmission: the standard policy when a FaultPlan is
+  /// installed, off otherwise.
+  rpc::RetryPolicy retry_;
   sim::Engine eng_;
   net::Network net_;
   net::Host* client_;
