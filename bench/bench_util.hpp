@@ -2,7 +2,8 @@
 //
 // Every bench binary prints: the measured (simulated) values, the paper's
 // reported values where the paper gives numbers, and the ratio checks the
-// text calls out.  Flags: --full reproduces paper-size workloads; --runs=N
+// text calls out.  A bench that gates a claim decides pass or fail only
+// through Gate.  Flags: --full reproduces paper-size workloads; --runs=N
 // repeats with different seeds and reports mean ± stddev; each bench also
 // names the flags of its own that Flags::parse accepts.
 #pragma once
@@ -76,6 +77,31 @@ struct Flags {
   }
 };
 
+/// The comparison a gate applies: measured <op> threshold.
+enum class Op { kEq, kGt, kGe, kLt, kLe };
+
+inline const char* op_name(Op op) {
+  switch (op) {
+    case Op::kEq: return "==";
+    case Op::kGt: return ">";
+    case Op::kGe: return ">=";
+    case Op::kLt: return "<";
+    case Op::kLe: return "<=";
+  }
+  return "?";
+}
+
+inline bool op_holds(double measured, Op op, double threshold) {
+  switch (op) {
+    case Op::kEq: return measured == threshold;
+    case Op::kGt: return measured > threshold;
+    case Op::kGe: return measured >= threshold;
+    case Op::kLt: return measured < threshold;
+    case Op::kLe: return measured <= threshold;
+  }
+  return false;
+}
+
 inline void print_header(const std::string& title,
                          const std::string& workload_desc) {
   std::printf("\n=== %s ===\n", title.c_str());
@@ -86,8 +112,10 @@ inline void print_header(const std::string& title,
 
 /// Machine-readable results (--json=PATH): one JSON document per bench run
 /// with a row per configuration (simulated seconds, stddev, metric
-/// snapshot) plus the ratio checks.  Written on destruction so it is
-/// emitted even when a later check aborts the process.
+/// snapshot) plus the checks.  A paper comparison is {what, measured,
+/// paper}; a gate is {what, measured, op, threshold, pass}.  Written on
+/// destruction so it is emitted even when a later check aborts the
+/// process.
 class JsonReport {
  public:
   JsonReport(const Flags& flags, std::string bench) : bench_(std::move(bench)) {
@@ -137,7 +165,13 @@ class JsonReport {
   void add_check(const std::string& what, double measured,
                  const std::string& paper) {
     if (!enabled()) return;
-    checks_.push_back(Check{what, measured, paper});
+    checks_.push_back(Check{what, measured, paper, nullptr, 0, false});
+  }
+
+  void add_gate(const std::string& what, double measured, Op op,
+                double threshold, bool pass) {
+    if (!enabled()) return;
+    checks_.push_back(Check{what, measured, "", op_name(op), threshold, pass});
   }
 
   ~JsonReport() {
@@ -172,10 +206,16 @@ class JsonReport {
     }
     std::fprintf(f, "\n  ],\n  \"checks\": [");
     for (size_t i = 0; i < checks_.size(); ++i) {
-      std::fprintf(f, "%s\n    {\"what\": %s, \"measured\": %.6f, "
-                      "\"paper\": %s}",
-                   i ? "," : "", quoted(checks_[i].what).c_str(),
-                   checks_[i].measured, quoted(checks_[i].paper).c_str());
+      const Check& c = checks_[i];
+      std::fprintf(f, "%s\n    {\"what\": %s, \"measured\": %.6f",
+                   i ? "," : "", quoted(c.what).c_str(), c.measured);
+      if (c.op != nullptr) {
+        std::fprintf(f, ", \"op\": \"%s\", \"threshold\": %.17g, "
+                        "\"pass\": %s}",
+                     c.op, c.threshold, c.pass ? "true" : "false");
+      } else {
+        std::fprintf(f, ", \"paper\": %s}", quoted(c.paper).c_str());
+      }
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
@@ -193,7 +233,10 @@ class JsonReport {
   struct Check {
     std::string what;
     double measured = 0;
-    std::string paper;
+    std::string paper;         // a paper comparison: the paper's figure
+    const char* op = nullptr;  // a gate: measured <op> threshold
+    double threshold = 0;
+    bool pass = false;
   };
 
   static std::string quoted(const std::string& s) {
@@ -245,18 +288,25 @@ inline void print_check(const std::string& what, double measured,
   }
 }
 
-/// A bench's pass/fail gates.  Each gate is a print_check() line; a failing
-/// one also prints "FAIL: <what>".  finish() prints the verdict and returns
-/// the exit code.
+/// A bench's pass/fail gates, and its only verdict.  Each gate prints a
+/// check line ("want <op> <threshold>") and records {op, threshold, pass}
+/// in the JSON report; a failing one also prints "FAIL: <what>: measured
+/// X, want <op> T".  finish() prints the verdict and returns the exit code.
 class Gate {
  public:
   explicit Gate(std::string bench) : bench_(std::move(bench)) {}
 
-  void operator()(const std::string& what, double measured, bool pass,
-                  const std::string& expect) {
-    print_check(what, measured, expect);
+  void operator()(const std::string& what, double measured, Op op,
+                  double threshold) {
+    const bool pass = op_holds(measured, op, threshold);
+    std::printf("  check: %-44s measured %6.2f   want %s %g\n", what.c_str(),
+                measured, op_name(op), threshold);
+    if (JsonReport* json = JsonReport::current()) {
+      json->add_gate(what, measured, op, threshold, pass);
+    }
     if (!pass) {
-      std::printf("  FAIL: %s\n", what.c_str());
+      std::printf("  FAIL: %s: measured %g, want %s %g\n", what.c_str(),
+                  measured, op_name(op), threshold);
       ok_ = false;
     }
   }

@@ -231,8 +231,8 @@ int main(int argc, char** argv) {
   const StormResult floor =
       run_storm(Mode::kReadthru, 0, passes, file_bytes, seed);
   print_storm_row("readthru", floor, json);
-  gate("readthru sim errors", static_cast<double>(floor.sim_errors),
-       floor.sim_errors == 0, "== 0");
+  gate("readthru sim errors", static_cast<double>(floor.sim_errors), Op::kEq,
+       0);
 
   StormResult robust_hot;  // highest-rate robust run, for the replay gate
   for (double rate : rates) {
@@ -241,30 +241,25 @@ int main(int argc, char** argv) {
         run_storm(Mode::kRobust, rate, passes, file_bytes, seed);
     print_storm_row("robust@" + tag, robust, json);
     gate("robust@" + tag + " sim errors",
-         static_cast<double>(robust.sim_errors), robust.sim_errors == 0,
-         "== 0");
+         static_cast<double>(robust.sim_errors), Op::kEq, 0);
     gate("robust@" + tag + " corrupt bytes",
-         static_cast<double>(robust.corrupt_bytes),
-         robust.corrupt_bytes == 0, "== 0");
+         static_cast<double>(robust.corrupt_bytes), Op::kEq, 0);
     gate("robust@" + tag + " accounting", robust.accounting_ok ? 1 : 0,
-         robust.accounting_ok, "== 1");
+         Op::kEq, 1);
     // Graceful degradation: detect-and-refetch (and, under sustained fire,
     // cache-bypass) must never sink below simply having no cache.
     gate("robust@" + tag + " goodput vs floor (MB/s)", robust.goodput_mb_s(),
-         robust.goodput_mb_s() >= 0.98 * floor.goodput_mb_s(),
-         ">= " + std::to_string(0.98 * floor.goodput_mb_s()));
+         Op::kGe, 0.98 * floor.goodput_mb_s());
     if (rate == 0) {
       gate("robust@0 verify failures",
-           static_cast<double>(robust.verify_failures),
-           robust.verify_failures == 0, "== 0");
+           static_cast<double>(robust.verify_failures), Op::kEq, 0);
       gate("robust@0 caching beats the floor (MB/s)", robust.goodput_mb_s(),
-           robust.goodput_mb_s() > floor.goodput_mb_s(), "> floor");
+           Op::kGt, floor.goodput_mb_s());
     } else {
       gate("robust@" + tag + " injected tampers",
-           static_cast<double>(robust.injected), robust.injected > 0, "> 0");
+           static_cast<double>(robust.injected), Op::kGt, 0);
       gate("robust@" + tag + " verify failures (non-vacuous)",
-           static_cast<double>(robust.verify_failures),
-           robust.verify_failures > 0, "> 0");
+           static_cast<double>(robust.verify_failures), Op::kGt, 0);
     }
     if (rate == rates.back()) robust_hot = robust;
   }
@@ -276,14 +271,11 @@ int main(int argc, char** argv) {
       run_storm(Mode::kNaive, rates.back(), passes, file_bytes, seed);
   print_storm_row("naive@" + std::to_string(static_cast<int>(rates.back())),
                   naive, json);
-  gate("naive sim errors", static_cast<double>(naive.sim_errors),
-       naive.sim_errors == 0, "== 0");
+  gate("naive sim errors", static_cast<double>(naive.sim_errors), Op::kEq, 0);
   gate("naive verify failures (nothing to verify)",
-       static_cast<double>(naive.verify_failures),
-       naive.verify_failures == 0, "== 0");
+       static_cast<double>(naive.verify_failures), Op::kEq, 0);
   gate("naive corrupt bytes (control must bite)",
-       static_cast<double>(naive.corrupt_bytes), naive.corrupt_bytes > 0,
-       "> 0");
+       static_cast<double>(naive.corrupt_bytes), Op::kGt, 0);
 
   // Determinism: the hottest robust run replays bit-identically.
   {
@@ -292,8 +284,8 @@ int main(int argc, char** argv) {
     const bool identical = replay.fingerprint == robust_hot.fingerprint &&
                            replay.verify_failures ==
                                robust_hot.verify_failures;
-    gate("robust replay fingerprint identical", identical ? 1 : 0, identical,
-         "== 1");
+    gate("robust replay fingerprint identical", identical ? 1 : 0, Op::kEq,
+         1);
   }
 
   return gate.finish();

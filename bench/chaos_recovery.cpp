@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
       {"sgfs-wb", run_proxy, wb_bytes},
   };
 
-  bool ok = true;
+  Gate gate("chaos_recovery");
   std::printf("  %-8s %-8s %10s %12s %6s %7s %7s %8s\n", "scenario", "seed",
               "recovery", "replayed", "crash", "mismtch", "replays",
               "content");
@@ -254,8 +254,6 @@ int main(int argc, char** argv) {
                   r.content_ok ? "ok" : "LOST");
       json.add_row(std::string(sc.name) + "/seed" + std::to_string(seed),
                    r.recovery_seconds, 0, row_metrics(r));
-      ok = ok && r.content_ok && r.crashes >= 1 && r.verf_mismatches >= 1 &&
-           r.replayed_bytes > 0;
       runs.push_back(r);
     }
     const Dist rec =
@@ -275,18 +273,29 @@ int main(int argc, char** argv) {
                   {"replayed_bytes.min", rep.mn},
                   {"replayed_bytes.max", rep.mx}});
 
+    // Every run crashed, detected the verifier roll, replayed > 0 bytes
+    // and recovered byte-identical content.
+    const std::string name = sc.name;
+    const auto intact =
+        std::count_if(runs.begin(), runs.end(),
+                      [](const RunStats& r) { return r.content_ok; });
+    gate(name + " runs with intact content", static_cast<double>(intact),
+         Op::kEq, seeds);
+    gate(name + " min replayed bytes", rep.mn, Op::kGt, 0);
+    const Dist crashes = dist_of(runs, [](const RunStats& r) {
+      return static_cast<double>(r.crashes);
+    });
+    gate(name + " min crashes", crashes.mn, Op::kGe, 1);
+    const Dist mismatches = dist_of(runs, [](const RunStats& r) {
+      return static_cast<double>(r.verf_mismatches);
+    });
+    gate(name + " min verifier mismatches", mismatches.mn, Op::kGe, 1);
+
     // Determinism: the first seed must replay bit-identically.
     RunStats replay = sc.run(base_seed, sc.bytes);
-    const bool identical = replay == runs[0];
-    std::printf("  %-8s determinism (seed %llu twice): %s\n", sc.name,
-                static_cast<unsigned long long>(base_seed),
-                identical ? "bit-identical" : "MISMATCH");
-    ok = ok && identical;
+    gate(name + " replay identical (first seed twice)",
+         replay == runs[0] ? 1 : 0, Op::kEq, 1);
   }
 
-  std::printf("\n  recovery check: every run crashed, detected the verifier "
-              "roll, replayed >0 bytes,\n  and recovered byte-identical "
-              "content: %s\n",
-              ok ? "yes" : "NO");
-  return ok ? 0 : 1;
+  return gate.finish();
 }

@@ -151,18 +151,17 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
+  // Recovery: the 1%-loss run completed, and every mechanism engaged.
+  Gate gate("fault_recovery");
+  gate("1% loss dropped messages", static_cast<double>(one_pct.dropped),
+       Op::kGt, 0);
+  gate("1% loss retransmits", static_cast<double>(one_pct.retransmits),
+       Op::kGt, 0);
+  gate("1% loss DRC hits", static_cast<double>(one_pct.drc_hits), Op::kGt, 0);
+
   // Determinism: the 1%-loss point must replay bit-identically.
   RunResult replay = run_once(0.01, 0.0, params, seed, flags);
-  const bool identical = replay == one_pct;
-  std::printf("  determinism (1%% loss, same seed twice): %s\n",
-              identical ? "bit-identical" : "MISMATCH");
-
-  const bool ok = identical && one_pct.retransmits > 0 &&
-                  one_pct.drc_hits > 0 && one_pct.dropped > 0;
-  std::printf("  recovery check: dropped>0 %s, retransmits>0 %s, "
-              "drc hits>0 %s\n",
-              one_pct.dropped > 0 ? "yes" : "NO",
-              one_pct.retransmits > 0 ? "yes" : "NO",
-              one_pct.drc_hits > 0 ? "yes" : "NO");
-  return ok ? 0 : 1;
+  gate("1% loss replay identical (same seed twice)",
+       replay == one_pct ? 1 : 0, Op::kEq, 1);
+  return gate.finish();
 }

@@ -104,17 +104,15 @@ int main(int argc, char** argv) {
   Gate gate("flashcrowd");
   const uint64_t want_reads = static_cast<uint64_t>(clients) * blocks;
   auto common_gates = [&](const std::string& tag, const FlashcrowdResult& r) {
-    gate(tag + " sim errors", static_cast<double>(r.sim_errors),
-         r.sim_errors == 0, "== 0");
-    gate(tag + " clients done", static_cast<double>(r.clients_done),
-         r.clients_done == static_cast<uint64_t>(clients),
-         "== " + std::to_string(clients));
-    gate(tag + " reads ok", static_cast<double>(r.reads_ok),
-         r.reads_ok == want_reads && r.read_errors == 0,
-         "== " + std::to_string(want_reads));
+    gate(tag + " sim errors", static_cast<double>(r.sim_errors), Op::kEq, 0);
+    gate(tag + " clients done", static_cast<double>(r.clients_done), Op::kEq,
+         clients);
+    gate(tag + " reads ok", static_cast<double>(r.reads_ok), Op::kEq,
+         static_cast<double>(want_reads));
+    gate(tag + " read errors", static_cast<double>(r.read_errors), Op::kEq, 0);
     // THE invariant: never one corrupt byte, no matter who serves.
     gate(tag + " corrupt bytes", static_cast<double>(r.corrupt_bytes),
-         r.corrupt_bytes == 0, "== 0");
+         Op::kEq, 0);
   };
 
   // Origin-only: the funnel every client shares when nothing is replicated.
@@ -130,13 +128,12 @@ int main(int argc, char** argv) {
   print_crowd_row("clean", clean, json);
   common_gates("clean", clean);
   gate("clean replica blocks served", static_cast<double>(clean.replica_blocks),
-       clean.replica_blocks > 0, "> 0");
+       Op::kGt, 0);
   gate("clean goodput >= 2x origin",
        origin.goodput_bytes_per_s > 0
            ? clean.goodput_bytes_per_s / origin.goodput_bytes_per_s
            : 0,
-       clean.goodput_bytes_per_s >= 2.0 * origin.goodput_bytes_per_s,
-       ">= 2.0");
+       Op::kGe, 2.0);
 
   // Byzantine quarter: corrupt blocks under honest proofs plus a
   // stale-catalog gossiper.  Short refresh makes mid-run gossip certain.
@@ -149,18 +146,15 @@ int main(int argc, char** argv) {
   print_crowd_row("byz25", byz, json);
   common_gates("byz25", byz);
   gate("byz25 replicas armed", static_cast<double>(byz.byzantine_armed),
-       byz.byzantine_armed >= 1, ">= 1");
+       Op::kGe, 1);
   gate("byz25 verify failures (non-vacuous)",
-       static_cast<double>(byz.verify_failures), byz.verify_failures > 0,
-       "> 0");
-  gate("byz25 blacklists", static_cast<double>(byz.blacklists),
-       byz.blacklists > 0, "> 0");
+       static_cast<double>(byz.verify_failures), Op::kGt, 0);
+  gate("byz25 blacklists", static_cast<double>(byz.blacklists), Op::kGt, 0);
   gate("byz25 goodput >= origin floor",
        origin.goodput_bytes_per_s > 0
            ? byz.goodput_bytes_per_s / origin.goodput_bytes_per_s
            : 0,
-       byz.goodput_bytes_per_s >= 0.98 * origin.goodput_bytes_per_s,
-       ">= 0.98");
+       Op::kGe, 0.98);
 
   // Whole fleet Byzantine until clear_after: clients must degrade to the
   // origin (correct, slower), then probe the recovered fleet back in.
@@ -180,22 +174,21 @@ int main(int argc, char** argv) {
   const FlashcrowdResult allbyz = fleet::run_flashcrowd(oall);
   print_crowd_row("allbyz", allbyz, json);
   common_gates("allbyz", allbyz);
-  gate("allbyz blacklists", static_cast<double>(allbyz.blacklists),
-       allbyz.blacklists > 0, "> 0");
+  gate("allbyz blacklists", static_cast<double>(allbyz.blacklists), Op::kGt,
+       0);
   gate("allbyz degraded to origin", static_cast<double>(allbyz.degraded),
-       allbyz.degraded > 0, "> 0");
+       Op::kGt, 0);
   gate("allbyz probes (half-open re-admission)",
-       static_cast<double>(allbyz.probes), allbyz.probes > 0, "> 0");
+       static_cast<double>(allbyz.probes), Op::kGt, 0);
   gate("allbyz replica blocks after recovery",
-       static_cast<double>(allbyz.replica_blocks), allbyz.replica_blocks > 0,
-       "> 0");
+       static_cast<double>(allbyz.replica_blocks), Op::kGt, 0);
 
   // Determinism: the Byzantine headline scenario replays bit-identically.
   {
     const FlashcrowdResult replay = fleet::run_flashcrowd(obyz);
     const bool identical = replay.fingerprint() == byz.fingerprint();
-    gate("byz25 replay fingerprint identical", identical ? 1 : 0, identical,
-         "== 1");
+    gate("byz25 replay fingerprint identical", identical ? 1 : 0, Op::kEq,
+         1);
   }
 
   return gate.finish();

@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
   const double window = flags.get_double("window", quick ? 10.0 : 20.0);
   const double crash_window =
       flags.get_double("crash-window", quick ? 14.0 : 20.0);
-  const double slo_p99 = flags.get_double("slo-p99-ms", 100.0);
-  const double slo_p999 = flags.get_double("slo-p999-ms", 500.0);
+  const double slo_p99_ms = 100.0;
+  const double slo_p999_ms = 500.0;
   const double min_evps = flags.get_double("min-events-per-sec", 0.0);
   std::vector<int> sweep = {100, 250, 500, 1000};
   if (quick) sweep = {250, 1000};
@@ -104,15 +104,14 @@ int main(int argc, char** argv) {
     const double total =
         static_cast<double>(r.ok + r.busy + r.giveups + r.errors);
     const double success = total > 0 ? static_cast<double>(r.ok) / total : 0;
-    gate(name + " success ratio", success, success >= 0.99, ">= 0.99");
-    gate(name + " p99 ms (SLO)", r.percentile_ms(0.99),
-         r.percentile_ms(0.99) <= slo_p99,
-         "<= " + std::to_string(slo_p99));
-    gate(name + " p999 ms (SLO)", r.percentile_ms(0.999),
-         r.percentile_ms(0.999) <= slo_p999,
-         "<= " + std::to_string(slo_p999));
-    gate(name + " sim errors", static_cast<double>(r.sim_errors),
-         r.sim_errors == 0, "== 0");
+    gate(name + " goodput ops/s", static_cast<double>(r.ok) / window, Op::kGt,
+         0);
+    gate(name + " success ratio", success, Op::kGe, 0.99);
+    gate(name + " p99 ms (SLO)", r.percentile_ms(0.99), Op::kLe, slo_p99_ms);
+    gate(name + " p999 ms (SLO)", r.percentile_ms(0.999), Op::kLe,
+         slo_p999_ms);
+    gate(name + " p999 ms recorded", r.percentile_ms(0.999), Op::kGt, 0);
+    gate(name + " sim errors", static_cast<double>(r.sim_errors), Op::kEq, 0);
   }
 
   // --- crash-rebalance drill at full scale ----------------------------------
@@ -143,26 +142,28 @@ int main(int argc, char** argv) {
       cr.crash_bucket + static_cast<size_t>(drill.downtime_s));
   const double post = cr.mean_goodput(cr.restored_bucket,
                                       cr.win_end_bucket);
-  gate("crash drill pre-crash plateau ops/s", pre, pre > 0, "> 0");
+  gate("crash drill goodput ops/s", static_cast<double>(cr.ok) / crash_window,
+       Op::kGt, 0);
+  gate("crash drill p999 ms recorded", cr.percentile_ms(0.999), Op::kGt, 0);
+  gate("crash drill pre-crash plateau ops/s", pre, Op::kGt, 0);
   const double dip = pre > 0 ? during / pre : 1.0;
-  gate("crash drill goodput dip while down", dip, dip <= 0.9, "<= 0.9");
+  gate("crash drill goodput dip while down", dip, Op::kLe, 0.9);
   const double recovery = pre > 0 ? post / pre : 0.0;
-  gate("crash drill recovery / pre-crash plateau", recovery,
-       recovery >= 0.9, ">= 0.9");
+  gate("crash drill recovery / pre-crash plateau", recovery, Op::kGe, 0.9);
   gate("crash drill reroutes (rebalancing exercised)",
-       static_cast<double>(cr.reroutes), cr.reroutes > 0, "> 0");
+       static_cast<double>(cr.reroutes), Op::kGt, 0);
   gate("crash drill final shard-map epoch",
-       static_cast<double>(cr.final_epoch), cr.final_epoch == 3, "== 3");
-  gate("crash drill actors spawned",
-       static_cast<double>(cr.actors), cr.actors >= 10000, ">= 10000");
-  gate("crash drill sim errors", static_cast<double>(cr.sim_errors),
-       cr.sim_errors == 0, "== 0");
+       static_cast<double>(cr.final_epoch), Op::kEq, 3);
+  gate("crash drill actors spawned", static_cast<double>(cr.actors), Op::kGe,
+       10000);
+  gate("crash drill sim errors", static_cast<double>(cr.sim_errors), Op::kEq,
+       0);
 
   // --- determinism: the drill replays bit-identically ----------------------
   fleet::FleetResult replay = fleet::run_fleet(drill);
   const bool identical = replay.fingerprint() == cr.fingerprint();
-  gate("crash drill replay fingerprint identical", identical ? 1 : 0,
-       identical, "== 1");
+  gate("crash drill replay fingerprint identical", identical ? 1 : 0, Op::kEq,
+       1);
 
   // --- simulator throughput (the affordability figure) ----------------------
   const double evps = cr.wall_seconds > 0
@@ -172,13 +173,10 @@ int main(int argc, char** argv) {
               "at 1000 sessions\n",
               evps, static_cast<unsigned long long>(cr.events),
               cr.wall_seconds);
-  if (JsonReport* j = JsonReport::current()) {
-    j->add_check("sim events per wall second", evps,
-                 min_evps > 0 ? ">= " + std::to_string(min_evps) : "tracked");
-  }
   if (min_evps > 0) {
-    gate("sim events/sec floor", evps, evps >= min_evps,
-         ">= " + std::to_string(min_evps));
+    gate("sim events per wall second", evps, Op::kGe, min_evps);
+  } else if (JsonReport* j = JsonReport::current()) {
+    j->add_check("sim events per wall second", evps, "tracked");
   }
 
   return gate.finish();

@@ -332,11 +332,9 @@ int main(int argc, char** argv) {
   Gate gate("overload");
 
   const double naive_low_frac = naive_low.goodput / loads[low];
-  gate("naive goodput/offered underloaded", naive_low_frac,
-       naive_low_frac >= 0.9, ">= 0.9");
+  gate("naive goodput/offered underloaded", naive_low_frac, Op::kGe, 0.9);
   const double robust_low_frac = robust_low.goodput / loads[low];
-  gate("robust goodput/offered underloaded", robust_low_frac,
-       robust_low_frac >= 0.9, ">= 0.9");
+  gate("robust goodput/offered underloaded", robust_low_frac, Op::kGe, 0.9);
 
   // Robust plateau: goodput at 2x capacity stays near the best the robust
   // configuration achieved anywhere in the sweep.
@@ -344,31 +342,29 @@ int main(int argc, char** argv) {
   for (const RunOut& r : robust_runs) robust_best = std::max(robust_best,
                                                              r.goodput);
   const double plateau = robust_peak.goodput / robust_best;
-  gate("robust peak/best goodput (plateau)", plateau, plateau >= 0.8,
-       ">= 0.8");
+  gate("robust peak/best goodput (plateau)", plateau, Op::kGe, 0.8);
 
   // Naive collapse vs robust plateau at the same peak load.
   const double collapse = robust_peak.goodput > 0
                               ? naive_peak.goodput / robust_peak.goodput
                               : 1.0;
-  gate("naive/robust goodput at peak (collapse)", collapse, collapse <= 0.5,
-       "<= 0.5");
+  gate("naive/robust goodput at peak (collapse)", collapse, Op::kLe, 0.5);
 
   // The mechanisms actually engaged at peak load.
   const double shed = robust_peak.metrics.at("overload.proxy_shed");
-  gate("robust peak load shed calls", shed, shed > 0, "> 0");
+  gate("robust peak load shed calls", shed, Op::kGt, 0);
   const auto jb = robust_peak.metrics.find("nfs.client.jukebox_retries");
   const double jukebox = jb == robust_peak.metrics.end() ? 0 : jb->second;
-  gate("robust peak jukebox retries", jukebox, jukebox > 0, "> 0");
+  gate("robust peak jukebox retries", jukebox, Op::kGt, 0);
   const auto gu = naive_peak.metrics.find("rpc.client.giveups");
   const double giveups = gu == naive_peak.metrics.end() ? 0 : gu->second;
-  gate("naive peak client give-ups", giveups, giveups > 0, "> 0");
+  gate("naive peak client give-ups", giveups, Op::kGt, 0);
 
   // Bit-determinism: the peak-load robust run replays identically.
   RunOut replay = run_once(true, robust_cfg(), sessions, loads[peak], warmup,
                            window);
   const bool identical = replay.same(robust_peak);
-  gate("robust peak replay identical", identical ? 1 : 0, identical, "== 1");
+  gate("robust peak replay identical", identical ? 1 : 0, Op::kEq, 1);
 
   return gate.finish();
 }

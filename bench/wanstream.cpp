@@ -38,6 +38,7 @@ struct RunOut {
   double seconds = 0;      // simulated time spent inside the read loop
   double mbps = 0;         // payload MB/s over that window
   sim::SimTime end_time = 0;  // total virtual time at teardown
+  size_t sim_errors = 0;
   std::map<std::string, double> metrics;
 
   RunOut() = default;
@@ -83,10 +84,10 @@ RunOut run_bulk(const TestbedOptions& opt, uint64_t bytes) {
                         : 0;
       }(tb, bytes, &out));
   if (!tb.engine().errors().empty()) {
-    std::fprintf(stderr, "FATAL: sim error: %s\n",
+    std::fprintf(stderr, "WARNING: simulation errors: %s\n",
                  tb.engine().errors()[0].c_str());
-    std::exit(1);
   }
+  out.sim_errors = tb.engine().errors().size();
   out.end_time = tb.engine().now();
   out.metrics = JsonReport::snapshot(tb.engine().metrics());
   return out;
@@ -141,23 +142,39 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // --- the ISSUE's acceptance gate ------------------------------------------
+  // --- gates ----------------------------------------------------------------
+  Gate gate("wanstream");
+  auto metric = [](const RunOut& out, const std::string& key) {
+    const auto it = out.metrics.find(key);
+    return it == out.metrics.end() ? 0.0 : it->second;
+  };
+  // Every cell ran to completion over ONE full handshake per side pair (the
+  // extra streams resume it); K=4 actually striped its reads.
+  for (const auto& [cell, out] : cells) {
+    const auto [rtt, k] = cell;
+    const std::string name =
+        "rtt" + std::to_string(rtt) + "_k" + std::to_string(k);
+    gate(name + " sim errors", static_cast<double>(out.sim_errors), Op::kEq, 0);
+    gate(name + " simulated seconds", out.seconds, Op::kGt, 0);
+    gate(name + " handshakes", metric(out, "crypto.handshakes"), Op::kEq, 4);
+    if (k == 4) {
+      gate(name + " striped reads", metric(out, "sgfs.pool.striped_reads"),
+           Op::kGt, 0);
+      gate(name + " stream resumptions",
+           metric(out, "crypto.stream_resumptions"), Op::kEq, 6);
+    }
+  }
+
   const double k1 = cells[{100, 1}].mbps;
   const double k4 = cells[{100, 4}].mbps;
-  const double speedup = k1 > 0 ? k4 / k1 : 0;
-  print_check("K=4 / K=1 bulk throughput at 100 ms RTT", speedup, ">=3.0");
-  bool ok = speedup >= 3.0;
-  if (!ok) {
-    std::fprintf(stderr,
-                 "FAIL: striping speedup %.2fx < 3.0x at 100 ms RTT\n",
-                 speedup);
-  }
+  gate("K=4 / K=1 bulk throughput at 100 ms RTT", k1 > 0 ? k4 / k1 : 0,
+       Op::kGe, 3.0);
 
   // Near-linear scaling while latency-bound: K=2 at the largest RTT should
   // be at least 1.6x of K=1 (2x minus protocol overhead).
   const double k2 = cells[{100, 2}].mbps;
-  print_check("K=2 / K=1 at 100 ms RTT (near-linear)",
-              k1 > 0 ? k2 / k1 : 0, ">=1.6");
+  gate("K=2 / K=1 at 100 ms RTT (near-linear)", k1 > 0 ? k2 / k1 : 0,
+       Op::kGe, 1.6);
 
   // Bandwidth-bound crossover (full sweep only): at the smallest RTT the
   // transfer is already pipeline-bound, so the widest pool gains almost
@@ -167,19 +184,12 @@ int main(int argc, char** argv) {
   if (!quick) {
     const double k4_25 = cells[{25, 4}].mbps;
     const double k8_25 = cells[{25, 8}].mbps;
-    const double flat = k4_25 > 0 ? k8_25 / k4_25 : 0;
-    print_check("K=8 / K=4 at 25 ms RTT (past crossover: flat)", flat,
-                "<=1.15");
-    if (flat > 1.15) {
-      std::fprintf(stderr,
-                   "FAIL: K=8 still scaling at 25 ms (%.2fx over K=4) — "
-                   "no bandwidth-bound crossover\n", flat);
-      ok = false;
-    }
+    gate("K=8 / K=4 at 25 ms RTT (past crossover: flat)",
+         k4_25 > 0 ? k8_25 / k4_25 : 0, Op::kLe, 1.15);
     const double k1_25 = cells[{25, 1}].mbps;
     const double k2_25 = cells[{25, 2}].mbps;
-    print_check("K=2 / K=1 at 25 ms RTT (before crossover: scaling)",
-                k1_25 > 0 ? k2_25 / k1_25 : 0, ">=1.6");
+    gate("K=2 / K=1 at 25 ms RTT (before crossover: scaling)",
+         k1_25 > 0 ? k2_25 / k1_25 : 0, Op::kGe, 1.6);
   }
 
   // --- K=1 bit-identity, checked live ---------------------------------------
@@ -198,17 +208,9 @@ int main(int argc, char** argv) {
     RunOut rb = run_bulk(b, ident_bytes);
     const bool identical =
         ra.end_time == rb.end_time && ra.metrics == rb.metrics;
-    print_check("K=1 bit-identity (virtual time + all metrics)",
-                identical ? 1.0 : 0.0, "1");
-    if (!identical) {
-      std::fprintf(stderr, "FAIL: K=1 run is not bit-identical "
-                           "(end %llu vs %llu, %zu vs %zu metrics)\n",
-                   static_cast<unsigned long long>(ra.end_time),
-                   static_cast<unsigned long long>(rb.end_time),
-                   ra.metrics.size(), rb.metrics.size());
-      ok = false;
-    }
+    gate("K=1 bit-identity (virtual time + all metrics)", identical ? 1 : 0,
+         Op::kEq, 1);
   }
 
-  return ok ? 0 : 1;
+  return gate.finish();
 }
