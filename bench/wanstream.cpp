@@ -122,6 +122,9 @@ int main(int argc, char** argv) {
   for (int k : widths) std::printf("          K=%-2d", k);
   std::printf("\n");
 
+  auto cell_name = [](int rtt, int k) {
+    return "rtt" + std::to_string(rtt) + "_k" + std::to_string(k);
+  };
   std::map<std::pair<int, int>, RunOut> cells;
   for (int rtt : rtts) {
     std::printf("  %3d ms  ", rtt);
@@ -130,10 +133,8 @@ int main(int argc, char** argv) {
       const double frac = out.mbps / wire_mbps;
       std::printf("  %7.2f(%.2f%s)", out.mbps, frac,
                   frac >= 0.5 ? "#" : "");
-      const std::string name =
-          "rtt" + std::to_string(rtt) + "_k" + std::to_string(k);
       if (JsonReport* j = JsonReport::current()) {
-        j->add_row(name, out.seconds, 0, out.metrics,
+        j->add_row(cell_name(rtt, k), out.seconds, 0, out.metrics,
                    std::to_string(out.mbps) + " MB/s");
       }
       cells[{rtt, k}] = out;
@@ -148,12 +149,11 @@ int main(int argc, char** argv) {
     const auto it = out.metrics.find(key);
     return it == out.metrics.end() ? 0.0 : it->second;
   };
-  // Every cell ran to completion over ONE full handshake per side pair (the
-  // extra streams resume it); K=4 actually striped its reads.
+  // Every cell ran clean with the handshake count of a single stream (the
+  // extra streams resume the first session), and K=4 striped its reads.
   for (const auto& [cell, out] : cells) {
     const auto [rtt, k] = cell;
-    const std::string name =
-        "rtt" + std::to_string(rtt) + "_k" + std::to_string(k);
+    const std::string name = cell_name(rtt, k);
     gate(name + " sim errors", static_cast<double>(out.sim_errors), Op::kEq, 0);
     gate(name + " simulated seconds", out.seconds, Op::kGt, 0);
     gate(name + " handshakes", metric(out, "crypto.handshakes"), Op::kEq, 4);
