@@ -187,9 +187,9 @@ class JsonReport {
                  quoted(bench_).c_str());
     for (size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];
-      std::fprintf(f, "%s\n    {\"name\": %s, \"simulated_seconds\": %.6f",
+      std::fprintf(f, "%s\n    {\"name\": %s, \"simulated_seconds\": %.17g",
                    i ? "," : "", quoted(r.name).c_str(), r.seconds);
-      if (r.stddev > 0) std::fprintf(f, ", \"stddev\": %.6f", r.stddev);
+      if (r.stddev > 0) std::fprintf(f, ", \"stddev\": %.17g", r.stddev);
       if (!r.note.empty()) {
         std::fprintf(f, ", \"note\": %s", quoted(r.note).c_str());
       }
@@ -207,7 +207,7 @@ class JsonReport {
     std::fprintf(f, "\n  ],\n  \"checks\": [");
     for (size_t i = 0; i < checks_.size(); ++i) {
       const Check& c = checks_[i];
-      std::fprintf(f, "%s\n    {\"what\": %s, \"measured\": %.6f",
+      std::fprintf(f, "%s\n    {\"what\": %s, \"measured\": %.17g",
                    i ? "," : "", quoted(c.what).c_str(), c.measured);
       if (c.op != nullptr) {
         std::fprintf(f, ", \"op\": \"%s\", \"threshold\": %.17g, "

@@ -44,13 +44,13 @@ TEST(BenchReport, GoldenJson) {
   EXPECT_EQ(slurp(path), R"json({
   "bench": "demo",
   "rows": [
-    {"name": "cfg-a", "simulated_seconds": 12.500001, "stddev": 0.250000, "note": "note", "metrics": {"buf.bytes_copied": 4096, "rpc.calls": 12}},
-    {"name": "cfg-b", "simulated_seconds": 3.000000}
+    {"name": "cfg-a", "simulated_seconds": 12.500000953674316, "stddev": 0.25, "note": "note", "metrics": {"buf.bytes_copied": 4096, "rpc.calls": 12}},
+    {"name": "cfg-b", "simulated_seconds": 3}
   ],
   "checks": [
-    {"what": "cfg-a / cfg-b (paper: ~4x)", "measured": 4.187500, "paper": "4.0"},
-    {"what": "cfg-a sim errors", "measured": 0.000000, "op": "==", "threshold": 0, "pass": true},
-    {"what": "cfg-a / cfg-b speedup", "measured": 4.187500, "op": ">=", "threshold": 4.5, "pass": false}
+    {"what": "cfg-a / cfg-b (paper: ~4x)", "measured": 4.1875, "paper": "4.0"},
+    {"what": "cfg-a sim errors", "measured": 0, "op": "==", "threshold": 0, "pass": true},
+    {"what": "cfg-a / cfg-b speedup", "measured": 4.1875, "op": ">=", "threshold": 4.5, "pass": false}
   ]
 }
 )json");
