@@ -34,8 +34,8 @@ CpuResult run_one(TestbedOptions opts, uint64_t file_bytes) {
     (void)co_await run_iozone(tb, mp, params);
   }(tb, params));
   CpuResult out;
-  out.client = tb.client_daemon_cpu_series();
-  out.server = tb.server_daemon_cpu_series();
+  out.client = tb.daemon_cpu_series(Testbed::Side::kClient);
+  out.server = tb.daemon_cpu_series(Testbed::Side::kServer);
   out.metrics = obs::format_summary(tb.engine().metrics(), "    ");
   return out;
 }

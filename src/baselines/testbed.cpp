@@ -14,18 +14,6 @@ std::string to_string(SetupKind kind) {
   return "?";
 }
 
-std::string sgfs_variant_name(const TestbedOptions& options) {
-  if (options.kind != SetupKind::kSgfs) return to_string(options.kind);
-  switch (options.cipher) {
-    case crypto::Cipher::kNull:
-      return options.mac == crypto::MacAlgo::kNull ? "sgfs-none" : "sgfs-sha";
-    case crypto::Cipher::kRc4_128: return "sgfs-rc";
-    case crypto::Cipher::kAes128Cbc: return "sgfs-aes128";
-    case crypto::Cipher::kAes256Cbc: return "sgfs-aes";
-  }
-  return "sgfs";
-}
-
 struct Testbed::Pki {
   Rng rng;
   crypto::CertificateAuthority ca;
@@ -369,23 +357,9 @@ void Testbed::publish_replicas() {
   }
 }
 
-std::vector<double> Testbed::client_daemon_cpu_series() const {
+std::vector<double> Testbed::daemon_cpu_series(Side side) const {
   // The user-level daemon's CPU: proxy processing + its crypto + tunnel.
-  auto& cpu = client_->cpu();
-  const sim::SimTime until = eng_.now();
-  auto proxy = cpu.utilization_series("proxy", until);
-  auto cry = cpu.utilization_series("crypto", until);
-  auto ssh = cpu.utilization_series("ssh", until);
-  std::vector<double> out(proxy.size(), 0.0);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = proxy[i] + (i < cry.size() ? cry[i] : 0) +
-             (i < ssh.size() ? ssh[i] : 0);
-  }
-  return out;
-}
-
-std::vector<double> Testbed::server_daemon_cpu_series() const {
-  auto& cpu = server_->cpu();
+  auto& cpu = (side == Side::kClient ? client_ : server_)->cpu();
   const sim::SimTime until = eng_.now();
   auto proxy = cpu.utilization_series("proxy", until);
   auto cry = cpu.utilization_series("crypto", until);

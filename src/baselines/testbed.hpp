@@ -185,10 +185,10 @@ class Testbed {
   /// injector.  No-op when options.replicas == 0.  Call after preloading.
   void publish_replicas();
 
-  /// Fraction-busy series (5s windows) of the user-level daemon on each
+  /// Fraction-busy series (5s windows) of the user-level daemon on one
   /// side — Figures 5/6.  Includes the daemon's crypto work.
-  std::vector<double> client_daemon_cpu_series() const;
-  std::vector<double> server_daemon_cpu_series() const;
+  enum class Side { kClient, kServer };
+  std::vector<double> daemon_cpu_series(Side side) const;
 
   /// The path workloads operate in (owned by the grid user's account).
   static constexpr const char* kDataPath = "/GFS/grid";
@@ -224,8 +224,5 @@ class Testbed {
   std::unique_ptr<SshTunnel> tunnel_;
   Rng rng_;
 };
-
-/// Per-variant display name for the sgfs cipher configurations ("sgfs-aes").
-std::string sgfs_variant_name(const TestbedOptions& options);
 
 }  // namespace sgfs::baselines

@@ -1,7 +1,6 @@
 #include "common/config.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -55,14 +54,6 @@ Config Config::parse(std::string_view text) {
             std::string(trim(line.substr(eq + 1))));
   }
   return cfg;
-}
-
-Config Config::parse_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open config file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse(ss.str());
 }
 
 std::optional<std::string> Config::get(const std::string& section,

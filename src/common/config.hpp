@@ -21,9 +21,6 @@ class Config {
   /// Parses INI text.  Throws std::runtime_error on malformed lines.
   static Config parse(std::string_view text);
 
-  /// Reads and parses a file.  Throws std::runtime_error on I/O failure.
-  static Config parse_file(const std::string& path);
-
   /// Full lookup: "section.key".  Keys outside any section use "" section.
   std::optional<std::string> get(const std::string& section,
                                  const std::string& key) const;

@@ -5,7 +5,6 @@
 namespace sgfs {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
 const char* level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kTrace: return "TRACE";
@@ -18,9 +17,6 @@ const char* level_name(LogLevel level) {
   return "?";
 }
 }  // namespace
-
-LogLevel log_level() { return g_level; }
-void set_log_level(LogLevel level) { g_level = level; }
 
 void log_write(LogLevel level, const std::string& component,
                const std::string& message) {

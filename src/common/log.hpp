@@ -1,8 +1,9 @@
 // Minimal leveled logger.
 //
-// Logging is off by default (benchmarks must not pay for I/O); tests and
-// examples can raise the level.  Not thread-safe by design: the simulation
-// is single-threaded and deterministic.
+// Only warnings and errors are written (benchmarks must not pay for I/O);
+// the level is a compile-time constant, so the other levels cost nothing.
+// Not thread-safe by design: the simulation is single-threaded and
+// deterministic.
 #pragma once
 
 #include <sstream>
@@ -12,8 +13,7 @@ namespace sgfs {
 
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
-LogLevel log_level();
-void set_log_level(LogLevel level);
+inline constexpr LogLevel kLogLevel = LogLevel::kWarn;
 
 void log_write(LogLevel level, const std::string& component,
                const std::string& message);
@@ -29,7 +29,7 @@ std::string log_format(Args&&... args) {
 
 #define SGFS_LOG(level, component, ...)                                  \
   do {                                                                   \
-    if (::sgfs::log_level() <= (level)) {                                \
+    if (::sgfs::kLogLevel <= (level)) {                                  \
       ::sgfs::log_write((level), (component),                            \
                         ::sgfs::detail::log_format(__VA_ARGS__));        \
     }                                                                    \

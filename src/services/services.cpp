@@ -376,8 +376,8 @@ sim::Task<BufChain> FileSystemService::handle(const rpc::CallContext& ctx,
       if (it == client_proxies_.end()) {
         co_return encode_env(error_env("no such session"));
       }
-      // Parse the new configuration text into the live proxy's settings.
-      core::ClientProxyConfig cfg;  // rebuilt below via reload()
+      // Re-keys the live session: a fresh mutual handshake with new session
+      // keys and re-validated certificates (paper §4.2).
       co_await it->second->renegotiate();
       co_return encode_env(reply_env("ReconfigureResponse", {}));
     }

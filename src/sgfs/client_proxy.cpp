@@ -3,11 +3,9 @@
 #include <algorithm>
 
 #include "common/bufchain.hpp"
-
 #include "common/log.hpp"
 #include "crypto/key_regression.hpp"
 #include "sgfs/replica.hpp"
-#include "sgfs/shard_map.hpp"
 #include "xdr/xdr.hpp"
 
 namespace sgfs::core {
@@ -25,6 +23,7 @@ ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
       session_mgr_(host, config_, rng_),
       forward_mutex_(host.engine()),
       cache_(config_.cache.block_size, config_.cache.capacity_bytes),
+      store_(host, cache_, config_, rng_),
       ledger_(host.engine().metrics(), "sgfs.recovery",
               /*track_bytes=*/false) {
   auto& m = host.engine().metrics();
@@ -37,27 +36,12 @@ ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
   m_absorbed_lookups_ = {m, "sgfs.client_proxy.absorbed.lookups"};
   m_absorbed_reads_ = {m, "sgfs.client_proxy.absorbed.reads"};
   m_absorbed_writes_ = {m, "sgfs.client_proxy.absorbed.writes"};
-  m_sealed_blocks_ = {m, "sgfs.cache.sealed_blocks"};
-  m_verify_failures_ = {m, "sgfs.cache.verify_failures"};
-  m_poison_evictions_ = {m, "sgfs.cache.poison_evictions"};
-  m_refetches_ = {m, "sgfs.cache.refetches"};
-  m_bypass_entries_ = {m, "sgfs.cache.bypass_entries"};
-  m_probes_ = {m, "sgfs.cache.probes"};
-  m_revocation_purges_ = {m, "sgfs.cache.revocation_purges"};
-  m_name_verify_failures_ = {m, "sgfs.cache.name_verify_failures"};
   m_replica_reads_ = {m, "sgfs.client_proxy.replica_reads"};
   m_replica_fallbacks_ = {m, "sgfs.client_proxy.replica_fallbacks"};
-  cache_breaker_ = TrustBreaker(cache_breaker_policy());
   if (config_.replica.enabled) {
     replica_ = std::make_unique<ReplicaSet>(host_, config_.replica,
                                             config_.security.trusted,
                                             &config_.security.cost);
-  }
-  if (config_.cache.encryption) {
-    // Session-random until a key-regression epoch secret rebinds it.  The
-    // draw happens ONLY with encryption on: legacy configurations keep
-    // their exact RNG stream (golden-pin protection).
-    cache_master_ = rng_.bytes(crypto::KeyRegression::kSecretSize);
   }
   if (config_.pool.streams > 1) {
     pool_ = std::make_unique<StreamPool>(host_, config_, session_mgr_, rng_);
@@ -143,235 +127,15 @@ std::optional<Buffer> ClientProxy::epoch_key(uint32_t epoch) const {
 void ClientProxy::note_epoch_secret(Buffer secret, uint32_t epoch) {
   epoch_secret_ = std::move(secret);
   epoch_secret_epoch_ = epoch;
-  if (config_.cache.encryption) rekey_cache();
-}
-
-// --- encrypted-at-rest cache (hostile storage, DESIGN.md §15) ---------------
-
-const crypto::SealKeys& ClientProxy::seal_keys(uint64_t fileid) {
-  auto [it, fresh] = file_keys_.try_emplace(fileid);
-  if (fresh) it->second = crypto::derive_seal_keys(cache_master_, fileid);
-  return it->second;
-}
-
-sim::SimDur ClientProxy::seal_cost(size_t bytes) const {
-  // One cipher pass plus one MAC pass over the block, at the session's
-  // crypto-cost rates (the at-rest seal always uses AES-256 + HMAC, even
-  // when the wire cipher is kNull).
-  return config_.security.cost.record_cost(crypto::Cipher::kAes256Cbc,
-                                           crypto::MacAlgo::kHmacSha1, bytes);
-}
-
-std::optional<Buffer> ClientProxy::unseal(const Block& b,
-                                          const BlockKey& key) {
-  if (b.generation == 0) return std::nullopt;  // never sealed
-  host_.cpu().charge(seal_cost(b.data.size()), "crypto");
-  return crypto::unseal_block(seal_keys(key.fileid), key.fileid, key.block,
-                              b.generation,
-                              ByteView(b.data.data(), b.data.size()));
-}
-
-void ClientProxy::seal_into(Block& b, const BlockKey& key,
-                            ByteView plaintext) {
-  b.generation = ++seal_clock_;
-  b.data = crypto::seal_block(seal_keys(key.fileid), key.fileid, key.block,
-                              b.generation, plaintext);
-  host_.cpu().charge(seal_cost(plaintext.size()), "crypto");
-  m_sealed_blocks_.inc();
-}
-
-TrustBreaker::Policy ClientProxy::cache_breaker_policy() const {
-  TrustBreaker::Policy p;
-  p.burst = config_.cache.poison_burst;
-  p.window = config_.cache.poison_window;
-  p.open_duration = config_.cache.bypass_duration;
-  return p;
-}
-
-void ClientProxy::note_verify_failure() {
-  m_verify_failures_.inc();
-  const bool was_active =
-      cache_breaker_.state() == TrustBreaker::State::kActive;
-  if (cache_breaker_.note_failure(host_.engine().now())) {
-    m_bypass_entries_.inc();
-    if (was_active) {
-      // Sustained tampering: stop trusting the scratch disk.  Clean blocks
-      // are dropped (they would keep failing anyway); dirty blocks are the
-      // only copy of absorbed writes and stay until flush.  A failed
-      // half-open probe goes straight back to bypass without a re-purge
-      // (the probe fill is the only clean block to have landed since).
-      cache_.erase_clean();
-      SGFS_WARN("sgfs-proxy", "poisoned cache: entering bypass for ",
-                config_.cache.bypass_duration / sim::kMillisecond, " ms");
-    }
-  }
-}
-
-void ClientProxy::poison_evict(const BlockKey& key) {
-  if (!cache_.contains(key)) return;
-  // A tampered dirty block is unrecoverable — the cache held the only copy.
-  // Surface nothing corrupt; account the loss like a cancelled write-back.
-  cancelled_writeback_bytes_ += cache_.erase(key);
-  m_poison_evictions_.inc();
+  store_.rebind(crypto::KeyRegression::content_key(*epoch_secret_, epoch));
 }
 
 void ClientProxy::purge_cached_plaintext() {
-  cancelled_writeback_bytes_ += cache_.clear();
+  store_.purge();
   ledger_.clear();
   attrs_.clear();
-  names_.clear();
   access_cache_.clear();
   dir_cache_.clear();
-  file_keys_.clear();
-  name_keys_.clear();
-  name_master_.clear();
-  m_revocation_purges_.inc();
-}
-
-void ClientProxy::rekey_cache() {
-  Buffer new_master = crypto::KeyRegression::content_key(*epoch_secret_,
-                                                         epoch_secret_epoch_);
-  if (new_master == cache_master_) return;
-  // Dirty blocks are the only copy of absorbed writes: reopen them under
-  // the outgoing keys and re-seal under the new master.  Clean blocks are
-  // simply dropped (a re-fetch is cheaper than a re-seal pass and stale
-  // keys must never serve).
-  std::map<BlockKey, Buffer> dirty_plain;
-  for (const BlockKey& key : cache_.keys()) {
-    if (!cache_.is_dirty(key)) continue;
-    auto plain = unseal(*cache_.find(key), key);
-    if (!plain) {
-      note_verify_failure();
-      continue;  // poisoned while dirty: dropped below with the clean set
-    }
-    dirty_plain.emplace(key, std::move(*plain));
-  }
-  cache_master_ = std::move(new_master);
-  file_keys_.clear();
-  // Sealed name entries were keyed under the outgoing master: they can no
-  // longer verify, so forget them (a name is re-learned on the next LOOKUP,
-  // far cheaper than a data re-fetch).
-  names_.clear();
-  name_keys_.clear();
-  name_master_.clear();
-  // Everything not re-sealed below goes: clean blocks and any dirty block
-  // whose blob failed verification.
-  cancelled_writeback_bytes_ +=
-      cache_.erase_if([&](const BlockKey& key, const Block&) {
-        return dirty_plain.count(key) == 0;
-      });
-  for (const auto& [key, plaintext] : dirty_plain) {
-    if (Block* b = cache_.find(key)) seal_into(*b, key, ByteView(plaintext));
-  }
-}
-
-bool ClientProxy::data_cache_admitting() {
-  if (!config_.cache.encryption) return true;
-  const bool was_open = cache_breaker_.state() == TrustBreaker::State::kOpen;
-  const bool ok = cache_breaker_.admitting(host_.engine().now());
-  if (was_open && ok) {
-    // Bypass window over: half-open.  Fills are admitted on trial; the
-    // cache earns back full trust only when a trial blob verifies on its
-    // next hit — i.e. after it has actually rested on the suspect disk.
-    m_probes_.inc();
-    SGFS_INFO("sgfs-proxy", "cache half-open: probing the scratch disk");
-  }
-  return ok;
-}
-
-// --- sealed name table (satellite of DESIGN.md §16) -------------------------
-//
-// The name/fileid lookup table is cache metadata with the same threat model
-// as the data blocks: a scratch disk that can swap one name's binding for
-// another redirects a victim's open() to an attacker-chosen file.  Entries
-// are therefore sealed under a dedicated sub-master ("sgfs name table") with
-// the directory fileid as the key-schedule file and the name's hash as the
-// block index; verification happens on every hit, and a MAC failure drops
-// the entry (forcing a server refetch) and strikes the poisoned-cache
-// breaker like a data-block failure.
-
-const crypto::SealKeys& ClientProxy::name_keys(uint64_t dir) {
-  if (name_master_.empty()) {
-    name_master_ = crypto::derive(ByteView(cache_master_), "sgfs name table",
-                                  ByteView(), cache_master_.size());
-  }
-  auto [it, fresh] = name_keys_.try_emplace(dir);
-  if (fresh) it->second = crypto::derive_seal_keys(name_master_, dir);
-  return it->second;
-}
-
-void ClientProxy::name_put(uint64_t dir, const std::string& name,
-                           const nfs::LookupRes& res) {
-  NameEntry& e = names_[{dir, name}];
-  if (!config_.cache.encryption) {
-    e.res = res;
-    e.sealed.clear();
-    e.generation = 0;
-    return;
-  }
-  xdr::Encoder enc;  // flat: the blob is sealed in place, never chained
-  enc(res);
-  Buffer plain = enc.take_flat();
-  e.generation = ++seal_clock_;
-  e.sealed = crypto::seal_block(name_keys(dir), dir, shard_hash(name),
-                                e.generation,
-                                ByteView(plain.data(), plain.size()));
-  e.res = nfs::LookupRes();  // the sealed blob is the only trusted copy
-  host_.cpu().charge(seal_cost(plain.size()), "crypto");
-}
-
-std::optional<nfs::LookupRes> ClientProxy::name_get(uint64_t dir,
-                                                    const std::string& name) {
-  auto it = names_.find({dir, name});
-  if (it == names_.end()) return std::nullopt;
-  NameEntry& e = it->second;
-  if (e.generation == 0) {
-    if (config_.cache.encryption) {
-      // Legacy (unsealed) entry in an encrypted cache: never trust it.
-      names_.erase(it);
-      return std::nullopt;
-    }
-    return e.res;
-  }
-  host_.cpu().charge(seal_cost(e.sealed.size()), "crypto");
-  auto plain = crypto::unseal_block(name_keys(dir), dir, shard_hash(name),
-                                    e.generation,
-                                    ByteView(e.sealed.data(),
-                                             e.sealed.size()));
-  if (plain) {
-    try {
-      xdr::Decoder dec(ByteView(plain->data(), plain->size()));
-      nfs::LookupRes res;
-      dec(res);
-      dec.expect_done();
-      return res;
-    } catch (const xdr::XdrError&) {
-      // MAC passed but the payload is malformed: treat as tampering.
-    }
-  }
-  m_name_verify_failures_.inc();
-  names_.erase(it);
-  SGFS_WARN("sgfs-proxy", "name table entry failed verification: dir ", dir,
-            " name ", name);
-  note_verify_failure();
-  return std::nullopt;
-}
-
-std::vector<std::pair<uint64_t, std::string>> ClientProxy::tamperable_names()
-    const {
-  std::vector<std::pair<uint64_t, std::string>> out;
-  for (const auto& [key, e] : names_) {
-    if (e.generation > 0) out.push_back(key);
-  }
-  return out;
-}
-
-bool ClientProxy::tamper_name(const std::pair<uint64_t, std::string>& key,
-                              const std::function<void(Buffer&)>& fn) {
-  auto it = names_.find(key);
-  if (it == names_.end() || it->second.generation == 0) return false;
-  fn(it->second.sealed);
-  return true;
 }
 
 // --- replica read path (DESIGN.md §16) --------------------------------------
@@ -414,12 +178,12 @@ sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
   const BlockKey rkey{a.fh.fileid, index};
   const bool fillable = config_.cache.cache_data && !cache_.contains(rkey) &&
                         !ledger_.contains(rkey);
-  if (fillable && (!config_.cache.encryption || data_cache_admitting())) {
+  if (fillable && store_.admit_fill()) {
     const size_t n = std::min<size_t>(plain->size(), bs);
-    overlay_block(rkey, static_cast<uint32_t>(n), /*absorb=*/false,
-                  [&](MutByteView dst) {
-                    std::copy_n(plain->begin(), n, dst.begin());
-                  });
+    store_.overlay(rkey, static_cast<uint32_t>(n), /*absorb=*/false,
+                   [&](MutByteView dst) {
+                     std::copy_n(plain->begin(), n, dst.begin());
+                   });
     spawn_cache_store(a.fh.fileid, index, n);
     co_await evict_if_needed();
   }
@@ -499,13 +263,7 @@ sim::Task<BufChain> ClientProxy::forward(const rpc::CallContext& ctx,
   }
   // Reply processing: inside the blocking proxy's single thread this
   // serializes with everything else.
-  co_await host_.cpu().use(config_.cost.msg_cost(reply.size()), "proxy");
-  if (config_.cost.overlapped_bytes_per_sec > 0) {
-    host_.cpu().charge(
-        sim::from_seconds(reply.size() /
-                          config_.cost.overlapped_bytes_per_sec),
-        "proxy");
-  }
+  co_await config_.cost.charge_message(host_.cpu(), reply.size());
   co_return reply;
 }
 
@@ -544,55 +302,8 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
   const bool security_changed =
       config.security.cipher != config_.security.cipher ||
       config.security.mac != config_.security.mac;
-  const bool encryption_changed =
-      config.cache.encryption != config_.cache.encryption;
   config_ = config;
-  if (encryption_changed) {
-    // Blocks stored under the old at-rest mode must never be served under
-    // the new one: a plaintext blob would fail (or worse, satisfy) the
-    // sealed read path, and a sealed blob is garbage to the plaintext one.
-    // Clean blocks are droppable; dirty blocks carry the only copy of
-    // absorbed writes and convert in place.
-    cache_.erase_clean();
-    if (config_.cache.encryption) {
-      // Resident blocks are plaintext right now, so there is nothing to
-      // re-seal from the old key: just (re)bind the master and convert the
-      // dirty set.
-      if (epoch_secret_) {
-        cache_master_ = crypto::KeyRegression::content_key(
-            *epoch_secret_, epoch_secret_epoch_);
-      } else if (cache_master_.empty()) {
-        cache_master_ = rng_.bytes(crypto::KeyRegression::kSecretSize);
-      }
-      file_keys_.clear();
-      for (const BlockKey& key : cache_.keys()) {
-        Block& b = *cache_.find(key);
-        if (b.generation != 0) continue;
-        Buffer plain = std::move(b.data);
-        plain.resize(config_.cache.block_size, 0);
-        seal_into(b, key, ByteView(plain.data(), plain.size()));
-      }
-    } else {
-      for (const BlockKey& key : cache_.keys()) {
-        Block& b = *cache_.find(key);
-        if (auto plain = unseal(b, key)) {
-          b.data = std::move(*plain);
-          b.data.resize(config_.cache.block_size, 0);
-          b.generation = 0;
-          continue;
-        }
-        // Poisoned while dirty: unrecoverable, never surface it.
-        m_verify_failures_.inc();
-        cancelled_writeback_bytes_ += cache_.erase(key);
-      }
-    }
-    cache_breaker_ = TrustBreaker(cache_breaker_policy());
-    // Name entries sealed (or stored plaintext) under the old mode are
-    // unreadable under the new one; the table re-fills on the next lookups.
-    names_.clear();
-    name_keys_.clear();
-    name_master_.clear();
-  }
+  store_.reload();  // switches the at-rest mode if cache.encryption moved
   // A shrunk capacity must not leave over-capacity blocks resident: drop
   // clean victims in LRU order now (reload is synchronous, so dirty blocks
   // wait for the next cache operation's writeback-eviction).
@@ -613,14 +324,6 @@ std::vector<ClientProxy::BlockKey> ClientProxy::tamperable_blocks() const {
     if (!cache_.is_dirty(key) && !ledger_.contains(key)) keys.push_back(key);
   }
   return keys;
-}
-
-bool ClientProxy::tamper_block(const BlockKey& key,
-                               const std::function<void(Buffer&)>& fn) {
-  Block* b = cache_.find(key);
-  if (!b) return false;
-  fn(b->data);
-  return true;
 }
 
 // --- cache plumbing -----------------------------------------------------------
@@ -708,49 +411,6 @@ void ClientProxy::drop_file(uint64_t fileid) {
   ledger_.drop_file(fileid);
 }
 
-void ClientProxy::invalidate_dir(uint64_t dir_fileid) {
-  dir_cache_.erase(dir_fileid);
-  auto it = names_.lower_bound({dir_fileid, ""});
-  while (it != names_.end() && it->first.first == dir_fileid) {
-    it = names_.erase(it);
-  }
-}
-
-ClientProxy::Block* ClientProxy::overlay_block(
-    const BlockKey& key, uint32_t valid, bool absorb,
-    const std::function<void(MutByteView)>& copy_in) {
-  if (!absorb && cache_.is_dirty(key)) return nullptr;
-  if (!config_.cache.encryption) {
-    Block& b = cache_.insert(key);
-    copy_in(MutByteView(b.data.data(), b.data.size()));
-    b.valid = std::max(b.valid, valid);
-    return &b;
-  }
-  // Stage the full plaintext block (old verified contents overlaid with the
-  // new bytes), then seal it at a new generation.  A failed verification
-  // forfeits the old contents: the server still holds them, so nothing
-  // corrupt is ever served or written back.
-  const size_t bs = config_.cache.block_size;
-  Buffer stage(bs, 0);
-  uint32_t old_valid = 0;
-  if (const Block* old = cache_.find(key); old && old->generation != 0) {
-    if (auto plain = unseal(*old, key)) {
-      old_valid = old->valid;
-      stage = std::move(*plain);
-      stage.resize(bs, 0);
-    } else {
-      note_verify_failure();
-      poison_evict(key);
-      if (!absorb && cache_bypassed()) return nullptr;
-    }
-  }
-  copy_in(MutByteView(stage.data(), stage.size()));
-  Block& b = cache_.insert(key);
-  b.valid = std::max(old_valid, valid);
-  seal_into(b, key, ByteView(stage.data(), stage.size()));
-  return &b;
-}
-
 template <Proc3 P>
 sim::Task<typename nfs::ProcTraits<P>::Res> ClientProxy::forward_own(
     typename nfs::ProcTraits<P>::Args args) {
@@ -773,32 +433,24 @@ sim::Task<nfs::WriteRes> ClientProxy::upstream_write(BlockKey key,
 }
 
 sim::Task<std::optional<BufChain>> ClientProxy::dirty_snapshot(BlockKey key) {
-  const Block* b = cache_.find(key);
+  const auto* b = cache_.find(key);
   if (!b || !cache_.is_dirty(key)) co_return std::nullopt;
   co_await cache_disk_io(key.fileid, key.block, b->valid, /*write=*/false);
   // The disk read suspended: a concurrent op (poison eviction, truncate,
   // another flush) may have erased the block meanwhile.
-  b = cache_.find(key);
-  if (!b || !cache_.is_dirty(key)) co_return std::nullopt;
+  if (!cache_.is_dirty(key)) co_return std::nullopt;
+  auto plain = store_.open(key);
+  if (!plain) {
+    // A dirty block failed verification: the scratch disk destroyed the
+    // only copy.  Never push (or serve) the corrupt bytes.
+    SGFS_WARN("sgfs-proxy",
+              "dirty cache block failed verification; dropping write-back");
+    co_return std::nullopt;
+  }
   // Snapshot the block: the kernel client may keep writing into the cached
   // block while the WRITE is in flight, so the upstream payload cannot
   // alias it.  This is the one copy a write-back cache fundamentally needs.
-  const size_t len = b->valid;
-  std::optional<BufChain> snap;
-  if (!config_.cache.encryption) {
-    snap = BufChain::copy_of(ByteView(b->data.data(), len));
-  } else if (auto plain = unseal(*b, key)) {
-    snap = BufChain::copy_of(ByteView(plain->data(), len));
-  } else {
-    // A dirty block failed verification: the scratch disk destroyed the
-    // only copy.  Never push (or serve) the corrupt bytes.
-    note_verify_failure();
-    SGFS_WARN("sgfs-proxy",
-              "dirty cache block failed verification; dropping write-back");
-    poison_evict(key);
-    co_return std::nullopt;
-  }
-  co_return std::move(snap);
+  co_return BufChain::copy_of(ByteView(plain->bytes().data(), plain->valid));
 }
 
 sim::Task<void> ClientProxy::writeback_block(uint64_t fileid, uint64_t block,
@@ -865,8 +517,8 @@ sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
       // (it may be dirty) or one with an uncommitted replay shadow.
       if (cache_.contains(key) || ledger_.contains(key)) continue;
       const BufChain chunk = res.data.slice(off, len);
-      overlay_block(key, static_cast<uint32_t>(len), /*absorb=*/false,
-                    [&](MutByteView dst) { chunk.copy_to(dst); });
+      store_.overlay(key, static_cast<uint32_t>(len), /*absorb=*/false,
+                     [&](MutByteView dst) { chunk.copy_to(dst); });
       spawn_cache_store(a.fh.fileid, block, len);
     }
     co_await evict_if_needed();
@@ -1013,12 +665,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
 
 sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
                                        BufChain args) {
-  co_await host_.cpu().use(config_.cost.msg_cost(args.size()), "proxy");
-  if (config_.cost.overlapped_bytes_per_sec > 0) {
-    host_.cpu().charge(sim::from_seconds(args.size() /
-                                         config_.cost.overlapped_bytes_per_sec),
-                       "proxy");
-  }
+  co_await config_.cost.charge_message(host_.cpu(), args.size());
   if (ctx.auth_sys) last_client_auth_ = ctx.auth_sys;
 
   if (ctx.prog == nfs::kMountProgram || !config_.cache.enabled) {
@@ -1051,7 +698,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     case Proc3::kLookup: {
       auto a = xdr::decode<nfs::DiropArgs>(args);
       if (config_.cache.cache_names) {
-        auto cached = name_get(a.dir.fileid, a.name);
+        auto cached = store_.name_get(a.dir.fileid, a.name);
         if (cached) {
           ++absorbed_lookups_;
           m_absorbed_lookups_.inc();
@@ -1065,7 +712,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
       BufChain reply = co_await forward(ctx, args);
       auto res = xdr::decode<nfs::LookupRes>(reply);
       if (res.status == Status::kOk && config_.cache.cache_names) {
-        name_put(a.dir.fileid, a.name, res);
+        store_.name_put(a.dir.fileid, a.name, res);
         remember(res.fh, res.attrs);
         remember(a.dir, res.dir_attrs);
       }
@@ -1106,71 +753,42 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
       const BlockKey rkey{a.fh.fileid, a.offset / bs};
       for (int pass = 0;; ++pass) {
         if (aligned) {
-          const Block* hit = cache_.find(rkey);
           auto at = attrs_.find(a.fh.fileid);
           // A dirty block is the newest copy whatever the attributes say.
-          if (hit && at != attrs_.end() &&
+          // The store verifies a sealed block before it is served.
+          std::optional<CacheStore::Plaintext> plain;
+          if (cache_.contains(rkey) && at != attrs_.end() &&
               (cache_.is_dirty(rkey) || attrs_fresh(at->second))) {
-            // Sealed cache: verify before serving.  During bypass only
-            // dirty blocks (the sole copy of absorbed writes) are served
-            // from cache; everything else reads through.
-            std::optional<Buffer> plain;
-            bool serve = true;
-            if (config_.cache.encryption) {
-              serve = !cache_bypassed() || cache_.is_dirty(rkey);
-              if (serve) {
-                plain = unseal(*hit, rkey);
-                if (!plain) {
-                  // The scratch disk lied.  Never surface the corrupt
-                  // bytes: count, evict, and re-fetch from the server.
-                  note_verify_failure();
-                  poison_evict(rkey);
-                  m_refetches_.inc();
-                  serve = false;
-                } else if (cache_breaker_.state() ==
-                           TrustBreaker::State::kProbe) {
-                  // A trial blob survived at rest and verified: the disk
-                  // is behaving again, re-arm full caching.
-                  cache_breaker_.note_success();
-                  SGFS_INFO("sgfs-proxy",
-                            "cache probe clean: caching re-enabled");
-                }
-              }
-            }
-            if (serve) {
-              ++absorbed_reads_;
-              m_absorbed_reads_.inc();
-              const uint64_t size = at->second.attrs.size;
-              const Block& b = *hit;
-              size_t have =
-                  a.offset >= size
-                      ? 0
-                      : std::min<uint64_t>(
-                            std::min<uint64_t>(a.count, b.valid),
-                            size - a.offset);
-              // The at-rest bytes bound the copy (a tampered plaintext
-              // cache may hold a truncated buffer — the negative control
-              // serves wrong bytes, never out-of-bounds ones).
-              const uint8_t* src = plain ? plain->data() : b.data.data();
-              const size_t cap = plain ? plain->size() : b.data.size();
-              have = std::min(have, cap);
-              // Snapshot the reply before the disk-io suspension: a
-              // concurrent op may evict the block (or drop the attrs)
-              // while this coroutine sleeps on the cache disk.
-              nfs::ReadRes res;
-              res.count = static_cast<uint32_t>(have);
-              res.eof = a.offset + have >= size;
-              res.data = BufChain::copy_of(ByteView(src, have));
-              res.post_attrs = at->second.attrs;
-              co_await cache_disk_io(a.fh.fileid, a.offset / bs,
-                                     have ? have : 1,
-                                     /*write=*/false);
-              co_return xdr::encode(res);
-            }
+            plain = store_.read_hit(rkey);
+          }
+          if (plain) {
+            ++absorbed_reads_;
+            m_absorbed_reads_.inc();
+            const uint64_t size = at->second.attrs.size;
+            size_t have = a.offset >= size
+                              ? 0
+                              : std::min<uint64_t>(
+                                    std::min<uint64_t>(a.count, plain->valid),
+                                    size - a.offset);
+            // The at-rest bytes bound the copy (a tampered plaintext cache
+            // may hold a truncated buffer — the negative control serves
+            // wrong bytes, never out-of-bounds ones).
+            const ByteView bytes = plain->bytes();
+            have = std::min(have, bytes.size());
+            // Snapshot the reply before the disk-io suspension: a
+            // concurrent op may evict the block (or drop the attrs) while
+            // this coroutine sleeps on the cache disk.
+            nfs::ReadRes res;
+            res.count = static_cast<uint32_t>(have);
+            res.eof = a.offset + have >= size;
+            res.data = BufChain::copy_of(bytes.first(have));
+            res.post_attrs = at->second.attrs;
+            co_await cache_disk_io(a.fh.fileid, a.offset / bs,
+                                   have ? have : 1, /*write=*/false);
+            co_return xdr::encode(res);
           }
         }
-        if (pass == 0 && pool_ && aligned &&
-            (!config_.cache.encryption || data_cache_admitting())) {
+        if (pass == 0 && pool_ && aligned && store_.admit_fill()) {
           co_await striped_fill(a);
           continue;  // re-check: the readahead usually made this a hit
         }
@@ -1188,9 +806,9 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
       auto res = xdr::decode<nfs::ReadRes>(reply);
       if (res.status == Status::kOk && aligned) {
         remember(a.fh, res.post_attrs);
-        if ((!config_.cache.encryption || data_cache_admitting()) &&
-            overlay_block(rkey, res.count, /*absorb=*/false,
-                          [&](MutByteView dst) { res.data.copy_to(dst); })) {
+        if (store_.admit_fill() &&
+            store_.overlay(rkey, res.count, /*absorb=*/false,
+                           [&](MutByteView dst) { res.data.copy_to(dst); })) {
           spawn_cache_store(a.fh.fileid, a.offset / bs, res.count);
           co_await evict_if_needed();
         }
@@ -1205,19 +823,12 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
           config_.cache.cache_data && a.offset % bs == 0 &&
           a.data.size() <= bs;
       const BlockKey wkey{a.fh.fileid, a.offset / bs};
-      bool absorb = config_.cache.write_back && aligned;
-      if (absorb && config_.cache.encryption) {
-        // During bypass, a block that is already dirty stays cache-owned
-        // (ordering: its eventual flush must not overwrite later
-        // write-throughs); everything else writes through.
-        absorb = data_cache_admitting() || cache_.is_dirty(wkey);
-      }
-      if (absorb) {
+      if (config_.cache.write_back && aligned && store_.admit_write(wkey)) {
         ++absorbed_writes_;
         m_absorbed_writes_.inc();
-        overlay_block(wkey, static_cast<uint32_t>(a.data.size()),
-                      /*absorb=*/true,
-                      [&](MutByteView dst) { a.data.copy_to(dst); });
+        store_.overlay(wkey, static_cast<uint32_t>(a.data.size()),
+                       /*absorb=*/true,
+                       [&](MutByteView dst) { a.data.copy_to(dst); });
         cache_.mark_dirty(wkey);
         spawn_cache_store(a.fh.fileid, a.offset / bs, a.data.size());
         // Update the locally-known attributes.
@@ -1246,10 +857,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
 
     case Proc3::kCommit: {
       if (config_.cache.write_back && config_.cache.cache_data &&
-          (!config_.cache.encryption ||
-           cache_breaker_.state() != TrustBreaker::State::kOpen)) {
-        // (During bypass, WRITEs went through to the server UNSTABLE, so
-        // the COMMIT barrier must reach the server too.)
+          !store_.bypassed()) {
         // Data is durable in the proxy's disk cache; the real write-back
         // happens at flush() (end of session) or under eviction pressure.
         nfs::CommitRes res;
@@ -1277,7 +885,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
           nfs::LookupRes lr;
           lr.fh = res.fh;
           lr.attrs = res.attrs;
-          name_put(where.dir.fileid, where.name, lr);
+          store_.name_put(where.dir.fileid, where.name, lr);
         }
       }
       co_return reply;
@@ -1291,14 +899,14 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
       // (A sealed entry that fails its MAC leaves the victim unknown: the
       // pending write-backs then flush normally — safe, just not optimal.)
       std::optional<uint64_t> victim;
-      if (auto hit = name_get(a.dir.fileid, a.name)) {
+      if (auto hit = store_.name_get(a.dir.fileid, a.name)) {
         victim = hit->fh.fileid;
       }
       BufChain reply = co_await forward(ctx, args);
       auto res = xdr::decode<nfs::WccRes>(reply);
       if (res.status == Status::kOk) {
         dir_cache_.erase(a.dir.fileid);
-        names_.erase({a.dir.fileid, a.name});
+        store_.name_erase(a.dir.fileid, a.name);
         remember(a.dir, res.post_attrs);
         if (victim) drop_file(*victim);
       }
@@ -1312,11 +920,11 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
       if (res.status == Status::kOk) {
         dir_cache_.erase(a.from_dir.fileid);
         dir_cache_.erase(a.to_dir.fileid);
-        if (auto moved = name_get(a.from_dir.fileid, a.from_name)) {
-          names_.erase({a.from_dir.fileid, a.from_name});
-          name_put(a.to_dir.fileid, a.to_name, *moved);
+        if (auto moved = store_.name_get(a.from_dir.fileid, a.from_name)) {
+          store_.name_erase(a.from_dir.fileid, a.from_name);
+          store_.name_put(a.to_dir.fileid, a.to_name, *moved);
         } else {
-          names_.erase({a.to_dir.fileid, a.to_name});
+          store_.name_erase(a.to_dir.fileid, a.to_name);
         }
       }
       co_return reply;
@@ -1338,7 +946,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
           ledger_.drop_file(a.fh.fileid, keep_blocks);
           const BlockKey end{a.fh.fileid, size / bs};
           const auto end_len = static_cast<uint32_t>(size % bs);
-          if (Block* b = cache_.find(end); b && b->valid > end_len) {
+          if (auto* b = cache_.find(end); b && b->valid > end_len) {
             if (cache_.is_dirty(end)) {
               cancelled_writeback_bytes_ += b->valid - end_len;
             }
@@ -1370,7 +978,7 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
                 nfs::LookupRes lr;
                 lr.fh = *entry.fh;
                 lr.attrs = entry.attrs;
-                name_put(a.dir.fileid, entry.name, lr);
+                store_.name_put(a.dir.fileid, entry.name, lr);
               }
             }
           }

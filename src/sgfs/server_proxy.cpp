@@ -8,6 +8,11 @@ using nfs::Fh;
 using nfs::Proc3;
 using nfs::Status;
 
+namespace {
+// The account an unmapped caller gets under UnmappedPolicy::kAnonymous.
+const Account kAnonymous("nobody", 65534, 65534);
+}  // namespace
+
 ServerProxy::ServerProxy(net::Host& host, ServerProxyConfig config,
                          std::shared_ptr<vfs::FileSystem> fs_for_acls,
                          Rng rng)
@@ -91,7 +96,6 @@ void ServerProxy::reload(ServerProxyConfig config) {
   config_.gridmap = config.gridmap;
   config_.accounts = config.accounts;
   config_.unmapped = config.unmapped;
-  config_.anonymous = config.anonymous;
   config_.fine_grained_acls = config.fine_grained_acls;
   // A reload applies to live sessions immediately: every session re-checks
   // the (possibly changed) gridmap on its next op.
@@ -138,7 +142,7 @@ std::optional<Account> ServerProxy::authorize(const rpc::CallContext& ctx) {
     // paper); every request maps to the session's account.
     if (config_.plain_account) return config_.plain_account;
     return config_.unmapped == UnmappedPolicy::kAnonymous
-               ? std::optional<Account>(config_.anonymous)
+               ? std::optional<Account>(kAnonymous)
                : std::nullopt;
   }
   if (!ctx.peer_identity) return std::nullopt;  // plaintext: never authorized
@@ -172,7 +176,7 @@ std::optional<Account> ServerProxy::authorize(const rpc::CallContext& ctx) {
     return std::nullopt;
   }
   if (config_.unmapped == UnmappedPolicy::kAnonymous) {
-    return config_.anonymous;
+    return kAnonymous;
   }
   return std::nullopt;
 }
@@ -200,13 +204,7 @@ sim::Task<BufChain> ServerProxy::forward(const rpc::CallContext& ctx,
       ctx.prog == nfs::kMountProgram ? *upstream_mount_ : *upstream_nfs_;
   client.set_auth(cred);
   BufChain reply = co_await client.call(ctx.proc, std::move(args));
-  co_await host_.cpu().use(config_.cost.msg_cost(reply.size()), "proxy");
-  if (config_.cost.overlapped_bytes_per_sec > 0) {
-    host_.cpu().charge(
-        sim::from_seconds(reply.size() /
-                          config_.cost.overlapped_bytes_per_sec),
-        "proxy");
-  }
+  co_await config_.cost.charge_message(host_.cpu(), reply.size());
   co_return reply;
 }
 

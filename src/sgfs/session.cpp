@@ -4,6 +4,14 @@
 
 namespace sgfs::core {
 
+sim::Task<void> ProxyCostModel::charge_message(sim::Resource& cpu,
+                                               size_t bytes) const {
+  co_await cpu.use(msg_cost(bytes), "proxy");
+  if (overlapped_bytes_per_sec > 0) {
+    cpu.charge(sim::from_seconds(bytes / overlapped_bytes_per_sec), "proxy");
+  }
+}
+
 void apply_config_text(const Config& cfg, CacheConfig& cache,
                        crypto::SecurityConfig& security) {
   security.cipher = crypto::cipher_from_string(

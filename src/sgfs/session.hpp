@@ -44,6 +44,10 @@ struct ProxyCostModel {
            sim::from_seconds(static_cast<double>(bytes) /
                              copy_bytes_per_sec);
   }
+
+  /// Charges one message of `bytes` to a proxy's CPU: occupies it for
+  /// msg_cost(), then accounts the overlapped per-byte work.
+  sim::Task<void> charge_message(sim::Resource& cpu, size_t bytes) const;
 };
 
 /// Client-proxy disk cache parameters (paper §4.2 configuration file).
@@ -145,7 +149,6 @@ struct ServerProxyConfig {
   GridMap gridmap;
   AccountTable accounts;
   UnmappedPolicy unmapped = UnmappedPolicy::kDeny;
-  Account anonymous = Account("nobody", 65534, 65534);
   bool fine_grained_acls = true;
   net::Address kernel_nfs;  // loopback address of the kernel NFS server
   ProxyCostModel cost;

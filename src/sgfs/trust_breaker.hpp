@@ -79,9 +79,6 @@ class TrustBreaker {
   }
 
   State state() const { return state_; }
-  int strikes() const { return strikes_; }
-  sim::SimTime open_until() const { return open_until_; }
-  const Policy& policy() const { return policy_; }
 
  private:
   Policy policy_;

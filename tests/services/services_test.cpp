@@ -404,5 +404,50 @@ TEST(ShardMapService, DiscoveryServesCachedSignedReply) {
   }(rig));
 }
 
+// --- FSS kReconfigure ------------------------------------------------------------
+
+TEST(Services, ReconfigureRekeysALiveClientProxy) {
+  ServiceRig rig;
+  rig.eng.run_task([](ServiceRig& rig) -> Task<void> {
+    DssClient client(*rig.compute, net::Address("middleware", 7000),
+                     pki().alice, {pki().ca.root()}, Rng(909));
+    core::CacheConfig cache;
+    auto session = co_await client.create_session(
+        "/GFS/alice", "compute", net::Address("compute", 6000),
+        crypto::Cipher::kAes256Cbc, crypto::MacAlgo::kHmacSha1, cache);
+    // Mounting through the proxy brings its secure upstream session up.
+    net::Address proxy(session.client_host, session.client_proxy_port);
+    rpc::AuthSys job(1000, 1000, "compute");
+    auto mp = co_await nfs::MountPoint::mount(*rig.compute, proxy,
+                                              "/GFS/alice", job);
+    core::ClientProxy* live =
+        rig.fss_client->client_proxy(session.client_proxy_port);
+    const uint32_t before = live->key_generation();
+    EXPECT_GT(before, 0u);
+
+    const net::Address fss("compute", 6000);
+    auto reconfigure = [&rig](uint16_t port) {
+      return sign_envelope("Reconfigure", {{"port", std::to_string(port)}},
+                           pki().dss,
+                           static_cast<int64_t>(rig.eng.now() / sim::kSecond))
+          .serialize();
+    };
+    Envelope done = co_await call_fss_raw(
+        *rig.middleware, fss, ServiceProc::kReconfigure,
+        reconfigure(session.client_proxy_port));
+    EXPECT_EQ(done.action, "ReconfigureResponse") << done.to_xml();
+    EXPECT_EQ(live->key_generation(), before + 1);
+
+    Envelope missing = co_await call_fss_raw(
+        *rig.middleware, fss, ServiceProc::kReconfigure,
+        reconfigure(static_cast<uint16_t>(session.client_proxy_port + 1)));
+    EXPECT_EQ(missing.action, "Fault") << missing.to_xml();
+    EXPECT_EQ(missing.fields.at("reason"), "no such session");
+    EXPECT_EQ(live->key_generation(), before + 1);
+  }(rig));
+  EXPECT_TRUE(rig.eng.errors().empty())
+      << (rig.eng.errors().empty() ? "" : rig.eng.errors()[0]);
+}
+
 }  // namespace
 }  // namespace sgfs::services

@@ -176,7 +176,7 @@ TEST(TestbedCpu, DaemonUtilizationSeriesAvailable) {
     auto mp = co_await tb.mount();
     (void)co_await run_iozone(tb, mp, params);
   }(tb, params));
-  auto series = tb.client_daemon_cpu_series();
+  auto series = tb.daemon_cpu_series(Testbed::Side::kClient);
   EXPECT_FALSE(series.empty());
   double peak = 0;
   for (double s : series) peak = std::max(peak, s);
