@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/accel.hpp"
 
 namespace sgfs::crypto {
@@ -209,6 +211,40 @@ TEST(BigInt, ModExpMontgomeryEdgeCases) {
   EXPECT_EQ(BigInt::mod_exp(BigInt(3), p - one, p), one);
 }
 
+TEST(BigInt, ModExpFixedWidthMatchesReference) {
+  // Each Montgomery size class at its edges: moduli of exactly 256, 512,
+  // 1024 and 2048 bits and their +-1-bit and +-64-bit neighbours, each as a
+  // random odd value, 2^b - 1 and 2^(b-1) + 1.  Exponents 0, 1, 65537,
+  // CRT-sized (b/2 bits) and full width; bases 0, m - 1 and values >= m.
+  Rng rng(23);
+  const BigInt one(1);
+  for (size_t edge : {256u, 512u, 1024u, 2048u}) {
+    for (size_t bits : {edge - 64, edge - 1, edge, edge + 1, edge + 64}) {
+      BigInt random = BigInt::random_bits(rng, bits);
+      if (!random.is_odd()) random = random + one;
+      const BigInt moduli[] = {random, (one << bits) - one,
+                               (one << (bits - 1)) + one};
+      for (const BigInt& m : moduli) {
+        const BigInt exps[] = {BigInt(), one, BigInt(65537),
+                               BigInt::random_bits(rng, bits / 2),
+                               BigInt::random_bits(rng, bits)};
+        const BigInt bases[] = {
+            BigInt(), m - one, m,
+            m + BigInt::random_below(rng, m),
+            BigInt::random_bits(rng, bits + 1 + rng.next_below(130))};
+        for (const BigInt& exp : exps) {
+          for (const BigInt& base : bases) {
+            ASSERT_EQ(BigInt::mod_exp(base, exp, m),
+                      accel::mod_exp_reference(base, exp, m))
+                << bits << " bits: m=" << m.to_hex()
+                << " exp=" << exp.to_hex() << " base=" << base.to_hex();
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BigInt, Gcd) {
   EXPECT_EQ(BigInt::gcd(BigInt(48), BigInt(36)), BigInt(12));
   EXPECT_EQ(BigInt::gcd(BigInt(17), BigInt(13)), BigInt(1));
@@ -265,6 +301,91 @@ TEST(BigInt, PrimalityKnownValues) {
   EXPECT_FALSE(BigInt(65536).is_probable_prime(rng));
   // 2^128 + 1 is composite (= 59649589127497217 * 5704689200685129054721).
   EXPECT_FALSE(((BigInt(1) << 128) + BigInt(1)).is_probable_prime(rng));
+}
+
+// Miller-Rabin exactly as BigInt ran it before its Montgomery squarings,
+// over the reference exponentiation: the verdict and the Rng draws
+// is_probable_prime must reproduce.
+bool miller_rabin_reference(const BigInt& n, Rng& rng, int rounds = 24) {
+  static const uint32_t kSmallPrimes[] = {
+      2,  3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+      59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113};
+  if (n < BigInt(2)) return false;
+  for (uint32_t p : kSmallPrimes) {
+    if (n == BigInt(p)) return true;
+    if ((n % BigInt(p)).is_zero()) return false;
+  }
+  const BigInt n_minus_1 = n - BigInt(1);
+  BigInt d = n_minus_1;
+  size_t r = 0;
+  while (!d.is_odd()) {
+    d = d >> 1;
+    ++r;
+  }
+  for (int round = 0; round < rounds; ++round) {
+    const BigInt a = BigInt(2) + BigInt::random_below(rng, n - BigInt(4));
+    BigInt x = accel::mod_exp_reference(a, d, n);
+    if (x == BigInt(1) || x == n_minus_1) continue;
+    bool composite = true;
+    for (size_t i = 0; i + 1 < r; ++i) {
+      x = (x * x) % n;
+      if (x == n_minus_1) {
+        composite = false;
+        break;
+      }
+    }
+    if (composite) return false;
+  }
+  return true;
+}
+
+TEST(BigInt, PrimalityMatchesReferenceMillerRabin) {
+  // Same verdict and same Rng state afterwards on primes, Carmichael
+  // numbers, strong pseudoprimes to small bases and random composites.
+  Rng gen(24);
+  const BigInt one(1);
+  const BigInt k = (one << 84) + BigInt(0xfcd);
+  const BigInt chernick[] = {BigInt(6) * k + one, BigInt(12) * k + one,
+                             BigInt(18) * k + one};
+  for (const BigInt& f : chernick) {
+    Rng rng(25);
+    ASSERT_TRUE(miller_rabin_reference(f, rng)) << f.to_hex();
+  }
+  std::vector<BigInt> inputs = {
+      BigInt(0), BigInt(1), BigInt(2), BigInt(3), BigInt(4), BigInt(113),
+      BigInt(127), BigInt(121), BigInt(65537),
+      // Carmichael numbers.
+      BigInt(561), BigInt(41041), BigInt(825265), BigInt(321197185),
+      // 263 bits, Chernick's (6k+1)(12k+1)(18k+1) with all three prime.
+      chernick[0] * chernick[1] * chernick[2],
+      // A strong pseudoprime to bases 2, 3, 5 and 7.
+      BigInt(3215031751ull),
+      (one << 127) - one,              // Mersenne prime
+      (one << 128) + one,              // composite Fermat number
+      (one << 255) - BigInt(19),       // prime
+      (one << 256) - BigInt(189),      // prime
+  };
+  for (size_t bits : {64u, 256u, 257u, 512u}) {
+    for (int i = 0; i < 12; ++i) {
+      BigInt v = BigInt::random_bits(gen, bits);
+      if (!v.is_odd()) v = v + one;
+      inputs.push_back(v);  // mostly composites, some with no small factor
+    }
+    for (int i = 0; i < 2; ++i) {
+      inputs.push_back(BigInt::generate_prime(gen, bits));
+    }
+    // Products of two primes: survive the trial division, fail Miller-Rabin.
+    const BigInt p = BigInt::generate_prime(gen, bits / 2);
+    const BigInt q = BigInt::generate_prime(gen, bits - bits / 2);
+    inputs.push_back(p * q);
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    Rng a(100 + i), b(100 + i);
+    const bool fast = inputs[i].is_probable_prime(a);
+    EXPECT_EQ(fast, miller_rabin_reference(inputs[i], b))
+        << "n=" << inputs[i].to_hex();
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "n=" << inputs[i].to_hex();
+  }
 }
 
 TEST(BigInt, GeneratePrime) {
