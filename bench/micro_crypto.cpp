@@ -265,6 +265,30 @@ void BM_RsaVerifySha1(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaVerifySha1);
 
+// The two halves of the arithmetic above, on the 256-bit factor p of the
+// same key: one CRT half of a private operation (exponent dp) and the
+// Miller-Rabin test keygen runs on each candidate that passes trial
+// division (all 24 rounds, since p is prime).
+
+void BM_RsaModExpCrtHalf(benchmark::State& state) {
+  Rng rng(7);
+  RsaKeyPair kp = rsa_generate(rng, 512);
+  const BigInt x = BigInt::random_below(rng, kp.priv.p);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::mod_exp(x, kp.priv.dp, kp.priv.p));
+  }
+}
+BENCHMARK(BM_RsaModExpCrtHalf);
+
+void BM_RsaIsProbablePrime256(benchmark::State& state) {
+  Rng rng(7);
+  RsaKeyPair kp = rsa_generate(rng, 512);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kp.priv.p.is_probable_prime(rng));
+  }
+}
+BENCHMARK(BM_RsaIsProbablePrime256)->Unit(benchmark::kMicrosecond);
+
 // --- content-addressed replication: Merkle build + per-block verify ----------
 //
 // Publication cost: one tree build over the file's cache blocks (owner

@@ -98,7 +98,11 @@ Testbed::Testbed(TestbedOptions options)
 
   if (direct) return;  // no proxies
 
-  pki_ = std::make_unique<Pki>(options_.seed + 7);
+  // Only sgfs sessions and replica catalogs read the PKI; its keys come
+  // from a stream of their own, so skipping it moves nothing else.
+  if (options_.kind == SetupKind::kSgfs || options_.replicas > 0) {
+    pki_ = std::make_unique<Pki>(options_.seed + 7);
+  }
 
   // --- server-side proxy ---
   core::ServerProxyConfig scfg;

@@ -142,7 +142,6 @@ class Testbed {
   net::Host& client_host() { return *client_; }
   net::Host& server_host() { return *server_; }
   vfs::FileSystem& server_fs() { return *fs_; }
-  nfs::Nfs3Server& kernel_server() { return *kernel_nfs_; }
   core::ClientProxy* client_proxy() { return client_proxy_.get(); }
   core::ServerProxy* server_proxy() { return server_proxy_.get(); }
   /// The storage-fault injector; nullptr unless cache_tamper is enabled.
@@ -208,7 +207,7 @@ class Testbed {
   net::Network net_;
   net::Host* client_;
   net::Host* server_;
-  std::unique_ptr<Pki> pki_;
+  std::unique_ptr<Pki> pki_;  // sgfs setups and replica fleets only
   std::shared_ptr<vfs::FileSystem> fs_;
   std::shared_ptr<nfs::Nfs3Server> kernel_nfs_;
   std::unique_ptr<rpc::RpcServer> kernel_rpc_;

@@ -22,7 +22,6 @@ std::array<uint8_t, 16> frame_iv(uint64_t seq) {
 sim::Task<void> splice_encrypt(net::StreamPtr src, net::StreamPtr dst,
                                net::Host* host, TunnelCostModel cost,
                                Buffer aes_key, Buffer mac_key,
-                               std::shared_ptr<uint64_t> frames,
                                std::shared_ptr<bool> alive) {
   crypto::Aes aes(aes_key);
   crypto::HmacSha1 mac(mac_key);
@@ -34,7 +33,6 @@ sim::Task<void> splice_encrypt(net::StreamPtr src, net::StreamPtr dst,
     plain.resize(n);
     co_await host->cpu().use(cost.frame_cost(n), "ssh");
     Buffer frame = SshTunnel::seal_frame(aes, mac, seq++, plain);
-    if (frames) ++*frames;
     try {
       co_await dst->write(std::move(frame));
     } catch (const net::StreamClosed&) {
@@ -131,10 +129,9 @@ void SshTunnel::start() {
   started_ = true;
   client_host_.engine().spawn(client_accept_loop(
       client_listener_, &client_host_, remote_endpoint_, cost_, keys_,
-      connections_, frames_, alive_));
+      connections_, alive_));
   server_host_.engine().spawn(server_accept_loop(
-      server_listener_, &server_host_, target_, cost_, keys_, frames_,
-      alive_));
+      server_listener_, &server_host_, target_, cost_, keys_, alive_));
 }
 
 void SshTunnel::stop() {
@@ -146,8 +143,7 @@ void SshTunnel::stop() {
 sim::Task<void> SshTunnel::client_accept_loop(
     std::shared_ptr<net::Network::Listener> listener, net::Host* host,
     net::Address remote, TunnelCostModel cost, Keys keys,
-    std::shared_ptr<uint64_t> connections, std::shared_ptr<uint64_t> frames,
-    std::shared_ptr<bool> alive) {
+    std::shared_ptr<uint64_t> connections, std::shared_ptr<bool> alive) {
   for (;;) {
     net::StreamPtr local = co_await listener->accept();
     if (!local || !*alive) co_return;
@@ -162,7 +158,7 @@ sim::Task<void> SshTunnel::client_accept_loop(
     }
     auto& eng = host->engine();
     eng.spawn(splice_encrypt(local, wire, host, cost, keys.aes_key,
-                             keys.mac_key, frames, alive));
+                             keys.mac_key, alive));
     eng.spawn(splice_decrypt(wire, local, host, cost, keys.aes_key,
                              keys.mac_key, alive));
   }
@@ -171,7 +167,7 @@ sim::Task<void> SshTunnel::client_accept_loop(
 sim::Task<void> SshTunnel::server_accept_loop(
     std::shared_ptr<net::Network::Listener> listener, net::Host* host,
     net::Address target, TunnelCostModel cost, Keys keys,
-    std::shared_ptr<uint64_t> frames, std::shared_ptr<bool> alive) {
+    std::shared_ptr<bool> alive) {
   for (;;) {
     net::StreamPtr wire = co_await listener->accept();
     if (!wire || !*alive) co_return;
@@ -187,7 +183,7 @@ sim::Task<void> SshTunnel::server_accept_loop(
     eng.spawn(splice_decrypt(wire, local, host, cost, keys.aes_key,
                              keys.mac_key, alive));
     eng.spawn(splice_encrypt(local, wire, host, cost, keys.aes_key,
-                             keys.mac_key, frames, alive));
+                             keys.mac_key, alive));
   }
 }
 

@@ -59,7 +59,6 @@ class SshTunnel {
                            uint64_t seq, ByteView plain);
 
   uint64_t connections() const { return *connections_; }
-  uint64_t frames_forwarded() const { return *frames_; }
 
  private:
   struct Keys {
@@ -71,12 +70,11 @@ class SshTunnel {
   static sim::Task<void> client_accept_loop(
       std::shared_ptr<net::Network::Listener> listener, net::Host* host,
       net::Address remote, TunnelCostModel cost, Keys keys,
-      std::shared_ptr<uint64_t> connections,
-      std::shared_ptr<uint64_t> frames, std::shared_ptr<bool> alive);
+      std::shared_ptr<uint64_t> connections, std::shared_ptr<bool> alive);
   static sim::Task<void> server_accept_loop(
       std::shared_ptr<net::Network::Listener> listener, net::Host* host,
       net::Address target, TunnelCostModel cost, Keys keys,
-      std::shared_ptr<uint64_t> frames, std::shared_ptr<bool> alive);
+      std::shared_ptr<bool> alive);
 
   net::Host& client_host_;
   net::Host& server_host_;
@@ -87,7 +85,6 @@ class SshTunnel {
   std::shared_ptr<net::Network::Listener> client_listener_;
   std::shared_ptr<net::Network::Listener> server_listener_;
   std::shared_ptr<uint64_t> connections_ = std::make_shared<uint64_t>(0);
-  std::shared_ptr<uint64_t> frames_ = std::make_shared<uint64_t>(0);
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   bool started_ = false;
 };

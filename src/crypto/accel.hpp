@@ -79,7 +79,8 @@ size_t aes_cbc_sha1_stitched(const uint8_t* round_keys, int rounds,
 
 /// (base ^ exp) mod m by right-to-left square-and-multiply with a full
 /// division after every product.  BigInt::mod_exp's path for even moduli
-/// and the reference its Montgomery path is checked and timed against.
+/// and for odd ones over 2048 bits, and the reference its fixed-width
+/// Montgomery path is checked and timed against.
 BigInt mod_exp_reference(const BigInt& base, const BigInt& exp,
                          const BigInt& m);
 

@@ -1,6 +1,9 @@
 #include "crypto/bignum.hpp"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 
 #include "crypto/accel.hpp"
@@ -280,9 +283,38 @@ BigInt accel::mod_exp_reference(const BigInt& base, const BigInt& exp,
   return result;
 }
 
+// The Montgomery code works on little-endian 64-bit words; BigInt keeps
+// 32-bit limbs.  These are the two crossings.
+struct BigIntWords {
+  static std::span<const uint32_t> limbs(const BigInt& v) { return v.limbs_; }
+
+  static BigInt from_words(const uint64_t* w, size_t n) {
+    BigInt out;
+    out.limbs_.resize(2 * n);
+    for (size_t i = 0; i < 2 * n; ++i) {
+      out.limbs_[i] = static_cast<uint32_t>(w[i / 2] >> (32 * (i % 2)));
+    }
+    out.trim();
+    return out;
+  }
+};
+
 namespace {
 
 using u128 = unsigned __int128;
+using Limbs = std::span<const uint32_t>;
+
+// Words [0, N) of the value whose limbs are v, starting at limb `from`;
+// zero past the end.
+template <size_t N>
+void load(uint64_t* out, Limbs v, size_t from = 0) {
+  for (size_t i = 0; i < N; ++i) {
+    const size_t k = from + 2 * i;
+    const uint64_t lo = k < v.size() ? v[k] : 0;
+    const uint64_t hi = k + 1 < v.size() ? v[k + 1] : 0;
+    out[i] = lo | hi << 32;
+  }
+}
 
 // -m0^-1 mod 2^64 for odd m0.  m0 is its own inverse mod 8; each Newton
 // step doubles the correct low bits (3, 6, 12, 24, 48, 96).
@@ -292,84 +324,86 @@ uint64_t neg_inverse(uint64_t m0) {
   return 0 - inv;
 }
 
+// The fixed-width kernels.  N is the word count of the size class; every
+// loop bound is a constant, so the compiler unrolls them and keeps the
+// running row in registers.
+
 // r = (top:t) mod m for a value below 2m: subtract m once if t >= m.
+template <size_t N>
 void reduce_once(uint64_t* r, const uint64_t* t, uint64_t top,
-                 const uint64_t* m, size_t n) {
-  bool ge = top != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t j = n; j-- > 0;) {
-      if (t[j] != m[j]) {
-        ge = t[j] > m[j];
-        break;
-      }
-    }
-  }
-  if (!ge) {
-    std::copy(t, t + n, r);
-    return;
-  }
+                 const uint64_t* m) {
+  uint64_t d[N] = {};
   uint64_t borrow = 0;
-  for (size_t j = 0; j < n; ++j) {
-    const u128 d = static_cast<u128>(t[j]) - m[j] - borrow;
-    r[j] = static_cast<uint64_t>(d);
-    borrow = static_cast<uint64_t>(d >> 64) & 1;
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) {
+    const u128 s = static_cast<u128>(t[j]) - m[j] - borrow;
+    d[j] = static_cast<uint64_t>(s);
+    borrow = static_cast<uint64_t>(s >> 64) & 1;
   }
+  const bool keep = top < borrow;  // top:t < m
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) r[j] = keep ? t[j] : d[j];
 }
 
-// r = a * b * 2^(-64n) mod m for a, b < m (CIOS: each row of the product
-// is reduced as it is formed).  t is n + 2 words of scratch; r may alias a
-// or b.
+// r = a * b * 2^(-64N) mod m, for a, b < 2^(64N) with a < m or b < m
+// (CIOS: each row of the product is reduced in the same pass that forms
+// it, so the running value stays below a + m and fits N words and a bit).
+// r may alias a or b.
+template <size_t N>
 void mont_mul(uint64_t* r, const uint64_t* a, const uint64_t* b,
-              const uint64_t* m, uint64_t minv, size_t n, uint64_t* t) {
-  std::fill(t, t + n + 2, 0);
-  for (size_t i = 0; i < n; ++i) {
+              const uint64_t* m, uint64_t minv) {
+  uint64_t t[N + 1] = {};
+#pragma GCC unroll 8
+  for (size_t i = 0; i < N; ++i) {
     const uint64_t bi = b[i];
-    uint64_t c = 0;
-    for (size_t j = 0; j < n; ++j) {
-      const u128 s = static_cast<u128>(a[j]) * bi + t[j] + c;
-      t[j] = static_cast<uint64_t>(s);
+    // t + a * bi, then + q * m with q chosen so the low word cancels; the
+    // sum is shifted down one word as it is formed.
+    u128 s = static_cast<u128>(a[0]) * bi + t[0];
+    uint64_t c = static_cast<uint64_t>(s >> 64);
+    const uint64_t q = static_cast<uint64_t>(s) * minv;
+    u128 u = static_cast<u128>(q) * m[0] + static_cast<uint64_t>(s);
+    uint64_t cu = static_cast<uint64_t>(u >> 64);
+#pragma GCC unroll 8
+    for (size_t j = 1; j < N; ++j) {
+      s = static_cast<u128>(a[j]) * bi + t[j] + c;
       c = static_cast<uint64_t>(s >> 64);
+      u = static_cast<u128>(q) * m[j] + static_cast<uint64_t>(s) + cu;
+      cu = static_cast<uint64_t>(u >> 64);
+      t[j - 1] = static_cast<uint64_t>(u);
     }
-    u128 s = static_cast<u128>(t[n]) + c;
-    t[n] = static_cast<uint64_t>(s);
-    t[n + 1] = static_cast<uint64_t>(s >> 64);
-
-    // Add q*m with q chosen so the low word cancels, then drop that word.
-    const uint64_t q = t[0] * minv;
-    s = static_cast<u128>(q) * m[0] + t[0];
-    c = static_cast<uint64_t>(s >> 64);
-    for (size_t j = 1; j < n; ++j) {
-      s = static_cast<u128>(q) * m[j] + t[j] + c;
-      t[j - 1] = static_cast<uint64_t>(s);
-      c = static_cast<uint64_t>(s >> 64);
-    }
-    s = static_cast<u128>(t[n]) + c;
-    t[n - 1] = static_cast<uint64_t>(s);
-    t[n] = t[n + 1] + static_cast<uint64_t>(s >> 64);
+    s = static_cast<u128>(t[N]) + c + cu;
+    t[N - 1] = static_cast<uint64_t>(s);
+    t[N] = static_cast<uint64_t>(s >> 64);
   }
-  reduce_once(r, t, t[n], m, n);
+  reduce_once<N>(r, t, t[N], m);
 }
 
-// r = a * a * 2^(-64n) mod m for a < m: the square with each cross product
-// formed once and doubled, then n word-by-word reduction rounds.  t is 2n
-// words of scratch; r may alias a.
+// r = a * a * 2^(-64N) mod m for a < m: the square with each cross product
+// formed once and doubled, then N word-by-word reduction rounds.  r may
+// alias a.
+template <size_t N>
 void mont_sqr(uint64_t* r, const uint64_t* a, const uint64_t* m,
-              uint64_t minv, size_t n, uint64_t* t) {
-  std::fill(t, t + 2 * n, 0);
-  for (size_t i = 0; i + 1 < n; ++i) {
+              uint64_t minv) {
+  uint64_t t[2 * N] = {};
+#pragma GCC unroll 8
+  for (size_t i = 0; i + 1 < N; ++i) {
     uint64_t c = 0;
-    for (size_t j = i + 1; j < n; ++j) {
+#pragma GCC unroll 8
+    for (size_t j = i + 1; j < N; ++j) {
       const u128 s = static_cast<u128>(a[i]) * a[j] + t[i + j] + c;
       t[i + j] = static_cast<uint64_t>(s);
       c = static_cast<uint64_t>(s >> 64);
     }
-    t[i + n] = c;
+    t[i + N] = c;
   }
-  for (size_t k = 2 * n; k-- > 1;) t[k] = (t[k] << 1) | (t[k - 1] >> 63);
+#pragma GCC unroll 16
+  for (size_t k = 2 * N - 1; k > 0; --k) {
+    t[k] = (t[k] << 1) | (t[k - 1] >> 63);
+  }
   t[0] <<= 1;
   uint64_t c = 0;
-  for (size_t i = 0; i < n; ++i) {
+#pragma GCC unroll 8
+  for (size_t i = 0; i < N; ++i) {
     u128 s = static_cast<u128>(a[i]) * a[i] + t[2 * i] + c;
     t[2 * i] = static_cast<uint64_t>(s);
     s = static_cast<u128>(t[2 * i + 1]) + static_cast<uint64_t>(s >> 64);
@@ -380,26 +414,314 @@ void mont_sqr(uint64_t* r, const uint64_t* a, const uint64_t* m,
   // Each round cancels the lowest live word; `top` is the carry past t's
   // last word.
   uint64_t top = 0;
-  for (size_t i = 0; i < n; ++i) {
+#pragma GCC unroll 8
+  for (size_t i = 0; i < N; ++i) {
     const uint64_t q = t[i] * minv;
     c = 0;
-    for (size_t j = 0; j < n; ++j) {
+#pragma GCC unroll 8
+    for (size_t j = 0; j < N; ++j) {
       const u128 s = static_cast<u128>(q) * m[j] + t[i + j] + c;
       t[i + j] = static_cast<uint64_t>(s);
       c = static_cast<uint64_t>(s >> 64);
     }
-    const u128 s = static_cast<u128>(t[i + n]) + c + top;
-    t[i + n] = static_cast<uint64_t>(s);
+    const u128 s = static_cast<u128>(t[i + N]) + c + top;
+    t[i + N] = static_cast<uint64_t>(s);
     top = static_cast<uint64_t>(s >> 64);
   }
-  reduce_once(r, t + n, top, m, n);
+  reduce_once<N>(r, t + N, top, m);
 }
 
-// Exponent bits [lo, lo + w) as an integer.
-uint32_t exp_window(const BigInt& exp, size_t lo, size_t w) {
-  uint32_t d = 0;
-  for (size_t i = w; i-- > 0;) d = (d << 1) | (exp.bit(lo + i) ? 1 : 0);
-  return d;
+// r = a + b mod m for a, b < m.
+template <size_t N>
+void add_mod(uint64_t* r, const uint64_t* a, const uint64_t* b,
+             const uint64_t* m) {
+  uint64_t t[N] = {};
+  uint64_t c = 0;
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) {
+    const u128 s = static_cast<u128>(a[j]) + b[j] + c;
+    t[j] = static_cast<uint64_t>(s);
+    c = static_cast<uint64_t>(s >> 64);
+  }
+  reduce_once<N>(r, t, c, m);
+}
+
+// r = a - b mod m for a, b < m.
+template <size_t N>
+void sub_mod(uint64_t* r, const uint64_t* a, const uint64_t* b,
+             const uint64_t* m) {
+  uint64_t borrow = 0;
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) {
+    const u128 s = static_cast<u128>(a[j]) - b[j] - borrow;
+    r[j] = static_cast<uint64_t>(s);
+    borrow = static_cast<uint64_t>(s >> 64) & 1;
+  }
+  const uint64_t mask = 0 - borrow;  // add m back if a < b
+  uint64_t c = 0;
+#pragma GCC unroll 8
+  for (size_t j = 0; j < N; ++j) {
+    const u128 s = static_cast<u128>(r[j]) + (m[j] & mask) + c;
+    r[j] = static_cast<uint64_t>(s);
+    c = static_cast<uint64_t>(s >> 64);
+  }
+}
+
+// r = a * b + c, 2N words.
+template <size_t N>
+void mul_add(uint64_t* r, const uint64_t* a, const uint64_t* b,
+             const uint64_t* c) {
+  std::copy_n(c, N, r);
+  std::fill_n(r + N, N, 0);
+  for (size_t i = 0; i < N; ++i) {
+    uint64_t carry = 0;
+#pragma GCC unroll 8
+    for (size_t j = 0; j < N; ++j) {
+      const u128 s = static_cast<u128>(a[j]) * b[i] + r[i + j] + carry;
+      r[i + j] = static_cast<uint64_t>(s);
+      carry = static_cast<uint64_t>(s >> 64);
+    }
+    r[i + N] = carry;
+  }
+}
+
+// Exponent bits [lo, lo + w) as an integer, for lo below the bit length.
+uint32_t exp_window(Limbs e, size_t lo, size_t w) {
+  const size_t i = lo / 32, shift = lo % 32;
+  uint64_t v = e[i] >> shift;
+  if (shift + w > 32 && i + 1 < e.size()) {
+    v |= static_cast<uint64_t>(e[i + 1]) << (32 - shift);
+  }
+  return static_cast<uint32_t>(v) & ((1u << w) - 1);
+}
+
+// Arithmetic modulo one odd m > 1 of at most N words, R = 2^(64N).
+// Values are N-word arrays below m; the Montgomery form of x is x R mod m.
+// A modulus shorter than N words is padded with zero words: the products
+// only need m < R.
+template <size_t N>
+class Montgomery {
+ public:
+  using Elem = std::array<uint64_t, N>;
+
+  explicit Montgomery(const BigInt& m) {
+    load<N>(m_.data(), BigIntWords::limbs(m));
+    minv_ = neg_inverse(m_[0]);
+    // R mod m without a division: 2^(b-1) < m for the modulus's bit length
+    // b, doubled mod m up to 2^(64N).  Then R^2 mod m from 2R by squaring:
+    // the Montgomery square of 2^k R is 2^(2k) R.
+    const size_t b = m.bit_length();
+    one_ = {};
+    one_[(b - 1) / 64] = uint64_t{1} << ((b - 1) % 64);
+    for (size_t i = b - 1; i < 64 * N; ++i) one_ = twice(one_);
+    r2_ = twice(one_);
+    for (size_t k = 1; k < 64 * N; k *= 2) r2_ = sqr(r2_);
+  }
+
+  const Elem& modulus() const { return m_; }
+  const Elem& one() const { return one_; }  // 1 in Montgomery form
+  Elem minus_one() const { return sub(Elem{}, one_); }
+
+  Elem mul(const Elem& a, const Elem& b) const {
+    Elem r{};
+    mont_mul<N>(r.data(), a.data(), b.data(), m_.data(), minv_);
+    return r;
+  }
+  Elem sqr(const Elem& a) const {
+    Elem r{};
+    mont_sqr<N>(r.data(), a.data(), m_.data(), minv_);
+    return r;
+  }
+  Elem add(const Elem& a, const Elem& b) const {
+    Elem r{};
+    add_mod<N>(r.data(), a.data(), b.data(), m_.data());
+    return r;
+  }
+  Elem sub(const Elem& a, const Elem& b) const {
+    Elem r{};
+    sub_mod<N>(r.data(), a.data(), b.data(), m_.data());
+    return r;
+  }
+
+  // x R mod m for any x below R (the product with R^2 needs only one
+  // factor below m).
+  Elem to_mont(const Elem& x) const { return mul(x, r2_); }
+
+  // x R mod m for x of any length: Horner over N-word chunks from the top,
+  // acc R + c R for each lower chunk c.
+  Elem to_mont(const BigInt& x) const {
+    const Limbs v = BigIntWords::limbs(x);
+    size_t chunk = (v.size() + 2 * N - 1) / (2 * N);
+    if (chunk == 0) return Elem{};
+    Elem c{};
+    load<N>(c.data(), v, 2 * N * --chunk);
+    Elem acc = to_mont(c);
+    while (chunk-- > 0) {
+      load<N>(c.data(), v, 2 * N * chunk);
+      acc = add(to_mont(acc), to_mont(c));
+    }
+    return acc;
+  }
+
+  Elem from_mont(const Elem& a) const {
+    Elem plain_one{};
+    plain_one[0] = 1;
+    return mul(a, plain_one);
+  }
+
+  // base^exp, both sides in Montgomery form, by sliding windows from the
+  // top: 5 bits wide for exponents over 256 bits, 4 over 64, otherwise 1
+  // (so e = 65537 is plain left-to-right binary).  A window starts and
+  // ends on a set bit, so its digit is odd and the table holds only odd
+  // powers.
+  Elem pow(const Elem& base, const BigInt& exp) const {
+    const size_t bits = exp.bit_length();
+    if (bits == 0) return one_;
+    const Limbs e = BigIntWords::limbs(exp);
+    const size_t w = bits > 256 ? 5 : bits > 64 ? 4 : 1;
+    Elem table[16] = {};  // entry k holds base^(2k + 1)
+    table[0] = base;
+    if (w > 1) {
+      const Elem square = sqr(base);
+      for (size_t k = 1; k < (size_t{1} << (w - 1)); ++k) {
+        table[k] = mul(table[k - 1], square);
+      }
+    }
+    // The window whose top bit is bit top - 1 (set) reaches down to the
+    // lowest set bit at most w - 1 below it; returns its table index.
+    auto window = [&](size_t top, size_t& lo) {
+      lo = top > w ? top - w : 0;
+      while (exp_window(e, lo, 1) == 0) ++lo;
+      return exp_window(e, lo, top - lo) >> 1;
+    };
+    size_t top;  // exponent bits [0, top) are still to come
+    Elem acc = table[window(bits, top)];
+    while (top > 0) {
+      if (exp_window(e, top - 1, 1) == 0) {
+        acc = sqr(acc);
+        --top;
+        continue;
+      }
+      size_t lo;
+      const uint32_t k = window(top, lo);
+      for (; top > lo; --top) acc = sqr(acc);
+      acc = mul(acc, table[k]);
+    }
+    return acc;
+  }
+
+  static BigInt value(const Elem& a) {
+    return BigIntWords::from_words(a.data(), N);
+  }
+
+ private:
+  Elem twice(const Elem& a) const {  // 2a mod m
+    Elem t{};
+#pragma GCC unroll 8
+    for (size_t j = N - 1; j > 0; --j) t[j] = (a[j] << 1) | (a[j - 1] >> 63);
+    t[0] = a[0] << 1;
+    Elem r{};
+    reduce_once<N>(r.data(), t.data(), a[N - 1] >> 63, m_.data());
+    return r;
+  }
+
+  Elem m_{};
+  uint64_t minv_ = 0;
+  Elem one_{};  // R mod m
+  Elem r2_{};   // R^2 mod m
+};
+
+template <size_t N>
+struct Width {};
+
+// Calls f(Width<N>{}) for the smallest size class holding m: 4 words (the
+// 256-bit primes and CRT halves, and every shorter modulus), 8 (512-bit
+// moduli), 16 or 32.  False, without calling f, for a wider m.
+template <typename F>
+bool with_width(const BigInt& m, F&& f) {
+  const size_t words = (m.bit_length() + 63) / 64;
+  if (words <= 4) {
+    f(Width<4>{});
+  } else if (words <= 8) {
+    f(Width<8>{});
+  } else if (words <= 16) {
+    f(Width<16>{});
+  } else if (words <= 32) {
+    f(Width<32>{});
+  } else {
+    return false;
+  }
+  return true;
+}
+
+// Miller–Rabin over odd n > 113 with n - 1 = d 2^r.  Each round draws its
+// witness as 2 + random_below(n - 4) and checks it in F's arithmetic mod n.
+template <typename F>
+bool miller_rabin(const F& f, const BigInt& n, const BigInt& d, size_t r,
+                  Rng& rng, int rounds) {
+  const BigInt bound = n - BigInt(4);
+  const auto one = f.one();
+  const auto minus_one = f.minus_one();
+  for (int round = 0; round < rounds; ++round) {
+    auto x = f.pow(f.to_mont(BigInt(2) + BigInt::random_below(rng, bound)), d);
+    if (x == one || x == minus_one) continue;
+    bool composite = true;
+    for (size_t i = 0; i + 1 < r; ++i) {
+      x = f.sqr(x);
+      if (x == minus_one) {
+        composite = false;
+        break;
+      }
+    }
+    if (composite) return false;
+  }
+  return true;
+}
+
+// Miller–Rabin's arithmetic for n wider than the largest size class: plain
+// residues and the reference exponentiation.
+struct ReferenceField {
+  const BigInt& n;
+
+  BigInt one() const { return BigInt(1); }
+  BigInt minus_one() const { return n - BigInt(1); }
+  BigInt to_mont(const BigInt& x) const { return x; }  // x < n
+  BigInt pow(const BigInt& x, const BigInt& e) const {
+    return accel::mod_exp_reference(x, e, n);
+  }
+  BigInt sqr(const BigInt& x) const { return (x * x) % n; }
+};
+
+// The odd primes below 114.  Trial division rejects a candidate one of
+// them divides before any Miller–Rabin round draws a witness.
+constexpr uint32_t kOddSmallPrimes[] = {
+    3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,  53,
+    59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113};
+constexpr uint32_t kLargestSmallPrime = std::end(kOddSmallPrimes)[-1];
+
+// v mod d for d < 2^32: one 64-by-32-bit step per limb.
+uint32_t rem_small(Limbs v, uint32_t d) {
+  uint64_t r = 0;
+  for (size_t i = v.size(); i-- > 0;) r = ((r << 32) | v[i]) % d;
+  return static_cast<uint32_t>(r);
+}
+
+bool has_small_factor(Limbs v) {
+  // Runs of consecutive primes whose product fits 32 bits share one
+  // remainder pass over v.
+  constexpr size_t kCount = std::size(kOddSmallPrimes);
+  for (size_t i = 0; i < kCount;) {
+    uint64_t product = kOddSmallPrimes[i];
+    size_t end = i + 1;
+    while (end < kCount && product * kOddSmallPrimes[end] >> 32 == 0) {
+      product *= kOddSmallPrimes[end++];
+    }
+    const uint32_t r = rem_small(v, static_cast<uint32_t>(product));
+    for (; i < end; ++i) {
+      if (r % kOddSmallPrimes[i] == 0) return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -408,61 +730,36 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
                        const BigInt& m) {
   if (!m.is_odd()) return accel::mod_exp_reference(base, exp, m);
   if (m == BigInt(1)) return {};
-  const size_t bits = exp.bit_length();
-  if (bits == 0) return BigInt(1);
-
-  // Window width: 5 bits for private exponents, 1 (plain left-to-right
-  // binary) for short public ones such as 65537.
-  const size_t w = bits > 256 ? 5 : bits > 64 ? 4 : 1;
-  const size_t n = (m.limbs_.size() + 1) / 2;
-  const size_t entries = size_t{1} << w;
-
-  // One allocation per call: modulus, accumulator, the plain 1 the exit
-  // product multiplies by, the window table (entry k holds base^k in
-  // Montgomery form; entry 0 is unused) and 2n + 2 words of scratch.
-  std::vector<uint64_t> words(n * (5 + entries) + 2, 0);
-  uint64_t* mw = words.data();
-  uint64_t* acc = mw + n;
-  uint64_t* one = acc + n;
-  uint64_t* table = one + n;
-  uint64_t* t = table + n * entries;
-  auto load = [](const BigInt& v, uint64_t* out) {  // v < m: fits n words
-    for (size_t i = 0; i < v.limbs_.size(); ++i) {
-      out[i / 2] |= static_cast<uint64_t>(v.limbs_[i]) << (32 * (i % 2));
-    }
-  };
-  load(m, mw);
-  one[0] = 1;
-  const uint64_t minv = neg_inverse(mw[0]);
-  auto mul = [&](uint64_t* r, const uint64_t* a, const uint64_t* b) {
-    mont_mul(r, a, b, mw, minv, n, t);
-  };
-
-  // Enter Montgomery form once: base * 2^(64n) mod m.
-  load(divmod(base << (64 * n), m).second, table + n);
-  for (size_t k = 2; k < entries; ++k) {
-    mul(table + k * n, table + (k - 1) * n, table + n);
-  }
-
-  // Fixed windows from the top; the top window holds the exponent's MSB,
-  // so its digit is non-zero.
-  size_t j = (bits - 1) / w;
-  std::copy_n(table + exp_window(exp, j * w, w) * n, n, acc);
-  while (j-- > 0) {
-    for (size_t s = 0; s < w; ++s) mont_sqr(acc, acc, mw, minv, n, t);
-    if (const uint32_t d = exp_window(exp, j * w, w)) {
-      mul(acc, acc, table + d * n);
-    }
-  }
-  mul(acc, acc, one);  // leave Montgomery form
-
   BigInt out;
-  out.limbs_.resize(2 * n);
-  for (size_t i = 0; i < 2 * n; ++i) {
-    out.limbs_[i] = static_cast<uint32_t>(acc[i / 2] >> (32 * (i % 2)));
-  }
-  out.trim();
-  return out;
+  const bool fixed = with_width(m, [&]<size_t N>(Width<N>) {
+    const Montgomery<N> mont(m);
+    out = mont.value(mont.from_mont(mont.pow(mont.to_mont(base), exp)));
+  });
+  return fixed ? out : accel::mod_exp_reference(base, exp, m);
+}
+
+BigInt BigInt::mod_exp_crt(const BigInt& x, const BigInt& p,
+                           const BigInt& q, const BigInt& dp,
+                           const BigInt& dq, const BigInt& qinv) {
+  BigInt out;
+  const BigInt one(1);
+  const bool fixed = p.is_odd() && q.is_odd() && p != one && q != one &&
+                     with_width(p < q ? q : p, [&]<size_t N>(Width<N>) {
+    const Montgomery<N> mp(p), mq(q);
+    const auto m2 = mq.from_mont(mq.pow(mq.to_mont(x), dq));
+    // m1 - m2 and its product with qinv in Montgomery form mod p; h is
+    // that product's plain value.
+    const auto diff = mp.sub(mp.pow(mp.to_mont(x), dp), mp.to_mont(m2));
+    const auto h = mp.from_mont(mp.mul(diff, mp.to_mont(qinv)));
+    uint64_t r[2 * N] = {};
+    mul_add<N>(r, mq.modulus().data(), h.data(), m2.data());
+    out = BigIntWords::from_words(r, 2 * N);
+  });
+  if (fixed) return out;
+  // Even or unit factors, or halves wider than the largest size class.
+  const BigInt m1 = mod_exp(x, dp, p);
+  const BigInt m2 = mod_exp(x, dq, q);
+  return m2 + q * ((qinv * (m1 + p - m2 % p)) % p);
 }
 
 BigInt BigInt::gcd(BigInt a, BigInt b) {
@@ -533,39 +830,27 @@ BigInt BigInt::random_below(Rng& rng, const BigInt& bound) {
 }
 
 bool BigInt::is_probable_prime(Rng& rng, int rounds) const {
-  static const uint32_t kSmallPrimes[] = {
-      2,  3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-      59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113};
   if (*this < BigInt(2)) return false;
-  for (uint32_t p : kSmallPrimes) {
-    BigInt bp(p);
-    if (*this == bp) return true;
-    if ((*this % bp).is_zero()) return false;
+  if (limbs_.size() == 1 && limbs_[0] <= kLargestSmallPrime) {
+    return limbs_[0] == 2 ||
+           std::ranges::find(kOddSmallPrimes, limbs_[0]) !=
+               std::end(kOddSmallPrimes);
   }
+  if (!is_odd() || has_small_factor(limbs_)) return false;
   // Write n-1 = d * 2^r.
-  const BigInt n_minus_1 = *this - BigInt(1);
-  BigInt d = n_minus_1;
+  BigInt d = *this - BigInt(1);
   size_t r = 0;
   while (!d.is_odd()) {
     d = d >> 1;
     ++r;
   }
-  for (int round = 0; round < rounds; ++round) {
-    const BigInt a =
-        BigInt(2) + random_below(rng, *this - BigInt(4));  // [2, n-2]
-    BigInt x = mod_exp(a, d, *this);
-    if (x == BigInt(1) || x == n_minus_1) continue;
-    bool composite = true;
-    for (size_t i = 0; i + 1 < r; ++i) {
-      x = (x * x) % *this;
-      if (x == n_minus_1) {
-        composite = false;
-        break;
-      }
-    }
-    if (composite) return false;
+  bool prime = false;
+  if (!with_width(*this, [&]<size_t N>(Width<N>) {
+        prime = miller_rabin(Montgomery<N>(*this), *this, d, r, rng, rounds);
+      })) {
+    prime = miller_rabin(ReferenceField{*this}, *this, d, r, rng, rounds);
   }
-  return true;
+  return prime;
 }
 
 BigInt BigInt::generate_prime(Rng& rng, size_t bits) {

@@ -2,8 +2,8 @@
 //
 // Just enough big-number arithmetic for certificate signing and the
 // SecureChannel key exchange: schoolbook multiply, Knuth Algorithm D
-// division, Montgomery fixed-window modular exponentiation, extended
-// Euclid, and Miller–Rabin prime generation.  All randomness flows through
+// division, fixed-width Montgomery fixed-window modular exponentiation
+// with CRT, extended Euclid, and Miller–Rabin prime generation.  All randomness flows through
 // the deterministic sgfs::Rng so tests and simulations reproduce exactly.
 #pragma once
 
@@ -53,11 +53,20 @@ class BigInt {
   static std::pair<BigInt, BigInt> divmod(const BigInt& num,
                                           const BigInt& den);
 
-  /// (base ^ exp) mod m; m must be non-zero.  Odd moduli run Montgomery
-  /// products over a fixed exponent window; even moduli take the
-  /// square-and-multiply reference (crypto/accel.hpp).
+  /// (base ^ exp) mod m; m must be non-zero.  Odd moduli of up to 2048
+  /// bits run fixed-width Montgomery products over a fixed exponent window;
+  /// even moduli and wider odd ones take the square-and-multiply reference
+  /// (crypto/accel.hpp).
   static BigInt mod_exp(const BigInt& base, const BigInt& exp,
                         const BigInt& m);
+
+  /// x ^ d mod pq from the CRT factors (dp = d mod p-1, dq = d mod q-1,
+  /// qinv = q^-1 mod p): two half-size exponentiations and Garner's
+  /// recombination m2 + q * (qinv * (m1 - m2) mod p), in Montgomery form
+  /// until the last product.
+  static BigInt mod_exp_crt(const BigInt& x, const BigInt& p,
+                            const BigInt& q, const BigInt& dp,
+                            const BigInt& dq, const BigInt& qinv);
 
   static BigInt gcd(BigInt a, BigInt b);
 
@@ -69,13 +78,16 @@ class BigInt {
   /// Uniform value in [0, bound).
   static BigInt random_below(Rng& rng, const BigInt& bound);
 
-  /// Miller–Rabin with `rounds` random witnesses.
+  /// Trial division by the odd primes below 114, then Miller–Rabin with
+  /// `rounds` random witnesses.
   bool is_probable_prime(Rng& rng, int rounds = 24) const;
 
   /// Generates a `bits`-bit odd prime (small-prime sieve + Miller–Rabin).
   static BigInt generate_prime(Rng& rng, size_t bits);
 
  private:
+  friend struct BigIntWords;  // bignum.cpp: 64-bit word views
+
   void trim();
   // Little-endian 32-bit limbs; empty == zero.
   std::vector<uint32_t> limbs_;

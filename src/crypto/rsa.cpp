@@ -78,14 +78,10 @@ Buffer digest_info_sha1(ByteView message) {
   return payload;
 }
 
-// x^d mod n.  With the factors: two half-size exponentiations and Garner
-// recombination, m = m2 + q * (qinv * (m1 - m2) mod p).
+// x^d mod n, through the CRT factors where the key has them.
 BigInt private_op(const RsaPrivateKey& key, const BigInt& x) {
   if (key.p.is_zero()) return BigInt::mod_exp(x, key.d, key.n);
-  const BigInt m1 = BigInt::mod_exp(x, key.dp, key.p);
-  const BigInt m2 = BigInt::mod_exp(x, key.dq, key.q);
-  const BigInt diff = m1 + key.p - m2 % key.p;  // m1 - m2 mod p, kept >= 0
-  return m2 + key.q * ((key.qinv * diff) % key.p);
+  return BigInt::mod_exp_crt(x, key.p, key.q, key.dp, key.dq, key.qinv);
 }
 
 }  // namespace

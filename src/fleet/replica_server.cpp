@@ -94,13 +94,11 @@ sim::Task<BufChain> ReplicaServer::handle(const rpc::CallContext& ctx,
       for (const auto& d : proof) {
         enc.put_opaque_fixed(ByteView(d.data(), d.size()));
       }
-      ++served_blocks_;
       co_return enc.take();
     }
     case core::ReplicaProc::kGetCatalog: {
       xdr::Encoder enc;
       if (stale_catalog_ && !prev_catalog_.empty()) {
-        ++stale_served_;
         enc.put_string(prev_catalog_);
       } else {
         enc.put_string(catalog_);

@@ -58,9 +58,7 @@ class ReplicaServer : public rpc::RpcProgram,
   void set_down(bool on) { down_ = on; }
 
   const std::string& name() const { return name_; }
-  uint64_t served_blocks() const { return served_blocks_; }
   uint64_t corrupt_served() const { return corrupt_served_; }
-  uint64_t stale_served() const { return stale_served_; }
   uint64_t dripped() const { return dripped_; }
   uint64_t refused() const { return refused_; }
 
@@ -84,9 +82,7 @@ class ReplicaServer : public rpc::RpcProgram,
   sim::SimDur drip_ = 0;
   bool down_ = false;
 
-  uint64_t served_blocks_ = 0;
   uint64_t corrupt_served_ = 0;
-  uint64_t stale_served_ = 0;
   uint64_t dripped_ = 0;
   uint64_t refused_ = 0;
 };

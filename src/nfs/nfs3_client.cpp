@@ -80,7 +80,6 @@ sim::Task<std::shared_ptr<MountPoint>> MountPoint::mount_with(
 }
 
 sim::Task<void> MountPoint::charge(Proc3 proc) {
-  ++rpc_calls_;
   ++rpc_by_proc_[proc];
   m_rpc_calls_.inc();
   proc_counter(proc).inc();
@@ -325,7 +324,6 @@ void MountPoint::start_readahead(const Fh& fh, uint64_t from_block) {
     if (cache_.contains(key) || inflight_.count(key)) continue;
     auto ev = std::make_shared<sim::SimEvent>(host_.engine());
     inflight_[key] = ev;
-    ++rpc_calls_;
     ++rpc_by_proc_[Proc3::kRead];
     m_rpc_calls_.inc();
     proc_counter(Proc3::kRead).inc();
@@ -380,7 +378,6 @@ sim::Task<MountPoint::CachedBlock*> MountPoint::get_block_for_read(
     }
     break;
   }
-  ++cache_misses_;
   m_pc_misses_.inc();
   co_await fetch_block(fh, block);
   if (readahead) start_readahead(fh, block);

@@ -119,18 +119,13 @@ class MountPoint {
   void drop_caches();
 
   // --- stats ----------------------------------------------------------------
-  uint64_t rpc_calls() const { return rpc_calls_; }
   uint64_t rpc_calls_for(Proc3 p) const;
   uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_misses() const { return cache_misses_; }
   uint64_t bytes_cached() const { return cache_.bytes_used(); }
   const Nfs3ClientConfig& config() const { return config_; }
   /// Shadow copies held for verifier replay (blocks written UNSTABLE and
   /// not yet COMMIT-acknowledged).
   size_t uncommitted_blocks() const { return ledger_.size(); }
-  /// Last write verifier observed from the server (unset before the first
-  /// WRITE/COMMIT reply).
-  std::optional<uint64_t> server_verf() const { return ledger_.verf(); }
 
  private:
   MountPoint(net::Host& host, Nfs3ClientConfig config);
@@ -205,7 +200,6 @@ class MountPoint {
   std::map<int, OpenFile> open_files_;
   int next_fd_ = 3;
 
-  uint64_t rpc_calls_ = 0;
   std::map<Proc3, uint64_t> rpc_by_proc_;
 
   // Hot-path metric handles (lazy first-use resolution; see
@@ -220,7 +214,6 @@ class MountPoint {
   obs::CounterHandle m_cto_revalidations_, m_cto_flushes_;
   obs::GaugeHandle m_dirty_blocks_;
   uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
 
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

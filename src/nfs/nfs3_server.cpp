@@ -182,7 +182,6 @@ sim::Task<void> Nfs3Server::charge_read(uint64_t fileid, uint64_t offset,
 sim::Task<void> Nfs3Server::charge_meta() {
   // Synchronous-update export (§6.1): metadata changes hit the disk before
   // the reply (directory + inode update, ~one positioning op).
-  ++disk_writes_;
   co_await host_.disk().write(4096, /*sequential=*/false, "nfsd.meta");
 }
 
@@ -198,13 +197,11 @@ sim::Task<void> Nfs3Server::charge_write(uint64_t fileid, uint64_t offset,
     // the just-acknowledged FILE_SYNC bytes.
     auto it = unstable_bytes_.find(fileid);
     if (it != unstable_bytes_.end() && it->second > 0) {
-      ++disk_writes_;
       const uint64_t pending = it->second;
       forget_unstable(fileid);
       co_await host_.disk().write(pending, /*sequential=*/false,
                                   "nfsd.commit");
     }
-    ++disk_writes_;
     co_await host_.disk().write(len, /*sequential=*/false, "nfsd.write");
   } else {
     unstable_bytes_[fileid] += len;
@@ -439,7 +436,6 @@ sim::Task<BufChain> Nfs3Server::handle(const rpc::CallContext& ctx,
       if (!fh_ok(a.fh)) co_return status_reply<CommitRes>(Status::kStale);
       auto it = unstable_bytes_.find(a.fh.fileid);
       if (it != unstable_bytes_.end() && it->second > 0) {
-        ++disk_writes_;
         const uint64_t bytes = it->second;
         forget_unstable(a.fh.fileid);
         co_await host_.disk().write(bytes, /*sequential=*/false,

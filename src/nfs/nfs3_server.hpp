@@ -86,10 +86,6 @@ class Nfs3Server : public rpc::RpcProgram,
   uint64_t ops_total() const { return ops_total_; }
   uint64_t ops_for(Proc3 p) const;
   uint64_t disk_reads() const { return disk_reads_; }
-  uint64_t disk_writes() const { return disk_writes_; }
-
-  /// Current write verifier (server instance cookie, RFC 1813 §3.3.7).
-  uint64_t write_verf() const { return write_verf_; }
   /// Files with unstable (written-UNSTABLE, not yet committed) data.
   size_t unstable_files() const { return unstable_bytes_.size(); }
   uint64_t unstable_bytes_for(uint64_t fileid) const {
@@ -172,7 +168,6 @@ class Nfs3Server : public rpc::RpcProgram,
   uint64_t ops_total_ = 0;
   std::map<Proc3, uint64_t> ops_by_proc_;
   uint64_t disk_reads_ = 0;
-  uint64_t disk_writes_ = 0;
 };
 
 /// MOUNT v3 program (separate RPC program number).

@@ -262,7 +262,6 @@ sim::Task<BufChain> Nfs4Server::handle(const rpc::CallContext& ctx,
           const uint64_t bytes = backend_->unstable_bytes_for(current->fileid);
           backend_->forget_unstable(current->fileid);
           if (bytes > 0) {
-            ++backend_->disk_writes_;
             co_await backend_->host_.disk().write(bytes, true, "nfsd.commit");
           }
           payload.put_u64(backend_->write_verf_);

@@ -66,7 +66,6 @@ sim::Task<void> RpcServer::accept_loop(
   for (;;) {
     net::StreamPtr stream = co_await listener->accept();
     if (!stream || state->stopped) co_return;
-    ++state->accepted;
     sim::Engine& eng = stream->local_host().engine();
     state->m_connections.inc();
     if (state->security) {

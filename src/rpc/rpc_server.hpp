@@ -108,7 +108,6 @@ class RpcServer {
 
   net::Host& host() { return *host_; }
   uint16_t port() const { return port_; }
-  uint64_t connections_accepted() const { return state_->accepted; }
   uint64_t calls_served() const { return state_->served; }
 
   /// Duplicate-request cache stats: replayed cached replies, and
@@ -145,7 +144,6 @@ class RpcServer {
 
   struct State {
     bool stopped = false;
-    uint64_t accepted = 0;
     uint64_t served = 0;
     uint64_t drc_hits = 0;
     uint64_t drc_inflight_drops = 0;

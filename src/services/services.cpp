@@ -191,7 +191,7 @@ sim::Task<BufChain> FileSystemService::handle(const rpc::CallContext& ctx,
       const int64_t now = now_epoch();
       auto it = sso_cache_.find(signer);
       if (sso_cache_enabled_ && it != sso_cache_.end() &&
-          now - it->second.minted_at < sso_ttl_s_) {
+          now - it->second.minted_at < kSsoTtlS) {
         ++sso_cache_hits_;
         host_.engine().metrics().counter("services.fss.sso_cache_hits").inc();
         co_return encode_env(it->second.pass);
@@ -200,7 +200,7 @@ sim::Task<BufChain> FileSystemService::handle(const rpc::CallContext& ctx,
       // makes for the next TTL window.
       Envelope pass =
           reply_env("SsoPass", {{"user", signer},
-                                {"expires", std::to_string(now + sso_ttl_s_)}});
+                                {"expires", std::to_string(now + kSsoTtlS)}});
       ++sso_signatures_;
       host_.engine().metrics().counter("services.fss.sso_signatures").inc();
       SsoEntry entry;
@@ -214,7 +214,7 @@ sim::Task<BufChain> FileSystemService::handle(const rpc::CallContext& ctx,
       auto it = sso_cache_.find(signer);
       // Fail closed without a live pass: expired or never-minted means the
       // caller must go through kSsoLogin (and its signature) first.
-      if (it == sso_cache_.end() || now - it->second.minted_at >= sso_ttl_s_) {
+      if (it == sso_cache_.end() || now - it->second.minted_at >= kSsoTtlS) {
         co_return encode_env(error_env("no valid SSO pass; login first"));
       }
       if (sso_cache_enabled_ && !it->second.authorize_reply.action.empty() &&

@@ -85,9 +85,6 @@ class FileSystemService
   /// same way as over the wire.  Returns false on a stale epoch.
   bool set_shard_map(core::ShardMap map);
 
-  /// The signed replica catalog this FSS serves for discovery (DESIGN.md
-  /// §16), hex text as stored; empty when none was published.
-  const std::string& replica_catalog() const { return replica_catalog_; }
   /// Direct (in-process) publication of a serialized signed catalog.  The
   /// embedded owner signature and epoch monotonicity are enforced exactly
   /// as for the wire path.  Returns false on a bad catalog or stale epoch.
@@ -98,8 +95,6 @@ class FileSystemService
   /// every kSsoAuthorize signs afresh — O(sessions) FSS signatures instead
   /// of O(users).  The connection-storm bench sweeps both.
   void set_sso_cache(bool on) { sso_cache_enabled_ = on; }
-  /// Lifetime of a minted SSO pass (default one hour).
-  void set_sso_ttl(int64_t ttl_s) { sso_ttl_s_ = ttl_s; }
   uint64_t sso_signatures() const { return sso_signatures_; }
   uint64_t sso_cache_hits() const { return sso_cache_hits_; }
 
@@ -149,7 +144,7 @@ class FileSystemService
     SsoEntry() = default;
   };
   bool sso_cache_enabled_ = true;
-  int64_t sso_ttl_s_ = 3600;
+  static constexpr int64_t kSsoTtlS = 3600;  // a minted pass's lifetime
   uint64_t sso_signatures_ = 0;
   uint64_t sso_cache_hits_ = 0;
   std::map<std::string, SsoEntry> sso_cache_;

@@ -170,7 +170,6 @@ class ReplicaSet {
                                                uint64_t index);
 
   uint64_t epoch() const { return catalog_ ? catalog_->epoch : 0; }
-  bool has_catalog() const { return catalog_.has_value(); }
 
   // Robustness observability (non-vacuity gates in tests and benches).
   uint64_t fetches() const { return fetches_; }

@@ -91,12 +91,6 @@ class ServerProxy : public rpc::RpcProgram,
     return key_regression_ ? key_regression_->current_secret() : Buffer{};
   }
 
-  /// The server's session-ticket store (null until start(), or when
-  /// resumption is off).  Exposed for tests and drills.
-  crypto::ResumptionCache* resumption_cache() {
-    return config_.security.resumption.get();
-  }
-
   AclStore* acl_store() { return acl_store_ ? acl_store_.get() : nullptr; }
 
   // Stats.

@@ -58,7 +58,6 @@ class SessionManager {
       rpc::RpcClient& primary, uint32_t prog, uint32_t vers, uint32_t index,
       bool* resumed_out);
 
-  bool has_ticket() const { return ticket_.has_value(); }
   /// Forgets the retained ticket: the next establishment pays a full
   /// handshake (renegotiation wants genuinely fresh keys + re-validated
   /// certificates; a cipher-suite reload invalidates the ticket too).

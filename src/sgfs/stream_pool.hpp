@@ -107,7 +107,6 @@ class StreamPool {
 
   /// Usable streams right now: open pool streams + the primary.
   size_t live_streams() const;
-  int configured_streams() const { return config_.pool.streams; }
 
  private:
   struct Slot {

@@ -100,9 +100,6 @@ class Engine {
   /// Runs events with timestamp <= t, then advances the clock to t.
   void run_until(SimTime t);
 
-  /// Runs for d simulated time from now.
-  void run_for(SimDur d) { run_until(now_ + d); }
-
   /// Drives the engine until `task` completes (spawns it internally).
   /// Throws std::runtime_error if the queue drains first (deadlock).
   void run_task(Task<void> task);

@@ -245,6 +245,37 @@ TEST(BigInt, ModExpFixedWidthMatchesReference) {
   }
 }
 
+TEST(BigInt, ModExpCrtMatchesBothResidues) {
+  // mod_exp_crt's result is the y < pq with y = x^dp mod p and
+  // y = x^dq mod q, whatever the factors: odd ones in one size class or
+  // two, and an even one (the division-based fallback).
+  Rng rng(26);
+  const BigInt one(1);
+  const size_t sizes[][2] = {{128, 128}, {255, 256}, {256, 257}, {512, 512},
+                             {1000, 1030}};
+  for (const auto& [pbits, qbits] : sizes) {
+    const BigInt p = BigInt::generate_prime(rng, pbits);
+    const BigInt q = BigInt::generate_prime(rng, qbits);
+    for (int i = 0; i < 3; ++i) {
+      const BigInt x = BigInt::random_bits(rng, pbits + qbits + 8 * i - 8);
+      const BigInt dp = BigInt::random_below(rng, p);
+      const BigInt dq = BigInt::random_below(rng, q);
+      const BigInt y = BigInt::mod_exp_crt(x, p, q, dp, dq,
+                                           BigInt::mod_inverse(q, p));
+      EXPECT_LT(y, p * q);
+      EXPECT_EQ(y % p, accel::mod_exp_reference(x, dp, p)) << pbits;
+      EXPECT_EQ(y % q, accel::mod_exp_reference(x, dq, q)) << qbits;
+    }
+  }
+  const BigInt p = (one << 70) + BigInt(6);  // even
+  const BigInt q = BigInt::generate_prime(rng, 64);
+  const BigInt x = BigInt::random_bits(rng, 150);
+  const BigInt y = BigInt::mod_exp_crt(x, p, q, BigInt(12345), BigInt(777),
+                                       BigInt::mod_inverse(q, p));
+  EXPECT_EQ(y % p, accel::mod_exp_reference(x, BigInt(12345), p));
+  EXPECT_EQ(y % q, accel::mod_exp_reference(x, BigInt(777), q));
+}
+
 TEST(BigInt, Gcd) {
   EXPECT_EQ(BigInt::gcd(BigInt(48), BigInt(36)), BigInt(12));
   EXPECT_EQ(BigInt::gcd(BigInt(17), BigInt(13)), BigInt(1));
@@ -386,6 +417,21 @@ TEST(BigInt, PrimalityMatchesReferenceMillerRabin) {
         << "n=" << inputs[i].to_hex();
     EXPECT_EQ(a.next_u64(), b.next_u64()) << "n=" << inputs[i].to_hex();
   }
+}
+
+TEST(BigInt, PrimalityOverTheLargestSizeClass) {
+  // Values over 2048 bits run the rounds over plain residues: the Mersenne
+  // prime 2^2203 - 1 and the square of the Mersenne prime 2^1279 - 1.
+  const BigInt one(1);
+  const BigInt m1279 = (one << 1279) - one;
+  for (const BigInt& n : {(one << 2203) - one, m1279 * m1279}) {
+    Rng a(27), b(27);
+    EXPECT_EQ(n.is_probable_prime(a, 2), miller_rabin_reference(n, b, 2));
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+  Rng rng(28);
+  EXPECT_TRUE(((one << 2203) - one).is_probable_prime(rng, 2));
+  EXPECT_FALSE((m1279 * m1279).is_probable_prime(rng, 2));
 }
 
 TEST(BigInt, GeneratePrime) {
