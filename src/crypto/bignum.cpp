@@ -511,7 +511,6 @@ class Montgomery {
     // b, doubled mod m up to 2^(64N).  Then R^2 mod m from 2R by squaring:
     // the Montgomery square of 2^k R is 2^(2k) R.
     const size_t b = m.bit_length();
-    one_ = {};
     one_[(b - 1) / 64] = uint64_t{1} << ((b - 1) % 64);
     for (size_t i = b - 1; i < 64 * N; ++i) one_ = twice(one_);
     r2_ = twice(one_);

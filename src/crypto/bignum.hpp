@@ -2,9 +2,10 @@
 //
 // Just enough big-number arithmetic for certificate signing and the
 // SecureChannel key exchange: schoolbook multiply, Knuth Algorithm D
-// division, fixed-width Montgomery fixed-window modular exponentiation
-// with CRT, extended Euclid, and Miller–Rabin prime generation.  All randomness flows through
-// the deterministic sgfs::Rng so tests and simulations reproduce exactly.
+// division, modular exponentiation on fixed-width Montgomery kernels (with
+// a CRT form for RSA private keys), extended Euclid, and Miller–Rabin
+// prime generation.  All randomness flows through the deterministic
+// sgfs::Rng so tests and simulations reproduce exactly.
 #pragma once
 
 #include <compare>
@@ -54,9 +55,9 @@ class BigInt {
                                           const BigInt& den);
 
   /// (base ^ exp) mod m; m must be non-zero.  Odd moduli of up to 2048
-  /// bits run fixed-width Montgomery products over a fixed exponent window;
-  /// even moduli and wider odd ones take the square-and-multiply reference
-  /// (crypto/accel.hpp).
+  /// bits run fixed-width Montgomery products over sliding exponent
+  /// windows; even moduli and wider odd ones take the square-and-multiply
+  /// reference (crypto/accel.hpp).
   static BigInt mod_exp(const BigInt& base, const BigInt& exp,
                         const BigInt& m);
 
