@@ -609,10 +609,6 @@ class Montgomery {
     return acc;
   }
 
-  static BigInt value(const Elem& a) {
-    return BigIntWords::from_words(a.data(), N);
-  }
-
  private:
   Elem twice(const Elem& a) const {  // 2a mod m
     Elem t{};
@@ -732,7 +728,8 @@ BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
   BigInt out;
   const bool fixed = with_width(m, [&]<size_t N>(Width<N>) {
     const Montgomery<N> mont(m);
-    out = mont.value(mont.from_mont(mont.pow(mont.to_mont(base), exp)));
+    const auto r = mont.from_mont(mont.pow(mont.to_mont(base), exp));
+    out = BigIntWords::from_words(r.data(), N);
   });
   return fixed ? out : accel::mod_exp_reference(base, exp, m);
 }
