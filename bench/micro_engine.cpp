@@ -7,6 +7,9 @@
 //     every hop at one simulated instant (the same-instant FIFO path);
 //   - 1000-actor sleep loop: timed wakeups spread over a small window (the
 //     heap path);
+//   - 1000-actor frame churn: each spawned actor awaits a three-deep Task
+//     chain that sleeps once, then finishes, so frames are made and freed
+//     at the rate of the message path's nested calls;
 //   - plain RPC round trip: one client calling an echo program over the
 //     simulated LAN (stream writes, deliveries, retransmission timers,
 //     record marking, xid matching).
@@ -81,6 +84,36 @@ void BM_EngineSleepLoop1000Actors(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kActors * kSleeps);
 }
 BENCHMARK(BM_EngineSleepLoop1000Actors)->Unit(benchmark::kMillisecond);
+
+sim::Task<int> churn_leaf(sim::Engine& e, int a) {
+  co_await e.sleep(1 + a % 97);
+  co_return a;
+}
+sim::Task<int> churn_mid(sim::Engine& e, int a) {
+  co_return 1 + co_await churn_leaf(e, a);
+}
+sim::Task<int> churn_top(sim::Engine& e, int a) {
+  co_return 1 + co_await churn_mid(e, a);
+}
+
+void BM_EngineFrameChurn1000Actors(benchmark::State& state) {
+  constexpr int kActors = 1000;
+  uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Engine eng;
+    for (int a = 0; a < kActors; ++a) {
+      eng.spawn([](sim::Engine& e, int a) -> sim::Task<void> {
+        benchmark::DoNotOptimize(co_await churn_top(e, a));
+      }(eng, a));
+    }
+    eng.run();
+    events += eng.events_processed();
+    benchmark::DoNotOptimize(events);
+  }
+  report_events(state, events);
+  state.SetItemsProcessed(state.iterations() * kActors);
+}
+BENCHMARK(BM_EngineFrameChurn1000Actors)->Unit(benchmark::kMicrosecond);
 
 class EchoProgram final : public rpc::RpcProgram {
  public:

@@ -42,7 +42,8 @@ RsaKeyPair rsa_generate(Rng& rng, size_t modulus_bits) {
     BigInt d = BigInt::mod_inverse(e, phi);
     BigInt dp = d % (p - BigInt(1));
     BigInt dq = d % (q - BigInt(1));
-    BigInt qinv = BigInt::mod_inverse(q, p);
+    // p is prime and q != p, so q^(p-2) is q's inverse mod p (Fermat).
+    BigInt qinv = BigInt::mod_exp(q, p - BigInt(2), p);
     RsaKeyPair kp;
     kp.pub = {n, e};
     kp.priv = {n, e, d, p, q, dp, dq, qinv};

@@ -7,11 +7,12 @@
 
 namespace sgfs::sim {
 
-void detail::finish_detached(Engine& eng, std::coroutine_handle<> h,
-                             std::exception_ptr error) noexcept {
-  if (error) {
+void detail::finish_detached(PromiseBase& p,
+                             std::coroutine_handle<> h) noexcept {
+  Engine& eng = *p.owner;
+  if (p.exception) {
     try {
-      std::rethrow_exception(error);
+      std::rethrow_exception(p.exception);
     } catch (const std::exception& e) {
       eng.errors_.emplace_back(e.what());
       SGFS_ERROR("sim", "actor terminated with exception: ", e.what());
@@ -20,22 +21,31 @@ void detail::finish_detached(Engine& eng, std::coroutine_handle<> h,
       SGFS_ERROR("sim", "actor terminated with unknown exception");
     }
   }
-  eng.live_.erase(h.address());
+  eng.unlink_actor(p);
   h.destroy();
 }
 
 Engine::~Engine() {
   // Drop pending events first so nothing runs during teardown, then destroy
-  // surviving actor frames (their locals own nested task frames).  A frame
-  // destructor may still queue work (a stream close posts its EOF), so
-  // repeat until both are empty.
+  // surviving actor frames (their locals own nested task frames) in spawn
+  // order, oldest first.  A frame destructor may still queue work (a
+  // stream close posts its EOF) or spawn, so repeat until both are empty.
+  using Promise = Task<void>::promise_type;  // every detached actor's
   drop_pending();
-  while (!live_.empty()) {
-    auto live = std::move(live_);
-    live_.clear();
-    for (void* p : live) std::coroutine_handle<>::from_address(p).destroy();
+  while (live_head_ != nullptr) {
+    while (detail::PromiseBase* p = live_head_) {
+      unlink_actor(*p);
+      std::coroutine_handle<Promise>::from_promise(static_cast<Promise&>(*p))
+          .destroy();
+    }
     drop_pending();
   }
+}
+
+void Engine::unlink_actor(detail::PromiseBase& p) {
+  (p.live_prev ? p.live_prev->live_next : live_head_) = p.live_next;
+  (p.live_next ? p.live_next->live_prev : live_tail_) = p.live_prev;
+  --live_count_;
 }
 
 void Engine::drop_pending() {
@@ -120,8 +130,12 @@ Engine::Event Engine::pop() {
 
 void Engine::spawn(Task<void> task) {
   auto h = task.release();
-  h.promise().owner = this;
-  live_.insert(h.address());
+  auto& p = h.promise();
+  p.owner = this;
+  p.live_prev = live_tail_;
+  (live_tail_ ? live_tail_->live_next : live_head_) = &p;
+  live_tail_ = &p;
+  ++live_count_;
   ++actors_spawned_;
   schedule_now(h);
 }

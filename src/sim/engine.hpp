@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -107,7 +106,7 @@ class Engine {
   size_t pending_events() const {
     return heap_.size() + (fifo_.size() - fifo_head_);
   }
-  size_t live_actors() const { return live_.size(); }
+  size_t live_actors() const { return live_count_; }
 
   /// Total events executed by step() since construction.  Dividing by
   /// wall-clock elapsed time gives the simulator's events/sec figure, which
@@ -141,8 +140,8 @@ class Engine {
   SleepAwaiter yield() { return {*this, now_}; }
 
  private:
-  friend void detail::finish_detached(Engine&, std::coroutine_handle<>,
-                                      std::exception_ptr) noexcept;
+  friend void detail::finish_detached(detail::PromiseBase&,
+                                      std::coroutine_handle<>) noexcept;
 
   template <typename F>
   class TimedCall final : public Callback {
@@ -184,6 +183,7 @@ class Engine {
   void heap_push(const Event& ev);
   void heap_pop();
   void drop_pending();
+  void unlink_actor(detail::PromiseBase& p);
 
   SimTime now_ = 0;
   obs::MetricsRegistry metrics_;
@@ -194,7 +194,11 @@ class Engine {
   std::vector<Event> heap_;  // 4-ary min-heap, events after now_
   std::vector<Event> fifo_;  // events at now_, in seq order from fifo_head_
   size_t fifo_head_ = 0;
-  std::unordered_set<void*> live_;
+  // Detached actors not yet finished, oldest spawn first, linked through
+  // their promises.
+  detail::PromiseBase* live_head_ = nullptr;
+  detail::PromiseBase* live_tail_ = nullptr;
+  size_t live_count_ = 0;
   std::vector<std::string> errors_;
 };
 

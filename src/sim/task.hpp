@@ -8,12 +8,22 @@
 //
 // A Task handed to Engine::spawn is detached: the engine schedules the
 // task's own frame, and at final suspend the frame reports to its owning
-// engine (escaped exception, live-actor set) and frees itself.
+// engine (escaped exception, live-actor list) and frees itself.
+//
+// Frames come from detail::FramePool, which recycles them per size class
+// (DESIGN.md §18).
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstring>
 #include <exception>
+#include <new>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace sgfs::sim {
 
@@ -24,10 +34,75 @@ class Engine;
 
 namespace detail {
 
-/// Done-hook of a detached actor (defined in engine.cpp): records `error`
-/// into the engine's errors(), drops `h` from the live set and destroys it.
-void finish_detached(Engine& eng, std::coroutine_handle<> h,
-                     std::exception_ptr error) noexcept;
+/// Free lists of coroutine frames, one per 64-byte size class up to 8 KiB.
+/// A released frame goes to the head of its class's list and is the next
+/// frame that class hands out; a larger frame goes straight to
+/// ::operator new/delete.  Cached frames are never returned to the heap:
+/// a list holds at most as many frames as its class ever had live at once,
+/// reachable from the list head.  The lists are per thread, so engines on
+/// two threads never share one (every program here runs its engines on
+/// one thread).  Under ASan a cached frame is poisoned except for its
+/// link, so a touch of a dead frame is reported.
+class FramePool {
+ public:
+  static constexpr std::size_t kGranule = 64;
+  static constexpr std::size_t kMaxPooled = 8 * 1024;
+
+  /// Bytes a request of n bytes is served with (n itself above kMaxPooled).
+  static constexpr std::size_t class_size(std::size_t n) noexcept {
+    return n > kMaxPooled ? n : (n + kGranule - 1) / kGranule * kGranule;
+  }
+
+  static void* allocate(std::size_t n) {
+    if (n > kMaxPooled) return ::operator new(n);
+    const std::size_t size = class_size(n);
+    void*& head = heads_[size / kGranule - 1];
+    void* f = head;
+    if (f == nullptr) return ::operator new(size);
+    unpoison(f, size - sizeof(void*));
+    std::memcpy(&head, link(f, size), sizeof(void*));
+    return f;
+  }
+
+  static void release(void* p, std::size_t n) noexcept {
+    if (n > kMaxPooled) return ::operator delete(p, n);
+    const std::size_t size = class_size(n);
+    void*& head = heads_[size / kGranule - 1];
+    std::memcpy(link(p, size), &head, sizeof(void*));
+    head = p;
+    poison(p, size - sizeof(void*));
+  }
+
+ private:
+  // The link of a cached frame is its last word: a frame's resume and
+  // destroy pointers lead it, so they stay poisoned under ASan.
+  static void* link(void* f, std::size_t size) noexcept {
+    return static_cast<char*>(f) + size - sizeof(void*);
+  }
+
+#if defined(__SANITIZE_ADDRESS__)
+  // The leak checker skips poisoned words, so the link stays unpoisoned to
+  // keep the frames behind it reachable.
+  static void poison(void* f, std::size_t bytes) noexcept {
+    ASAN_POISON_MEMORY_REGION(f, bytes);
+  }
+  static void unpoison(void* f, std::size_t bytes) noexcept {
+    ASAN_UNPOISON_MEMORY_REGION(f, bytes);
+  }
+#else
+  static void poison(void*, std::size_t) noexcept {}
+  static void unpoison(void*, std::size_t) noexcept {}
+#endif
+
+  static inline thread_local void* heads_[kMaxPooled / kGranule] = {};
+};
+
+struct PromiseBase;
+
+/// Done-hook of a detached actor (defined in engine.cpp): records the
+/// promise's escaped exception into its engine's errors(), unlinks it from
+/// the live-actor list and destroys the frame `h`.
+void finish_detached(PromiseBase& p, std::coroutine_handle<> h) noexcept;
 
 struct FinalAwaiter {
   bool await_ready() const noexcept { return false; }
@@ -38,7 +113,7 @@ struct FinalAwaiter {
     if (p.continuation) return p.continuation;
     // Nothing touches the frame after this: the returned no-op handle is
     // all the caller resumes.
-    if (p.owner) finish_detached(*p.owner, h, std::move(p.exception));
+    if (p.owner) finish_detached(p, h);
     return std::noop_coroutine();
   }
   void await_resume() const noexcept {}
@@ -48,6 +123,14 @@ struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
   Engine* owner = nullptr;  // set by Engine::spawn for a detached actor
+  // The owner's live-actor list, in spawn order (Engine::spawn).
+  PromiseBase* live_prev = nullptr;
+  PromiseBase* live_next = nullptr;
+
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::release(p, n);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }

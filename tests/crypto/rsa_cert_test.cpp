@@ -229,6 +229,19 @@ TEST(Rsa, CrtFactorsAreConsistent) {
   }
 }
 
+TEST(Rsa, QinvMatchesExtendedEuclid) {
+  // rsa_generate computes qinv = q^(p-2) mod p; extended Euclid must give
+  // the same value on every key, at every size keys are made at.
+  Rng rng(300);
+  for (size_t bits : {256u, 512u, 1024u}) {
+    for (int i = 0; i < (bits == 1024u ? 8 : 40); ++i) {
+      const RsaPrivateKey k = rsa_generate(rng, bits).priv;
+      ASSERT_EQ(k.qinv, BigInt::mod_inverse(k.q, k.p)) << bits << "-bit key "
+                                                       << i;
+    }
+  }
+}
+
 TEST(Rsa, CrtSignAndDecryptMatchThePlainPath) {
   // The CRT private operation against the plain one over n and against
   // the reference exponentiation, byte for byte.  A 256-bit modulus is

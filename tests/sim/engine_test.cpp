@@ -410,6 +410,39 @@ TEST(Engine, DestructionFreesPendingCallbacksAndActors) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
+TEST(Engine, DestructionDestroysSurvivorsInSpawnOrder) {
+  // Each actor's guard logs its index when its frame is destroyed.
+  struct Guard {
+    std::vector<int>* log;
+    int id;
+    ~Guard() { log->push_back(id); }
+  };
+  auto actor = [](Engine& e, std::vector<int>* log, int id,
+                  SimDur life) -> Task<void> {
+    Guard g{log, id};
+    co_await e.sleep(life);
+  };
+  std::vector<int> destroyed;
+  {
+    Engine eng;
+    // 0, 2 and 5 finish: the head, a middle actor and the tail leave the
+    // list before teardown.
+    const SimDur lives[] = {1_us, 100_s, 1_us, 100_s, 100_s, 2_us};
+    for (int i = 0; i < 6; ++i) eng.spawn(actor(eng, &destroyed, i, lives[i]));
+    EXPECT_EQ(eng.live_actors(), 6u);
+    eng.run_until(1_us);
+    EXPECT_EQ(eng.live_actors(), 4u);
+    eng.run_until(2_us);
+    EXPECT_EQ(eng.live_actors(), 3u);
+    EXPECT_EQ(destroyed, (std::vector<int>{0, 2, 5}));
+    eng.spawn(actor(eng, &destroyed, 6, 100_s));
+    eng.run_until(3_us);  // 6 starts and constructs its guard
+    EXPECT_EQ(eng.live_actors(), 4u);
+    destroyed.clear();
+  }
+  EXPECT_EQ(destroyed, (std::vector<int>{1, 3, 4, 6}));
+}
+
 TEST(SimEventTest, WaitersReleasedOnSet) {
   Engine eng;
   SimEvent ev(eng);
