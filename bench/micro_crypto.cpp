@@ -15,7 +15,6 @@
 #include "crypto/accel.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/merkle.hpp"
 #include "crypto/rc4.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha.hpp"
@@ -289,49 +288,6 @@ void BM_RsaIsProbablePrime256(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaIsProbablePrime256)->Unit(benchmark::kMicrosecond);
 
-// --- content-addressed replication: Merkle build + per-block verify ----------
-//
-// Publication cost: one tree build over the file's cache blocks (owner
-// side, once per epoch).  Read cost: one leaf hash plus a log-depth sibling
-// walk per replica block (client side, every block).  The verify row is the
-// real per-read overhead the replica path adds on top of the fetch.
-
-std::vector<Buffer> merkle_blocks(size_t count, size_t bytes) {
-  Rng rng(17);
-  std::vector<Buffer> blocks(count);
-  for (auto& b : blocks) b = rng.bytes(bytes);
-  return blocks;
-}
-
-void BM_MerkleBuild(benchmark::State& state) {
-  const size_t count = static_cast<size_t>(state.range(0));
-  const auto blocks = merkle_blocks(count, 32 * 1024);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MerkleTree::build(count, [&](size_t i) {
-      return ByteView(blocks[i].data(), blocks[i].size());
-    }));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(count) * 32 * 1024);
-}
-BENCHMARK(BM_MerkleBuild)->Arg(32)->Arg(1024);
-
-void BM_MerkleVerifyPath(benchmark::State& state) {
-  const size_t count = static_cast<size_t>(state.range(0));
-  const auto blocks = merkle_blocks(count, 32 * 1024);
-  const MerkleTree tree = MerkleTree::build(count, [&](size_t i) {
-    return ByteView(blocks[i].data(), blocks[i].size());
-  });
-  const auto proof = tree.proof(count / 2);
-  const ByteView block(blocks[count / 2].data(), blocks[count / 2].size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        MerkleTree::verify(tree.root(), count, count / 2, block, proof));
-  }
-  state.SetBytesProcessed(state.iterations() * 32 * 1024);
-}
-BENCHMARK(BM_MerkleVerifyPath)->Arg(32)->Arg(1024);
-
 // --- WAN stream pool: abbreviated-handshake key schedule ---------------------
 //
 // A resumed sibling stream never touches RSA: both ends expand the ticket's
@@ -548,54 +504,11 @@ void check_stream_key_schedule() {
               "blocks, both ends agree, 0 RSA operations\n");
 }
 
-// The Merkle rows above are only meaningful if the tree really
-// authenticates: both ends must derive the same root from the same blocks,
-// every honest (block, proof) pair must verify, and a single flipped bit —
-// in the block or in any proof digest — must fail.  Abort otherwise: a
-// throughput number for a tree that accepts corrupt blocks is worthless.
-void check_merkle_schedule() {
-  const auto blocks = merkle_blocks(13, 32 * 1024);
-  auto fn = [&](size_t i) {
-    return ByteView(blocks[i].data(), blocks[i].size());
-  };
-  const MerkleTree publisher = MerkleTree::build(blocks.size(), fn);
-  const MerkleTree verifier = MerkleTree::build(blocks.size(), fn);
-  if (publisher.root() != verifier.root()) {
-    std::fprintf(stderr, "FATAL: Merkle root disagreement between ends\n");
-    std::abort();
-  }
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    if (!MerkleTree::verify(publisher.root(), blocks.size(), i, fn(i),
-                            publisher.proof(i))) {
-      std::fprintf(stderr, "FATAL: honest proof rejected at leaf %zu\n", i);
-      std::abort();
-    }
-  }
-  Buffer evil = blocks[5];
-  evil[evil.size() / 2] ^= 0x40;
-  if (MerkleTree::verify(publisher.root(), blocks.size(), 5,
-                         ByteView(evil.data(), evil.size()),
-                         publisher.proof(5))) {
-    std::fprintf(stderr, "FATAL: corrupt block accepted\n");
-    std::abort();
-  }
-  auto bad_proof = publisher.proof(5);
-  bad_proof[0][0] ^= 1;
-  if (MerkleTree::verify(publisher.root(), blocks.size(), 5, fn(5),
-                         bad_proof)) {
-    std::fprintf(stderr, "FATAL: corrupt sibling accepted\n");
-    std::abort();
-  }
-  std::printf("merkle schedule self-check: 13 leaves, both ends agree, "
-              "honest proofs verify, corrupt block/sibling rejected\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   check_stream_key_schedule();
   check_establishment_schedule();
-  check_merkle_schedule();
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

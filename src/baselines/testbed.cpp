@@ -98,9 +98,9 @@ Testbed::Testbed(TestbedOptions options)
 
   if (direct) return;  // no proxies
 
-  // Only sgfs sessions and replica catalogs read the PKI; its keys come
-  // from a stream of their own, so skipping it moves nothing else.
-  if (options_.kind == SetupKind::kSgfs || options_.replicas > 0) {
+  // Only sgfs sessions read the PKI; its keys come from a stream of their
+  // own, so skipping it moves nothing else.
+  if (options_.kind == SetupKind::kSgfs) {
     pki_ = std::make_unique<Pki>(options_.seed + 7);
   }
 
@@ -201,17 +201,6 @@ Testbed::Testbed(TestbedOptions options)
     default:
       break;
   }
-  if (options_.replicas > 0) {
-    ccfg.replica = options_.replica_policy;
-    ccfg.replica.enabled = true;
-    // Catalogs are adopted directly here (no FSS in the two-VM testbed);
-    // plain setups still need the roots to verify the owner's signature.
-    ccfg.replica.catalog_service = net::Address();
-    if (ccfg.security.trusted.empty()) {
-      ccfg.security.trusted = {pki_->ca.root()};
-    }
-    replica_block_size_ = ccfg.cache.block_size;
-  }
   client_proxy_ = std::make_shared<core::ClientProxy>(*client_, ccfg,
                                                       rng_.fork());
   client_proxy_->start(2049);
@@ -224,18 +213,6 @@ Testbed::Testbed(TestbedOptions options)
         *client_, *client_proxy_, tamper);
     injector_alive_ = std::make_shared<bool>(true);
     eng_.spawn(cache_injector_->run(injector_alive_));
-  }
-
-  // --- untrusted read-only replica fleet ---
-  for (int i = 0; i < options_.replicas; ++i) {
-    // Replicas model cheap SAN-backed mirrors (same disk as fleet shards).
-    net::DiskParams san;
-    san.seek = 300 * sim::kMicrosecond;
-    san.bytes_per_sec = 400.0e6;
-    auto& h = net_.add_host("replica" + std::to_string(i), san);
-    auto srv = std::make_shared<fleet::ReplicaServer>(h, h.name());
-    srv->start(kReplicaPort);
-    replica_servers_.push_back(std::move(srv));
   }
 }
 
@@ -250,7 +227,6 @@ Testbed::~Testbed() {
   if (injector_alive_) *injector_alive_ = false;
   if (client_proxy_) client_proxy_->stop();
   if (server_proxy_) server_proxy_->stop();
-  for (auto& r : replica_servers_) r->stop();
   if (tunnel_) tunnel_->stop();
 }
 
@@ -302,63 +278,6 @@ void Testbed::preload_file(const std::string& path, uint64_t bytes,
     off += n;
   }
   if (warm) kernel_nfs_->warm_file(full);
-  preloaded_.push_back(path);
-}
-
-void Testbed::publish_replicas() {
-  if (replica_servers_.empty() || !client_proxy_) return;
-  vfs::Cred grid(kGridUid, kGridUid);
-  const uint32_t bs = static_cast<uint32_t>(replica_block_size_);
-  core::ReplicaCatalog catalog;
-  catalog.epoch = 2;
-  for (auto& srv : replica_servers_) {
-    catalog.replicas.emplace_back(srv->name(),
-                                  net::Address(srv->name(), kReplicaPort));
-  }
-  for (const auto& path : preloaded_) {
-    const std::string full = std::string(kDataPath) + "/" + path;
-    auto id = fs_->resolve(grid, full);
-    auto data = fs_->read_file(grid, full);
-    if (!id.ok() || !data.ok()) continue;
-    core::ReplicaFileInfo fi;
-    fi.path = full;
-    fi.fileid = id.value;
-    fi.size = data.value.size();
-    fi.block_size = bs;
-    const crypto::MerkleTree* tree = nullptr;
-    for (auto& srv : replica_servers_) {
-      tree = &srv->publish_file(fi.fileid, bs, ByteView(data.value));
-    }
-    fi.leaf_count = tree->leaf_count();
-    fi.root = tree->root();
-    catalog.files.push_back(std::move(fi));
-  }
-  const int64_t now_s = eng_.now() / sim::kSecond;
-  // Two signed epochs of the same content: the stale-catalog dial gossips
-  // the older one, which adopters must reject as an epoch rollback.
-  core::ReplicaCatalog old_catalog = catalog;
-  old_catalog.epoch = 1;
-  const std::string old_hex = to_hex(
-      core::sign_replica_catalog(old_catalog, pki_->fileserver, now_s)
-          .serialize());
-  const std::string hex = to_hex(
-      core::sign_replica_catalog(catalog, pki_->fileserver, now_s)
-          .serialize());
-  for (auto& srv : replica_servers_) {
-    srv->set_catalog(old_hex);
-    srv->set_catalog(hex);
-  }
-  client_proxy_->replica_set()->adopt_catalog(hex);
-
-  if (options_.replica_faults.enabled() && !replica_injector_) {
-    auto rf = options_.replica_faults;
-    if (rf.seed == 1) rf.seed = options_.seed ^ 0x5e91u;
-    std::vector<fleet::ReplicaServer*> ptrs;
-    ptrs.reserve(replica_servers_.size());
-    for (auto& s : replica_servers_) ptrs.push_back(s.get());
-    replica_injector_ = std::make_unique<core::ReplicaFaultInjector>(eng_, rf);
-    replica_injector_->arm(ptrs);
-  }
 }
 
 std::vector<double> Testbed::daemon_cpu_series(Side side) const {

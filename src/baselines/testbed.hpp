@@ -22,7 +22,6 @@
 #include <memory>
 
 #include "baselines/tunnel.hpp"
-#include "fleet/replica_server.hpp"
 #include "net/fault.hpp"
 #include "nfs/nfs3_client.hpp"
 #include "nfs/nfs3_server.hpp"
@@ -90,18 +89,6 @@ struct TestbedOptions {
   /// Storage-fault injection against the proxy disk cache (cache_fault.hpp).
   /// rate_per_s == 0 (the default) spawns no injector.
   core::CacheFaultOptions cache_tamper;
-  /// Untrusted read-only replica fleet (DESIGN.md §16).  0 = no replicas,
-  /// bit-identical to every legacy run.  With N > 0 (proxied setups only),
-  /// N ReplicaServer hosts join the network and publish_replicas() pushes
-  /// the preloaded files plus an owner-signed catalog to them and to the
-  /// client proxy, which then serves verified replica blocks for clean
-  /// aligned reads and degrades to the origin on failure.
-  int replicas = 0;
-  /// Client-side replica tuning; `enabled` and `catalog_service` are set by
-  /// the testbed itself (catalogs are adopted directly, no FSS here).
-  core::ReplicaPolicy replica_policy;
-  /// Byzantine faults against the replica fleet; fraction == 0 disarms.
-  core::ReplicaFaultOptions replica_faults;
 
   /// One gray-failure window (net/fault.hpp): the component keeps working,
   /// slower.  `delay`/`jitter` apply to link-slowdown windows, `factor`
@@ -146,15 +133,6 @@ class Testbed {
   core::ServerProxy* server_proxy() { return server_proxy_.get(); }
   /// The storage-fault injector; nullptr unless cache_tamper is enabled.
   core::CacheTamperInjector* cache_injector() { return cache_injector_.get(); }
-  /// Replica fleet access (empty unless options.replicas > 0).
-  size_t replica_count() const { return replica_servers_.size(); }
-  fleet::ReplicaServer* replica_server(size_t i) {
-    return replica_servers_[i].get();
-  }
-  /// The Byzantine injector; nullptr unless replica_faults is enabled.
-  core::ReplicaFaultInjector* replica_injector() {
-    return replica_injector_.get();
-  }
   const TestbedOptions& options() const { return options_; }
 
   /// The installed fault plan; nullptr on a perfect network.
@@ -177,13 +155,6 @@ class Testbed {
   void preload_file(const std::string& path, uint64_t bytes, bool warm,
                     uint64_t content_seed = 1);
 
-  /// Publishes every preloaded file to the replica fleet: splits each into
-  /// cache-sized blocks on all replica servers, signs the resulting catalog
-  /// with the fileserver credential and hands it to the servers (gossip)
-  /// and the client proxy (direct adoption).  Also arms the Byzantine
-  /// injector.  No-op when options.replicas == 0.  Call after preloading.
-  void publish_replicas();
-
   /// Fraction-busy series (5s windows) of the user-level daemon on one
   /// side — Figures 5/6.  Includes the daemon's crypto work.
   enum class Side { kClient, kServer };
@@ -192,7 +163,6 @@ class Testbed {
   /// The path workloads operate in (owned by the grid user's account).
   static constexpr const char* kDataPath = "/GFS/grid";
   static constexpr uint32_t kGridUid = 1000;
-  static constexpr uint16_t kReplicaPort = 5049;
   /// Effective end-to-end wire throughput of the virtualized GbE testbed.
   static constexpr double kWireBytesPerSec = 400.0e6 / 8.0;
 
@@ -207,7 +177,7 @@ class Testbed {
   net::Network net_;
   net::Host* client_;
   net::Host* server_;
-  std::unique_ptr<Pki> pki_;  // sgfs setups and replica fleets only
+  std::unique_ptr<Pki> pki_;  // sgfs setups only
   std::shared_ptr<vfs::FileSystem> fs_;
   std::shared_ptr<nfs::Nfs3Server> kernel_nfs_;
   std::unique_ptr<rpc::RpcServer> kernel_rpc_;
@@ -215,11 +185,6 @@ class Testbed {
   std::shared_ptr<core::ClientProxy> client_proxy_;
   std::unique_ptr<core::CacheTamperInjector> cache_injector_;
   std::shared_ptr<bool> injector_alive_;
-  std::vector<std::shared_ptr<fleet::ReplicaServer>> replica_servers_;
-  std::unique_ptr<core::ReplicaFaultInjector> replica_injector_;
-  /// Files preload_file() created, re-read at publish_replicas() time.
-  std::vector<std::string> preloaded_;
-  size_t replica_block_size_ = 0;
   std::unique_ptr<SshTunnel> tunnel_;
   Rng rng_;
 };

@@ -136,10 +136,6 @@ sim::Task<void> fss_publish(net::Host& ctrl, const crypto::Credential& cred,
   }
 }
 
-sim::Task<void> wait_done(sim::Engine& eng, const size_t& done, size_t n) {
-  while (done < n) co_await eng.sleep(50 * sim::kMillisecond);
-}
-
 void Window::open(double warmup_s, double window_s) {
   t0 = eng_.now();
   const sim::SimDur warmup = sim::from_seconds(warmup_s);
@@ -185,7 +181,7 @@ bool Window::count_failure(const std::exception& e) {
 
 sim::Task<void> Window::drain(size_t n) {
   co_await eng_.sleep_until(end);
-  co_await wait_done(eng_, done, n);
+  while (done < n) co_await eng_.sleep(50 * sim::kMillisecond);
 }
 
 }  // namespace kit

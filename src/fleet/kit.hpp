@@ -1,6 +1,6 @@
-// Scenario kit: what run_fleet, run_connstorm and run_flashcrowd build
-// their scenarios from.  No helper draws randomness or schedules an event
-// the harness does not ask for, so fingerprints depend on options alone.
+// Scenario kit: what run_fleet and run_connstorm build their scenarios
+// from.  No helper draws randomness or schedules an event the harness does
+// not ask for, so fingerprints depend on options alone.
 #pragma once
 
 #include <chrono>
@@ -134,9 +134,6 @@ void ramp(sim::Engine& eng, size_t n, sim::SimDur over, Actor&& actor) {
                            static_cast<sim::SimDur>(n)));
   }
 }
-
-/// Polls every 50 ms until `done` reaches `n`.
-sim::Task<void> wait_done(sim::Engine& eng, const size_t& done, size_t n);
 
 /// Closed-loop window accounting into a WindowResult.
 class Window {

@@ -1,18 +1,8 @@
 #include "services/services.hpp"
 
 #include "common/log.hpp"
-#include "sgfs/replica.hpp"
 
 namespace sgfs::services {
-
-// The replica module mirrors these numbers so sgfs_core can dial the FSS
-// without a dependency cycle; keep them locked together.
-static_assert(core::kCatalogServiceProgram == kFssProgram);
-static_assert(core::kCatalogServiceVersion == kFssVersion);
-static_assert(core::kPutReplicaCatalogProc ==
-              static_cast<uint32_t>(ServiceProc::kPutReplicaCatalog));
-static_assert(core::kGetReplicaCatalogProc ==
-              static_cast<uint32_t>(ServiceProc::kGetReplicaCatalog));
 
 namespace {
 // Control-plane envelopes are small; linearize borrows the single segment
@@ -113,34 +103,6 @@ bool FileSystemService::set_shard_map(core::ShardMap map) {
   return true;
 }
 
-bool FileSystemService::set_replica_catalog(const std::string& signed_hex) {
-  // The FSS is a dumb distribution point for the OWNER's signature: it
-  // verifies before storing (a controller cannot launder an unsigned or
-  // forged catalog through it) but never re-signs — clients check the
-  // embedded signature themselves.
-  try {
-    Buffer raw = from_hex(signed_hex);
-    core::SignedReplicaCatalog sc = core::SignedReplicaCatalog::deserialize(
-        ByteView(raw.data(), raw.size()));
-    core::CatalogVerify v =
-        core::verify_replica_catalog(sc, trusted_, now_epoch());
-    if (!v.ok) {
-      SGFS_INFO("fss", "replica catalog rejected: ", v.error);
-      return false;
-    }
-    if (!replica_catalog_.empty() &&
-        v.catalog.epoch <= replica_catalog_epoch_) {
-      return false;
-    }
-    replica_catalog_ = signed_hex;
-    replica_catalog_epoch_ = v.catalog.epoch;
-    return true;
-  } catch (const std::exception& e) {
-    SGFS_INFO("fss", "replica catalog unparseable: ", e.what());
-    return false;
-  }
-}
-
 sim::Task<BufChain> FileSystemService::handle(const rpc::CallContext& ctx,
                                               BufChain args) {
   // Shard discovery is a public read: the map's integrity comes from the
@@ -161,14 +123,6 @@ sim::Task<BufChain> FileSystemService::handle(const rpc::CallContext& ctx,
       shard_reply_epoch_ = shard_map_->epoch();
     }
     co_return encode_env(*shard_reply_cache_);
-  }
-  // Replica-catalog discovery is likewise a public read, but the stored
-  // blob already carries the owner's signature: the reply is a raw XDR
-  // string — zero RSA on this path, for the FSS and for cache hits alike.
-  if (static_cast<ServiceProc>(ctx.proc) == ServiceProc::kGetReplicaCatalog) {
-    xdr::Encoder enc;
-    enc.put_string(replica_catalog_);
-    co_return enc.take_flat();
   }
 
   Envelope request;
@@ -353,20 +307,6 @@ sim::Task<BufChain> FileSystemService::handle(const rpc::CallContext& ctx,
       co_return encode_env(reply_env(
           "PutShardMapResponse",
           {{"epoch", std::to_string(shard_map_->epoch())}}));
-    }
-
-    case ServiceProc::kPutReplicaCatalog: {
-      // Controller-gated like the shard map; the stored blob additionally
-      // carries (and must pass) the file OWNER's signature, checked inside
-      // set_replica_catalog along with epoch monotonicity.
-      auto field = request.fields.find("catalog");
-      if (field == request.fields.end() ||
-          !set_replica_catalog(field->second)) {
-        co_return encode_env(error_env("bad or stale replica catalog"));
-      }
-      co_return encode_env(reply_env(
-          "PutReplicaCatalogResponse",
-          {{"epoch", std::to_string(replica_catalog_epoch_)}}));
     }
 
     case ServiceProc::kReconfigure: {

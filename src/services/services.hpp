@@ -43,8 +43,7 @@ enum class ServiceProc : uint32_t {
   kCreateSession = 10,       // DSS
   kGrantAccess = 11,         // DSS ACL DB management
   kPutFileAcl = 12,          // DSS -> server FSS fine-grained ACL
-  kPutReplicaCatalog = 13,   // FSS: controller publishes the replica catalog
-  kGetReplicaCatalog = 14,   // FSS: catalog discovery (unauthenticated read)
+  // 13 and 14 are retired; do not reuse them.
 };
 
 /// Serializes a credential for GSI-style delegation transport.
@@ -85,11 +84,6 @@ class FileSystemService
   /// same way as over the wire.  Returns false on a stale epoch.
   bool set_shard_map(core::ShardMap map);
 
-  /// Direct (in-process) publication of a serialized signed catalog.  The
-  /// embedded owner signature and epoch monotonicity are enforced exactly
-  /// as for the wire path.  Returns false on a bad catalog or stale epoch.
-  bool set_replica_catalog(const std::string& signed_hex);
-
   // --- SSO pass desk (session single sign-on) ----------------------------
   /// Disabling the cache is the naive baseline: every kSsoLogin mints and
   /// every kSsoAuthorize signs afresh — O(sessions) FSS signatures instead
@@ -125,12 +119,6 @@ class FileSystemService
   std::optional<Envelope> shard_reply_cache_;
   int64_t shard_reply_signed_at_ = 0;
   uint64_t shard_reply_epoch_ = 0;
-
-  // Replica catalog served for discovery.  It carries the owner's own
-  // signature, so — unlike the shard map — the FSS never re-signs it: the
-  // reply is the stored hex text verbatim, and reads cost no RSA at all.
-  std::string replica_catalog_;
-  uint64_t replica_catalog_epoch_ = 0;
 
   // SSO pass desk: one short-TTL signed credential per user amortizes the
   // FSS's RSA signatures over every mount/shard connection that user makes

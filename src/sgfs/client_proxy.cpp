@@ -5,7 +5,6 @@
 #include "common/bufchain.hpp"
 #include "common/log.hpp"
 #include "crypto/key_regression.hpp"
-#include "sgfs/replica.hpp"
 #include "xdr/xdr.hpp"
 
 namespace sgfs::core {
@@ -13,8 +12,6 @@ namespace sgfs::core {
 using nfs::Fh;
 using nfs::Proc3;
 using nfs::Status;
-
-ClientProxy::~ClientProxy() = default;
 
 ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
     : host_(host),
@@ -36,13 +33,6 @@ ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
   m_absorbed_lookups_ = {m, "sgfs.client_proxy.absorbed.lookups"};
   m_absorbed_reads_ = {m, "sgfs.client_proxy.absorbed.reads"};
   m_absorbed_writes_ = {m, "sgfs.client_proxy.absorbed.writes"};
-  m_replica_reads_ = {m, "sgfs.client_proxy.replica_reads"};
-  m_replica_fallbacks_ = {m, "sgfs.client_proxy.replica_fallbacks"};
-  if (config_.replica.enabled) {
-    replica_ = std::make_unique<ReplicaSet>(host_, config_.replica,
-                                            config_.security.trusted,
-                                            &config_.security.cost);
-  }
   if (config_.pool.streams > 1) {
     pool_ = std::make_unique<StreamPool>(host_, config_, session_mgr_, rng_);
   }
@@ -137,60 +127,6 @@ void ClientProxy::purge_cached_plaintext() {
   access_cache_.clear();
   dir_cache_.clear();
 }
-
-// --- replica read path (DESIGN.md §16) --------------------------------------
-
-sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
-    const nfs::ReadArgs& a) {
-  const uint32_t bs = config_.cache.block_size;
-  auto info = co_await replica_->file_info(a.fh.fileid);
-  // The publication's block geometry must match the cache's — the Merkle
-  // leaves are cache blocks, anything else would verify the wrong bytes.
-  if (!info || info->block_size != bs) co_return std::nullopt;
-  nfs::ReadRes res;
-  auto at = attrs_.find(a.fh.fileid);
-  if (at != attrs_.end()) res.post_attrs = at->second.attrs;
-  if (a.offset >= info->size) {
-    // Reading past the published EOF needs no replica round trip.
-    res.count = 0;
-    res.eof = true;
-    m_replica_reads_.inc();
-    co_return xdr::encode(res);
-  }
-  const uint64_t index = a.offset / bs;
-  auto plain = co_await replica_->fetch_block(a.fh.fileid, index);
-  if (!plain) {
-    // Degraded: all candidates blacklisted or failing.  The caller falls
-    // back to the origin's secure channel — availability over locality.
-    m_replica_fallbacks_.inc();
-    co_return std::nullopt;
-  }
-  const uint64_t size = info->size;
-  const size_t have = static_cast<size_t>(std::min<uint64_t>(
-      std::min<uint64_t>(a.count, plain->size()), size - a.offset));
-  res.count = static_cast<uint32_t>(have);
-  res.eof = a.offset + have >= size;
-  res.data = BufChain::copy_of(ByteView(plain->data(), have));
-  ++absorbed_reads_;
-  m_replica_reads_.inc();
-  // Fill the local cache so repeat reads stay local (same admission rules
-  // as an origin fill; never overwrite resident blocks or replay shadows).
-  const BlockKey rkey{a.fh.fileid, index};
-  const bool fillable = config_.cache.cache_data && !cache_.contains(rkey) &&
-                        !ledger_.contains(rkey);
-  if (fillable && store_.admit_fill()) {
-    const size_t n = std::min<size_t>(plain->size(), bs);
-    store_.overlay(rkey, static_cast<uint32_t>(n), /*absorb=*/false,
-                   [&](MutByteView dst) {
-                     std::copy_n(plain->begin(), n, dst.begin());
-                   });
-    spawn_cache_store(a.fh.fileid, index, n);
-    co_await evict_if_needed();
-  }
-  co_await host_.cpu().use(config_.cost.msg_cost(have), "proxy");
-  co_return xdr::encode(res);
-}
-
 
 sim::Task<BufChain> ClientProxy::forward(const rpc::CallContext& ctx,
                                          BufChain args) {
@@ -742,10 +678,8 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
     case Proc3::kRead: {
       auto a = xdr::decode<nfs::ReadArgs>(args);
       seen_fsid_ = a.fh.fsid;
-      // Block alignment is what the replica path needs; cachability
-      // additionally requires the data cache to be on.
-      const bool block_aligned = a.offset % bs == 0 && a.count <= bs;
-      const bool aligned = config_.cache.cache_data && block_aligned;
+      const bool aligned =
+          config_.cache.cache_data && a.offset % bs == 0 && a.count <= bs;
       // Two passes at most: a miss with a stream pool runs a striped
       // readahead, then re-checks the cache (the pool populated whole
       // blocks).  Without a pool the loop body executes exactly once —
@@ -793,14 +727,6 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
           continue;  // re-check: the readahead usually made this a hit
         }
         break;
-      }
-      // Replica fast path (DESIGN.md §16): a clean miss on a published
-      // read-only file is served from the verified replica set instead of
-      // the origin's secure channel.  Files with local dirty state keep the
-      // origin path (session-exclusive semantics trump the published copy).
-      if (replica_ && block_aligned && !cache_.has_dirty(a.fh.fileid)) {
-        auto served = co_await replica_read(a);
-        if (served) co_return std::move(*served);
       }
       BufChain reply = co_await forward(ctx, args);
       auto res = xdr::decode<nfs::ReadRes>(reply);

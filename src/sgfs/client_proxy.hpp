@@ -35,13 +35,10 @@
 
 namespace sgfs::core {
 
-class ReplicaSet;  // sgfs/replica.hpp
-
 class ClientProxy : public rpc::RpcProgram,
                     public std::enable_shared_from_this<ClientProxy> {
  public:
   ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng);
-  ~ClientProxy();  // = default in the .cpp, where ReplicaSet is complete
 
   /// Starts the plain RPC service on the loopback `port`.
   void start(uint16_t port);
@@ -147,8 +144,6 @@ class ClientProxy : public rpc::RpcProgram,
   /// True only while reads actually bypass the cache: half-open (kProbe)
   /// admits fills and serves verified hits, so it does not count.
   bool cache_bypassed() const { return store_.bypassed(); }
-  /// Content-addressed replica reader (null unless config.replica.enabled).
-  ReplicaSet* replica_set() { return replica_.get(); }
   const ClientProxyConfig& config() const { return config_; }
 
  private:
@@ -225,10 +220,6 @@ class ClientProxy : public rpc::RpcProgram,
   /// access verdict this session could still read after its DN was revoked
   /// upstream.
   void purge_cached_plaintext();
-  /// Replica read path: serve an aligned clean READ from the verified
-  /// replica set.  nullopt = not servable (no catalog, unaligned, dirty,
-  /// all replicas failed) — fall through to the origin forward.
-  sim::Task<std::optional<BufChain>> replica_read(const nfs::ReadArgs& a);
 
   net::Host& host_;
   ClientProxyConfig config_;
@@ -240,7 +231,6 @@ class ClientProxy : public rpc::RpcProgram,
   std::unique_ptr<rpc::RpcClient> upstream_nfs_;
   std::unique_ptr<rpc::RpcClient> upstream_mount_;
   std::unique_ptr<StreamPool> pool_;  // null unless config.pool.streams > 1
-  std::unique_ptr<ReplicaSet> replica_;  // null unless replica.enabled
   sim::SimMutex forward_mutex_;
 
   // Hot-path metric handles (lazy first-use resolution; see
@@ -249,7 +239,6 @@ class ClientProxy : public rpc::RpcProgram,
   obs::CounterHandle m_reconnects_, m_flushed_bytes_;
   obs::CounterHandle m_absorbed_getattrs_, m_absorbed_lookups_;
   obs::CounterHandle m_absorbed_reads_, m_absorbed_writes_;
-  obs::CounterHandle m_replica_reads_, m_replica_fallbacks_;
   bool stopped_ = false;
 
   // Disk cache state.  The store is the only code that knows how blocks

@@ -112,33 +112,6 @@ struct StreamPoolConfig {
   }
 };
 
-/// Read-only replica fan-out (SFS-RO style, DESIGN.md §16): the client
-/// proxy fetches published file blocks from untrusted replica hosts over a
-/// *plain* channel and verifies each block against the owner-signed Merkle
-/// root before use.  Disabled by default — the replica path adds no state,
-/// no RNG draws and no timing to sessions that never opt in.
-struct ReplicaPolicy {
-  bool enabled = false;
-  /// FSS endpoint serving the signed replica catalog (kGetReplicaCatalog).
-  /// Unset (empty host) = catalog must be injected via adopt_catalog().
-  net::Address catalog_service;
-  /// Re-fetch the catalog when the cached copy is older than this.
-  sim::SimDur catalog_refresh = 60 * sim::kSecond;
-  /// Per-replica blacklist breaker (core::TrustBreaker): `blacklist_burst`
-  /// strikes inside `blacklist_window` blacklist the replica for
-  /// `blacklist_duration`, then a half-open probe re-admits it.
-  int blacklist_burst = 3;
-  sim::SimDur blacklist_window = 2 * sim::kSecond;
-  sim::SimDur blacklist_duration = 5 * sim::kSecond;
-  /// Per-attempt block-fetch timeout (slow-drip / crashed replicas).
-  sim::SimDur fetch_timeout = 1 * sim::kSecond;
-  /// Hedge: when the primary replica has not answered after `hedge_delay`,
-  /// abandon it (scoring a strike) and try the next-ranked replica.
-  /// 0 disables hedging (each attempt gets the full fetch_timeout).
-  sim::SimDur hedge_delay = 250 * sim::kMillisecond;
-  ReplicaPolicy() = default;
-};
-
 struct ServerProxyConfig {
   /// Plain (unsecured) transport — the paper's basic GFS baseline.
   bool plain_transport = false;
@@ -214,9 +187,6 @@ struct ClientProxyConfig {
   /// `session_resumption` on the server proxy.  Off by default — sessions
   /// that never opt in are bit-identical to the pre-resumption code.
   bool resume_sessions = false;
-  /// Content-addressed read-only replication (DESIGN.md §16); inert by
-  /// default.
-  ReplicaPolicy replica;
 
   ClientProxyConfig() = default;
 };

@@ -1,8 +1,6 @@
 // Shared Active -> Open -> Probe breaker state machine.
 //
-// Two independent trust loops share this shape: the client proxy's
-// poisoned-cache bypass (DESIGN.md §15) and the replica blacklist
-// (DESIGN.md §16).  This is the one implementation both configure:
+// The client proxy's poisoned-cache bypass (DESIGN.md §15) configures it:
 //
 //   kActive: failures accumulate as strikes.  window > 0 decays a strike
 //            streak whose last failure is older than the window (the cache
@@ -11,7 +9,7 @@
 //            breaker; burst <= 0 disables tripping entirely.
 //   kOpen:   admitting() is false until open_duration elapses.  What
 //            "not admitting" means is the caller's business (cache
-//            bypass, replica skipped).
+//            bypass).
 //   kProbe:  reached when the open window expires: the next success
 //            closes the breaker (note_success), the next failure re-trips
 //            it immediately — no fresh burst needed.

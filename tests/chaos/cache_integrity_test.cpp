@@ -17,7 +17,9 @@
 //      cache-bypass (read-through), and a clean half-open probe restores
 //      caching — the PR 5 breaker idiom applied to storage;
 //   4. revocation (RpcAuthError from the server proxy) purges every cached
-//      plaintext byte on the client — fail closed AND forget.
+//      plaintext byte on the client — fail closed AND forget;
+//   5. a tampered sealed name binding is detected on the next LOOKUP hit
+//      and re-fetched, never served as a redirected lookup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include "baselines/testbed.hpp"
 #include "common/config.hpp"
 #include "nfs/nfs3_client.hpp"
+#include "nfs/wire_ops.hpp"
 
 namespace sgfs {
 namespace {
@@ -675,6 +678,117 @@ TEST(CacheReconfigure, ConfigTextRoundTripsEncryptionKnobs) {
   EXPECT_EQ(cache2.poison_burst, 5);
   EXPECT_EQ(cache2.poison_window, 7 * sim::kSecond);
   EXPECT_EQ(cache2.bypass_duration, 9 * sim::kSecond);
+}
+
+// --- sealed name/fileid lookup table -----------------------------------------
+
+// A tampered sealed name entry must fail closed on the next LOOKUP hit:
+// detected (MAC), dropped, transparently re-fetched from the origin — the
+// redirection attack surfaces as a counter, never as a wrong binding.
+TEST(NameTableIntegrity, TamperedBindingIsDetectedAndRefetched) {
+  TestbedOptions opt;
+  opt.kind = SetupKind::kSgfs;
+  opt.cipher = crypto::Cipher::kNull;
+  opt.proxy_disk_cache = true;
+  opt.cache_encryption = true;
+  opt.wan_rtt = 10 * sim::kMillisecond;
+  Testbed tb(opt);
+  tb.preload_file("a.bin", kBlock, /*warm=*/true, /*content_seed=*/31);
+  tb.preload_file("b.bin", kBlock, /*warm=*/true, /*content_seed=*/32);
+
+  tb.engine().run_task([](Testbed& tb) -> Task<void> {
+    auto* proxy = tb.client_proxy();
+    auto& m = tb.engine().metrics();
+    // Straight to the proxy's NFS port: the kernel client's dnlc would
+    // otherwise absorb the second LOOKUP and mask the verification.
+    auto ops = co_await nfs::V3WireOps::connect(
+        tb.client_host(),
+        net::Address(tb.client_host().name(), 2049),
+        rpc::AuthSys(Testbed::kGridUid, Testbed::kGridUid, "client"));
+    nfs::Fh root = co_await ops->mount(Testbed::kDataPath);
+
+    nfs::LookupRes first = co_await ops->lookup(root, "a.bin");
+    EXPECT_EQ(first.status, nfs::Status::kOk);
+    co_await ops->lookup(root, "b.bin");
+
+    // The sealed table now holds both bindings.
+    auto keys = proxy->tamperable_names();
+    EXPECT_EQ(keys.size(), 2u);
+
+    // Clean repeat: served from the sealed table, same binding.
+    nfs::LookupRes again = co_await ops->lookup(root, "a.bin");
+    EXPECT_EQ(again.fh.fileid, first.fh.fileid);
+    EXPECT_EQ(m.counter_value("sgfs.cache.name_verify_failures"), 0u);
+
+    // Flip one bit in every sealed entry; the next lookups must detect,
+    // refetch and still resolve to the true binding.
+    for (const auto& key : keys) {
+      EXPECT_TRUE(proxy->tamper_name(key, [](Buffer& data) {
+        EXPECT_FALSE(data.empty());
+        if (!data.empty()) data[data.size() / 2] ^= 0x10;
+      }));
+    }
+    nfs::LookupRes after = co_await ops->lookup(root, "a.bin");
+    EXPECT_EQ(after.status, nfs::Status::kOk);
+    EXPECT_EQ(after.fh.fileid, first.fh.fileid)
+        << "tampered name table redirected a lookup";
+    EXPECT_GE(m.counter_value("sgfs.cache.name_verify_failures"), 1u)
+        << "tampering never tripped the name-table MAC";
+    ops->close();
+  }(tb));
+  EXPECT_TRUE(tb.engine().errors().empty())
+      << (tb.engine().errors().empty() ? "" : tb.engine().errors()[0]);
+}
+
+// The storage-fault injector's name dial drives the same detection path
+// end to end, seeded and rate-based (the chaos-matrix integration).
+TEST(NameTableIntegrity, InjectorNameDialFiresAndNeverCorruptsResolution) {
+  TestbedOptions opt;
+  opt.kind = SetupKind::kSgfs;
+  opt.cipher = crypto::Cipher::kNull;
+  opt.proxy_disk_cache = true;
+  opt.cache_encryption = true;
+  opt.wan_rtt = 10 * sim::kMillisecond;
+  opt.seed = 44;
+  opt.cache_tamper.rate_per_s = 400.0;
+  opt.cache_tamper.names = true;
+  opt.cache_tamper.seed = 4444;
+  Testbed tb(opt);
+  for (int i = 0; i < 4; ++i) {
+    tb.preload_file("f" + std::to_string(i) + ".bin", kBlock,
+                    /*warm=*/true, /*content_seed=*/50 + i);
+  }
+
+  tb.engine().run_task([](Testbed& tb) -> Task<void> {
+    auto ops = co_await nfs::V3WireOps::connect(
+        tb.client_host(),
+        net::Address(tb.client_host().name(), 2049),
+        rpc::AuthSys(Testbed::kGridUid, Testbed::kGridUid, "client"));
+    nfs::Fh root = co_await ops->mount(Testbed::kDataPath);
+    std::vector<uint64_t> fileids(4, 0);
+    for (int round = 0; round < 40; ++round) {
+      const int f = round % 4;
+      nfs::LookupRes r =
+          co_await ops->lookup(root, "f" + std::to_string(f) + ".bin");
+      EXPECT_EQ(r.status, nfs::Status::kOk);
+      if (fileids[static_cast<size_t>(f)] == 0) {
+        fileids[static_cast<size_t>(f)] = r.fh.fileid;
+      } else {
+        EXPECT_EQ(r.fh.fileid, fileids[static_cast<size_t>(f)])
+            << "binding for f" << f << " drifted under tampering";
+      }
+      co_await tb.engine().sleep(25_ms);
+    }
+    ops->close();
+  }(tb));
+  EXPECT_TRUE(tb.engine().errors().empty())
+      << (tb.engine().errors().empty() ? "" : tb.engine().errors()[0]);
+
+  auto& m = tb.engine().metrics();
+  EXPECT_GE(m.counter_value("sgfs.cachefault.name_tampers"), 1u)
+      << "the name dial never fired — the integration is vacuous";
+  EXPECT_GE(m.counter_value("sgfs.cache.name_verify_failures"), 1u)
+      << "name tampering never tripped verification";
 }
 
 }  // namespace

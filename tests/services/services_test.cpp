@@ -404,6 +404,33 @@ TEST(ShardMapService, DiscoveryServesCachedSignedReply) {
   }(rig));
 }
 
+// Procs 13 and 14 are retired.  Only kGetShardMap skips envelope checks:
+// an unsigned call at 14 is refused, and a controller's signed call at 13
+// reaches the unknown-operation fault.
+TEST(Services, RetiredFssProcsAreRefused) {
+  ServiceRig rig;
+  rig.eng.run_task([](ServiceRig& rig) -> Task<void> {
+    const net::Address fss("compute", 6000);
+    const auto proc = [](uint32_t n) { return static_cast<ServiceProc>(n); };
+    Envelope empty = co_await call_fss_raw(*rig.compute, fss, proc(14),
+                                           BufChain());
+    EXPECT_EQ(empty.action, "Fault") << empty.to_xml();
+    Envelope unsigned_env;
+    unsigned_env.action = "GetCatalog";
+    Envelope unsigned_reply = co_await call_fss_raw(
+        *rig.compute, fss, proc(14), unsigned_env.serialize());
+    EXPECT_EQ(unsigned_reply.action, "Fault") << unsigned_reply.to_xml();
+
+    Envelope put = sign_envelope(
+        "PutCatalog", {{"catalog", "00"}}, pki().dss,
+        static_cast<int64_t>(rig.eng.now() / sim::kSecond));
+    Envelope refused = co_await call_fss_raw(*rig.middleware, fss, proc(13),
+                                             put.serialize());
+    EXPECT_EQ(refused.action, "Fault") << refused.to_xml();
+    EXPECT_EQ(refused.fields.at("reason"), "unknown FSS operation");
+  }(rig));
+}
+
 // --- FSS kReconfigure ------------------------------------------------------------
 
 TEST(Services, ReconfigureRekeysALiveClientProxy) {
