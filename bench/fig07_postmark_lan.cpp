@@ -16,7 +16,6 @@ using baselines::TestbedOptions;
 int main(int argc, char** argv) {
   Flags flags = Flags::parse(argc, argv, {"dirs", "files", "transactions"});
   JsonReport json(flags, "fig07_postmark_lan");
-  (void)json;
   PostmarkParams params;
   params.directories = static_cast<int>(flags.get_int("dirs", 100));
   params.files = static_cast<int>(flags.get_int("files", 500));
@@ -57,6 +56,7 @@ int main(int argc, char** argv) {
   for (const auto& config : configs) {
     std::vector<double> c, t, d;
     std::string metrics;  // per-layer decomposition from the first seed
+    std::map<std::string, double> snapshot;  // the same run, for the JSON
     for (int r = 0; r < flags.runs; ++r) {
       TestbedOptions opts = config.opts;
       opts.seed = 42 + 1000ull * r;
@@ -72,9 +72,15 @@ int main(int argc, char** argv) {
       c.push_back(times["creation"]);
       t.push_back(times["transaction"]);
       d.push_back(times["deletion"]);
-      if (r == 0) metrics = obs::format_summary(tb.engine().metrics(), "    ");
+      if (r == 0) {
+        metrics = obs::format_summary(tb.engine().metrics(), "    ");
+        snapshot = JsonReport::snapshot(tb.engine().metrics());
+      }
     }
     auto sc = stats_of(c), st = stats_of(t), sd = stats_of(d);
+    json.add_row(config.name + "/creation", sc.mean, sc.stddev, snapshot);
+    json.add_row(config.name + "/transaction", st.mean, st.stddev, snapshot);
+    json.add_row(config.name + "/deletion", sd.mean, sd.stddev, snapshot);
     txn[config.name] = st.mean;
     std::printf("  %-10s %9.1fs %11.1fs %9.1fs %9.1fs\n",
                 config.name.c_str(), sc.mean, st.mean, sd.mean,

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   Flags flags =
       Flags::parse(argc, argv, {"dirs", "files", "transactions", "streams"});
   JsonReport json(flags, "fig08_postmark_wan");
-  (void)json;
   PostmarkParams params;
   params.directories = static_cast<int>(flags.get_int("dirs", 100));
   params.files = static_cast<int>(flags.get_int("files", 500));
@@ -48,25 +47,34 @@ int main(int argc, char** argv) {
       opts.wan_rtt = rtt * sim::kMillisecond;
       if (which == 1) opts.pool.streams = streams;
       std::vector<double> totals;
+      std::map<std::string, std::vector<double>> phases;
+      std::map<std::string, double> snapshot;  // first seed, for the JSON
       for (int r = 0; r < flags.runs; ++r) {
         opts.seed = 42 + 1000ull * r;
         Testbed tb(opts);
         PostmarkParams p = params;
         p.seed = opts.seed;
-        double total = 0;
+        PhaseTimes times;
         tb.engine().run_task([](Testbed& tb, PostmarkParams p,
-                                double* out) -> sim::Task<void> {
+                                PhaseTimes* out) -> sim::Task<void> {
           auto mp = co_await tb.mount();
-          auto times = co_await run_postmark(tb, mp, p);
-          *out = times.total();
-        }(tb, p, &total));
-        totals.push_back(total);
+          *out = co_await run_postmark(tb, mp, p);
+        }(tb, p, &times));
+        totals.push_back(times.total());
+        for (const auto& [phase, s] : times.phases) phases[phase].push_back(s);
+        if (r == 0) snapshot = JsonReport::snapshot(tb.engine().metrics());
         if (r == 0 && rtt == 80) {
           metrics[which] =
               obs::format_summary(tb.engine().metrics(), "      ");
         }
       }
       results[which] = stats_of(totals).mean;
+      const std::string setup = which == 0 ? "nfs-v3" : "sgfs";
+      for (const char* phase : {"creation", "transaction", "deletion"}) {
+        const auto st = stats_of(phases[phase]);
+        json.add_row(setup + "/" + std::to_string(rtt) + "ms/" + phase,
+                     st.mean, st.stddev, snapshot);
+      }
     }
     const double speedup = results[0] / results[1];
     if (rtt == 80) speedup_at_80 = speedup;

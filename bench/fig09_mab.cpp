@@ -8,6 +8,8 @@
 //   sgfs   WAN                       126     5     22      150
 // plus: end-of-run write-back 51.2s (stddev 1.3); WAN total sgfs is >4x
 // faster than nfs-v3; stat/search/compile speedups ~9x/5x/8x.
+#include <sstream>
+
 #include "bench_util.hpp"
 
 using namespace sgfs;
@@ -23,6 +25,7 @@ struct MabRun {
   PhaseTimes times;
   double writeback = 0;
   std::string metrics;
+  std::map<std::string, double> snapshot;
 };
 
 MabRun run_one(TestbedOptions opts, const MabParams& params) {
@@ -40,6 +43,7 @@ MabRun run_one(TestbedOptions opts, const MabParams& params) {
     std::fprintf(stderr, "WARNING: %s\n", tb.engine().errors()[0].c_str());
   }
   out.metrics = obs::format_summary(tb.engine().metrics(), "    ");
+  out.snapshot = JsonReport::snapshot(tb.engine().metrics());
   return out;
 }
 
@@ -48,7 +52,6 @@ MabRun run_one(TestbedOptions opts, const MabParams& params) {
 int main(int argc, char** argv) {
   Flags flags = Flags::parse(argc, argv, {"compile-cpu"});
   JsonReport json(flags, "fig09_mab");
-  (void)json;
   MabParams params;
   params.compile_cpu_seconds =
       static_cast<double>(flags.get_int("compile-cpu", 95));
@@ -90,6 +93,15 @@ int main(int argc, char** argv) {
   for (const auto& config : configs) {
     MabRun r = run_one(config.opts, params);
     all[config.label] = r.times;
+    // JSON rows are named "<setup>/<net>/<phase>", e.g. "sgfs/LAN/copy".
+    std::istringstream words(config.label);
+    std::string kind, net;
+    words >> kind >> net;
+    const std::string setup = kind + "/" + net;
+    for (const char* phase : {"copy", "stat", "search", "compile"}) {
+      json.add_row(setup + "/" + phase, r.times[phase], 0, r.snapshot);
+    }
+    json.add_row(setup + "/writeback", r.writeback, 0, r.snapshot);
     std::printf("  %-12s %7.1fs %7.1fs %7.1fs %8.1fs %8.1fs %10.1fs\n",
                 config.label.c_str(), r.times["copy"], r.times["stat"],
                 r.times["search"], r.times["compile"], r.times.total(),

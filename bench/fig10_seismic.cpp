@@ -9,6 +9,8 @@
 // plus: end-of-run write-back 14.2s (stddev 1.3); WAN total sgfs >5x
 // faster; phase speedups ~2x/40x/4x; sgfs WAN ~= sgfs LAN (phase 2 faster
 // because the LAN run has no disk cache).
+#include <sstream>
+
 #include "bench_util.hpp"
 
 using namespace sgfs;
@@ -24,6 +26,7 @@ struct SeismicRun {
   PhaseTimes times;
   double writeback = 0;
   std::string metrics;
+  std::map<std::string, double> snapshot;
 };
 
 SeismicRun run_one(TestbedOptions opts, const SeismicParams& params) {
@@ -40,6 +43,7 @@ SeismicRun run_one(TestbedOptions opts, const SeismicParams& params) {
     std::fprintf(stderr, "WARNING: %s\n", tb.engine().errors()[0].c_str());
   }
   out.metrics = obs::format_summary(tb.engine().metrics(), "    ");
+  out.snapshot = JsonReport::snapshot(tb.engine().metrics());
   return out;
 }
 
@@ -48,7 +52,6 @@ SeismicRun run_one(TestbedOptions opts, const SeismicParams& params) {
 int main(int argc, char** argv) {
   Flags flags = Flags::parse(argc, argv, {"trace-mb"});
   JsonReport json(flags, "fig10_seismic");
-  (void)json;
   SeismicParams params;
   params.trace_bytes =
       static_cast<uint64_t>(flags.get_int("trace-mb", flags.full ? 320 : 96))
@@ -93,6 +96,15 @@ int main(int argc, char** argv) {
   for (const auto& config : configs) {
     SeismicRun r = run_one(config.opts, params);
     all[config.label] = r.times;
+    // JSON rows are named "<setup>/<net>/<phase>", e.g. "sgfs/LAN/copy".
+    std::istringstream words(config.label);
+    std::string kind, net;
+    words >> kind >> net;
+    const std::string setup = kind + "/" + net;
+    for (const char* phase : {"phase1", "phase2", "phase3", "phase4"}) {
+      json.add_row(setup + "/" + phase, r.times[phase], 0, r.snapshot);
+    }
+    json.add_row(setup + "/writeback", r.writeback, 0, r.snapshot);
     std::printf("  %-12s %7.1fs %7.1fs %7.1fs %7.1fs %8.1fs %10.1fs\n",
                 config.label.c_str(), r.times["phase1"], r.times["phase2"],
                 r.times["phase3"], r.times["phase4"], r.times.total(),

@@ -56,8 +56,7 @@ BufChain::BufChain(Buffer data) {
   stats.segments_allocated += 1;
   stats.bytes_zerocopy += data.size();
   size_ = data.size();
-  auto store = std::make_shared<const Buffer>(std::move(data));
-  push(Segment(std::move(store), 0, size_));
+  push(Segment(BufStore::adopt(std::move(data)), 0, size_));
 }
 
 BufChain::BufChain(Segment seg) {

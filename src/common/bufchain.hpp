@@ -19,7 +19,6 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/small_object_pool.hpp"
 
 namespace sgfs {
 
@@ -43,18 +43,71 @@ struct BufStats {
 /// The global tally (single simulation thread; no locking needed).
 BufStats& buf_stats();
 
+/// A counted reference to an immutable Buffer shared by chain segments.
+/// The count sits next to the bytes in one SmallObjectPool node and is not
+/// atomic: a store, and every chain viewing it, stays on the thread that
+/// made it (DESIGN.md §9).
+class BufStore {
+ public:
+  BufStore() = default;
+  /// Moves `data` into a fresh store with one reference.
+  static BufStore adopt(Buffer data) {
+    return BufStore(new Node(std::move(data)));
+  }
+
+  BufStore(const BufStore& other) noexcept : node_(other.node_) {
+    if (node_ != nullptr) ++node_->refs;
+  }
+  BufStore(BufStore&& other) noexcept
+      : node_(std::exchange(other.node_, nullptr)) {}
+  BufStore& operator=(BufStore other) noexcept {
+    std::swap(node_, other.node_);
+    return *this;
+  }
+  ~BufStore() {
+    if (node_ != nullptr && --node_->refs == 0) delete node_;
+  }
+
+  const Buffer* get() const { return node_ ? &node_->bytes : nullptr; }
+  const Buffer& operator*() const { return node_->bytes; }
+  const Buffer* operator->() const { return &node_->bytes; }
+  explicit operator bool() const { return node_ != nullptr; }
+  /// References held to this store (0 for an empty handle).
+  uint32_t use_count() const { return node_ ? node_->refs : 0; }
+
+  friend bool operator==(const BufStore& a, const BufStore& b) {
+    return a.node_ == b.node_;
+  }
+
+ private:
+  struct Node {
+    Buffer bytes;
+    uint32_t refs = 1;
+
+    explicit Node(Buffer b) : bytes(std::move(b)) {}
+    static void* operator new(size_t n) { return SmallObjectPool::allocate(n); }
+    static void operator delete(void* p, size_t n) noexcept {
+      SmallObjectPool::release(p, n);
+    }
+  };
+
+  explicit BufStore(Node* node) : node_(node) {}
+
+  Node* node_ = nullptr;
+};
+
 class BufChain {
  public:
   /// One shared, immutable view into a refcounted backing store.
   struct Segment {
-    std::shared_ptr<const Buffer> store;
+    BufStore store;
     size_t offset = 0;
     size_t len = 0;
 
     // User-declared constructors: objects crossing coroutine boundaries
     // must not be aggregates (GCC 12 coroutine-frame bug).
     Segment() {}
-    Segment(std::shared_ptr<const Buffer> s, size_t off, size_t n)
+    Segment(BufStore s, size_t off, size_t n)
         : store(std::move(s)), offset(off), len(n) {}
 
     ByteView view() const { return ByteView(store->data() + offset, len); }

@@ -134,8 +134,8 @@ std::pair<StreamPtr, StreamPtr> Stream::make_pair(Network& net, Host& a,
 
 sim::Engine::SleepAwaiter Stream::write(Buffer data) {
   const size_t n = data.size();
-  return write_segment(BufChain::Segment(
-      std::make_shared<const Buffer>(std::move(data)), 0, n));
+  return write_segment(
+      BufChain::Segment(BufStore::adopt(std::move(data)), 0, n));
 }
 
 sim::Engine::SleepAwaiter Stream::write(const BufChain& data) {

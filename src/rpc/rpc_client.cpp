@@ -17,24 +17,17 @@ uint32_t client_xid_base() {
   return ++count * 0x9e3779b9u | 1u;
 }
 
-// RAII scope guard: on any exception path out of call_with_xid the
-// pending-call map entry is erased, but only while it is still ours —
-// fail_all may have cleared it already, and after xid wraparound the slot
-// could belong to a newer call.
+// RAII scope guard: runs its function on every way out of a frame.
 template <typename F>
 class ScopeGuard {
  public:
   explicit ScopeGuard(F f) : f_(std::move(f)) {}
-  ~ScopeGuard() {
-    if (armed_) f_();
-  }
-  void release() { armed_ = false; }
+  ~ScopeGuard() { f_(); }
   ScopeGuard(const ScopeGuard&) = delete;
   ScopeGuard& operator=(const ScopeGuard&) = delete;
 
  private:
   F f_;
-  bool armed_ = true;
 };
 
 // Frame-local span recorder: fills in the end time and hands the span to
@@ -117,7 +110,7 @@ sim::Task<void> RpcClient::reader_loop(
       SGFS_WARN("rpc", "reply for unknown xid ", reply.xid);
       continue;
     }
-    auto p = it->second;
+    Pending* p = it->second;
     state->pending.erase(it);
     p->reply = std::move(reply);
     p->done.set();
@@ -148,19 +141,14 @@ sim::Task<BufChain> RpcClient::call_with_xid(uint32_t xid, uint32_t proc,
   if (state->pending.count(xid)) {
     throw RpcError(AcceptStat::kSystemErr, "xid already in flight");
   }
-  CallMsg msg;
-  msg.xid = xid;
-  msg.prog = prog_;
-  msg.vers = vers_;
-  msg.proc = proc;
-  msg.cred = cred_;
-  msg.args = std::move(args);
   // The serialized chain outlives the first send: retransmissions resend
   // the identical bytes, so only the descriptor vector is duplicated.
-  const BufChain wire = msg.serialize();
+  const BufChain wire = CallMsg::serialize(xid, prog_, vers_, proc, cred_,
+                                           OpaqueAuth::none(),
+                                           std::move(args));
 
-  auto pending = std::make_shared<Pending>(eng);
-  state->pending[xid] = pending;
+  Pending pending(eng);
+  state->pending.emplace(xid, &pending);
   ++state->calls_sent;
   if (state->budget) state->budget->deposit();
 
@@ -177,9 +165,15 @@ sim::Task<BufChain> RpcClient::call_with_xid(uint32_t xid, uint32_t proc,
   span_rec.span.status = "error";
   if (span_rec.active) span_rec.span.peer = transport->peer_host();
 
-  ScopeGuard guard([state, xid, pending] {
+  // On every way out (reply, give-up, fail_all, a throwing send): cancel
+  // the timer still queued, and erase the map entry while it is still ours
+  // — the reader erased it if a reply landed, fail_all may have cleared it,
+  // and after xid wraparound the slot could belong to a newer call.
+  ScopeGuard guard([&eng, &state, &pending, xid] {
+    if (pending.timer != nullptr) eng.cancel(pending.timer);
+    if (pending.reply) return;
     auto it = state->pending.find(xid);
-    if (it != state->pending.end() && it->second == pending) {
+    if (it != state->pending.end() && it->second == &pending) {
       state->pending.erase(it);
     }
   });
@@ -188,24 +182,22 @@ sim::Task<BufChain> RpcClient::call_with_xid(uint32_t xid, uint32_t proc,
   bool send_this_attempt = true;
   for (int attempt = 0;; ++attempt) {
     if (retry.enabled()) {
-      // Retransmission timer.  Fires only if this attempt is still the live
-      // one: no reply yet, no newer retransmission, and the call was not
-      // already failed.
-      eng.call_at(eng.now() + timeout, [pending, gen = pending->wait_gen] {
-        if (!pending->reply && pending->wait_gen == gen &&
-            !pending->done.is_set()) {
-          pending->done.set();
-        }
+      // Retransmission timer.  An attempt ends by its timer firing or by
+      // leaving the loop, which cancels it, so only the live attempt's
+      // timer is ever queued.
+      pending.timer = eng.call_at(eng.now() + timeout, [p = &pending] {
+        p->timer = nullptr;
+        p->done.set();
       });
     }
     if (send_this_attempt) {
       co_await transport->send(wire);
       state->m_bytes_sent.inc(wire.size());
     }
-    co_await pending->done.wait();
-    if (pending->reply) break;
+    co_await pending.done.wait();
+    if (pending.reply) break;
     auto it = state->pending.find(xid);
-    if (it == state->pending.end() || it->second != pending) {
+    if (it == state->pending.end() || it->second != &pending) {
       // fail_all ran: close() or reader death.
       span_rec.span.status = "closed";
       if (state->broken) std::rethrow_exception(state->broken);
@@ -231,15 +223,12 @@ sim::Task<BufChain> RpcClient::call_with_xid(uint32_t xid, uint32_t proc,
     } else {
       state->m_suppressed_retransmits.inc();
     }
-    ++pending->wait_gen;
-    pending->done.reset();
+    pending.done.reset();
     timeout = std::min(
         static_cast<sim::SimDur>(static_cast<double>(timeout) * retry.backoff),
         retry.max_timeout);
   }
-  guard.release();  // the reader erased the entry when the reply landed
-
-  ReplyMsg& reply = *pending->reply;
+  ReplyMsg& reply = *pending.reply;
   span_rec.span.bytes_in = reply.results.size();
   span_rec.span.status = "ok";
   state->m_call_ns.observe(eng.now() - t0);

@@ -86,10 +86,12 @@ class RpcClient {
   size_t pending_calls() const { return state_->pending.size(); }
 
  private:
+  // One in-flight call.  It lives in the call's own frame; the pending map
+  // points at it while the call waits for its reply.
   struct Pending {
     std::optional<ReplyMsg> reply;
     sim::SimEvent done;
-    uint64_t wait_gen = 0;  // bumped per retransmission; stales old timers
+    sim::Engine::Callback* timer = nullptr;  // queued retransmission timer
     explicit Pending(sim::Engine& eng) : done(eng) {}
   };
 
@@ -109,7 +111,9 @@ class RpcClient {
     std::shared_ptr<RetryBudget> budget;
     // One-shot disconnect hook (see set_on_broken).
     std::function<void()> on_broken;
-    std::map<uint32_t, std::shared_ptr<Pending>> pending;
+    std::map<uint32_t, Pending*, std::less<>,
+             PoolAllocator<std::pair<const uint32_t, Pending*>>>
+        pending;
 
     // Hot-path metric handles: resolved lazily on first event so snapshots
     // stay identical to the per-call registry-lookup code they replace.

@@ -48,6 +48,12 @@ OpaqueAuth OpaqueAuth::decode(xdr::Decoder& dec) {
 }
 
 BufChain CallMsg::serialize() const {
+  return serialize(xid, prog, vers, proc, cred, verf, args);
+}
+
+BufChain CallMsg::serialize(uint32_t xid, uint32_t prog, uint32_t vers,
+                            uint32_t proc, const OpaqueAuth& cred,
+                            const OpaqueAuth& verf, BufChain args) {
   xdr::Encoder enc;
   enc.put_u32(xid);
   enc.put_enum(MsgType::kCall);
@@ -58,7 +64,7 @@ BufChain CallMsg::serialize() const {
   cred.encode(enc);
   verf.encode(enc);
   BufChain out = enc.take();
-  out.append(args);
+  out.append(std::move(args));
   return out;
 }
 

@@ -120,6 +120,11 @@ struct CallMsg {
   CallMsg() = default;
 
   BufChain serialize() const;
+  /// Encodes a CALL from its parts, so a client sends its credential
+  /// without copying it into a CallMsg per call.
+  static BufChain serialize(uint32_t xid, uint32_t prog, uint32_t vers,
+                            uint32_t proc, const OpaqueAuth& cred,
+                            const OpaqueAuth& verf, BufChain args);
   /// Throws xdr::XdrError / std::runtime_error on malformed input.
   static CallMsg deserialize(const BufChain& data);
 };

@@ -4,6 +4,14 @@
 
 namespace sgfs::rpc {
 
+size_t RpcServer::DrcKeyHash::operator()(const DrcKey& k) const {
+  size_t h = std::hash<std::string>()(k.peer);
+  for (uint32_t v : {k.xid, k.prog, k.vers, k.proc}) {
+    h = (h ^ v) * 0x100000001b3ull;  // FNV-1a step per field
+  }
+  return h;
+}
+
 RpcServer::RpcServer(net::Host& host, uint16_t port)
     : host_(&host),
       port_(port),
@@ -127,12 +135,13 @@ sim::Task<void> RpcServer::serve_one(sim::Engine& eng,
   }
   state->m_calls.inc();
   const uint64_t epoch0 = state->epoch;
+  const DrcKey key(transport->peer_host(), call);
 
   obs::RpcSpan span;
   const bool tracing = eng.tracer().enabled();
   if (tracing) {
     span.side = "server";
-    span.peer = transport->peer_host();
+    span.peer = key.peer;
     span.prog = call.prog;
     span.vers = call.vers;
     span.proc = call.proc;
@@ -178,7 +187,7 @@ sim::Task<void> RpcServer::serve_one(sim::Engine& eng,
           bctx.prog = call.prog;
           bctx.vers = call.vers;
           bctx.proc = call.proc;
-          bctx.peer_host = transport->peer_host();
+          bctx.peer_host = key.peer;
           if (auto body = prog->second->busy_reply(bctx);
               body && !body->empty()) {
             busy = ReplyMsg::success(call.xid, std::move(*body)).serialize();
@@ -230,8 +239,6 @@ sim::Task<void> RpcServer::serve_one(sim::Engine& eng,
 
   // Duplicate-request cache lookup: a retransmission (same peer, xid and
   // procedure) must not re-execute a non-idempotent handler.
-  const DrcKey key(transport->peer_host(), call.xid, call.prog, call.vers,
-                   call.proc);
   auto dup = state->drc.find(key);
   if (dup != state->drc.end()) {
     if (!dup->second.done) {
@@ -269,7 +276,7 @@ sim::Task<void> RpcServer::serve_one(sim::Engine& eng,
   ctx.vers = call.vers;
   ctx.proc = call.proc;
   ctx.peer_identity = transport->peer_identity();
-  ctx.peer_host = transport->peer_host();
+  ctx.peer_host = key.peer;
   auto it = state->programs.find({call.prog, call.vers});
   if (it == state->programs.end()) {
     // Distinguish unknown program from wrong version.

@@ -11,7 +11,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <tuple>
+#include <string>
+#include <unordered_map>
 
 #include "rpc/rpc_msg.hpp"
 #include "rpc/transport.hpp"
@@ -131,9 +132,24 @@ class RpcServer {
   // Duplicate-request cache: (peer host, xid, prog, vers, proc) -> reply.
   // Entries are inserted when a call starts (in-progress marker) and either
   // retained with the serialized reply (cache_reply() == true) or dropped
-  // once the reply is sent.  Completed entries age out LRU.
-  using DrcKey = std::tuple<std::string, uint32_t, uint32_t, uint32_t,
-                            uint32_t>;
+  // once the reply is sent.  Completed entries age out LRU.  Nothing
+  // iterates the hash table, so its order never reaches a result.
+  struct DrcKey {
+    std::string peer;
+    uint32_t xid = 0, prog = 0, vers = 0, proc = 0;
+
+    // Not an aggregate: it lives in a coroutine frame (GCC 12 bug).
+    DrcKey(std::string p, const CallMsg& call)
+        : peer(std::move(p)),
+          xid(call.xid),
+          prog(call.prog),
+          vers(call.vers),
+          proc(call.proc) {}
+    bool operator==(const DrcKey&) const = default;
+  };
+  struct DrcKeyHash {
+    size_t operator()(const DrcKey& k) const;
+  };
   struct DrcEntry {
     bool done = false;
     BufChain reply;  // shared with the original send; replay is copy-free
@@ -161,8 +177,13 @@ class RpcServer {
     std::deque<std::coroutine_handle<>> admit_waiters;
     uint64_t shed = 0;
     uint64_t busy_replies = 0;
-    std::map<DrcKey, DrcEntry> drc;
-    std::map<uint64_t, DrcKey> drc_lru;  // stamp -> key, oldest first
+    std::unordered_map<DrcKey, DrcEntry, DrcKeyHash, std::equal_to<>,
+                       PoolAllocator<std::pair<const DrcKey, DrcEntry>>>
+        drc;
+    // stamp -> key, oldest first
+    std::map<uint64_t, DrcKey, std::less<>,
+             PoolAllocator<std::pair<const uint64_t, DrcKey>>>
+        drc_lru;
     std::map<std::pair<uint32_t, uint32_t>, std::shared_ptr<RpcProgram>>
         programs;
     std::optional<crypto::SecurityConfig> security;

@@ -31,6 +31,7 @@ Engine::~Engine() {
   // order, oldest first.  A frame destructor may still queue work (a
   // stream close posts its EOF) or spawn, so repeat until both are empty.
   using Promise = Task<void>::promise_type;  // every detached actor's
+  tearing_down_ = true;
   drop_pending();
   while (live_head_ != nullptr) {
     while (detail::PromiseBase* p = live_head_) {
@@ -50,9 +51,7 @@ void Engine::unlink_actor(detail::PromiseBase& p) {
 
 void Engine::drop_pending() {
   auto drop = [](const Event& ev) {
-    if (ev.what & kCallbackTag) {
-      delete reinterpret_cast<Callback*>(ev.what & ~kCallbackTag);
-    }
+    if (ev.what & kCallbackTag) delete node_of(ev);
   };
   // Swap out first: a node's destructor must not see a half-freed queue.
   std::vector<Event> heap = std::move(heap_);
@@ -68,29 +67,42 @@ void Engine::drop_pending() {
 void Engine::push(SimTime t, uintptr_t what) {
   if (t <= now_) {
     fifo_.push_back(Event{now_, next_seq_++, what});
+    if (what & kCallbackTag) node_of(fifo_.back())->slot_ = kInFifo;
   } else {
     heap_push(Event{t, next_seq_++, what});
   }
 }
 
-void Engine::heap_push(const Event& ev) {
-  size_t i = heap_.size();
-  heap_.push_back(ev);
+void Engine::heap_place(size_t i, const Event& ev) {
+  heap_[i] = ev;
+  if (ev.what & kCallbackTag) node_of(ev)->slot_ = i;
+}
+
+void Engine::sift_up(size_t i, const Event& ev) {
   while (i > 0) {
     const size_t parent = (i - 1) / 4;
     if (!(ev < heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    heap_place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = ev;
+  heap_place(i, ev);
 }
 
-void Engine::heap_pop() {
+void Engine::heap_push(const Event& ev) {
+  heap_.push_back(ev);
+  sift_up(heap_.size() - 1, ev);
+}
+
+void Engine::heap_remove(size_t i) {
+  // Refill slot i with the last event, then sift it up or down.
   const Event last = heap_.back();
   heap_.pop_back();
   const size_t n = heap_.size();
-  if (n == 0) return;
-  size_t i = 0;
+  if (i == n) return;
+  if (i > 0 && last < heap_[(i - 1) / 4]) {
+    sift_up(i, last);
+    return;
+  }
   for (;;) {
     const size_t first = 4 * i + 1;
     if (first >= n) break;
@@ -100,10 +112,20 @@ void Engine::heap_pop() {
       if (heap_[c] < heap_[best]) best = c;
     }
     if (!(heap_[best] < last)) break;
-    heap_[i] = heap_[best];
+    heap_place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = last;
+  heap_place(i, last);
+}
+
+void Engine::cancel(Callback* node) {
+  if (tearing_down_) return;
+  if (node->slot_ == kInFifo) {
+    node->cancelled_ = true;
+    return;
+  }
+  heap_remove(node->slot_);
+  delete node;
 }
 
 Engine::Event Engine::pop() {
@@ -124,7 +146,7 @@ Engine::Event Engine::pop() {
     return ev;
   }
   const Event ev = heap_[0];
-  heap_pop();
+  heap_remove(0);
   return ev;
 }
 
@@ -144,10 +166,17 @@ bool Engine::step() {
   if (pending_events() == 0) return false;
   const Event ev = pop();
   now_ = ev.t;
-  ++events_processed_;
   if (ev.what & kCallbackTag) {
-    reinterpret_cast<Callback*>(ev.what & ~kCallbackTag)->run();
+    Callback* node = node_of(ev);
+    node->slot_ = kIdle;
+    if (node->cancelled_) {
+      delete node;
+      return true;
+    }
+    ++events_processed_;
+    node->run();
   } else {
+    ++events_processed_;
     std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.what))
         .resume();
   }

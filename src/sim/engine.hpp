@@ -12,10 +12,12 @@
 // larger sequence number than any heap event at now: merging the two needs
 // only the heap top (DESIGN.md §18).
 //
-// Cancellation is cooperative: tasks exit when their channels close or their
-// shutdown events fire.  The engine never destroys a live task mid-run; any
-// coroutines still suspended at engine destruction are destroyed then, and
-// pending Callback nodes are freed.
+// A queued Callback node can be cancelled (Engine::cancel): an answered
+// RPC removes its retransmission timer instead of letting it fire stale.
+// Tasks are cancelled cooperatively: they exit when their channels close or
+// their shutdown events fire.  The engine never destroys a live task
+// mid-run; any coroutines still suspended at engine destruction are
+// destroyed then, and pending Callback nodes are freed.
 #pragma once
 
 #include <coroutine>
@@ -52,7 +54,8 @@ class Engine {
 
   /// A self-owned event node.  run() executes at the posted time and must
   /// either delete the node or post it again; a node still pending when the
-  /// engine is destroyed is deleted by the engine.
+  /// engine is destroyed, or cancelled, is deleted by the engine.  Nodes
+  /// come from SmallObjectPool.
   class Callback {
    public:
     Callback() = default;
@@ -60,6 +63,20 @@ class Engine {
     Callback& operator=(const Callback&) = delete;
     virtual ~Callback() = default;
     virtual void run() = 0;
+
+    static void* operator new(std::size_t n) {
+      return SmallObjectPool::allocate(n);
+    }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      SmallObjectPool::release(p, n);
+    }
+
+   private:
+    friend class Engine;
+    // Where the node waits: its heap index, kInFifo, or kIdle while it is
+    // not queued (running, or not yet posted).
+    size_t slot_ = kIdle;
+    bool cancelled_ = false;  // cancelled while in the same-instant FIFO
   };
 
   /// Enqueues a coroutine resumption at absolute time t (earlier t runs
@@ -81,16 +98,28 @@ class Engine {
   /// Runs `fn` at absolute time t through two events: an arm event now,
   /// which posts the call for t.  The arm hop gives the call the same
   /// (t, seq) as the wakeup of an actor spawned now that sleeps until t,
-  /// so either form leaves every other event where it was.
+  /// so either form leaves every other event where it was.  Returns the
+  /// node, which cancel() accepts until `fn` starts.
   template <typename F>
-  void call_at(SimTime t, F fn) {
-    post_at(now_, new TimedCall<F>(*this, t, std::move(fn)));
+  Callback* call_at(SimTime t, F fn) {
+    Callback* node = new TimedCall<F>(*this, t, std::move(fn));
+    post_at(now_, node);
+    return node;
   }
+
+  /// Withdraws a queued Callback node and frees it: a node in the heap is
+  /// removed at once (by the index it keeps), a node in the same-instant
+  /// FIFO is flagged and freed when it comes up, without running or
+  /// counting as an event.  No other event's (t, seq) changes.  The node
+  /// must not have started running.  A no-op while the engine is being
+  /// destroyed, which frees every pending node itself.
+  void cancel(Callback* node);
 
   /// Starts a detached actor.  The engine owns its lifetime.
   void spawn(Task<void> task);
 
-  /// Runs a single event.  Returns false when the queue is empty.
+  /// Takes one event off the queue and runs it (a node cancelled in the
+  /// FIFO is freed instead).  Returns false when the queue is empty.
   bool step();
 
   /// Runs until the event queue drains.
@@ -168,6 +197,8 @@ class Engine {
   // Low bit of Event::what: set for a Callback*, clear for a coroutine
   // frame address (both are at least 8-byte aligned).
   static constexpr uintptr_t kCallbackTag = 1;
+  static constexpr size_t kIdle = ~size_t{0};
+  static constexpr size_t kInFifo = kIdle - 1;
 
   struct Event {
     SimTime t;
@@ -178,10 +209,16 @@ class Engine {
     }
   };
 
+  static Callback* node_of(const Event& ev) {
+    return reinterpret_cast<Callback*>(ev.what & ~kCallbackTag);
+  }
+
   void push(SimTime t, uintptr_t what);
   Event pop();
+  void heap_place(size_t i, const Event& ev);
+  void sift_up(size_t i, const Event& ev);
   void heap_push(const Event& ev);
-  void heap_pop();
+  void heap_remove(size_t i);
   void drop_pending();
   void unlink_actor(detail::PromiseBase& p);
 
@@ -199,6 +236,7 @@ class Engine {
   detail::PromiseBase* live_head_ = nullptr;
   detail::PromiseBase* live_tail_ = nullptr;
   size_t live_count_ = 0;
+  bool tearing_down_ = false;
   std::vector<std::string> errors_;
 };
 
@@ -211,16 +249,18 @@ class SimEvent {
 
   void set() {
     set_ = true;
-    // Swap the list out before scheduling: a woken coroutine runs only
+    // Swap the waiters out before scheduling: a woken coroutine runs only
     // after set() returns, but re-entrancy can still happen through
     // non-coroutine paths (a schedule hook, or set() called again from a
-    // destructor on the way out).  Iterating a moved-out local pins the
+    // destructor on the way out).  Waking moved-out locals pins the
     // semantics: exactly the waiters parked before this set() are woken,
-    // and a wait() issued after it (even mid-wake) sees set_ == true and
-    // never parks in a vector being iterated.
-    std::vector<std::coroutine_handle<>> woken;
-    woken.swap(waiters_);
-    for (auto h : woken) eng_.schedule_now(h);
+    // in park order, and a wait() issued after it (even mid-wake) sees
+    // set_ == true and never parks in a list being iterated.
+    const std::coroutine_handle<> first = std::exchange(first_, {});
+    std::vector<std::coroutine_handle<>> rest;
+    rest.swap(rest_);
+    if (first) eng_.schedule_now(first);
+    for (auto h : rest) eng_.schedule_now(h);
   }
 
   void reset() { set_ = false; }
@@ -229,7 +269,11 @@ class SimEvent {
     SimEvent& ev;
     bool await_ready() const noexcept { return ev.set_; }
     void await_suspend(std::coroutine_handle<> h) {
-      ev.waiters_.push_back(h);
+      if (!ev.first_) {
+        ev.first_ = h;
+      } else {
+        ev.rest_.push_back(h);
+      }
     }
     void await_resume() const noexcept {}
   };
@@ -239,7 +283,10 @@ class SimEvent {
  private:
   Engine& eng_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  // The first waiter is kept inline (most events have one); later ones
+  // queue behind it.
+  std::coroutine_handle<> first_;
+  std::vector<std::coroutine_handle<>> rest_;
 };
 
 }  // namespace sgfs::sim

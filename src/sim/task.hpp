@@ -10,20 +10,16 @@
 // task's own frame, and at final suspend the frame reports to its owning
 // engine (escaped exception, live-actor list) and frees itself.
 //
-// Frames come from detail::FramePool, which recycles them per size class
+// Frames come from SmallObjectPool, which recycles them per size class
 // (DESIGN.md §18).
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <cstring>
 #include <exception>
-#include <new>
 #include <utility>
 
-#if defined(__SANITIZE_ADDRESS__)
-#include <sanitizer/asan_interface.h>
-#endif
+#include "common/small_object_pool.hpp"
 
 namespace sgfs::sim {
 
@@ -33,69 +29,6 @@ class Task;
 class Engine;
 
 namespace detail {
-
-/// Free lists of coroutine frames, one per 64-byte size class up to 8 KiB.
-/// A released frame goes to the head of its class's list and is the next
-/// frame that class hands out; a larger frame goes straight to
-/// ::operator new/delete.  Cached frames are never returned to the heap:
-/// a list holds at most as many frames as its class ever had live at once,
-/// reachable from the list head.  The lists are per thread, so engines on
-/// two threads never share one (every program here runs its engines on
-/// one thread).  Under ASan a cached frame is poisoned except for its
-/// link, so a touch of a dead frame is reported.
-class FramePool {
- public:
-  static constexpr std::size_t kGranule = 64;
-  static constexpr std::size_t kMaxPooled = 8 * 1024;
-
-  /// Bytes a request of n bytes is served with (n itself above kMaxPooled).
-  static constexpr std::size_t class_size(std::size_t n) noexcept {
-    return n > kMaxPooled ? n : (n + kGranule - 1) / kGranule * kGranule;
-  }
-
-  static void* allocate(std::size_t n) {
-    if (n > kMaxPooled) return ::operator new(n);
-    const std::size_t size = class_size(n);
-    void*& head = heads_[size / kGranule - 1];
-    void* f = head;
-    if (f == nullptr) return ::operator new(size);
-    unpoison(f, size - sizeof(void*));
-    std::memcpy(&head, link(f, size), sizeof(void*));
-    return f;
-  }
-
-  static void release(void* p, std::size_t n) noexcept {
-    if (n > kMaxPooled) return ::operator delete(p, n);
-    const std::size_t size = class_size(n);
-    void*& head = heads_[size / kGranule - 1];
-    std::memcpy(link(p, size), &head, sizeof(void*));
-    head = p;
-    poison(p, size - sizeof(void*));
-  }
-
- private:
-  // The link of a cached frame is its last word: a frame's resume and
-  // destroy pointers lead it, so they stay poisoned under ASan.
-  static void* link(void* f, std::size_t size) noexcept {
-    return static_cast<char*>(f) + size - sizeof(void*);
-  }
-
-#if defined(__SANITIZE_ADDRESS__)
-  // The leak checker skips poisoned words, so the link stays unpoisoned to
-  // keep the frames behind it reachable.
-  static void poison(void* f, std::size_t bytes) noexcept {
-    ASAN_POISON_MEMORY_REGION(f, bytes);
-  }
-  static void unpoison(void* f, std::size_t bytes) noexcept {
-    ASAN_UNPOISON_MEMORY_REGION(f, bytes);
-  }
-#else
-  static void poison(void*, std::size_t) noexcept {}
-  static void unpoison(void*, std::size_t) noexcept {}
-#endif
-
-  static inline thread_local void* heads_[kMaxPooled / kGranule] = {};
-};
 
 struct PromiseBase;
 
@@ -127,9 +60,11 @@ struct PromiseBase {
   PromiseBase* live_prev = nullptr;
   PromiseBase* live_next = nullptr;
 
-  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void* operator new(std::size_t n) {
+    return SmallObjectPool::allocate(n);
+  }
   static void operator delete(void* p, std::size_t n) noexcept {
-    FramePool::release(p, n);
+    SmallObjectPool::release(p, n);
   }
 
   std::suspend_always initial_suspend() noexcept { return {}; }

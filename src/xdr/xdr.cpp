@@ -85,7 +85,7 @@ Decoder::Decoder(const BufChain& chain) {
     return;
   }
   buf_stats().segments_allocated += 1;
-  store_ = std::make_shared<const Buffer>(chain.flatten());
+  store_ = BufStore::adopt(chain.flatten());
   base_ = 0;
   data_ = ByteView(*store_);
 }

@@ -128,7 +128,7 @@ class Encoder {
   Buffer take_flat();
 
  private:
-  static constexpr size_t kMinReserve = 64;  // first tail allocation
+  static constexpr size_t kMinReserve = 128;  // first tail allocation
 
   void flush_tail();
 
@@ -236,7 +236,7 @@ class Decoder {
   size_t pos_ = 0;
   // When chain-backed: the shared store data_ points into, and the offset
   // of data_[0] within it.  Keeps out-slices alive by refcount.
-  std::shared_ptr<const Buffer> store_;
+  BufStore store_;
   size_t base_ = 0;
 };
 

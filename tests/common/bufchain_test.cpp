@@ -209,20 +209,22 @@ TEST(BufChain, InlineAndSpilledChainsAgreeWithFlatten) {
 }
 
 TEST(BufChainLifetime, RefcountReleasesStoreWithLastHolder) {
-  std::weak_ptr<const Buffer> watch;
+  // `watch` holds one reference of its own: a count of 1 means every chain
+  // has let the store go, and dropping `watch` then frees it.
+  BufStore watch;
   {
     BufChain slice;
     {
       BufChain whole{Buffer(128, 0xEE)};
       watch = whole.segments()[0].store;
       slice = whole.slice(32, 64);
-      EXPECT_EQ(watch.use_count(), 2);
+      EXPECT_EQ(watch.use_count(), 3u);  // whole, slice, watch
     }
     // The slice alone keeps the store alive.
-    EXPECT_FALSE(watch.expired());
+    EXPECT_EQ(watch.use_count(), 2u);
     EXPECT_EQ(slice.at(0), 0xEE);
   }
-  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(watch.use_count(), 1u);
 }
 
 TEST(BufChainLifetime, SurvivesCoroutineSuspension) {
@@ -231,7 +233,7 @@ TEST(BufChainLifetime, SurvivesCoroutineSuspension) {
   // resumes.  The shared store must keep the bytes alive.
   sim::Engine eng;
   std::string out;
-  std::weak_ptr<const Buffer> watch;
+  BufStore watch;  // one reference of its own, as above
   {
     BufChain chain{to_bytes("payload that outlives its creator")};
     watch = chain.segments()[0].store;
@@ -241,12 +243,12 @@ TEST(BufChainLifetime, SurvivesCoroutineSuspension) {
       *out = to_string(held.slice(8, 4));
     }(eng, chain.slice(0, chain.size()), &out));
   }
-  EXPECT_FALSE(watch.expired());  // pinned by the suspended coroutine frame
+  EXPECT_EQ(watch.use_count(), 2u);  // pinned by the suspended frame
   eng.run_task([](sim::Engine& eng) -> sim::Task<void> {
     co_await eng.sleep(2000);
   }(eng));
   EXPECT_EQ(out, "that");
-  EXPECT_TRUE(watch.expired());  // released once the coroutine finished
+  EXPECT_EQ(watch.use_count(), 1u);  // released once the coroutine finished
 }
 
 }  // namespace

@@ -8,13 +8,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/bufchain.hpp"
+#include "common/small_object_pool.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
-namespace sgfs::sim {
+namespace sgfs {
 namespace {
 
-using detail::FramePool;
+using sim::Engine;
+using sim::Task;
 
 // Stores the awaiting coroutine's frame address and resumes it at once.
 struct FrameAddress {
@@ -50,7 +53,7 @@ bool aligned(const void* p) {
          0;
 }
 
-TEST(FramePool, ReleasedFrameIsHandedToTheNextCoroutineOfItsClass) {
+TEST(SmallObjectPool, ReleasedFrameIsHandedToTheNextCoroutineOfItsClass) {
   void* first = nullptr;
   void* second = nullptr;
   run_alone(small_frame(&first));
@@ -59,15 +62,16 @@ TEST(FramePool, ReleasedFrameIsHandedToTheNextCoroutineOfItsClass) {
   EXPECT_EQ(second, first);
 
   // Any request of the same 64-byte class takes the last frame released.
-  void* p = FramePool::allocate(100);
-  FramePool::release(p, 100);
-  EXPECT_EQ(FramePool::allocate(120), p);
-  FramePool::release(p, 120);
+  void* p = SmallObjectPool::allocate(100);
+  SmallObjectPool::release(p, 100);
+  EXPECT_EQ(SmallObjectPool::allocate(120), p);
+  SmallObjectPool::release(p, 120);
 }
 
-TEST(FramePool, ClassesNeverAliasAndAreAligned) {
+TEST(SmallObjectPool, ClassesNeverAliasAndAreAligned) {
   std::vector<size_t> sizes;
-  for (size_t n = 1; n <= FramePool::kMaxPooled + 2 * FramePool::kGranule;
+  for (size_t n = 1;
+       n <= SmallObjectPool::kMaxPooled + 2 * SmallObjectPool::kGranule;
        n += 37) {
     sizes.push_back(n);
   }
@@ -75,7 +79,7 @@ TEST(FramePool, ClassesNeverAliasAndAreAligned) {
     // Every request is live at once: no two may overlap.
     std::vector<std::pair<char*, size_t>> live;
     for (size_t n : sizes) {
-      void* p = FramePool::allocate(n);
+      void* p = SmallObjectPool::allocate(n);
       EXPECT_TRUE(aligned(p)) << n;
       live.emplace_back(static_cast<char*>(p), n);
     }
@@ -83,24 +87,24 @@ TEST(FramePool, ClassesNeverAliasAndAreAligned) {
     std::sort(by_addr.begin(), by_addr.end());
     for (size_t i = 1; i < by_addr.size(); ++i) {
       EXPECT_LE(by_addr[i - 1].first +
-                    FramePool::class_size(by_addr[i - 1].second),
+                    SmallObjectPool::class_size(by_addr[i - 1].second),
                 by_addr[i].first);
     }
     // Released in reverse, so the second round hands frames out in another
     // order; each must come back to a request of its own class.
     std::map<char*, size_t> released;
     for (auto& [p, n] : live) {
-      released[p] = FramePool::class_size(n);
-      FramePool::release(p, n);
+      released[p] = SmallObjectPool::class_size(n);
+      SmallObjectPool::release(p, n);
     }
     std::reverse(sizes.begin(), sizes.end());
     for (size_t n : sizes) {
-      char* p = static_cast<char*>(FramePool::allocate(n));
+      char* p = static_cast<char*>(SmallObjectPool::allocate(n));
       auto it = released.find(p);
       if (it != released.end()) {
-        EXPECT_EQ(it->second, FramePool::class_size(n));
+        EXPECT_EQ(it->second, SmallObjectPool::class_size(n));
       }
-      FramePool::release(p, n);
+      SmallObjectPool::release(p, n);
     }
   }
 
@@ -114,7 +118,50 @@ TEST(FramePool, ClassesNeverAliasAndAreAligned) {
   EXPECT_NE(small, large);
 }
 
-TEST(FramePool, ReadingAReleasedFrameIsReported) {
+TEST(SmallObjectPool, BlocksAreReusedAcrossObjectKindsWithoutAliasing) {
+  // A timer node, a BufStore node and a map node all fall in the 64-byte
+  // class.  Each kind takes the block the previous kind released, and
+  // kinds live at once never share one.
+  using Map = std::map<int, int, std::less<>,
+                       PoolAllocator<std::pair<const int, int>>>;
+  Engine eng;
+  int fired = 0;
+  Engine::Callback* timer = eng.call_at(1000, [&fired] { ++fired; });
+  const char* block = reinterpret_cast<const char*>(timer);
+  eng.cancel(timer);  // still in its arm hop: freed when it comes up
+  eng.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(eng.events_processed(), 0u);
+
+  Map map;
+  {
+    BufChain chain{Buffer(100, 0x5A)};
+    // A store's bytes are the first member of its node.
+    EXPECT_EQ(reinterpret_cast<const char*>(chain.segments()[0].store.get()),
+              block);
+  }
+  map.emplace(7, 70);
+  // The map's value sits inside its node, behind the tree links.
+  const char* value = reinterpret_cast<const char*>(&*map.begin());
+  EXPECT_GE(value, block);
+  EXPECT_LT(value, block + SmallObjectPool::kGranule);
+
+  // While the map node is live, a new timer and a new store each get a
+  // block of their own, and every object keeps its contents.
+  BufChain chain{Buffer(100, 0xA5)};
+  timer = eng.call_at(eng.now() + 1000, [&fired] { ++fired; });
+  const char* store_block =
+      reinterpret_cast<const char*>(chain.segments()[0].store.get());
+  EXPECT_NE(store_block, reinterpret_cast<const char*>(timer));
+  EXPECT_NE(store_block, block);
+  EXPECT_NE(reinterpret_cast<const char*>(timer), block);
+  eng.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(map.at(7), 70);
+  EXPECT_EQ(chain, Buffer(100, 0xA5));
+}
+
+TEST(SmallObjectPool, ReadingAReleasedFrameIsReported) {
 #if defined(__SANITIZE_ADDRESS__)
   void* frame = nullptr;
   run_alone(small_frame(&frame));
@@ -129,4 +176,4 @@ TEST(FramePool, ReadingAReleasedFrameIsReported) {
 }
 
 }  // namespace
-}  // namespace sgfs::sim
+}  // namespace sgfs

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "net/fault.hpp"
 #include "rpc/rpc_client.hpp"
 #include "rpc/rpc_server.hpp"
@@ -452,6 +454,27 @@ TEST(Rpc, RetransmissionRecoversFromLoss) {
   EXPECT_EQ(got, "are you there");
   EXPECT_GE(retransmits, 1u);
   EXPECT_GT(plan->blackout_drops(), 0u);
+}
+
+TEST(Rpc, AnsweredCallLeavesNoTimerQueued) {
+  // The reply cancels the retransmission timer: the queue holds what it
+  // held before the call, long before the timer would have fired.
+  Fixture f;
+  size_t before = 0, after = 0;
+  f.eng.run_task([](Fixture& f, size_t* before,
+                    size_t* after) -> Task<void> {
+    net::Address addr("server", 2049);
+    auto client = co_await clnt_create(*f.client_host, addr, kProg, kVers);
+    client->set_retry(RetryPolicy::standard());
+    co_await f.eng.sleep(1_ms);  // let the connection setup settle
+    *before = f.eng.pending_events();
+    BufChain r = co_await client->call(1, to_bytes("ping"));
+    EXPECT_EQ(sgfs::to_string(r), "ping");
+    EXPECT_LT(f.eng.now(), RetryPolicy::standard().initial_timeout);
+    *after = f.eng.pending_events();
+    client->close();
+  }(f, &before, &after));
+  EXPECT_EQ(after, before);
 }
 
 TEST(Rpc, GiveUpPolicyRaisesRpcTimeout) {
@@ -1022,6 +1045,25 @@ TEST(SecureRpc, PlainClientCannotTalkToSecureServer) {
   }(ch, &failed));
   eng.run();
   EXPECT_TRUE(failed);
+}
+
+// Pooled blocks are per thread: a worker thread that runs a testbed and
+// exits frees the blocks it cached.  Leak-checked under ASan.
+TEST(PoolThreadExit, WorkerRunsAnRpcRoundTripAndExits) {
+  std::string got;
+  std::thread worker([&got] {
+    Fixture f;
+    f.eng.run_task([](Fixture& f, std::string* out) -> Task<void> {
+      net::Address addr("server", 2049);
+      auto client = co_await clnt_create(*f.client_host, addr, kProg, kVers);
+      client->set_retry(RetryPolicy::standard());
+      BufChain r = co_await client->call(1, to_bytes("from a worker"));
+      *out = sgfs::to_string(r);
+      client->close();
+    }(f, &got));
+  });
+  worker.join();
+  EXPECT_EQ(got, "from a worker");
 }
 
 }  // namespace

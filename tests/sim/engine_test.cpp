@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -201,8 +203,27 @@ struct OrderModel {
   int next_id = 0;
   int ran = 0;
   int out_of_order = 0;
+  int cancelled = 0;
+  // Callback nodes queued and not yet run, by id.
+  std::map<int, Engine::Callback*> queued;
 
   OrderModel(Engine& e, uint64_t seed) : eng(e), rng(seed) {}
+
+  // Cancels a random queued node, in the heap or in the same-instant FIFO;
+  // its entry leaves the model, and nothing else may move.
+  void cancel_one() {
+    if (queued.empty()) return;
+    auto it = queued.begin();
+    std::advance(it,
+                 static_cast<std::ptrdiff_t>(rng.next_below(queued.size())));
+    const int id = it->first;
+    Engine::Callback* node = it->second;
+    queued.erase(it);
+    std::erase_if(pending,
+                  [id](const auto& e) { return std::get<2>(e) == id; });
+    eng.cancel(node);
+    ++cancelled;
+  }
 
   // A time with many same-instant ties, some in the past.
   SimTime pick() {
@@ -266,11 +287,14 @@ class OrderedNode final : public Engine::Callback {
   void post() {
     const SimTime t = m_.pick();
     id_ = m_.expect(t);
+    m_.queued[id_] = this;
     m_.eng.post_at(t, this);
   }
 
   void run() override {
+    m_.queued.erase(id_);
     m_.ran_event(id_);
+    if (m_.rng.next_below(3) == 0) m_.cancel_one();
     if (m_.rng.next_below(4) == 0) {
       // Fan out: a fresh node and a fresh actor from inside a callback.
       (new OrderedNode(m_, 2))->post();
@@ -294,7 +318,7 @@ TEST(Engine, MixedEventKindsPopInTimeSeqOrder) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Engine eng;
     OrderModel m(eng, seed);
-    for (int i = 0; i < 30; ++i) {
+    for (int i = 0; i < 50; ++i) {
       if (m.rng.next_below(2) == 0) {
         (new OrderedNode(m, 1 + static_cast<int>(m.rng.next_below(20))))
             ->post();
@@ -304,13 +328,17 @@ TEST(Engine, MixedEventKindsPopInTimeSeqOrder) {
             m, id, 1 + static_cast<int>(m.rng.next_below(20))));
       }
     }
-    // Advance in uneven windows so run_until's clock jumps mix in too.
+    // Advance in uneven windows so run_until's clock jumps mix in too, and
+    // cancel between windows as well as from inside callbacks.
     while (eng.pending_events() > 0) {
       eng.run_until(eng.now() + static_cast<SimDur>(m.rng.next_below(40)));
+      if (m.rng.next_below(2) == 0) m.cancel_one();
     }
     EXPECT_EQ(m.out_of_order, 0) << "seed " << seed;
     EXPECT_GT(m.ran, 300) << "seed " << seed;
+    EXPECT_GT(m.cancelled, 10) << "seed " << seed;
     EXPECT_TRUE(m.pending.empty()) << "seed " << seed;
+    EXPECT_TRUE(m.queued.empty()) << "seed " << seed;
     EXPECT_EQ(eng.live_actors(), 0u);
     EXPECT_EQ(eng.events_processed(), static_cast<uint64_t>(m.ran));
   }
@@ -356,6 +384,69 @@ TEST(Engine, CallAtFiresAfterAnArmHop) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(eng.events_processed(), 4u);
   EXPECT_EQ(eng.now(), 5_us);
+}
+
+TEST(Engine, CancelBeforeTheArmEventRuns) {
+  // Cancelled in its arm hop (the same-instant FIFO): the node is flagged,
+  // freed when it comes up, and neither runs nor counts as an event; the
+  // events around it keep their order.
+  Engine eng;
+  std::vector<int> order;
+  eng.call_at(0, [&] { order.push_back(0); });
+  Engine::Callback* doomed = eng.call_at(5_us, [&] { order.push_back(9); });
+  eng.call_at(0, [&] { order.push_back(1); });
+  EXPECT_EQ(eng.pending_events(), 3u);
+  eng.cancel(doomed);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(eng.events_processed(), 4u);  // two arm hops, two calls
+  EXPECT_EQ(eng.pending_events(), 0u);
+  EXPECT_EQ(eng.now(), 0);
+}
+
+TEST(Engine, CancelWhileInTheHeap) {
+  // Armed nodes wait in the heap; cancelling one removes it at once, from
+  // the top, the middle or the last slot, and the rest run in (t, seq)
+  // order.
+  Engine eng;
+  std::vector<int> order;
+  std::vector<Engine::Callback*> nodes;
+  for (int i = 0; i < 12; ++i) {
+    const SimTime t = (1 + i % 4) * 1_us;
+    nodes.push_back(eng.call_at(t, [&order, i] { order.push_back(i); }));
+  }
+  eng.run_until(0);  // every arm hop has run
+  ASSERT_EQ(eng.pending_events(), 12u);
+  for (int i : {0, 5, 11, 6}) eng.cancel(nodes[static_cast<size_t>(i)]);
+  EXPECT_EQ(eng.pending_events(), 8u);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 8, 1, 9, 2, 10, 3, 7}));
+  EXPECT_EQ(eng.events_processed(), 12u + 8u);
+  EXPECT_EQ(eng.now(), 4_us);
+}
+
+TEST(Engine, CancelFromAFrameDestroyedAtTeardownIsIgnored) {
+  // ~Engine frees pending nodes before it destroys suspended frames; a
+  // frame whose destructor cancels its timer (as an RPC call does) must
+  // not touch the freed node.
+  struct CancelOnExit {
+    Engine& eng;
+    Engine::Callback* node;
+    CancelOnExit(Engine& e, Engine::Callback* n) : eng(e), node(n) {}
+    ~CancelOnExit() { eng.cancel(node); }
+  };
+  auto token = std::make_shared<int>(0);
+  {
+    Engine eng;
+    eng.spawn([](Engine& e, std::shared_ptr<int> hold) -> Task<void> {
+      CancelOnExit guard(e, e.call_at(10_s, [hold] {}));
+      co_await e.sleep(100_s);
+    }(eng, token));
+    eng.run_until(1_s);
+    EXPECT_EQ(eng.pending_events(), 2u);  // the timer and the wakeup
+    EXPECT_EQ(eng.live_actors(), 1u);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Engine, ThrowingActorIsRecordedAndFreed) {
