@@ -289,6 +289,37 @@ void ClientProxy::spawn_cache_store(uint64_t fileid, uint64_t block,
   host_.engine().spawn(task(this, alive_, fileid, block, bytes));
 }
 
+void ClientProxy::refresh_written(const nfs::WriteArgs& a,
+                                  uint32_t written) {
+  const uint64_t bs = config_.cache.block_size;
+  const uint64_t end = a.offset + written;
+  for (uint64_t block = a.offset / bs; block * bs < end; ++block) {
+    const BlockKey key{a.fh.fileid, block};
+    const nfs::BlockCache::Block* b = cache_.find(key);
+    if (b == nullptr) continue;
+    if (!cache_.is_dirty(key)) {
+      cache_.erase(key);
+      continue;
+    }
+    // A dirty block holds bytes the server has not seen (reload() may have
+    // turned write-back off since they were absorbed).  Its write-back
+    // covers [0, valid), so it would undo only a write that starts inside
+    // that prefix; such a write is laid over the block.
+    const uint64_t base = block * bs;
+    const uint64_t from = std::max(a.offset, base) - base;
+    const uint64_t to = std::min(end, base + bs) - base;
+    if (from > b->valid) continue;
+    const BufChain bytes = a.data.slice(base + from - a.offset, to - from);
+    store_.overlay(key, static_cast<uint32_t>(to), /*absorb=*/true,
+                   [&](MutByteView dst) {
+                     bytes.copy_to(dst.subspan(from, to - from));
+                   });
+    // A sealed block that failed verification comes back clean and without
+    // its old bytes: drop it rather than serve zeros before `from`.
+    if (!cache_.is_dirty(key)) cache_.erase(key);
+  }
+}
+
 bool ClientProxy::attrs_fresh(const AttrEntry& entry) const {
   if (config_.cache.consistency == Consistency::kSessionExclusive) {
     return true;
@@ -777,7 +808,10 @@ sim::Task<BufChain> ClientProxy::serve(const rpc::CallContext& ctx,
       }
       BufChain reply = co_await forward(ctx, args);
       auto res = xdr::decode<nfs::WriteRes>(reply);
-      if (res.status == Status::kOk) remember(a.fh, res.post_attrs);
+      if (res.status == Status::kOk) {
+        remember(a.fh, res.post_attrs);
+        refresh_written(a, res.count);
+      }
       co_return reply;
     }
 

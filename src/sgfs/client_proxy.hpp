@@ -169,6 +169,11 @@ class ClientProxy : public rpc::RpcProgram,
   sim::Task<void> cache_disk_io(uint64_t fileid, uint64_t block,
                                 size_t bytes, bool write);
   void spawn_cache_store(uint64_t fileid, uint64_t block, size_t bytes);
+  /// After the server applied `written` bytes of a forwarded WRITE: drops
+  /// the clean resident copies of those blocks and lays the bytes over the
+  /// dirty ones, so neither a READ hit nor a later write-back serves the
+  /// old bytes.
+  void refresh_written(const nfs::WriteArgs& a, uint32_t written);
   bool attrs_fresh(const AttrEntry& entry) const;
   /// Records server attributes, keeping the local size and mtime of a file
   /// with dirty blocks unless `server_size`: a SETATTR that sets the size

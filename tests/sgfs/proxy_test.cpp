@@ -504,6 +504,67 @@ TEST(Sgfs, ProxyCacheServesAfterKernelCacheDrop) {
   }(grid));
 }
 
+TEST(Sgfs, WriteThroughDropsTheStaleCachedBlock) {
+  CacheConfig wt;
+  wt.write_back = false;
+  Grid grid(pki().alice, wt);
+  grid.fs->write_file(vfs::Cred(0, 0), "/GFS/alice/wt.bin",
+                      Buffer(4096, 'A'), 0666);
+  grid.eng.run_task([](Grid& grid) -> Task<void> {
+    auto mp = co_await grid.mount_session();
+    Buffer buf(4096);
+    int fd = co_await mp->open("wt.bin", nfs::kRdOnly);
+    co_await mp->read(fd, buf);  // fills the proxy's disk cache with 'A'
+    co_await mp->close(fd);
+    fd = co_await mp->open("wt.bin", nfs::kWrOnly);
+    co_await mp->write(fd, Buffer(4096, 'B'));
+    co_await mp->close(fd);
+
+    mp->drop_caches();
+    fd = co_await mp->open("wt.bin", nfs::kRdOnly);
+    co_await mp->read(fd, buf);
+    co_await mp->close(fd);
+    EXPECT_EQ(buf, Buffer(4096, 'B'));
+    EXPECT_EQ(grid.client_proxy->absorbed_reads(), 0u);
+  }(grid));
+  EXPECT_EQ(grid.fs->read_file(vfs::Cred(0, 0), "/GFS/alice/wt.bin").value,
+            Buffer(4096, 'B'));
+  EXPECT_TRUE(grid.eng.errors().empty());
+}
+
+TEST(Sgfs, WriteThroughOverADirtyBlockReachesItsWriteBack) {
+  // A write-back session absorbs 'A'; reload() turns write-back off with
+  // that block still dirty; 'B' then goes straight to the server.  The
+  // end-of-session write-back of the dirty block must carry 'B', not undo
+  // it.
+  Grid grid(pki().alice);
+  grid.eng.run_task([](Grid& grid) -> Task<void> {
+    auto mp = co_await grid.mount_session();
+    int fd = co_await mp->open("wb.bin", nfs::kWrOnly | nfs::kCreate);
+    co_await mp->write(fd, Buffer(4096, 'A'));
+    co_await mp->close(fd);
+    EXPECT_GT(grid.client_proxy->absorbed_writes(), 0u);
+
+    ClientProxyConfig next = grid.client_proxy->config();
+    next.cache.write_back = false;
+    grid.client_proxy->reload(next);
+    fd = co_await mp->open("wb.bin", nfs::kWrOnly);
+    co_await mp->write(fd, Buffer(4096, 'B'));
+    co_await mp->close(fd);
+    co_await grid.client_proxy->flush();
+
+    mp->drop_caches();
+    Buffer buf(4096);
+    fd = co_await mp->open("wb.bin", nfs::kRdOnly);
+    co_await mp->read(fd, buf);
+    co_await mp->close(fd);
+    EXPECT_EQ(buf, Buffer(4096, 'B'));
+  }(grid));
+  EXPECT_EQ(grid.fs->read_file(vfs::Cred(0, 0), "/GFS/alice/wb.bin").value,
+            Buffer(4096, 'B'));
+  EXPECT_TRUE(grid.eng.errors().empty());
+}
+
 TEST(Sgfs, CacheDisabledForwardsEverything) {
   CacheConfig cache;
   cache.enabled = false;
