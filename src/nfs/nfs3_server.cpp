@@ -103,7 +103,6 @@ void Nfs3Server::on_crash() {
   // The page cache is cold after a reboot.
   cached_.clear();
   lru_.clear();
-  lru_clock_ = 0;
   // New instance cookie (deterministic): any COMMIT/WRITE reply after the
   // restart exposes the roll to clients, which must replay uncommitted data.
   write_verf_ = write_verf_ * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull;
@@ -131,21 +130,17 @@ std::optional<vfs::Attributes> Nfs3Server::attrs_of(vfs::FileId id) const {
 // --- page-cache timing model --------------------------------------------------
 
 void Nfs3Server::cache_insert(uint64_t fileid, uint64_t block) {
-  auto key = std::make_pair(fileid, block);
+  const CacheKey key(fileid, block);
   auto it = cached_.find(key);
   if (it != cached_.end()) {
-    lru_.erase(it->second);
-    it->second = ++lru_clock_;
-    lru_[lru_clock_] = key;
+    lru_.splice(lru_.end(), lru_, it->second);
     return;
   }
   while (cached_.size() >= cache_capacity_blocks_ && !lru_.empty()) {
-    auto oldest = lru_.begin();
-    cached_.erase(oldest->second);
-    lru_.erase(oldest);
+    cached_.erase(lru_.front());
+    lru_.pop_front();
   }
-  cached_[key] = ++lru_clock_;
-  lru_[lru_clock_] = key;
+  cached_.emplace(key, lru_.insert(lru_.end(), key));
 }
 
 bool Nfs3Server::cache_has(uint64_t fileid, uint64_t block) const {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <set>
@@ -137,10 +138,11 @@ class Nfs3Server : public rpc::RpcProgram,
   std::vector<ExportEntry> exports_;
   uint64_t write_verf_;
 
-  // LRU page-cache presence model.
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> cached_;  // block -> lru
-  std::map<uint64_t, std::pair<uint64_t, uint64_t>> lru_;     // lru -> block
-  uint64_t lru_clock_ = 0;
+  // LRU page-cache presence model: `lru_` runs oldest to newest, and
+  // `cached_` maps each resident block to its place in it.
+  using CacheKey = std::pair<uint64_t, uint64_t>;  // (fileid, block)
+  std::list<CacheKey> lru_;
+  std::map<CacheKey, std::list<CacheKey>::iterator> cached_;
   size_t cache_capacity_blocks_;
 
   // Unstable write bytes awaiting COMMIT, per file.

@@ -22,14 +22,14 @@ struct Rig {
   std::shared_ptr<Nfs3Server> nfs_server;
   std::unique_ptr<rpc::RpcServer> rpc_server;
 
-  Rig() {
+  explicit Rig(ServerCostModel cost = ServerCostModel()) {
     client_host = &net.add_host("client");
     server_host = &net.add_host("server");
     fs = std::make_shared<vfs::FileSystem>();
     vfs::Cred root(0, 0);
     fs->mkdir_p(root, "/GFS/data", 0777);  // world-writable scratch tree
     fs->write_file(root, "/GFS/data/hello.txt", to_bytes("hello grid"));
-    nfs_server = std::make_shared<Nfs3Server>(*server_host, fs);
+    nfs_server = std::make_shared<Nfs3Server>(*server_host, fs, 1, cost);
     nfs_server->add_export(ExportEntry("/GFS"));
     rpc_server = std::make_unique<rpc::RpcServer>(*server_host, 2049);
     rpc_server->register_program(kNfsProgram, kNfsVersion3, nfs_server);
@@ -453,6 +453,33 @@ TEST(NfsServer, DiskChargedOnColdReadsOnly) {
     co_await mp2->read(fd, buf);
     co_await mp2->close(fd);
     EXPECT_EQ(rig.nfs_server->disk_reads(), cold);
+  }(rig));
+}
+
+TEST(NfsServer, PageCacheEvictsLeastRecentlyUsedBlock) {
+  // Room for three 32 KiB blocks.  a, b and c fill it, a is used again, and
+  // d needs a slot: LRU evicts b, where FIFO would have evicted a.
+  ServerCostModel cost;
+  cost.memory_bytes = 3 * 32 * 1024;
+  Rig rig(cost);
+  for (const char* name : {"a", "b", "c", "d"}) {
+    rig.fs->write_file(vfs::Cred(0, 0), std::string("/GFS/data/") + name,
+                       Buffer(4096, 7));
+  }
+  for (const char* name : {"a", "b", "c", "a", "d"}) {
+    rig.nfs_server->warm_file(std::string("/GFS/data/") + name);
+  }
+  rig.eng.run_task([](Rig& rig) -> Task<void> {
+    auto mp = co_await rig.do_mount(false);
+    Buffer buf(4096);
+    int fd = co_await mp->open("data/a", kRdOnly);
+    co_await mp->read(fd, buf);
+    co_await mp->close(fd);
+    EXPECT_EQ(rig.nfs_server->disk_reads(), 0u);  // a is still resident
+    fd = co_await mp->open("data/b", kRdOnly);
+    co_await mp->read(fd, buf);
+    co_await mp->close(fd);
+    EXPECT_EQ(rig.nfs_server->disk_reads(), 1u);  // b was the victim
   }(rig));
 }
 
