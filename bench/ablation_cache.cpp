@@ -8,83 +8,70 @@ using namespace sgfs::bench;
 using namespace sgfs::workloads;
 using baselines::SetupKind;
 using baselines::Testbed;
-using baselines::TestbedOptions;
-
-namespace {
-
-double run_mab_total(TestbedOptions opts, const MabParams& params,
-                     bool write_back, core::Consistency consistency,
-                     std::string* metrics_out = nullptr) {
-  opts.proxy_write_back = write_back;
-  opts.consistency = consistency;
-  Testbed tb(opts);
-  mab_prepare_tree(tb, params);
-  double total = 0;
-  tb.engine().run_task([](Testbed& tb, MabParams params,
-                          double* out) -> sim::Task<void> {
-    auto mp = co_await tb.mount();
-    auto times = co_await run_mab(tb, mp, params);
-    co_await mp->flush_all();
-    (void)co_await tb.flush_session();
-    *out = times.total();
-  }(tb, params, &total));
-  if (metrics_out) {
-    *metrics_out = obs::format_summary(tb.engine().metrics(), "    ");
-  }
-  return total;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv, {"compile-cpu"});
-  JsonReport json(flags, "ablation_cache");
-  (void)json;
+  Runner bench(argc, argv, "ablation_cache", {"compile-cpu"});
   MabParams params;
   params.compile_cpu_seconds =
-      static_cast<double>(flags.get_int("compile-cpu", 95));
+      static_cast<double>(bench.flags.get_int("compile-cpu", 95));
 
   print_header("Ablation — SGFS disk-cache design choices (MAB @ 40 ms RTT)",
                "each row toggles one design decision of the client proxy");
 
-  TestbedOptions base;
-  base.kind = SetupKind::kSgfs;
-  base.cipher = crypto::Cipher::kAes256Cbc;
-  base.mac = crypto::MacAlgo::kHmacSha1;
-  base.wan_rtt = 40 * sim::kMillisecond;
+  struct Variant {
+    const char* name;
+    const char* note;
+    bool cache;
+    bool write_back;
+    core::Consistency consistency;
+  };
+  const Variant variants[] = {
+      {"no disk cache", "(baseline: secure proxies only)", false, true,
+       core::Consistency::kSessionExclusive},
+      {"full cache", "(write-back, session-exclusive)", true, true,
+       core::Consistency::kSessionExclusive},
+      {"write-through", "(cache data, but no write-back)", true, false,
+       core::Consistency::kSessionExclusive},
+      {"revalidate", "(TTL consistency instead of session-exclusive)", true,
+       true, core::Consistency::kRevalidate},
+  };
+  std::vector<Setup> setups;
+  for (const Variant& v : variants) {
+    Setup s{v.name, testbed(SetupKind::kSgfs, crypto::Cipher::kAes256Cbc,
+                            crypto::MacAlgo::kHmacSha1)};
+    s.opts.wan_rtt = 40 * sim::kMillisecond;
+    s.opts.proxy_disk_cache = v.cache;
+    s.opts.proxy_write_back = v.write_back;
+    s.opts.consistency = v.consistency;
+    setups.push_back(std::move(s));
+  }
+  Runner::Options options;
+  options.prepare = [&](Testbed& tb) { mab_prepare_tree(tb, params); };
+  const auto runs = bench.run(
+      setups,
+      [&](Testbed& tb, uint64_t) -> sim::Task<double> {
+        auto mp = co_await tb.mount();
+        auto times = co_await run_mab(tb, mp, params);
+        co_await mp->flush_all();
+        (void)co_await tb.flush_session();
+        co_return times.total();
+      },
+      options);
 
-  TestbedOptions no_cache = base;
-  no_cache.proxy_disk_cache = false;
-  TestbedOptions full = base;
-  full.proxy_disk_cache = true;
-
-  std::string m_none, m_full, m_wt, m_reval;
-  const double t_none =
-      run_mab_total(no_cache, params, true,
-                    core::Consistency::kSessionExclusive, &m_none);
-  const double t_full = run_mab_total(
-      full, params, true, core::Consistency::kSessionExclusive, &m_full);
-  const double t_wt = run_mab_total(full, params, /*write_back=*/false,
-                                    core::Consistency::kSessionExclusive,
-                                    &m_wt);
-  const double t_reval = run_mab_total(full, params, true,
-                                       core::Consistency::kRevalidate,
-                                       &m_reval);
-
-  print_row("no disk cache", t_none, 0, "(baseline: secure proxies only)");
-  std::fputs(m_none.c_str(), stdout);
-  print_row("full cache", t_full, 0, "(write-back, session-exclusive)");
-  std::fputs(m_full.c_str(), stdout);
-  print_row("write-through", t_wt, 0, "(cache data, but no write-back)");
-  std::fputs(m_wt.c_str(), stdout);
-  print_row("revalidate", t_reval, 0, "(TTL consistency instead of "
-                                      "session-exclusive)");
-  std::fputs(m_reval.c_str(), stdout);
+  double total[4];
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const auto s = runs[i].stats([](double t) { return t; });
+    total[i] = s.mean;
+    print_row(runs[i].name, s.mean, s.stddev, variants[i].note);
+    std::fputs(runs[i].summary.c_str(), stdout);
+    bench.json.attach_metrics(runs[i].name, runs[i].metrics);
+  }
   std::printf("\n");
-  print_check("no-cache / full cache (caching benefit)", t_none / t_full,
+  print_check("no-cache / full cache (caching benefit)", total[0] / total[1],
               "> 2 expected at 40ms");
-  print_check("write-through / write-back", t_wt / t_full, "> 1 expected");
-  print_check("revalidate / session-exclusive", t_reval / t_full,
+  print_check("write-through / write-back", total[2] / total[1],
+              "> 1 expected");
+  print_check("revalidate / session-exclusive", total[3] / total[1],
               ">= 1 expected");
-  return 0;
+  return bench.finish();
 }

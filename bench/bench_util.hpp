@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -322,40 +323,6 @@ class Gate {
   bool ok_ = true;
 };
 
-/// Publishes the buffer-pipeline copy-accounting deltas accumulated since
-/// construction into an engine's registry as buf.* counters.  BufStats is
-/// process-global (payloads cross host boundaries), so each bench run wraps
-/// itself in a scope to get per-run numbers.
-class BufStatsScope {
- public:
-  BufStatsScope() : start_(buf_stats()) {}
-
-  void publish(obs::MetricsRegistry& reg) const {
-    const BufStats& now = buf_stats();
-    reg.counter("buf.bytes_copied").inc(now.bytes_copied -
-                                        start_.bytes_copied);
-    reg.counter("buf.bytes_zerocopy").inc(now.bytes_zerocopy -
-                                          start_.bytes_zerocopy);
-    reg.counter("buf.segments_allocated").inc(now.segments_allocated -
-                                              start_.segments_allocated);
-  }
-
- private:
-  BufStats start_;
-};
-
-/// Prints the per-layer metrics summary for one simulation (RPC counts,
-/// cache hit ratios, retransmits, crypto bytes, queue waits), indented
-/// under an optional label.  Call right after the timing line so each
-/// config's decomposition sits next to its number.
-inline void print_metrics(const obs::MetricsRegistry& reg,
-                          const std::string& label = "") {
-  if (!label.empty()) std::printf("    -- metrics: %s --\n", label.c_str());
-  std::string summary = obs::format_summary(reg, "    ");
-  if (summary.empty()) summary = "    (no metrics recorded)\n";
-  std::fputs(summary.c_str(), stdout);
-}
-
 /// True when the user asked for an RPC span trace (--trace=PATH).
 inline bool trace_requested(const Flags& flags) {
   return flags.raw.count("trace") > 0;
@@ -386,20 +353,226 @@ inline void dump_trace(const Flags& flags, const sim::Engine& eng,
   }
 }
 
-/// Runs `body(testbed)` once per seed; returns per-phase vectors of totals.
-template <typename MakeTestbed, typename Body>
-std::vector<workloads::PhaseTimes> run_seeds(int runs, MakeTestbed&& make,
-                                             Body&& body) {
-  std::vector<workloads::PhaseTimes> out;
-  for (int r = 0; r < runs; ++r) {
-    auto tb = make(42 + 1000ull * r);
-    out.push_back(body(*tb, 42 + 1000ull * r));
-    if (!tb->engine().errors().empty()) {
-      std::fprintf(stderr, "WARNING: simulation errors: %s\n",
-                   tb->engine().errors()[0].c_str());
+/// One row of a figure bench: its label and the testbed it runs on.
+struct Setup {
+  std::string name;
+  baselines::TestbedOptions opts;
+};
+
+/// A setup's testbed options with the given cipher suite (null by default;
+/// setups without a secure channel ignore it).
+inline baselines::TestbedOptions testbed(
+    baselines::SetupKind kind, crypto::Cipher cipher = crypto::Cipher::kNull,
+    crypto::MacAlgo mac = crypto::MacAlgo::kNull) {
+  baselines::TestbedOptions opts;
+  opts.kind = kind;
+  opts.cipher = cipher;
+  opts.mac = mac;
+  return opts;
+}
+
+/// What the runner keeps of one setup: the workload body's result for each
+/// seed, in seed order, and the first seed's per-layer metrics (the printed
+/// summary, and the JSON snapshot when --json is given).
+template <typename R>
+struct Runs {
+  std::string name;
+  std::vector<R> seeds;
+  std::string summary;
+  std::map<std::string, double> metrics;
+
+  /// Mean and stddev over the seeds of one value of the result.
+  template <typename Get>
+  workloads::Stats stats(Get get) const {
+    std::vector<double> xs;
+    for (const R& r : seeds) xs.push_back(get(r));
+    return workloads::stats_of(xs);
+  }
+};
+
+/// The T of a sim::Task<T>: the result type of a workload body.
+template <typename T>
+struct TaskValue;
+template <typename T>
+struct TaskValue<sim::Task<T>> {
+  using type = T;
+};
+
+/// The run path of the paper-figure benches.  It parses the flags, opens
+/// the JSON report, and runs every (setup, seed) cell: seeds 42 + 1000*r
+/// for r < --runs, each on a fresh Testbed, with --trace honoured on the
+/// first seed.  All cells run before the bench prints its table.  Errors
+/// of detached actors are counted over every cell, and finish() makes them
+/// the bench's gate, `sim errors == 0`.
+class Runner {
+ public:
+  struct Options {
+    /// Populates the server before the workload starts (no simulated time).
+    std::function<void(baselines::Testbed&)> prepare;
+    /// Publishes each run's buf.* copy counters into its metrics (BufStats
+    /// is process-global, as payloads cross hosts, so a run takes deltas).
+    bool buf_stats = false;
+    /// Line prefix of the printed metric summaries.
+    std::string indent = "    ";
+  };
+
+  Runner(int argc, char** argv, const std::string& bench,
+         std::initializer_list<std::string_view> known)
+      : flags(Flags::parse(argc, argv, known)), json(flags, bench),
+        gate_(bench) {}
+
+  Flags flags;
+  JsonReport json;
+
+  /// Runs `body(testbed, seed)`, a coroutine returning one result, on every
+  /// setup and seed; returns the runs in setup order.
+  template <typename Body>
+  auto run(const std::vector<Setup>& setups, Body body,
+           const Options& options = {}) {
+    using R = typename TaskValue<decltype(body(
+        std::declval<baselines::Testbed&>(), uint64_t{}))>::type;
+    std::vector<Runs<R>> out;
+    for (const Setup& setup : setups) {
+      Runs<R>& runs = out.emplace_back();
+      runs.name = setup.name;
+      for (int r = 0; r < flags.runs; ++r) {
+        const bool first = r == 0;
+        const BufStats buf_start = buf_stats();
+        baselines::TestbedOptions opts = setup.opts;
+        opts.seed = 42 + 1000ull * r;
+        baselines::Testbed tb(opts);
+        if (first && trace_requested(flags)) {
+          tb.engine().tracer().set_enabled(true);
+        }
+        if (options.prepare) options.prepare(tb);
+        R result{};
+        tb.engine().run_task([](Body& body, baselines::Testbed& tb,
+                                uint64_t seed, R* out) -> sim::Task<void> {
+          *out = co_await body(tb, seed);
+        }(body, tb, opts.seed, &result));
+        runs.seeds.push_back(std::move(result));
+        const auto& errors = tb.engine().errors();
+        sim_errors_ += errors.size();
+        if (!errors.empty()) {
+          std::fprintf(stderr, "WARNING: %s seed %llu: %s\n",
+                       setup.name.c_str(),
+                       static_cast<unsigned long long>(opts.seed),
+                       errors[0].c_str());
+        }
+        obs::MetricsRegistry& reg = tb.engine().metrics();
+        if (options.buf_stats) {
+          const BufStats& now = buf_stats();
+          reg.counter("buf.bytes_copied")
+              .inc(now.bytes_copied - buf_start.bytes_copied);
+          reg.counter("buf.bytes_zerocopy")
+              .inc(now.bytes_zerocopy - buf_start.bytes_zerocopy);
+          reg.counter("buf.segments_allocated")
+              .inc(now.segments_allocated - buf_start.segments_allocated);
+        }
+        if (!first) continue;
+        runs.summary = obs::format_summary(reg, options.indent);
+        if (json.enabled()) runs.metrics = reg.flat_snapshot();
+        dump_trace(flags, tb.engine(), setup.name);
+      }
+    }
+    return out;
+  }
+
+  /// The bench's verdict: gates `sim errors == 0` and returns the exit code.
+  int finish() {
+    gate_("sim errors", static_cast<double>(sim_errors_), Op::kEq, 0);
+    return gate_.finish();
+  }
+
+ private:
+  Gate gate_;
+  uint64_t sim_errors_ = 0;
+};
+
+/// A run of Figure 9 or 10: the application's phases, then the end-of-run
+/// write-back of the kernel client and the proxy disk cache, which the paper
+/// reports separately.
+struct AppRun {
+  workloads::PhaseTimes times;
+  double writeback = 0;
+};
+
+/// Runs and prints Figure 9 or 10: `workload(testbed, mount)` and the
+/// write-back on nfs-v3 and sgfs over AES-256-CBC/HMAC-SHA1, in LAN and over
+/// a 40 ms WAN where sgfs uses its disk cache.  `phases` pairs each phase's
+/// name with its column head, and `paper` holds the paper's seconds per row
+/// and phase, printed with `paper_digits` decimals.  JSON rows are
+/// "<setup>/<net>/<phase>" and ".../writeback".  Returns each row's mean
+/// phase times by label, for the bench's checks.
+template <typename Workload>
+std::map<std::string, workloads::PhaseTimes> run_app_figure(
+    Runner& bench, const baselines::TestbedOptions& base, Workload workload,
+    const Runner::Options& options,
+    const std::vector<std::pair<std::string, std::string>>& phases,
+    const double (&paper)[4][4], int paper_digits) {
+  std::vector<Setup> setups;  // nfs-v3 LAN, sgfs LAN, nfs-v3 WAN, sgfs WAN
+  for (bool wan : {false, true}) {
+    for (bool sgfs : {false, true}) {
+      Setup& s = setups.emplace_back(Setup{
+          std::string(sgfs ? "sgfs  " : "nfs-v3") + (wan ? " WAN" : " LAN"),
+          base});
+      s.opts.kind = sgfs ? baselines::SetupKind::kSgfs
+                         : baselines::SetupKind::kNfsV3;
+      s.opts.cipher = crypto::Cipher::kAes256Cbc;
+      s.opts.mac = crypto::MacAlgo::kHmacSha1;
+      s.opts.wan_rtt = wan ? 40 * sim::kMillisecond : 0;
+      s.opts.proxy_disk_cache = sgfs && wan;
     }
   }
-  return out;
+  const auto runs = bench.run(
+      setups,
+      [&](baselines::Testbed& tb, uint64_t) -> sim::Task<AppRun> {
+        auto mp = co_await tb.mount();
+        AppRun out;
+        out.times = co_await workload(tb, mp);
+        co_await mp->flush_all();
+        out.writeback = co_await tb.flush_session();
+        co_return out;
+      },
+      options);
+
+  // A column is two wider than its head, and at least 8.
+  std::vector<int> widths;
+  std::printf("  %-12s", "setup");
+  for (const auto& [name, head] : phases) {
+    widths.push_back(std::max<int>(8, static_cast<int>(head.size()) + 2));
+    std::printf(" %*s", widths.back(), head.c_str());
+  }
+  std::printf(" %9s %11s\n", "total", "writeback");
+  std::map<std::string, workloads::PhaseTimes> all;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const auto& r = runs[i];
+    const std::string setup = r.name.substr(0, r.name.find(' ')) + "/" +
+                              r.name.substr(r.name.rfind(' ') + 1);
+    workloads::PhaseTimes& mean = all[r.name];
+    for (const auto& [name, head] : phases) {
+      const auto st = r.stats([&](const AppRun& x) { return x.times[name]; });
+      mean.add(name, st.mean);
+      bench.json.add_row(setup + "/" + name, st.mean, st.stddev, r.metrics);
+    }
+    const auto wb = r.stats([](const AppRun& x) { return x.writeback; });
+    bench.json.add_row(setup + "/writeback", wb.mean, wb.stddev, r.metrics);
+    std::printf("  %-12s", r.name.c_str());
+    for (size_t p = 0; p < phases.size(); ++p) {
+      std::printf(" %*.1fs", widths[p] - 1, mean[phases[p].first]);
+    }
+    std::printf(" %8.1fs %10.1fs\n", mean.total(), wb.mean);
+    std::printf("  %-12s", "");
+    double paper_total = 0;
+    for (size_t p = 0; p < phases.size(); ++p) {
+      std::printf(" %*.*fs", widths[p] - 1, paper_digits, paper[i][p]);
+      paper_total += paper[i][p];
+    }
+    std::printf(" %8.*fs   (paper)\n", paper_digits, paper_total);
+    std::fputs(r.summary.c_str(), stdout);
+  }
+  std::printf("\n");
+  return all;
 }
 
 }  // namespace sgfs::bench

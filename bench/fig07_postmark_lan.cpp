@@ -11,16 +11,15 @@ using namespace sgfs::bench;
 using namespace sgfs::workloads;
 using baselines::SetupKind;
 using baselines::Testbed;
-using baselines::TestbedOptions;
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv, {"dirs", "files", "transactions"});
-  JsonReport json(flags, "fig07_postmark_lan");
+  Runner bench(argc, argv, "fig07_postmark_lan",
+               {"dirs", "files", "transactions"});
   PostmarkParams params;
-  params.directories = static_cast<int>(flags.get_int("dirs", 100));
-  params.files = static_cast<int>(flags.get_int("files", 500));
+  params.directories = static_cast<int>(bench.flags.get_int("dirs", 100));
+  params.files = static_cast<int>(bench.flags.get_int("files", 500));
   params.transactions =
-      static_cast<int>(flags.get_int("transactions", 1000));
+      static_cast<int>(bench.flags.get_int("transactions", 1000));
 
   print_header("Figure 7 — PostMark per-phase runtime, LAN",
                std::to_string(params.directories) + " dirs, " +
@@ -28,64 +27,37 @@ int main(int argc, char** argv) {
                    std::to_string(params.transactions) +
                    " transactions, 512B-16KB files");
 
-  struct Config {
-    std::string name;
-    TestbedOptions opts;
-  };
-  std::vector<Config> configs;
-  auto add = [&](std::string name, SetupKind kind,
-                 crypto::Cipher cipher = crypto::Cipher::kNull,
-                 crypto::MacAlgo mac = crypto::MacAlgo::kNull) {
-    Config c;
-    c.name = std::move(name);
-    c.opts.kind = kind;
-    c.opts.cipher = cipher;
-    c.opts.mac = mac;
-    configs.push_back(std::move(c));
-  };
-  add("nfs-v3", SetupKind::kNfsV3);
-  add("nfs-v4", SetupKind::kNfsV4);
-  add("sfs", SetupKind::kSfs);
-  add("sgfs", SetupKind::kSgfs, crypto::Cipher::kAes256Cbc,
-      crypto::MacAlgo::kHmacSha1);
-  add("gfs-ssh", SetupKind::kGfsSsh);
+  const auto runs = bench.run(
+      {
+          {"nfs-v3", testbed(SetupKind::kNfsV3)},
+          {"nfs-v4", testbed(SetupKind::kNfsV4)},
+          {"sfs", testbed(SetupKind::kSfs)},
+          {"sgfs", testbed(SetupKind::kSgfs, crypto::Cipher::kAes256Cbc,
+                           crypto::MacAlgo::kHmacSha1)},
+          {"gfs-ssh", testbed(SetupKind::kGfsSsh)},
+      },
+      [&](Testbed& tb, uint64_t seed) -> sim::Task<PhaseTimes> {
+        auto mp = co_await tb.mount();
+        PostmarkParams p = params;
+        p.seed = seed;
+        co_return co_await run_postmark(tb, mp, p);
+      });
 
   std::printf("  %-10s %10s %12s %10s %10s\n", "setup", "creation",
               "transaction", "deletion", "total");
   std::map<std::string, double> txn;
-  for (const auto& config : configs) {
-    std::vector<double> c, t, d;
-    std::string metrics;  // per-layer decomposition from the first seed
-    std::map<std::string, double> snapshot;  // the same run, for the JSON
-    for (int r = 0; r < flags.runs; ++r) {
-      TestbedOptions opts = config.opts;
-      opts.seed = 42 + 1000ull * r;
-      Testbed tb(opts);
-      PostmarkParams p = params;
-      p.seed = opts.seed;
-      PhaseTimes times;
-      tb.engine().run_task([](Testbed& tb, PostmarkParams p,
-                              PhaseTimes* out) -> sim::Task<void> {
-        auto mp = co_await tb.mount();
-        *out = co_await run_postmark(tb, mp, p);
-      }(tb, p, &times));
-      c.push_back(times["creation"]);
-      t.push_back(times["transaction"]);
-      d.push_back(times["deletion"]);
-      if (r == 0) {
-        metrics = obs::format_summary(tb.engine().metrics(), "    ");
-        snapshot = JsonReport::snapshot(tb.engine().metrics());
-      }
+  for (const auto& r : runs) {
+    double mean[3];
+    int i = 0;
+    for (const char* phase : {"creation", "transaction", "deletion"}) {
+      const auto st = r.stats([&](const PhaseTimes& t) { return t[phase]; });
+      bench.json.add_row(r.name + "/" + phase, st.mean, st.stddev, r.metrics);
+      mean[i++] = st.mean;
     }
-    auto sc = stats_of(c), st = stats_of(t), sd = stats_of(d);
-    json.add_row(config.name + "/creation", sc.mean, sc.stddev, snapshot);
-    json.add_row(config.name + "/transaction", st.mean, st.stddev, snapshot);
-    json.add_row(config.name + "/deletion", sd.mean, sd.stddev, snapshot);
-    txn[config.name] = st.mean;
-    std::printf("  %-10s %9.1fs %11.1fs %9.1fs %9.1fs\n",
-                config.name.c_str(), sc.mean, st.mean, sd.mean,
-                sc.mean + st.mean + sd.mean);
-    std::fputs(metrics.c_str(), stdout);
+    txn[r.name] = mean[1];
+    std::printf("  %-10s %9.1fs %11.1fs %9.1fs %9.1fs\n", r.name.c_str(),
+                mean[0], mean[1], mean[2], mean[0] + mean[1] + mean[2]);
+    std::fputs(r.summary.c_str(), stdout);
   }
   std::printf("\n");
   print_check("sfs / sgfs transaction (paper: sgfs ~17% better)",
@@ -94,5 +66,5 @@ int main(int argc, char** argv) {
               txn["gfs-ssh"] / txn["sgfs"], "1.14");
   print_check("sgfs / nfs-v3 transaction (paper: 'close')",
               txn["sgfs"] / txn["nfs-v3"], "~1.0-1.3");
-  return 0;
+  return bench.finish();
 }

@@ -10,21 +10,19 @@ using namespace sgfs::bench;
 using namespace sgfs::workloads;
 using baselines::SetupKind;
 using baselines::Testbed;
-using baselines::TestbedOptions;
 
 int main(int argc, char** argv) {
-  Flags flags =
-      Flags::parse(argc, argv, {"dirs", "files", "transactions", "streams"});
-  JsonReport json(flags, "fig08_postmark_wan");
+  Runner bench(argc, argv, "fig08_postmark_wan",
+               {"dirs", "files", "transactions", "streams"});
   PostmarkParams params;
-  params.directories = static_cast<int>(flags.get_int("dirs", 100));
-  params.files = static_cast<int>(flags.get_int("files", 500));
+  params.directories = static_cast<int>(bench.flags.get_int("dirs", 100));
+  params.files = static_cast<int>(bench.flags.get_int("files", 500));
   params.transactions =
-      static_cast<int>(flags.get_int("transactions", 1000));
+      static_cast<int>(bench.flags.get_int("transactions", 1000));
   // --streams=K widens the sgfs arm's WAN stream pool (bench/wanstream.cpp
   // has the dedicated sweep); the default 1 keeps the figure's numbers
   // bit-identical to the pre-pool bench.
-  const int streams = static_cast<int>(flags.get_int("streams", 1));
+  const int streams = static_cast<int>(bench.flags.get_int("streams", 1));
 
   print_header("Figure 8 — PostMark total runtime vs WAN RTT",
                std::string("same PostMark as Figure 7; sgfs uses its disk "
@@ -32,62 +30,61 @@ int main(int argc, char** argv) {
                    (streams > 1 ? ", stream pool K=" + std::to_string(streams)
                                 : ""));
 
+  // Setups alternate nfs-v3 and sgfs at each RTT.
   const int rtts_ms[] = {5, 10, 20, 40, 80};
+  std::vector<Setup> setups;
+  for (int rtt : rtts_ms) {
+    for (SetupKind kind : {SetupKind::kNfsV3, SetupKind::kSgfs}) {
+      const bool sgfs = kind == SetupKind::kSgfs;
+      Setup s{std::string(sgfs ? "sgfs" : "nfs-v3") + "/" +
+                  std::to_string(rtt) + "ms",
+              testbed(kind, crypto::Cipher::kAes256Cbc,
+                      crypto::MacAlgo::kHmacSha1)};
+      s.opts.proxy_disk_cache = sgfs;
+      s.opts.wan_rtt = rtt * sim::kMillisecond;
+      if (sgfs) s.opts.pool.streams = streams;
+      setups.push_back(std::move(s));
+    }
+  }
+  Runner::Options options;
+  options.indent = "      ";
+  const auto runs = bench.run(
+      setups,
+      [&](Testbed& tb, uint64_t seed) -> sim::Task<PhaseTimes> {
+        auto mp = co_await tb.mount();
+        PostmarkParams p = params;
+        p.seed = seed;
+        co_return co_await run_postmark(tb, mp, p);
+      },
+      options);
+
   std::printf("  %-8s %12s %12s %10s\n", "RTT", "nfs-v3", "sgfs", "speedup");
   double speedup_at_80 = 0;
-  for (int rtt : rtts_ms) {
-    double results[2] = {0, 0};
-    std::string metrics[2];  // per-layer decomposition at the largest RTT
-    for (int which = 0; which < 2; ++which) {
-      TestbedOptions opts;
-      opts.kind = which == 0 ? SetupKind::kNfsV3 : SetupKind::kSgfs;
-      opts.cipher = crypto::Cipher::kAes256Cbc;
-      opts.mac = crypto::MacAlgo::kHmacSha1;
-      opts.proxy_disk_cache = which == 1;
-      opts.wan_rtt = rtt * sim::kMillisecond;
-      if (which == 1) opts.pool.streams = streams;
-      std::vector<double> totals;
-      std::map<std::string, std::vector<double>> phases;
-      std::map<std::string, double> snapshot;  // first seed, for the JSON
-      for (int r = 0; r < flags.runs; ++r) {
-        opts.seed = 42 + 1000ull * r;
-        Testbed tb(opts);
-        PostmarkParams p = params;
-        p.seed = opts.seed;
-        PhaseTimes times;
-        tb.engine().run_task([](Testbed& tb, PostmarkParams p,
-                                PhaseTimes* out) -> sim::Task<void> {
-          auto mp = co_await tb.mount();
-          *out = co_await run_postmark(tb, mp, p);
-        }(tb, p, &times));
-        totals.push_back(times.total());
-        for (const auto& [phase, s] : times.phases) phases[phase].push_back(s);
-        if (r == 0) snapshot = JsonReport::snapshot(tb.engine().metrics());
-        if (r == 0 && rtt == 80) {
-          metrics[which] =
-              obs::format_summary(tb.engine().metrics(), "      ");
-        }
-      }
-      results[which] = stats_of(totals).mean;
-      const std::string setup = which == 0 ? "nfs-v3" : "sgfs";
+  for (size_t i = 0; i < runs.size(); i += 2) {
+    double results[2];
+    for (size_t which = 0; which < 2; ++which) {
+      const auto& r = runs[i + which];
+      results[which] =
+          r.stats([](const PhaseTimes& t) { return t.total(); }).mean;
       for (const char* phase : {"creation", "transaction", "deletion"}) {
-        const auto st = stats_of(phases[phase]);
-        json.add_row(setup + "/" + std::to_string(rtt) + "ms/" + phase,
-                     st.mean, st.stddev, snapshot);
+        const auto st = r.stats([&](const PhaseTimes& t) { return t[phase]; });
+        bench.json.add_row(r.name + "/" + phase, st.mean, st.stddev,
+                           r.metrics);
       }
     }
+    const int rtt = rtts_ms[i / 2];
     const double speedup = results[0] / results[1];
-    if (rtt == 80) speedup_at_80 = speedup;
     std::printf("  %3d ms   %11.1fs %11.1fs %9.2fx\n", rtt, results[0],
                 results[1], speedup);
-    if (!metrics[0].empty()) {
+    if (rtt == 80) {  // per-layer decomposition at the largest RTT
+      speedup_at_80 = speedup;
       std::printf("    nfs-v3 metrics:\n");
-      std::fputs(metrics[0].c_str(), stdout);
+      std::fputs(runs[i].summary.c_str(), stdout);
       std::printf("    sgfs metrics:\n");
-      std::fputs(metrics[1].c_str(), stdout);
+      std::fputs(runs[i + 1].summary.c_str(), stdout);
     }
   }
   std::printf("\n");
   print_check("nfs-v3 / sgfs at 80 ms (paper: ~2x)", speedup_at_80, "2.0");
-  return 0;
+  return bench.finish();
 }
