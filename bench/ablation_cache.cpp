@@ -45,13 +45,16 @@ int main(int argc, char** argv) {
     s.opts.consistency = v.consistency;
     setups.push_back(std::move(s));
   }
+  // The tree and the run draw from the same MAB seed (2 on the first run).
   Runner::Options options;
-  options.prepare = [&](Testbed& tb) { mab_prepare_tree(tb, params); };
+  options.prepare = [&](Testbed& tb, uint64_t seed) {
+    mab_prepare_tree(tb, with_run_seed(params, seed));
+  };
   const auto runs = bench.run(
       setups,
-      [&](Testbed& tb, uint64_t) -> sim::Task<double> {
+      [&](Testbed& tb, uint64_t seed) -> sim::Task<double> {
         auto mp = co_await tb.mount();
-        auto times = co_await run_mab(tb, mp, params);
+        auto times = co_await run_mab(tb, mp, with_run_seed(params, seed));
         co_await mp->flush_all();
         (void)co_await tb.flush_session();
         co_return times.total();

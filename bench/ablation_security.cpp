@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
            testbed(SetupKind::kSgfs, crypto::Cipher::kAes256Cbc,
                    crypto::MacAlgo::kHmacSha1)},
       },
-      // Every seed runs the same PostMark stream (params.seed); only the
-      // testbed's seed moves.
-      [&](Testbed& tb, uint64_t) -> sim::Task<double> {
+      // The PostMark stream moves with the run's seed (1 on the first run).
+      [&](Testbed& tb, uint64_t seed) -> sim::Task<double> {
         auto mp = co_await tb.mount();
-        co_return (co_await run_postmark(tb, mp, params)).total();
+        co_return (co_await run_postmark(tb, mp, with_run_seed(params, seed)))
+            .total();
       });
 
   double weakest = 0;

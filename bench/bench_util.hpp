@@ -398,6 +398,19 @@ struct TaskValue<sim::Task<T>> {
   using type = T;
 };
 
+/// The seed of the first run; run r gets kFirstSeed + 1000*r.
+constexpr uint64_t kFirstSeed = 42;
+
+/// Workload parameters for the runner's seed `run_seed`: their own seed is
+/// kept on the first run and moved by as much as the runner's seed has
+/// moved since.  Each --runs repeat then draws a different workload, while
+/// the default single run keeps the workload's historical seed (and output).
+template <typename Params>
+Params with_run_seed(Params params, uint64_t run_seed) {
+  params.seed += run_seed - kFirstSeed;
+  return params;
+}
+
 /// The run path of the paper-figure benches.  It parses the flags, opens
 /// the JSON report, and runs every (setup, seed) cell: seeds 42 + 1000*r
 /// for r < --runs, each on a fresh Testbed, with --trace honoured on the
@@ -407,8 +420,9 @@ struct TaskValue<sim::Task<T>> {
 class Runner {
  public:
   struct Options {
-    /// Populates the server before the workload starts (no simulated time).
-    std::function<void(baselines::Testbed&)> prepare;
+    /// Populates the server before the workload starts (no simulated time);
+    /// gets the run's seed, as the workload body does.
+    std::function<void(baselines::Testbed&, uint64_t)> prepare;
     /// Publishes each run's buf.* copy counters into its metrics (BufStats
     /// is process-global, as payloads cross hosts, so a run takes deltas).
     bool buf_stats = false;
@@ -439,12 +453,12 @@ class Runner {
         const bool first = r == 0;
         const BufStats buf_start = buf_stats();
         baselines::TestbedOptions opts = setup.opts;
-        opts.seed = 42 + 1000ull * r;
+        opts.seed = kFirstSeed + 1000ull * r;
         baselines::Testbed tb(opts);
         if (first && trace_requested(flags)) {
           tb.engine().tracer().set_enabled(true);
         }
-        if (options.prepare) options.prepare(tb);
+        if (options.prepare) options.prepare(tb, opts.seed);
         R result{};
         tb.engine().run_task([](Body& body, baselines::Testbed& tb,
                                 uint64_t seed, R* out) -> sim::Task<void> {
@@ -497,7 +511,7 @@ struct AppRun {
   double writeback = 0;
 };
 
-/// Runs and prints Figure 9 or 10: `workload(testbed, mount)` and the
+/// Runs and prints Figure 9 or 10: `workload(testbed, mount, seed)` and the
 /// write-back on nfs-v3 and sgfs over AES-256-CBC/HMAC-SHA1, in LAN and over
 /// a 40 ms WAN where sgfs uses its disk cache.  `phases` pairs each phase's
 /// name with its column head, and `paper` holds the paper's seconds per row
@@ -526,10 +540,10 @@ std::map<std::string, workloads::PhaseTimes> run_app_figure(
   }
   const auto runs = bench.run(
       setups,
-      [&](baselines::Testbed& tb, uint64_t) -> sim::Task<AppRun> {
+      [&](baselines::Testbed& tb, uint64_t seed) -> sim::Task<AppRun> {
         auto mp = co_await tb.mount();
         AppRun out;
-        out.times = co_await workload(tb, mp);
+        out.times = co_await workload(tb, mp, seed);
         co_await mp->flush_all();
         out.writeback = co_await tb.flush_session();
         co_return out;

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   IozoneParams params;
   params.file_bytes = file_bytes;
   Runner::Options options;
-  options.prepare = [&](Testbed& tb) {
+  options.prepare = [&](Testbed& tb, uint64_t) {
     tb.preload_file("iozone.tmp", file_bytes, /*warm=*/true);
   };
   options.buf_stats = true;
@@ -93,12 +93,21 @@ int main(int argc, char** argv) {
       options);
 
   std::map<std::string, double> result;
+  bool spread = false;
   for (const auto& r : runs) {
     auto s = r.stats([](const IozoneRun& x) { return x.total; });
     result[r.name] = s.mean;
+    spread |= s.stddev > 0;
     print_row(r.name, s.mean, s.stddev);
     std::fputs(r.summary.c_str(), stdout);
     bench.json.attach_metrics(r.name, r.metrics);
+  }
+  if (flags.runs > 1 && !spread) {
+    // IOzone draws no random numbers, and a perfect network ignores the
+    // testbed seed: the repeats cannot differ.
+    std::printf("  (IOzone is deterministic: the %d runs of each row are "
+                "identical)\n",
+                flags.runs);
   }
 
   std::printf("\n");

@@ -27,12 +27,15 @@ int main(int argc, char** argv) {
 
   const double paper[4][4] = {
       {26, 4, 5, 99}, {26, 4, 5, 112}, {155, 53, 107, 1199}, {126, 5, 22, 150}};
+  // The tree and the run draw from the same MAB seed (2 on the first run).
   Runner::Options options;
-  options.prepare = [&](Testbed& tb) { mab_prepare_tree(tb, params); };
+  options.prepare = [&](Testbed& tb, uint64_t seed) {
+    mab_prepare_tree(tb, with_run_seed(params, seed));
+  };
   auto all = run_app_figure(
       bench, {},
-      [&](Testbed& tb, std::shared_ptr<nfs::MountPoint> mp) {
-        return run_mab(tb, std::move(mp), params);
+      [&](Testbed& tb, std::shared_ptr<nfs::MountPoint> mp, uint64_t seed) {
+        return run_mab(tb, std::move(mp), with_run_seed(params, seed));
       },
       options,
       {{"copy", "copy"},

@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
   base.client_mem_bytes = params.trace_bytes * 4 / 5;
   auto all = run_app_figure(
       bench, base,
-      [&](Testbed& tb, std::shared_ptr<nfs::MountPoint> mp) {
-        return run_seismic(tb, std::move(mp), params);
+      [&](Testbed& tb, std::shared_ptr<nfs::MountPoint> mp, uint64_t seed) {
+        // Seismic seed 3 on the first run.
+        return run_seismic(tb, std::move(mp), with_run_seed(params, seed));
       },
       {},
       {{"phase1", "p1"}, {"phase2", "p2"}, {"phase3", "p3"}, {"phase4", "p4"}},

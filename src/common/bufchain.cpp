@@ -5,65 +5,32 @@
 
 namespace sgfs {
 
-BufStats& buf_stats() {
-  static BufStats stats;
-  return stats;
+BufChain::BufChain(const BufChain& other) : size_(other.size_) {
+  for (const Segment& seg : other.segments()) push(Segment(seg));
 }
 
-BufChain::BufChain(BufChain&& other) noexcept { take(other); }
-
-BufChain& BufChain::operator=(BufChain&& other) noexcept {
-  if (this != &other) {
-    if (count_ <= kInline) {
-      for (size_t i = 0; i < count_; ++i) inline_[i] = Segment();
-    }
-    spill_.clear();
-    take(other);
-  }
+BufChain& BufChain::operator=(const BufChain& other) {
+  if (this != &other) *this = BufChain(other);
   return *this;
 }
 
-void BufChain::take(BufChain& other) noexcept {
-  // Only the live inline slots move; a spilled chain hands over its vector.
-  count_ = std::exchange(other.count_, 0);
-  size_ = std::exchange(other.size_, 0);
-  if (count_ <= kInline) {
-    for (size_t i = 0; i < count_; ++i) {
-      inline_[i] = std::move(other.inline_[i]);
+void BufChain::push_spilled(Segment&& seg) {
+  if (!spilled() || count_ == spill_.capacity) {
+    // Full storage, inline or heap: the descriptors move to a pooled array
+    // twice its size, and the old storage is released.
+    const uint32_t capacity = spilled() ? 2 * spill_.capacity : 2 * kInline;
+    auto* to = static_cast<Segment*>(
+        SmallObjectPool::allocate(capacity * sizeof(Segment)));
+    Segment* from = data();
+    for (uint32_t i = 0; i < count_; ++i) {
+      new (to + i) Segment(std::move(from[i]));
+      from[i].~Segment();
     }
-  } else {
-    spill_ = std::move(other.spill_);
-    other.spill_.clear();
+    if (spilled()) free_spill(spill_);
+    spill_ = Spill{to, capacity};  // the inline slots are vacated above
   }
-}
-
-void BufChain::push(Segment seg) {
-  if (count_ < kInline) {
-    inline_[count_++] = std::move(seg);
-    return;
-  }
-  if (count_ == kInline) {
-    spill_.reserve(2 * kInline);
-    for (auto& s : inline_) spill_.push_back(std::move(s));
-  }
-  spill_.push_back(std::move(seg));
+  new (spill_.segs + count_) Segment(std::move(seg));
   ++count_;
-}
-
-BufChain::BufChain(Buffer data) {
-  if (data.empty()) return;
-  auto& stats = buf_stats();
-  stats.segments_allocated += 1;
-  stats.bytes_zerocopy += data.size();
-  size_ = data.size();
-  push(Segment(BufStore::adopt(std::move(data)), 0, size_));
-}
-
-BufChain::BufChain(Segment seg) {
-  if (seg.len == 0) return;
-  buf_stats().bytes_zerocopy += seg.len;
-  size_ = seg.len;
-  push(std::move(seg));
 }
 
 BufChain BufChain::copy_of(ByteView data) {
@@ -78,9 +45,8 @@ void BufChain::append(BufChain other) {
     return;
   }
   size_ += other.size_;
-  Segment* theirs =
-      other.count_ <= kInline ? other.inline_.data() : other.spill_.data();
-  for (size_t i = 0; i < other.count_; ++i) push(std::move(theirs[i]));
+  Segment* theirs = other.data();
+  for (uint32_t i = 0; i < other.count_; ++i) push(std::move(theirs[i]));
 }
 
 void BufChain::append(Buffer data) { append(BufChain(std::move(data))); }
@@ -107,12 +73,6 @@ BufChain BufChain::slice(size_t offset, size_t len) const {
     if (want == 0) break;
   }
   return out;
-}
-
-std::optional<ByteView> BufChain::try_view() const {
-  if (count_ == 0) return ByteView{};
-  if (count_ == 1) return inline_[0].view();
-  return std::nullopt;
 }
 
 Buffer BufChain::flatten() const {

@@ -1,13 +1,13 @@
 // BufChain — refcounted segmented byte buffer for the zero-copy pipeline.
 //
-// A BufChain is a small vector of shared, immutable segments (up to three
-// descriptors inline, spilling to the heap beyond that).  Appending,
-// slicing and concatenating chains moves/refcounts segment descriptors
-// instead of copying payload bytes, so an NFS READ reply can travel
-// XDR encoder -> rpc_msg -> secure channel -> stream -> proxy -> client
-// without ever being duplicated.  Segments are immutable once adopted:
-// whoever hands a Buffer to a chain gives up the right to mutate it
-// (see DESIGN.md §9 for the ownership rules).
+// A BufChain is a small vector of shared, immutable segments (up to kInline
+// descriptors in raw inline slots, spilling to a pooled heap array beyond
+// that).  Appending, slicing and concatenating chains moves/refcounts
+// segment descriptors instead of copying payload bytes, so an NFS READ
+// reply can travel XDR encoder -> rpc_msg -> secure channel -> stream ->
+// proxy -> client without ever being duplicated.  Segments are immutable
+// once adopted: whoever hands a Buffer to a chain gives up the right to
+// mutate it (see DESIGN.md §9 for the ownership rules and the slot layout).
 //
 // Copy accounting: every deliberate byte copy made through this API bumps
 // `buf_stats().bytes_copied`, and every payload handoff that *avoided* a
@@ -16,15 +16,15 @@
 // benches snapshot deltas around each run.
 #pragma once
 
-#include <array>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/small_object_pool.hpp"
@@ -41,7 +41,10 @@ struct BufStats {
 };
 
 /// The global tally (single simulation thread; no locking needed).
-BufStats& buf_stats();
+inline BufStats& buf_stats() {
+  static BufStats stats;  // constant-initialized: no guard on each call
+  return stats;
+}
 
 /// A counted reference to an immutable Buffer shared by chain segments.
 /// The count sits next to the bytes in one SmallObjectPool node and is not
@@ -60,13 +63,20 @@ class BufStore {
   }
   BufStore(BufStore&& other) noexcept
       : node_(std::exchange(other.node_, nullptr)) {}
-  BufStore& operator=(BufStore other) noexcept {
-    std::swap(node_, other.node_);
+  BufStore& operator=(const BufStore& other) noexcept {
+    if (other.node_ != nullptr) ++other.node_->refs;
+    release();
+    node_ = other.node_;
     return *this;
   }
-  ~BufStore() {
-    if (node_ != nullptr && --node_->refs == 0) delete node_;
+  BufStore& operator=(BufStore&& other) noexcept {
+    if (this != &other) {
+      release();
+      node_ = std::exchange(other.node_, nullptr);
+    }
+    return *this;
   }
+  ~BufStore() { release(); }
 
   const Buffer* get() const { return node_ ? &node_->bytes : nullptr; }
   const Buffer& operator*() const { return node_->bytes; }
@@ -92,12 +102,18 @@ class BufStore {
   };
 
   explicit BufStore(Node* node) : node_(node) {}
+  void release() noexcept {
+    if (node_ != nullptr && --node_->refs == 0) delete node_;
+  }
 
   Node* node_ = nullptr;
 };
 
 class BufChain {
  public:
+  /// Segments a chain holds in its inline slots; a longer chain spills.
+  static constexpr size_t kInline = 4;
+
   /// One shared, immutable view into a refcounted backing store.
   struct Segment {
     BufStore store;
@@ -113,20 +129,41 @@ class BufChain {
     ByteView view() const { return ByteView(store->data() + offset, len); }
   };
 
-  BufChain() {}
-  BufChain(const BufChain&) = default;
-  BufChain& operator=(const BufChain&) = default;
+  BufChain() noexcept {}
+  BufChain(const BufChain& other);
+  BufChain& operator=(const BufChain& other);
   /// A moved-from chain is empty.
-  BufChain(BufChain&& other) noexcept;
-  BufChain& operator=(BufChain&& other) noexcept;
+  BufChain(BufChain&& other) noexcept { steal(other); }
+  BufChain& operator=(BufChain&& other) noexcept {
+    if (this != &other) {
+      destroy();
+      steal(other);
+    }
+    return *this;
+  }
+  ~BufChain() { destroy(); }
 
   /// Adopts an owned Buffer as a single shared segment — no byte copy.
   /// Implicit on purpose: `co_return enc.take_flat();` and friends read
   /// naturally.  Pass by value; move in.
-  BufChain(Buffer data);
+  BufChain(Buffer data) {
+    if (data.empty()) return;
+    auto& stats = buf_stats();
+    stats.segments_allocated += 1;
+    stats.bytes_zerocopy += data.size();
+    size_ = data.size();
+    new (slots()) Segment(BufStore::adopt(std::move(data)), 0, size_);
+    count_ = 1;
+  }
 
   /// Wraps an existing shared segment (refcount bump, counted zero-copy).
-  explicit BufChain(Segment seg);
+  explicit BufChain(Segment seg) {
+    if (seg.len == 0) return;
+    buf_stats().bytes_zerocopy += seg.len;
+    size_ = seg.len;
+    new (slots()) Segment(std::move(seg));
+    count_ = 1;
+  }
 
   /// Copies `data` into a fresh single-segment chain (counted).
   static BufChain copy_of(ByteView data);
@@ -148,12 +185,15 @@ class BufChain {
   /// chain's own descriptors: bind a temporary chain to a local before
   /// iterating its segments.
   std::span<const Segment> segments() const {
-    return count_ <= kInline ? std::span<const Segment>(inline_.data(), count_)
-                             : std::span<const Segment>(spill_);
+    return std::span<const Segment>(data(), count_);
   }
 
   /// Contiguous view when the chain has at most one segment.
-  std::optional<ByteView> try_view() const;
+  std::optional<ByteView> try_view() const {
+    if (count_ == 0) return ByteView{};
+    if (count_ == 1) return slots()[0].view();
+    return std::nullopt;
+  }
 
   /// Copies all bytes into one fresh Buffer (counted).
   Buffer flatten() const;
@@ -166,18 +206,66 @@ class BufChain {
   uint8_t at(size_t i) const;
 
  private:
-  static constexpr size_t kInline = 3;
+  // The live segments are slots()[0, count_) while count_ <= kInline, and
+  // spill_.segs[0, count_) beyond that; no other slot holds an object.  A
+  // chain never shrinks in place, so it is spilled exactly when
+  // count_ > kInline.
+  struct Spill {
+    Segment* segs;
+    uint32_t capacity;
+  };
 
-  void push(Segment seg);
-  // Moves other's segments into this (empty) chain; leaves other empty.
-  void take(BufChain& other) noexcept;
+  bool spilled() const { return count_ > kInline; }
+  Segment* slots() { return reinterpret_cast<Segment*>(raw_); }
+  const Segment* slots() const {
+    return reinterpret_cast<const Segment*>(raw_);
+  }
+  // Slots past the count are raw bytes by design.  GCC cannot always tell
+  // that an inline chain never reads spill_, or that a move may copy bytes
+  // no segment occupies, and warns that they may be uninitialized.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+  Segment* data() { return spilled() ? spill_.segs : slots(); }
+  const Segment* data() const { return spilled() ? spill_.segs : slots(); }
 
-  // Segments live in inline_[0, count_) while count_ <= kInline, and all of
-  // them in spill_ beyond that.
-  std::array<Segment, kInline> inline_;
-  std::vector<Segment> spill_;
-  size_t count_ = 0;
+  void push(Segment&& seg) {
+    if (count_ < kInline) {
+      new (slots() + count_) Segment(std::move(seg));
+      ++count_;
+      return;
+    }
+    push_spilled(std::move(seg));
+  }
+  // push() once the inline slots are full: moves to a larger heap array.
+  void push_spilled(Segment&& seg);
+
+  // Takes other's segments into this chain, whose slots hold no segment,
+  // and leaves other empty.  A segment is a pointer and two sizes, with no
+  // pointer into itself, so the slot bytes move as they are, whichever of
+  // them are live (or hold a spill array's address); the count says which.
+  void steal(BufChain& other) noexcept {
+    std::memcpy(raw_, other.raw_, sizeof(raw_));
+    size_ = std::exchange(other.size_, 0);
+    count_ = std::exchange(other.count_, 0);
+  }
+
+  // Releases the live segments (and the spill array); leaves count_ as is.
+  void destroy() noexcept {
+    Segment* segs = data();
+    for (uint32_t i = 0; i < count_; ++i) segs[i].~Segment();
+    if (spilled()) free_spill(spill_);
+  }
+  static void free_spill(Spill spill) noexcept {
+    SmallObjectPool::release(spill.segs, spill.capacity * sizeof(Segment));
+  }
+#pragma GCC diagnostic pop
+
+  union {
+    alignas(Segment) unsigned char raw_[kInline * sizeof(Segment)];
+    Spill spill_;
+  };
   size_t size_ = 0;
+  uint32_t count_ = 0;
 };
 
 /// Byte-wise equality (ignores segmentation).

@@ -2,12 +2,6 @@
 
 namespace sgfs::nfs {
 
-void BlockCache::bump(Slot& slot, const BlockKey& key) {
-  lru_.erase(slot.lru);
-  slot.lru = ++lru_clock_;
-  lru_[slot.lru] = key;
-}
-
 std::vector<BlockKey> BlockCache::keys() const {
   std::vector<BlockKey> out;
   for (const auto& [key, slot] : blocks_) out.push_back(key);
@@ -22,13 +16,17 @@ BlockCache::Block* BlockCache::find(const BlockKey& key) {
 BlockCache::Block* BlockCache::touch(const BlockKey& key) {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) return nullptr;
-  bump(it->second, key);
+  bump(it->second);
   return &it->second.block;
 }
 
 BlockCache::Block& BlockCache::insert(const BlockKey& key) {
-  auto it = blocks_.try_emplace(key).first;
-  bump(it->second, key);  // a fresh slot's clock 0 is in no LRU position
+  auto [it, fresh] = blocks_.try_emplace(key);
+  if (fresh) {
+    it->second.lru = lru_.insert(lru_.end(), key);
+  } else {
+    bump(it->second);
+  }
   Buffer& data = it->second.block.data;
   if (data.size() < block_size_) data.resize(block_size_, 0);
   return it->second.block;
@@ -110,15 +108,19 @@ uint64_t BlockCache::erase_if(
 bool BlockCache::make_room_clean(uint64_t incoming) {
   for (auto it = lru_.begin();
        bytes_used() + incoming > capacity_ && it != lru_.end();) {
-    const BlockKey key = (it++)->second;
-    if (!is_dirty(key)) erase(key);
+    if (is_dirty(*it)) {
+      ++it;
+      continue;
+    }
+    blocks_.erase(*it);  // clean: no dirty entry to drop
+    it = lru_.erase(it);
   }
   return bytes_used() + incoming <= capacity_;
 }
 
 sim::Task<void> BlockCache::evict(uint64_t incoming, WriteBack write_back) {
   while (bytes_used() + incoming > capacity_ && !lru_.empty()) {
-    const BlockKey victim = lru_.begin()->second;
+    const BlockKey victim = lru_.front();
     if (is_dirty(victim)) {
       co_await write_back(victim);
       if (!contains(victim) || is_dirty(victim)) continue;
@@ -128,10 +130,11 @@ sim::Task<void> BlockCache::evict(uint64_t incoming, WriteBack write_back) {
 }
 
 bool BlockCache::consistent() const {
+  // Equal sizes, and each slot's position names its own key: the list holds
+  // every resident block exactly once.
   if (lru_.size() != blocks_.size()) return false;
-  for (const auto& [clock, key] : lru_) {
-    auto it = blocks_.find(key);
-    if (it == blocks_.end() || it->second.lru != clock) return false;
+  for (const auto& [key, slot] : blocks_) {
+    if (*slot.lru != key) return false;
   }
   for (const auto& [fileid, set] : dirty_) {
     for (uint64_t block : set) {

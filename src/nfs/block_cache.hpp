@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <optional>
 #include <set>
@@ -100,19 +101,21 @@ class BlockCache {
   bool consistent() const;
 
  private:
+  // Each resident block's slot holds its place in `lru_`, which runs oldest
+  // to newest: a touch splices it to the back, eviction takes the front.
+  using Recency = std::list<BlockKey>;
   struct Slot {
     Block block;
-    uint64_t lru = 0;
+    Recency::iterator lru;
   };
   using Slots = std::map<BlockKey, Slot>;
-  void bump(Slot& slot, const BlockKey& key);
+  void bump(Slot& slot) { lru_.splice(lru_.end(), lru_, slot.lru); }
   Slots::iterator drop(Slots::iterator it, uint64_t& dirty_bytes);
 
   size_t block_size_;
   uint64_t capacity_;
   Slots blocks_;
-  std::map<uint64_t, BlockKey> lru_;  // clock -> key, oldest first
-  uint64_t lru_clock_ = 0;
+  Recency lru_;
   std::map<uint64_t, std::set<uint64_t>> dirty_;  // fileid -> blocks
 };
 

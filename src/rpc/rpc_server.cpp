@@ -22,7 +22,7 @@ RpcServer::RpcServer(net::Host& host, uint16_t port)
   // Gated on state_: the handler dies with the server, no deregistration.
   host.add_crash_handler(state_, [state = state_.get()]() {
     state->drc.clear();
-    state->drc_lru.clear();
+    state->drc_done.clear();
     ++state->epoch;
   });
   auto& m = host.engine().metrics();
@@ -238,9 +238,10 @@ sim::Task<void> RpcServer::serve_one(sim::Engine& eng,
   }
 
   // Duplicate-request cache lookup: a retransmission (same peer, xid and
-  // procedure) must not re-execute a non-idempotent handler.
-  auto dup = state->drc.find(key);
-  if (dup != state->drc.end()) {
+  // procedure) must not re-execute a non-idempotent handler.  A miss leaves
+  // an in-progress marker.
+  const auto [dup, fresh] = state->drc.try_emplace(key);
+  if (!fresh) {
     if (!dup->second.done) {
       // Original call still executing: drop, the client will retry.
       ++state->drc_inflight_drops;
@@ -267,7 +268,6 @@ sim::Task<void> RpcServer::serve_one(sim::Engine& eng,
     }
     co_return;
   }
-  state->drc.emplace(key, DrcEntry());  // in-progress marker
 
   ReplyMsg reply;
   CallContext ctx;
@@ -339,12 +339,10 @@ sim::Task<void> RpcServer::serve_one(sim::Engine& eng,
     if (cache) {
       self->second.done = true;
       self->second.reply = wire;
-      self->second.stamp = ++state->drc_clock;
-      state->drc_lru.emplace(self->second.stamp, key);
-      while (state->drc_lru.size() > state->drc_capacity) {
-        auto oldest = state->drc_lru.begin();
-        state->drc.erase(oldest->second);
-        state->drc_lru.erase(oldest);
+      state->drc_done.push_back(key);
+      while (state->drc_done.size() > state->drc_capacity) {
+        state->drc.erase(state->drc_done.front());
+        state->drc_done.pop_front();
       }
     } else {
       state->drc.erase(self);

@@ -9,6 +9,7 @@
 #include <coroutine>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -132,8 +133,9 @@ class RpcServer {
   // Duplicate-request cache: (peer host, xid, prog, vers, proc) -> reply.
   // Entries are inserted when a call starts (in-progress marker) and either
   // retained with the serialized reply (cache_reply() == true) or dropped
-  // once the reply is sent.  Completed entries age out LRU.  Nothing
-  // iterates the hash table, so its order never reaches a result.
+  // once the reply is sent.  Completed entries age out oldest first: a hit
+  // does not refresh one, so the order is completion order (FIFO).
+  // Nothing iterates the hash table, so its order never reaches a result.
   struct DrcKey {
     std::string peer;
     uint32_t xid = 0, prog = 0, vers = 0, proc = 0;
@@ -153,7 +155,6 @@ class RpcServer {
   struct DrcEntry {
     bool done = false;
     BufChain reply;  // shared with the original send; replay is copy-free
-    uint64_t stamp = 0;
 
     DrcEntry() = default;
   };
@@ -163,7 +164,6 @@ class RpcServer {
     uint64_t served = 0;
     uint64_t drc_hits = 0;
     uint64_t drc_inflight_drops = 0;
-    uint64_t drc_clock = 0;
     // Crash generation: bumped by the host crash handler.  A call that was
     // dispatched before a crash must not publish its reply (or a DRC entry)
     // into the restarted instance — serve_one compares epochs around the
@@ -180,10 +180,10 @@ class RpcServer {
     std::unordered_map<DrcKey, DrcEntry, DrcKeyHash, std::equal_to<>,
                        PoolAllocator<std::pair<const DrcKey, DrcEntry>>>
         drc;
-    // stamp -> key, oldest first
-    std::map<uint64_t, DrcKey, std::less<>,
-             PoolAllocator<std::pair<const uint64_t, DrcKey>>>
-        drc_lru;
+    // Keys of the completed entries, in completion order (oldest first).
+    // A list, not a deque: libstdc++'s deque allocates a first block when
+    // it is built, for every server, even one that never caches a reply.
+    std::list<DrcKey, PoolAllocator<DrcKey>> drc_done;
     std::map<std::pair<uint32_t, uint32_t>, std::shared_ptr<RpcProgram>>
         programs;
     std::optional<crypto::SecurityConfig> security;

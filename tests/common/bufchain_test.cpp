@@ -155,11 +155,11 @@ BufChain chain_of(const Buffer& bytes, size_t k, Rng& rng) {
 }
 
 TEST(BufChain, InlineAndSpilledChainsAgreeWithFlatten) {
-  // 1-3 segments live inline, 4-5 spill to the heap; every operation must
-  // agree with the flat bytes either way.
+  // Up to kInline segments live inline, more spill to the heap; every
+  // operation must agree with the flat bytes either way.
   Rng rng(7);
   const Buffer bytes = rng.bytes(40);
-  for (size_t k = 1; k <= 5; ++k) {
+  for (size_t k = 1; k <= BufChain::kInline + 2; ++k) {
     const BufChain c = chain_of(bytes, k, rng);
     ASSERT_EQ(c.segments().size(), k);
     EXPECT_EQ(c.flatten(), bytes) << k;
@@ -206,6 +206,146 @@ TEST(BufChain, InlineAndSpilledChainsAgreeWithFlatten) {
       EXPECT_FALSE(c == chain_of(other, 1 + pos % 5, rng)) << k << " " << pos;
     }
   }
+}
+
+// Segment counts on either side of the inline/spill boundary.
+constexpr size_t kBoundary[] = {BufChain::kInline - 1, BufChain::kInline,
+                                BufChain::kInline + 1};
+
+TEST(BufChain, InlineSpillBoundaryUnderAppendSliceCopyAndMove) {
+  Rng rng(11);
+  const Buffer bytes = rng.bytes(60);
+  for (size_t k : kBoundary) {
+    for (size_t j : {size_t{1}, BufChain::kInline}) {
+      BufChain c = chain_of(bytes, k, rng);
+      c.append(chain_of(bytes, j, rng));
+      Buffer both = bytes;
+      both.insert(both.end(), bytes.begin(), bytes.end());
+      ASSERT_EQ(c.segments().size(), k + j);
+      EXPECT_EQ(c, both) << k << "+" << j;
+
+      // Slices whose first and last bytes fall in every pair of segments,
+      // so some start inline and end in a segment that spilled.
+      size_t start = 0;
+      for (const auto& first : c.segments()) {
+        size_t end = 0;
+        for (const auto& last : c.segments()) {
+          end += last.len;
+          if (end <= start) continue;
+          const BufChain s = c.slice(start, end - start);
+          EXPECT_EQ(s.flatten(),
+                    Buffer(both.begin() + start, both.begin() + end))
+              << k << "+" << j << " [" << start << "," << end << ")";
+        }
+        start += first.len;
+      }
+
+      const BufChain copy = c;
+      EXPECT_EQ(copy.segments().size(), c.segments().size());
+      EXPECT_EQ(copy, both);
+
+      BufChain moved(std::move(c));
+      EXPECT_EQ(moved, both);
+      EXPECT_TRUE(c.empty());  // NOLINT(bugprone-use-after-move)
+      EXPECT_TRUE(c.segments().empty());
+
+      // Self-move-assignment leaves the chain as it was.
+      BufChain& alias = moved;
+      moved = std::move(alias);
+      EXPECT_EQ(moved, both);
+      EXPECT_EQ(moved.segments().size(), k + j);
+
+      // Move-assignment over a chain that already holds segments, spilled
+      // or not, releases them.
+      BufChain target = chain_of(bytes, k, rng);
+      target = std::move(moved);
+      EXPECT_EQ(target, both);
+      EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+    }
+  }
+}
+
+TEST(BufChain, MovedFromChainIsEmptyAndReusable) {
+  Rng rng(12);
+  const Buffer bytes = rng.bytes(30);
+  for (size_t k : kBoundary) {
+    BufChain c = chain_of(bytes, k, rng);
+    BufChain dst = std::move(c);
+    EXPECT_EQ(dst, bytes);
+    EXPECT_TRUE(c.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(c.size(), 0u);
+    EXPECT_TRUE(c.segments().empty());
+    EXPECT_EQ(c.try_view()->size(), 0u);
+    // Reuse: grow the moved-from chain across the boundary again.
+    for (size_t i = 0; i < k; ++i) c.append(to_bytes("ab"));
+    EXPECT_EQ(c.segments().size(), k);
+    EXPECT_EQ(c.size(), 2 * k);
+    EXPECT_EQ(c.at(2 * k - 1), uint8_t('b'));
+    c = std::move(dst);
+    EXPECT_EQ(c, bytes);
+    dst.append(to_bytes("z"));  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(to_string(dst), "z");
+  }
+}
+
+TEST(BufChainLifetime, UseCountReturnsToOneAfterCopiesMovesAndDrops) {
+  for (size_t k : kBoundary) {
+    BufStore watch;
+    {
+      BufChain c{Buffer(16, 0x3C)};
+      watch = c.segments()[0].store;
+      // The same store appears in every segment.
+      for (size_t i = 1; i < k; ++i) c.append(c.slice(0, 4));
+      ASSERT_EQ(c.segments().size(), k);
+      EXPECT_EQ(watch.use_count(), k + 1);
+      {
+        BufChain copy = c;
+        EXPECT_EQ(watch.use_count(), 2 * k + 1);
+        BufChain moved = std::move(copy);
+        EXPECT_EQ(watch.use_count(), 2 * k + 1);
+        BufChain assigned;
+        assigned = std::move(moved);
+        EXPECT_EQ(watch.use_count(), 2 * k + 1);
+        assigned = c;  // copy-assign over a populated chain
+        EXPECT_EQ(watch.use_count(), 2 * k + 1);
+        BufChain joined = c.slice(0, 1);
+        joined.append(std::move(assigned));
+        EXPECT_EQ(watch.use_count(), 2 * k + 2);
+      }
+      EXPECT_EQ(watch.use_count(), k + 1);
+    }
+    EXPECT_EQ(watch.use_count(), 1u) << k;
+  }
+}
+
+TEST(BufChain, PinnedStatsForAFixedScript) {
+  // A fixed script of every counted operation; the deltas are pinned so a
+  // change of representation cannot move what the benches report.
+  const BufStats before = buf_stats();
+  BufChain a{Buffer(100, 1)};                   // +1 segment, +100 zc
+  const Buffer fifty(50, 2);
+  BufChain b = BufChain::copy_of(ByteView(fifty));  // +50 cp, +1, +50 zc
+  a.append(b);
+  for (uint8_t i = 0; i < 5; ++i) a.append(Buffer(10, i));  // +5, +50 zc
+  a.append(Buffer{});
+  BufChain s = a.slice(90, 80);                 // +80 zc
+  BufChain c = s;
+  BufChain m = std::move(c);
+  Buffer f = m.flatten();                       // +80 cp
+  Buffer out(30);
+  a.copy_to(MutByteView(out.data(), out.size()));  // +30 cp
+  Buffer scratch;
+  linearize(a, scratch);                        // +200 cp
+  BufChain one{a.segments()[0]};                // +100 zc
+  linearize(one, scratch);
+  BufChain joined = std::move(one);
+  joined.append(std::move(m));
+  const BufStats& now = buf_stats();
+  EXPECT_EQ(now.segments_allocated - before.segments_allocated, 7u);
+  EXPECT_EQ(now.bytes_zerocopy - before.bytes_zerocopy, 380u);
+  EXPECT_EQ(now.bytes_copied - before.bytes_copied, 360u);
+  EXPECT_EQ(a.segments().size(), 7u);
+  EXPECT_EQ(joined.size(), 180u);
 }
 
 TEST(BufChainLifetime, RefcountReleasesStoreWithLastHolder) {

@@ -186,6 +186,28 @@ TEST(BlockCache, EraseReportsCancelledDirtyBytes) {
   EXPECT_TRUE(cache.consistent());
 }
 
+TEST(BlockCache, TouchMakesTheOldestBlockTheNewest) {
+  // A full three-block cache; re-touching the oldest block makes the second
+  // one the least recently used, so making room for one more evicts it.  A
+  // FIFO order would evict the touched block instead.
+  BlockCache cache(kBlock, 3 * kBlock);
+  const BlockKey a(1, 0), b(1, 1), c(1, 2), d(1, 3);
+  cache.insert(a);
+  cache.insert(b);
+  cache.insert(c);
+  ASSERT_NE(cache.touch(a), nullptr);
+  ASSERT_TRUE(cache.make_room_clean(kBlock));
+  cache.insert(d);
+  EXPECT_EQ(cache.keys(), (std::vector<BlockKey>{a, c, d}));
+  // The same order holds for the evictor: C is now the oldest.
+  Engine eng;
+  eng.run_task(cache.evict(kBlock, [](const BlockKey&) -> Task<void> {
+    co_return;
+  }));
+  EXPECT_EQ(cache.keys(), (std::vector<BlockKey>{a, d}));
+  EXPECT_TRUE(cache.consistent());
+}
+
 // --- evictor interleavings --------------------------------------------------
 //
 // Three blocks in a two-block cache; the oldest (A) is dirty, so the evictor
