@@ -220,13 +220,13 @@ class BufChain {
   const Segment* slots() const {
     return reinterpret_cast<const Segment*>(raw_);
   }
-  // Slots past the count are raw bytes by design.  GCC cannot always tell
-  // that an inline chain never reads spill_, or that a move may copy bytes
-  // no segment occupies, and warns that they may be uninitialized.
+  // GCC cannot always tell that an inline chain never reads spill_, and
+  // warns that it may be uninitialized.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
   Segment* data() { return spilled() ? spill_.segs : slots(); }
   const Segment* data() const { return spilled() ? spill_.segs : slots(); }
+#pragma GCC diagnostic pop
 
   void push(Segment&& seg) {
     if (count_ < kInline) {
@@ -243,11 +243,19 @@ class BufChain {
   // and leaves other empty.  A segment is a pointer and two sizes, with no
   // pointer into itself, so the slot bytes move as they are, whichever of
   // them are live (or hold a spill array's address); the count says which.
+  static_assert(sizeof(BufStore) == sizeof(void*) &&
+                    sizeof(Segment) == sizeof(void*) + 2 * sizeof(size_t),
+                "steal() relocates segments bytewise: a Segment must stay a "
+                "store pointer and two sizes");
+  // GCC warns that the copy may read slot bytes no segment occupies; it does.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
   void steal(BufChain& other) noexcept {
     std::memcpy(raw_, other.raw_, sizeof(raw_));
     size_ = std::exchange(other.size_, 0);
     count_ = std::exchange(other.count_, 0);
   }
+#pragma GCC diagnostic pop
 
   // Releases the live segments (and the spill array); leaves count_ as is.
   void destroy() noexcept {
@@ -258,7 +266,6 @@ class BufChain {
   static void free_spill(Spill spill) noexcept {
     SmallObjectPool::release(spill.segs, spill.capacity * sizeof(Segment));
   }
-#pragma GCC diagnostic pop
 
   union {
     alignas(Segment) unsigned char raw_[kInline * sizeof(Segment)];

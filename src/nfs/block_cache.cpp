@@ -106,14 +106,12 @@ uint64_t BlockCache::erase_if(
 }
 
 bool BlockCache::make_room_clean(uint64_t incoming) {
+  // `it` moves past a block before it is erased; erasing another list node
+  // leaves it valid.
   for (auto it = lru_.begin();
        bytes_used() + incoming > capacity_ && it != lru_.end();) {
-    if (is_dirty(*it)) {
-      ++it;
-      continue;
-    }
-    blocks_.erase(*it);  // clean: no dirty entry to drop
-    it = lru_.erase(it);
+    const BlockKey key = *it++;
+    if (!is_dirty(key)) erase(key);
   }
   return bytes_used() + incoming <= capacity_;
 }

@@ -11,7 +11,6 @@
  *   cc -O2 -shared -fPIC -Wl,-z,now -o libsampler.so tools/profile/sampler.c
  * Run a binary built with -fno-omit-frame-pointer:
  *   SAMPLER_OUT=prof.txt LD_PRELOAD=$PWD/libsampler.so ./perfbench ...
- * Optional: SAMPLER_HZ (default 1000), SAMPLER_MAX_WORDS (default 8M).
  *
  * File format: the lines of /proc/self/maps, a line "samples dropped N",
  * then one line per sample: hex addresses, leaf first.
@@ -29,9 +28,10 @@
 #include <unistd.h>
 
 enum { kMaxDepth = 64 };
+enum { kHz = 1000 };  /* asked-for rate; the kernel may tick slower */
+static const size_t kMaxWords = 8u << 20;  /* sample buffer, in words */
 
 static uint64_t* words;        /* [depth, pc0, pc1, ...] per sample */
-static size_t capacity;        /* words available */
 static volatile size_t used;   /* words written */
 static volatile size_t dropped;
 static uintptr_t stack_lo;     /* lowest address the main stack may reach */
@@ -80,7 +80,7 @@ static void on_prof(int sig, siginfo_t* info, void* uc_void) {
     }
   }
   const size_t at = used;
-  if (at + depth + 1 > capacity) {
+  if (at + depth + 1 > kMaxWords) {
     ++dropped;
     return;
   }
@@ -100,13 +100,8 @@ static void copy_maps(FILE* out) {
 __attribute__((constructor)) static void sampler_start(void) {
   const char* out = getenv("SAMPLER_OUT");
   if (out == NULL || *out == '\0') return;
-  const char* hz_env = getenv("SAMPLER_HZ");
-  const char* max_env = getenv("SAMPLER_MAX_WORDS");
-  const long hz = hz_env ? atol(hz_env) : 1000;
-  capacity = max_env ? strtoul(max_env, NULL, 10) : (8u << 20);
-  if (hz <= 0 || hz > 100000 || capacity == 0) return;
   /* Untouched pages of the mapping cost no resident memory. */
-  void* mem = mmap(NULL, capacity * sizeof(uint64_t), PROT_READ | PROT_WRITE,
+  void* mem = mmap(NULL, kMaxWords * sizeof(uint64_t), PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (mem == MAP_FAILED) return;
   words = (uint64_t*)mem;
@@ -127,7 +122,7 @@ __attribute__((constructor)) static void sampler_start(void) {
   sigaction(SIGPROF, &sa, NULL);
   struct itimerval it;
   it.it_interval.tv_sec = 0;
-  it.it_interval.tv_usec = 1000000 / hz;
+  it.it_interval.tv_usec = 1000000 / kHz;
   it.it_value = it.it_interval;
   setitimer(ITIMER_PROF, &it, NULL);
 }
